@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import SUM_TOL, ModelValidationError, StateSpace
+from .core import SUM_TOL, ModelValidationError, StateSpace, target_mask
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,6 @@ def _backward_closure(
     return reach
 
 
-def _target_mask(n: int, targets: Iterable[int]) -> np.ndarray:
-    idx = list(targets)
-    if not idx:
-        raise ValueError("target set is empty")
-    mask = np.zeros(n, dtype=bool)
-    for t in idx:
-        if not 0 <= int(t) < n:
-            raise ValueError(f"target index {t} out of range for {n} states")
-        mask[int(t)] = True
-    return mask
-
-
 def hitting_support(entries: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Boolean mask of states whose expected hitting time of ``target`` is finite.
 
@@ -136,7 +124,7 @@ def hitting_times(matrix: TransitionMatrix, targets: Iterable[int]) -> np.ndarra
         system.
     """
     n = matrix.size
-    target = _target_mask(n, targets)
+    target = target_mask(n, targets)
     h = np.zeros(n)
     finite = hitting_support(matrix.entries, target)
     h[~finite] = math.inf
@@ -241,7 +229,7 @@ def simulate_hitting(
     Identical inputs and seed give identical statistics.
     """
     n = matrix.size
-    target = _target_mask(n, targets)
+    target = target_mask(n, targets)
     if not 0 <= int(start) < n:
         raise ValueError(f"start index {start} out of range for {n} states")
     if trials < 1:

@@ -8,9 +8,10 @@ finite maximisation over the stored vertices.
 
 Value vectors may contain ``numpy.inf`` to mark states with no finite
 expectation. All dot products follow the convention that a zero-probability
-entry contributes nothing even when paired with an infinite value, and they
-sum strictly left to right over state indices so repeated runs reproduce
-results bit for bit.
+entry contributes nothing even when paired with an infinite value. They all
+go through one row-dot kernel, :func:`choice_values`, so identical inputs
+give identical bits on one machine; :func:`ext_dot` stays the left-to-right
+reference.
 """
 
 from __future__ import annotations
@@ -89,13 +90,20 @@ class CredalRow:
 
 @dataclass(frozen=True)
 class CredalMatrix:
-    """Per-state credal rows over a shared state space."""
+    """Per-state credal rows over a shared state space.
+
+    All vertices live in one ``(K, n)`` array in which state ``i`` owns rows
+    ``offsets[i]:offsets[i + 1]`` (see :meth:`stacked`). In a model built by
+    :meth:`from_rows` every ``vertices(i)`` is a view into that array; for a
+    model built through the constructor the array is assembled on first use.
+    """
 
     space: StateSpace
     rows: tuple[CredalRow, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "_stack", None)
 
     @property
     def size(self) -> int:
@@ -107,6 +115,14 @@ class CredalMatrix:
     def vertex_count(self, state: int) -> int:
         return self.rows[state].count
 
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """All vertices as one ``(K, n)`` array, and the ``n + 1`` state offsets."""
+        if self._stack is None:
+            offsets = segment_bounds([row.count for row in self.rows])
+            stack = np.concatenate([row.vertices for row in self.rows])
+            object.__setattr__(self, "_stack", (stack, offsets))
+        return self._stack
+
     @classmethod
     def from_rows(cls, labels: Iterable[str], row_vertices) -> "CredalMatrix":
         """Validate, renormalize and wrap raw per-state vertex lists.
@@ -116,32 +132,36 @@ class CredalMatrix:
         exactly.
         """
         space = StateSpace(tuple(labels))
-        rows = []
-        for verts in row_vertices:
-            arr = [np.asarray(v, dtype=float).ravel() for v in verts]
-            if arr and len({a.shape for a in arr}) == 1:
-                rows.append(CredalRow(np.stack(arr)))
-            elif not arr:
-                rows.append(CredalRow(np.zeros((0, space.size))))
-            else:
-                # ragged vertices: pad into an invalid marker row so that
-                # validation can still name the coordinates
-                width = max(a.size for a in arr)
-                padded = np.full((len(arr), width), np.nan)
-                for i, a in enumerate(arr):
-                    padded[i, : a.size] = a
-                rows.append(CredalRow(padded))
-        model = cls(space, tuple(rows))
+        raw = [[np.asarray(v, dtype=float).ravel() for v in verts] for verts in row_vertices]
+        if all(raw) and all(a.size == space.size for arr in raw for a in arr):
+            stack = np.stack([a for arr in raw for a in arr])
+            offsets = segment_bounds([len(arr) for arr in raw])
+            model = cls(space, [CredalRow(stack[a:b]) for a, b in zip(offsets[:-1], offsets[1:])])
+            object.__setattr__(model, "_stack", (stack, offsets))
+        else:
+            model = cls(space, [_ragged_row(arr, space.size) for arr in raw])
         problems = validate(model)
         if problems:
             raise ModelValidationError(problems)
-        return _renormalize(model)
+        # well-formed rows are views into the stack: rescale them in place
+        stack, _ = model.stacked()
+        stack /= stack.sum(axis=1, keepdims=True)
+        return model
 
     @classmethod
     def precise(cls, labels: Iterable[str], matrix) -> "CredalMatrix":
         """Wrap a single transition matrix as singleton credal rows."""
         m = np.asarray(matrix, dtype=float)
         return cls.from_rows(labels, [[row] for row in m])
+
+
+def _ragged_row(arr: list[np.ndarray], n: int) -> CredalRow:
+    """A malformed row kept for validation; short vertices are NaN-padded so
+    that validation can still name the coordinates."""
+    padded = np.full((len(arr), max((a.size for a in arr), default=n)), np.nan)
+    for i, a in enumerate(arr):
+        padded[i, : a.size] = a
+    return CredalRow(padded)
 
 
 def validate(model: CredalMatrix) -> list[str]:
@@ -168,49 +188,25 @@ def validate(model: CredalMatrix) -> list[str]:
             continue
         normalized = []
         for j, v in enumerate(verts):
-            bad = False
-            for k, entry in enumerate(v):
-                if math.isnan(entry):
-                    problems.append(
-                        f"row {label!r} vertex {j}: entry {k} is not a number"
-                    )
-                    bad = True
-                elif entry < 0:
-                    problems.append(
-                        f"row {label!r} vertex {j}: entry {k} is negative ({entry!r})"
-                    )
-                elif entry > 1:
-                    problems.append(
-                        f"row {label!r} vertex {j}: entry {k} exceeds 1 ({entry!r})"
-                    )
-            if bad:
+            nan = np.isnan(v)
+            for k in np.flatnonzero(nan | (v < 0) | (v > 1)).tolist():
+                what = "is not a number" if nan[k] else (
+                    f"is negative ({v[k]!r})" if v[k] < 0 else f"exceeds 1 ({v[k]!r})"
+                )
+                problems.append(f"row {label!r} vertex {j}: entry {k} {what}")
+            if nan.any():
                 normalized.append(None)
                 continue
             total = float(v.sum())
             if abs(total - 1.0) > SUM_TOL:
-                problems.append(
-                    f"row {label!r} vertex {j}: entries sum to {total!r}, not 1"
-                )
-            if total > 0:
-                normalized.append(v / total)
-            else:
-                normalized.append(None)
+                problems.append(f"row {label!r} vertex {j}: entries sum to {total!r}, not 1")
+            normalized.append(v / total if total > 0 else None)
         for j in range(len(normalized)):
             for k in range(j + 1, len(normalized)):
-                if normalized[j] is not None and normalized[k] is not None:
-                    if np.array_equal(normalized[j], normalized[k]):
-                        problems.append(
-                            f"row {label!r}: vertices {j} and {k} coincide"
-                        )
+                a, b = normalized[j], normalized[k]
+                if a is not None and b is not None and np.array_equal(a, b):
+                    problems.append(f"row {label!r}: vertices {j} and {k} coincide")
     return problems
-
-
-def _renormalize(model: CredalMatrix) -> CredalMatrix:
-    rows = []
-    for row in model.rows:
-        sums = row.vertices.sum(axis=1, keepdims=True)
-        rows.append(CredalRow(row.vertices / sums))
-    return CredalMatrix(model.space, tuple(rows))
 
 
 def ext_dot(weights, values) -> float:
@@ -224,9 +220,55 @@ def ext_dot(weights, values) -> float:
     return total
 
 
+def choice_values(vertices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Expectation of ``values`` under every row of ``vertices``, with 0 * inf = 0.
+
+    One row-dot over the finite part of ``values``; a second one against the
+    inf mask sets to inf every row with positive mass on an infinite entry.
+    An ``einsum`` row-dot, unlike BLAS, gives a row the same bits whichever
+    other rows are evaluated with it.
+    """
+    inf = np.isinf(values)
+    if not inf.any():
+        return np.einsum("ij,j->i", vertices, values)
+    out = np.einsum("ij,j->i", vertices, np.where(inf, 0.0, values))
+    out[np.einsum("ij,j->i", vertices, inf.astype(float)) > 0.0] = math.inf
+    return out
+
+
 def ext_matvec(matrix, values) -> np.ndarray:
-    """Row-wise :func:`ext_dot` of a dense matrix against a value vector."""
-    return np.array([ext_dot(row, values) for row in matrix])
+    """Row-wise 0 * inf = 0 product of a dense matrix with a value vector."""
+    return choice_values(np.asarray(matrix, dtype=float), np.asarray(values, dtype=float))
+
+
+def segment_bounds(counts) -> np.ndarray:
+    """CSR-style bounds of consecutive segments of the given lengths."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def segment_optimum(vals: np.ndarray, bounds: np.ndarray, sense: str):
+    """Per segment ``bounds[s]:bounds[s + 1]`` of ``vals``, the largest (upper)
+    or smallest (lower) entry and the lowest position attaining it, counted
+    from the segment start. Every segment must be non-empty.
+    """
+    starts = bounds[:-1]
+    best = (np.maximum if sense == "upper" else np.minimum).reduceat(vals, starts)
+    hit = vals == np.repeat(best, bounds[1:] - starts)
+    first = np.minimum.reduceat(np.where(hit, np.arange(vals.size), vals.size), starts)
+    return best, first - starts
+
+
+def target_mask(n: int, targets: Iterable[int]) -> np.ndarray:
+    """Boolean mask of a non-empty set of state indices."""
+    idx = list(targets)
+    if not idx:
+        raise ValueError("target set is empty")
+    mask = np.zeros(n, dtype=bool)
+    for t in idx:
+        if not 0 <= int(t) < n:
+            raise ValueError(f"target index {t} out of range for {n} states")
+        mask[int(t)] = True
+    return mask
 
 
 def _require_sense(sense: str) -> None:
@@ -247,24 +289,23 @@ def _check_values(model: CredalMatrix, values) -> np.ndarray:
     return f
 
 
+def _optimize(model: CredalMatrix, values, sense: str):
+    stack, offsets = model.stacked()
+    return segment_optimum(choice_values(stack, _check_values(model, values)), offsets, sense)
+
+
 def apply_upper(model: CredalMatrix, values) -> np.ndarray:
     """Componentwise largest expectation of ``values`` over each state's row set.
 
     The supremum over each convex row set is attained at a vertex because the
     objective is linear in the row, so a scan of the stored vertices is exact.
     """
-    f = _check_values(model, values)
-    return np.array(
-        [max(ext_dot(v, f) for v in model.vertices(i)) for i in range(model.size)]
-    )
+    return _optimize(model, values, "upper")[0]
 
 
 def apply_lower(model: CredalMatrix, values) -> np.ndarray:
     """Componentwise smallest expectation of ``values``; see :func:`apply_upper`."""
-    f = _check_values(model, values)
-    return np.array(
-        [min(ext_dot(v, f) for v in model.vertices(i)) for i in range(model.size)]
-    )
+    return _optimize(model, values, "lower")[0]
 
 
 def greedy_selection(model: CredalMatrix, values, sense: str) -> np.ndarray:
@@ -272,22 +313,12 @@ def greedy_selection(model: CredalMatrix, values, sense: str) -> np.ndarray:
 
     Assembling the selected vertices with :func:`selection_matrix` and applying
     :func:`ext_matvec` reproduces the output of :func:`apply_upper` (or
-    :func:`apply_lower`) exactly, since both paths evaluate the same dot
-    products in the same order.
+    :func:`apply_lower`) exactly: both paths evaluate every vertex through
+    :func:`choice_values`, and identical inputs give identical bits on one
+    machine; :func:`ext_dot` stays the left-to-right reference.
     """
     _require_sense(sense)
-    f = _check_values(model, values)
-    better = (lambda a, b: a > b) if sense == "upper" else (lambda a, b: a < b)
-    pick = np.zeros(model.size, dtype=np.int64)
-    for i in range(model.size):
-        verts = model.vertices(i)
-        best = ext_dot(verts[0], f)
-        for j in range(1, len(verts)):
-            val = ext_dot(verts[j], f)
-            if better(val, best):
-                best = val
-                pick[i] = j
-    return pick
+    return _optimize(model, values, sense)[1]
 
 
 def selection_matrix(model: CredalMatrix, selection) -> np.ndarray:
@@ -297,12 +328,12 @@ def selection_matrix(model: CredalMatrix, selection) -> np.ndarray:
         raise ValueError(
             f"selection has shape {sel.shape}, expected ({model.size},)"
         )
-    rows = []
-    for i in range(model.size):
-        if not 0 <= sel[i] < model.vertex_count(i):
-            raise ValueError(
-                f"selection index {sel[i]} out of range for row "
-                f"{model.space.labels[i]!r} with {model.vertex_count(i)} vertices"
-            )
-        rows.append(model.vertices(i)[sel[i]])
-    return np.stack(rows)
+    stack, offsets = model.stacked()
+    bad = np.flatnonzero((sel < 0) | (sel >= np.diff(offsets)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"selection index {sel[i]} out of range for row "
+            f"{model.space.labels[i]!r} with {model.vertex_count(i)} vertices"
+        )
+    return stack[offsets[:-1] + sel]

@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import CredalMatrix, StateSpace, _require_sense
+from .core import CredalMatrix, StateSpace, _require_sense, segment_bounds
 from .reach import Classification, classify_view
 from .solver import HittingResult, solve_view_policy
 from .chain import TransitionMatrix, hitting_times
@@ -114,14 +114,6 @@ def build_product_space(space: StateSpace, agents: int, mode: str = "quotient") 
     return ProductSpace(base=space, agents=agents, mode=mode, states=states)
 
 
-def _ext_dot_dense(row: np.ndarray, f: np.ndarray) -> float:
-    """Dense dot product with the 0 * inf = 0 convention."""
-    inf_mask = np.isinf(f)
-    if inf_mask.any() and (row[inf_mask] > 0).any():
-        return math.inf
-    return float(row @ np.where(inf_mask, 0.0, f))
-
-
 class JointChoices:
     """Choice view of the joint walk; rows are built on demand from factor rows.
 
@@ -155,14 +147,21 @@ class JointChoices:
             self._agg = agg
         else:
             self._agg = None
+        counts = [model.vertex_count(z) for z in range(n_base)]
+        self._counts = np.array([math.prod(counts[z] for z in s) for s in product.states])
+        # agent j contracts vertex axis A, B, ... against tensor axis a, b, ...
+        self._expr = ",".join(
+            string.ascii_uppercase[j] + string.ascii_lowercase[j] for j in range(m)
+        ) + f",{string.ascii_lowercase[:m]}->{string.ascii_uppercase[:m]}"
         self._support_cache: dict[int, np.ndarray] = {}
         self._tuple_cache: dict[int, list[tuple[int, ...]]] = {}
 
     def nchoices(self, state: int) -> int:
-        out = 1
-        for s in self.product.states[state]:
-            out *= self.model.vertex_count(s)
-        return out
+        return int(self._counts[state])
+
+    def choice_offsets(self, states) -> np.ndarray:
+        """Bounds of each state's segment in the output of :meth:`values`."""
+        return segment_bounds(self._counts[states])
 
     def choice_tuples(self, state: int) -> list[tuple[int, ...]]:
         cached = self._tuple_cache.get(state)
@@ -197,36 +196,36 @@ class JointChoices:
             return f.reshape(self._tensor_shape)
         return f[self._agg].reshape(self._tensor_shape)
 
-    def _einsum(self, state: int, tensor: np.ndarray) -> np.ndarray:
-        joint = self.product.states[state]
-        axis = string.ascii_lowercase
-        choice = string.ascii_uppercase
-        terms = []
-        operands = []
-        for j, z in enumerate(joint):
-            terms.append(choice[j] + axis[j])
-            operands.append(self.model.vertices(z))
-        m = len(joint)
-        expr = ",".join(terms) + "," + axis[:m] + "->" + choice[:m]
-        return np.einsum(expr, *operands, tensor)
+    def values(self, states, f) -> np.ndarray:
+        """Expectation of ``f`` under every choice of ``states`` (an index or an
+        index array), flat and in state order, with the 0 * inf = 0 rule.
 
-    def values(self, state: int, f) -> np.ndarray:
-        """Expectation of ``f`` under every choice, with the 0 * inf = 0 rule.
-
-        One tensor contraction evaluates all choices at once; a second
-        contraction against the inf-mask decides which choices put positive
-        mass on an infinite destination.
+        The expanded ``f`` and its inf mask are built once per call; per state,
+        one contraction against each evaluates all choices at once.
         """
-        f = np.asarray(f, dtype=float)
-        tensor = self._expand(f)
+        return self._contract(states, f)
+
+    def _contract(self, states, f, pinned: dict[int, int] | None = None) -> np.ndarray:
+        """:meth:`values`, or with ``pinned`` only each state's pinned choice."""
+        tensor = self._expand(np.asarray(f, dtype=float))
         inf_mask = np.isinf(tensor)
-        if inf_mask.any():
-            finite_part = self._einsum(state, np.where(inf_mask, 0.0, tensor))
-            inf_weight = self._einsum(state, inf_mask.astype(float))
-            out = np.where(inf_weight > 0, math.inf, finite_part)
-        else:
-            out = self._einsum(state, tensor)
-        return out.ravel()
+        has_inf = inf_mask.any()
+        if has_inf:
+            inf_weight = inf_mask.astype(float)
+            tensor = np.where(inf_mask, 0.0, tensor)
+        out = []
+        for state in np.atleast_1d(states).tolist():
+            joint = self.product.states[state]
+            if pinned is None:
+                operands = [self.model.vertices(z) for z in joint]
+            else:
+                tup = self.choice_tuples(state)[pinned[state]]
+                operands = [self.model.vertices(z)[c : c + 1] for z, c in zip(joint, tup)]
+            vals = np.einsum(self._expr, *operands, tensor).ravel()
+            if has_inf:
+                vals[np.einsum(self._expr, *operands, inf_weight).ravel() > 0] = math.inf
+            out.append(vals)
+        return np.concatenate(out) if out else np.empty(0)
 
     def row(self, state: int, choice: int) -> np.ndarray:
         """Dense joint distribution of one choice over the product states."""
@@ -259,11 +258,11 @@ class _FixedChoices:
         self.fixed = fixed
         self.n = inner.n
 
-    def nchoices(self, state: int) -> int:
-        return 1
+    def choice_offsets(self, states) -> np.ndarray:
+        return np.arange(np.size(states) + 1)
 
-    def values(self, state: int, f) -> np.ndarray:
-        return np.array([_ext_dot_dense(self.row(state, 0), np.asarray(f, float))])
+    def values(self, states, f) -> np.ndarray:
+        return self.inner._contract(states, f, self.fixed)
 
     def row(self, state: int, choice: int) -> np.ndarray:
         return self.inner.row(state, self.fixed[state])
@@ -338,12 +337,8 @@ class MeetingResult:
         """Meeting times as an (n, n) start-pair matrix; two agents only."""
         if self.product.agents != 2:
             raise ValueError("the matrix form exists only for two agents")
-        n = self.product.base.size
-        out = np.empty((n, n))
-        for x in range(n):
-            for y in range(n):
-                out[x, y] = self.values[self.product.index_of((x, y))]
-        return out
+        n = range(self.product.base.size)
+        return np.array([[self.values[self.product.index_of((x, y))] for y in n] for x in n])
 
 
 def _normalize_selection(

@@ -16,47 +16,43 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, _require_sense, ext_dot
+from .core import CredalMatrix, _require_sense, choice_values, segment_bounds, target_mask
 
 
 class CredalChoices:
     """Choice view of a credal model: one candidate row per vertex.
 
     The reachability and solver passes only ever see this interface (state
-    count, per-state choice count, per-choice value, dense row and support),
-    which lets the same passes run on joint product models without those
-    models ever being expanded into explicit vertex lists.
+    count, batched choice values and their per-state offsets, dense row and
+    support), which lets the same passes run on joint product models without
+    those models ever being expanded into explicit vertex lists.
     """
 
     def __init__(self, model: CredalMatrix):
         self.model = model
         self.n = model.size
-        self.labels = model.space.labels
-        self._supports = [model.vertices(i) > 0.0 for i in range(self.n)]
+        self._stack, self._offsets = model.stacked()
+        self._counts = np.diff(self._offsets)
+        self._supports = self._stack > 0.0
 
-    def nchoices(self, state: int) -> int:
-        return self.model.vertex_count(state)
+    def choice_offsets(self, states) -> np.ndarray:
+        """Bounds of each state's segment in the output of :meth:`values`."""
+        return segment_bounds(self._counts[states])
 
-    def values(self, state: int, f) -> np.ndarray:
-        return np.array([ext_dot(v, f) for v in self.model.vertices(state)])
+    def values(self, states, f) -> np.ndarray:
+        """Expectation of ``f`` under every choice of ``states`` (an index or an
+        index array), flat and in state order."""
+        states = np.atleast_1d(states)
+        counts = self._counts[states]
+        bounds = segment_bounds(counts)
+        rows = np.repeat(self._offsets[states] - bounds[:-1], counts) + np.arange(bounds[-1])
+        return choice_values(self._stack, np.asarray(f, dtype=float))[rows]
 
     def row(self, state: int, choice: int) -> np.ndarray:
-        return self.model.vertices(state)[choice]
+        return self._stack[self._offsets[state] + choice]
 
     def supports(self, state: int) -> np.ndarray:
-        return self._supports[state]
-
-
-def _as_mask(n: int, targets: Iterable[int]) -> np.ndarray:
-    idx = list(targets)
-    if not idx:
-        raise ValueError("target set is empty")
-    mask = np.zeros(n, dtype=bool)
-    for t in idx:
-        if not 0 <= int(t) < n:
-            raise ValueError(f"state index {t} out of range for {n} states")
-        mask[int(t)] = True
-    return mask
+        return self._supports[self._offsets[state] : self._offsets[state + 1]]
 
 
 def _union_supports(view) -> list[np.ndarray]:
@@ -212,8 +208,7 @@ def upper_reach_set(model: CredalMatrix, targets: Iterable[int], strict: bool = 
     belongs only if it can come back to the target set.
     """
     view = CredalChoices(model)
-    mask = _as_mask(view.n, targets)
-    reach = _upper_closure(view, mask)
+    reach = _upper_closure(view, target_mask(view.n, targets))
     if not strict:
         return frozenset(np.flatnonzero(reach).tolist())
     usup = _union_supports(view)
@@ -228,13 +223,10 @@ def lower_reach_set(model: CredalMatrix, targets: Iterable[int]) -> frozenset[in
     vertex of its row puts positive mass on the set built so far.
     """
     view = CredalChoices(model)
-    mask = _as_mask(view.n, targets)
-    return frozenset(np.flatnonzero(_lower_closure(view, mask)).tolist())
+    return frozenset(np.flatnonzero(_lower_closure(view, target_mask(view.n, targets))).tolist())
 
 
 def classify(model: CredalMatrix, targets: Iterable[int], sense: str) -> Classification:
     """Partition the states by the fate of the requested hitting-time bound."""
     view = CredalChoices(model)
-    mask = _as_mask(view.n, targets)
-    cls, _ = classify_view(view, mask, sense)
-    return cls
+    return classify_view(view, target_mask(view.n, targets), sense)[0]

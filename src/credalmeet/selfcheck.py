@@ -13,9 +13,9 @@ from importlib import resources
 
 import numpy as np
 
-from .core import CredalMatrix, apply_lower, apply_upper, greedy_selection
+from .core import CredalMatrix, apply_lower, apply_upper, ext_dot, greedy_selection
 from .chain import TransitionMatrix, hitting_times, meeting_times, simulate_hitting
-from .reach import lower_reach_set
+from .reach import CredalChoices, lower_reach_set
 from .solver import policy_iteration, value_iteration
 from .meeting import (
     build_product_space,
@@ -33,6 +33,11 @@ def bundled_model_path(name: str = "five-state") -> str:
     if name not in files:
         raise KeyError(f"no bundled model named {name!r}")
     return str(resources.files("credalmeet").joinpath("data", files[name]))
+
+
+def _five_state():
+    with open(bundled_model_path("five-state")) as fh:
+        return parse_model(fh.read(), source="five-state")
 
 
 def _two_state_pickers():
@@ -64,6 +69,14 @@ def check_greedy():
     m = CredalMatrix.from_rows(["a", "b"], [[[0.5, 0.5], [0.9, 0.1]], [[0, 1]]])
     got = greedy_selection(m, [10.0, 0.0], "upper")
     return got[0] == 1, f"picked vertex {got[0]}, dot products 5 vs 9"
+
+
+def check_choice_kernel():
+    model = _five_state()
+    f = np.array([math.inf, 1.0, 2.0, 3.0, 4.0])  # two vertices put mass on the inf
+    got = CredalChoices(model).values(np.arange(model.size), f)
+    want = np.array([ext_dot(v, f) for i in range(model.size) for v in model.vertices(i)])
+    return np.allclose(got, want, rtol=1e-12, atol=0.0), f"{got.tolist()} vs {want.tolist()}"
 
 
 def check_hitting_geometric():
@@ -145,9 +158,7 @@ def check_quotient_consistency():
 
 
 def check_five_state():
-    with open(bundled_model_path("five-state")) as fh:
-        model = parse_model(fh.read(), source="five-state")
-    res = meet(model, 2, "vacuous", "upper", "quotient")
+    res = meet(_five_state(), 2, "vacuous", "upper", "quotient")
     prod = res.product
     pair_12 = prod.index_of((0, 1))
     pair_23 = prod.index_of((1, 2))
@@ -192,6 +203,7 @@ CHECKS = [
     ("upper transition operator", check_upper_operator),
     ("lower transition operator", check_lower_operator),
     ("greedy vertex selection", check_greedy),
+    ("choice kernel vs ext_dot reference", check_choice_kernel),
     ("hitting time, geometric chain", check_hitting_geometric),
     ("hitting time, absorbing start", check_hitting_absorbing),
     ("precise meeting times", check_precise_meeting),

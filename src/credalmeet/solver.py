@@ -19,8 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, _require_sense
-from .reach import Classification, CredalChoices, _as_mask, classify_view
+from .core import CredalMatrix, _require_sense, segment_optimum, target_mask
+from .reach import Classification, CredalChoices, classify_view
 
 
 @dataclass
@@ -45,24 +45,13 @@ class HittingResult:
     sweep_values: tuple[np.ndarray, ...] = ()
 
 
-def _optimum(sense: str):
-    return (np.max, np.argmax) if sense == "upper" else (np.min, np.argmin)
-
-
-def _residual(view, h: np.ndarray, finite: np.ndarray, sense: str) -> float:
-    opt, _ = _optimum(sense)
-    worst = 0.0
-    for x in finite:
-        worst = max(worst, abs(h[x] - (1.0 + opt(view.values(x, h)))))
-    return worst
-
-
-def _final_selection(view, h: np.ndarray, finite: np.ndarray, sense: str) -> np.ndarray:
-    _, argopt = _optimum(sense)
+def _finish(view, h: np.ndarray, finite: np.ndarray, sense: str) -> tuple[np.ndarray, float]:
+    """Greedy selection under ``h`` (lowest index on ties) and the sup-norm
+    defect of ``h = 1 + opt(T h)`` on the finite states."""
+    best, pick = segment_optimum(view.values(finite, h), view.choice_offsets(finite), sense)
     selection = np.zeros(view.n, dtype=np.int64)
-    for x in finite:
-        selection[x] = argopt(view.values(x, h))
-    return selection
+    selection[finite] = pick
+    return selection, float(np.max(np.abs(h[finite] - (1.0 + best)), initial=0.0))
 
 
 def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter: int) -> HittingResult:
@@ -72,35 +61,37 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     h = np.zeros(n)
     h[list(cls.infinite)] = math.inf
     finite = np.array(sorted(cls.finite), dtype=int)
-    opt, _ = _optimum(sense)
+    bounds = view.choice_offsets(finite)
     iterations = 0
     converged = False
     while iterations < max_iter:
         # one synchronous sweep: every update reads the previous vector
-        new_vals = np.array([1.0 + opt(view.values(x, h)) for x in finite])
-        delta = float(np.max(np.abs(new_vals - h[finite]))) if finite.size else 0.0
+        best, _ = segment_optimum(view.values(finite, h), bounds, sense)
+        new_vals = 1.0 + best
+        delta = float(np.max(np.abs(new_vals - h[finite]), initial=0.0))
         h[finite] = new_vals
         iterations += 1
         if delta <= tol:
             converged = True
             break
+    selection, residual = _finish(view, h, finite, sense)
     return HittingResult(
         values=h,
-        selection=_final_selection(view, h, finite, sense),
+        selection=selection,
         classification=cls,
         iterations=iterations,
-        residual=_residual(view, h, finite, sense),
+        residual=residual,
         converged=converged,
         method="value-iteration",
     )
 
 
-def _evaluate_selection(view, finite: np.ndarray, choice: dict[int, int]) -> np.ndarray:
+def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray) -> np.ndarray:
     """Solve the linear system of one selection restricted to the finite states."""
     k = finite.size
     sub = np.empty((k, k))
-    for r, x in enumerate(finite):
-        sub[r] = view.row(x, choice[x])[finite]
+    for r, (x, c) in enumerate(zip(finite.tolist(), choice.tolist())):
+        sub[r] = view.row(x, c)[finite]
     try:
         sol = np.linalg.solve(np.eye(k) - sub, np.ones(k))
     except np.linalg.LinAlgError:
@@ -140,28 +131,26 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     # hopeless region; those are the only candidates an optimal stationary
     # selection can use, and keeping the walk off that region makes every
     # evaluated system non-singular once the starting selection is proper.
-    admissible: dict[int, np.ndarray] = {}
-    for x in finite:
-        sup = view.supports(x)
-        ok = np.flatnonzero(~(sup & inf_mask).any(axis=1))
-        if ok.size == 0:
-            raise RuntimeError(
-                f"state {x} is classified finite but has no admissible vertex; "
-                "the classification pass is inconsistent"
-            )
-        admissible[x] = ok
+    # The others are masked to a value that never wins the improvement step.
+    bounds = view.choice_offsets(finite)
+    admissible = np.concatenate(
+        [~(view.supports(x) & inf_mask).any(axis=1) for x in finite.tolist()]
+    )
+    fill = -math.inf if sense == "upper" else math.inf
+    has_any, first_ok = segment_optimum(admissible.astype(float), bounds, "upper")
+    if not has_any.all():
+        raise RuntimeError(
+            f"state {finite[np.argmin(has_any)]} is classified finite but has no "
+            "admissible vertex; the classification pass is inconsistent"
+        )
+    if sense == "lower":
+        # The almost-sure witness is guaranteed proper; an arbitrary
+        # admissible vertex may loop forever and makes the first
+        # evaluation singular.
+        choice = np.array([witness[x] for x in finite.tolist()], dtype=np.int64)
+    else:
+        choice = first_ok
 
-    choice: dict[int, int] = {}
-    for x in finite:
-        if sense == "lower":
-            # The almost-sure witness is guaranteed proper; an arbitrary
-            # admissible vertex may loop forever and makes the first
-            # evaluation singular.
-            choice[x] = witness[x]
-        else:
-            choice[x] = int(admissible[x][0])
-
-    better = (lambda a, b: a > b) if sense == "upper" else (lambda a, b: a < b)
     sweeps = 0
     converged = False
     prev = None
@@ -174,30 +163,22 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         if prev is not None and np.max(np.abs(sol - prev)) <= tol:
             converged = True
             break
-        new_choice = {}
-        for x in finite:
-            vals = view.values(x, h)
-            cand = admissible[x]
-            best = cand[0]
-            for c in cand[1:]:
-                if better(vals[c], vals[best]):
-                    best = c
-            new_choice[x] = int(best)
-        if new_choice == choice:
+        vals = np.where(admissible, view.values(finite, h), fill)
+        _, new_choice = segment_optimum(vals, bounds, sense)
+        if np.array_equal(new_choice, choice):
             converged = True
             break
         choice = new_choice
         prev = sol
 
     selection = np.zeros(n, dtype=np.int64)
-    for x in finite:
-        selection[x] = choice[x]
+    selection[finite] = choice
     return HittingResult(
         values=h,
         selection=selection,
         classification=cls,
         iterations=sweeps,
-        residual=_residual(view, h, finite, sense),
+        residual=_finish(view, h, finite, sense)[1],
         converged=converged,
         method="policy-iteration",
         sweep_values=tuple(trace),
@@ -222,7 +203,7 @@ def value_iteration(
     """
     _require_sense(sense)
     view = CredalChoices(model)
-    return solve_view_value(view, _as_mask(view.n, targets), sense, tol, max_iter)
+    return solve_view_value(view, target_mask(view.n, targets), sense, tol, max_iter)
 
 
 def policy_iteration(
@@ -243,4 +224,4 @@ def policy_iteration(
     """
     _require_sense(sense)
     view = CredalChoices(model)
-    return solve_view_policy(view, _as_mask(view.n, targets), sense, tol, max_iter)
+    return solve_view_policy(view, target_mask(view.n, targets), sense, tol, max_iter)
