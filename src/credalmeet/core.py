@@ -223,17 +223,21 @@ def ext_dot(weights, values) -> float:
 def choice_values(vertices: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Expectation of ``values`` under every row of ``vertices``, with 0 * inf = 0.
 
-    One row-dot over the finite part of ``values``; a second one against the
-    inf mask sets to inf every row with positive mass on an infinite entry.
-    An ``einsum`` row-dot, unlike BLAS, gives a row the same bits whichever
-    other rows are evaluated with it.
+    ``values`` may have one axis per agent, each contracted in turn with the
+    rows: entry ``[a, b, ...]`` of the result is the joint choice of row ``a``
+    for the first agent, row ``b`` for the second, and so on. A second
+    contraction, against the inf mask, sets to inf every choice with positive
+    mass on an infinite entry. Two-operand ``einsum``, unlike BLAS, gives a
+    row the same bits whichever other rows are evaluated with it.
     """
     inf = np.isinf(values)
-    if not inf.any():
-        return np.einsum("ij,j->i", vertices, values)
-    out = np.einsum("ij,j->i", vertices, np.where(inf, 0.0, values))
-    out[np.einsum("ij,j->i", vertices, inf.astype(float)) > 0.0] = math.inf
-    return out
+    if inf.any():
+        out = choice_values(vertices, np.where(inf, 0.0, values))
+        out[choice_values(vertices, inf.astype(float)) > 0.0] = math.inf
+        return out
+    for _ in range(values.ndim):  # last axis first, the new row axis in front
+        values = np.einsum("ij,...j->i...", vertices, values)
+    return values
 
 
 def ext_matvec(matrix, values) -> np.ndarray:
@@ -244,6 +248,13 @@ def ext_matvec(matrix, values) -> np.ndarray:
 def segment_bounds(counts) -> np.ndarray:
     """CSR-style bounds of consecutive segments of the given lengths."""
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def segment_gather(array: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Entries ``starts[s]`` to ``starts[s] + counts[s] - 1`` of ``array`` for
+    every segment ``s``, concatenated in segment order."""
+    bounds = segment_bounds(counts)
+    return array[np.repeat(starts - bounds[:-1], counts) + np.arange(bounds[-1])]
 
 
 def segment_optimum(vals: np.ndarray, bounds: np.ndarray, sense: str):

@@ -18,21 +18,26 @@ nothing is lost.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import string
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .core import CredalMatrix, StateSpace, _require_sense, segment_bounds
+from .core import CredalMatrix, StateSpace, _require_sense, choice_values
+from .core import segment_bounds, segment_gather, target_mask
 from .reach import Classification, classify_view
 from .solver import HittingResult, solve_view_policy
 from .chain import TransitionMatrix, hitting_times
 
 #: Refusal threshold for the number of joint states.
 MAX_PRODUCT_STATES = 1_000_000
+
+#: Refusal threshold for the entries of a joint view's choice-value table,
+#: ``K**agents`` for ``K`` stacked vertices: the largest array it allocates.
+MAX_TABLE_ENTRIES = 16_000_000
 
 _MODES = ("full", "quotient")
 _BELIEFS = ("degenerate", "vacuous", "mixture")
@@ -70,9 +75,7 @@ class ProductSpace:
         return self._diagonal
 
     def target_mask(self) -> np.ndarray:
-        mask = np.zeros(self.size, dtype=bool)
-        mask[list(self._diagonal)] = True
-        return mask
+        return target_mask(self.size, self._diagonal)
 
     def canonical(self, joint: tuple[int, ...]) -> tuple[int, ...]:
         joint = tuple(int(z) for z in joint)
@@ -115,7 +118,7 @@ def build_product_space(space: StateSpace, agents: int, mode: str = "quotient") 
 
 
 class JointChoices:
-    """Choice view of the joint walk; rows are built on demand from factor rows.
+    """Choice view of the joint walk; every choice value is read from one table.
 
     A choice assigns one vertex index per agent in both modes; co-located
     agents may pick different vertices, since the set of joint rows induced
@@ -125,36 +128,45 @@ class JointChoices:
     quotient is a lumping of a permutation-symmetric chain). Choice tuples
     are enumerated in lexicographic order, which fixes the greedy tie-break
     to the lowest tuple.
+
+    A choice's cell is its agents' rows in the model's stacked vertex array.
+    Each call contracts the value tensor with that array once per agent
+    (:func:`choice_values`); every choice reads the table entry of its cell,
+    sorted in quotient mode, where values are symmetric in the cell, so that
+    choices that only swap co-located agents' vertices tie exactly.
     """
 
     def __init__(self, model: CredalMatrix, product: ProductSpace):
         self.model = model
         self.product = product
         self.n = product.size
-        n_base = model.size
         m = product.agents
-        self._tensor_shape = (n_base,) * m
-        ordered_count = n_base**m
+        self._stack, self._offsets = model.stacked()
+        k = self._stack.shape[0]
+        if k**m > MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"the joint choice-value table would have {k**m} entries ({k} "
+                f"vertices, {m} agents), above the {MAX_TABLE_ENTRIES} limit"
+            )
+        self._tensor_shape = (model.size,) * m
+        self._agg = None
         if product.mode == "quotient":
-            if ordered_count > 16_000_000:
-                raise ValueError(
-                    "quotient rows need an ordered expansion of size "
-                    f"{ordered_count}, which is above the supported limit"
-                )
-            agg = np.empty(ordered_count, dtype=np.int64)
-            for flat, tup in enumerate(itertools.product(range(n_base), repeat=m)):
-                agg[flat] = product.index_of(tup)
-            self._agg = agg
-        else:
-            self._agg = None
-        counts = [model.vertex_count(z) for z in range(n_base)]
-        self._counts = np.array([math.prod(counts[z] for z in s) for s in product.states])
-        # agent j contracts vertex axis A, B, ... against tensor axis a, b, ...
-        self._expr = ",".join(
-            string.ascii_uppercase[j] + string.ascii_lowercase[j] for j in range(m)
-        ) + f",{string.ascii_lowercase[:m]}->{string.ascii_uppercase[:m]}"
+            ordered = itertools.product(range(model.size), repeat=m)
+            self._agg = np.array([product.index_of(t) for t in ordered], dtype=np.int64)
+        joint = np.array(product.states, dtype=np.int64)
+        agent_counts = np.diff(self._offsets)[joint]
+        self._counts = agent_counts.prod(axis=1)
+        self._bounds = segment_bounds(self._counts)
+        # cells in lexicographic tuple order: the last agent's row varies fastest
+        owner = np.repeat(np.arange(self.n), self._counts)
+        rank = np.arange(self._bounds[-1]) - self._bounds[owner]
+        self._cells = np.empty((rank.size, m), dtype=np.int64)
+        for j in reversed(range(m)):
+            self._cells[:, j] = self._offsets[joint[owner, j]] + rank % agent_counts[owner, j]
+            rank //= agent_counts[owner, j]
+        keys = np.sort(self._cells, axis=1) if product.mode == "quotient" else self._cells
+        self._keys = np.ravel_multi_index(keys.T, (k,) * m)
         self._support_cache: dict[int, np.ndarray] = {}
-        self._tuple_cache: dict[int, list[tuple[int, ...]]] = {}
 
     def nchoices(self, state: int) -> int:
         return int(self._counts[state])
@@ -164,14 +176,8 @@ class JointChoices:
         return segment_bounds(self._counts[states])
 
     def choice_tuples(self, state: int) -> list[tuple[int, ...]]:
-        cached = self._tuple_cache.get(state)
-        if cached is None:
-            ranges = [
-                range(self.model.vertex_count(s)) for s in self.product.states[state]
-            ]
-            cached = list(itertools.product(*ranges))
-            self._tuple_cache[state] = cached
-        return cached
+        cells = self._cells[self._bounds[state] : self._bounds[state + 1]]
+        return list(map(tuple, (cells - self._offsets[list(self.product.states[state])]).tolist()))
 
     def flat_choice(self, state: int, choice_tuple: tuple[int, ...]) -> int:
         joint = self.product.states[state]
@@ -191,51 +197,23 @@ class JointChoices:
             flat = flat * count + int(c)
         return flat
 
-    def _expand(self, f: np.ndarray) -> np.ndarray:
-        if self._agg is None:
-            return f.reshape(self._tensor_shape)
-        return f[self._agg].reshape(self._tensor_shape)
+    def _table(self, f) -> np.ndarray:
+        """Value of ``f`` at every cell, flat; see :func:`choice_values`."""
+        f = np.asarray(f, dtype=float)
+        if self._agg is not None:
+            f = f[self._agg]
+        return choice_values(self._stack, f.reshape(self._tensor_shape)).ravel()
 
     def values(self, states, f) -> np.ndarray:
         """Expectation of ``f`` under every choice of ``states`` (an index or an
-        index array), flat and in state order, with the 0 * inf = 0 rule.
-
-        The expanded ``f`` and its inf mask are built once per call; per state,
-        one contraction against each evaluates all choices at once.
-        """
-        return self._contract(states, f)
-
-    def _contract(self, states, f, pinned: dict[int, int] | None = None) -> np.ndarray:
-        """:meth:`values`, or with ``pinned`` only each state's pinned choice."""
-        tensor = self._expand(np.asarray(f, dtype=float))
-        inf_mask = np.isinf(tensor)
-        has_inf = inf_mask.any()
-        if has_inf:
-            inf_weight = inf_mask.astype(float)
-            tensor = np.where(inf_mask, 0.0, tensor)
-        out = []
-        for state in np.atleast_1d(states).tolist():
-            joint = self.product.states[state]
-            if pinned is None:
-                operands = [self.model.vertices(z) for z in joint]
-            else:
-                tup = self.choice_tuples(state)[pinned[state]]
-                operands = [self.model.vertices(z)[c : c + 1] for z, c in zip(joint, tup)]
-            vals = np.einsum(self._expr, *operands, tensor).ravel()
-            if has_inf:
-                vals[np.einsum(self._expr, *operands, inf_weight).ravel() > 0] = math.inf
-            out.append(vals)
-        return np.concatenate(out) if out else np.empty(0)
+        index array), flat and in state order, with the 0 * inf = 0 rule."""
+        states = np.atleast_1d(states)
+        return self._table(f)[segment_gather(self._keys, self._bounds[states], self._counts[states])]
 
     def row(self, state: int, choice: int) -> np.ndarray:
         """Dense joint distribution of one choice over the product states."""
-        tup = self.choice_tuples(state)[choice]
-        joint = self.product.states[state]
-        ordered = None
-        for z, c in zip(joint, tup):
-            factor = self.model.vertices(z)[c]
-            ordered = factor if ordered is None else np.multiply.outer(ordered, factor)
-        flat = ordered.ravel()
+        factors = [self._stack[k] for k in self._cells[self._bounds[state] + choice].tolist()]
+        flat = functools.reduce(np.multiply.outer, factors).ravel()
         if self._agg is None:
             return flat
         return np.bincount(self._agg, weights=flat, minlength=self.n)
@@ -257,12 +235,13 @@ class _FixedChoices:
         self.inner = inner
         self.fixed = fixed
         self.n = inner.n
+        self._keys = inner._keys[inner._bounds[:-1] + [fixed[i] for i in range(self.n)]]
 
     def choice_offsets(self, states) -> np.ndarray:
         return np.arange(np.size(states) + 1)
 
     def values(self, states, f) -> np.ndarray:
-        return self.inner._contract(states, f, self.fixed)
+        return self.inner._table(f)[self._keys[np.atleast_1d(states)]]
 
     def row(self, state: int, choice: int) -> np.ndarray:
         return self.inner.row(state, self.fixed[state])
@@ -359,16 +338,11 @@ def _normalize_selection(
     return fixed
 
 
-def _selection_tuples(view: JointChoices, flat: dict[int, int] | np.ndarray) -> tuple:
-    product = view.product
-    out: list[tuple[int, ...] | None] = []
-    for i in range(product.size):
-        if i in product.diagonal:
-            out.append(None)
-        else:
-            c = flat[i] if isinstance(flat, dict) else int(flat[i])
-            out.append(view.choice_tuples(i)[c])
-    return tuple(out)
+def _selection_tuples(view: JointChoices, flat: np.ndarray) -> tuple:
+    diagonal = view.product.diagonal
+    return tuple(
+        None if i in diagonal else view.choice_tuples(i)[c] for i, c in enumerate(flat.tolist())
+    )
 
 
 def _wrap_result(view, belief, sense, epsilon, res: HittingResult) -> MeetingResult:

@@ -42,6 +42,9 @@ RESULT_SCHEMA_VERSION = 1
 #: Interval rows are expanded by enumerating bound patterns, 2**n of them.
 MAX_INTERVAL_STATES = 8
 
+#: The libyaml parser where PyYAML was built with it, else the pure-Python one.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ModelFormatError(ValueError):
     """The model file could not be parsed or has the wrong structure."""
@@ -126,7 +129,7 @@ def _row_from_spec(label: str, spec, n: int, problems: list[str]):
 def parse_model(text: str, source: str = "<string>") -> CredalMatrix:
     """Parse a YAML model document; raises with every problem it can find."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1} column {mark.column + 1}" if mark else "unknown position"
@@ -137,24 +140,21 @@ def parse_model(text: str, source: str = "<string>") -> CredalMatrix:
     if not isinstance(states, list) or len(states) < 2:
         raise ModelFormatError(f"{source}: 'states' must list at least two labels")
     labels = [str(s) for s in states]
-    if len(set(labels)) != len(labels):
+    known = set(labels)
+    if len(known) != len(labels):
         raise ModelFormatError(f"{source}: state labels must be unique")
     rows_doc = doc.get("rows")
     if not isinstance(rows_doc, dict):
         raise ModelFormatError(f"{source}: 'rows' must map state labels to row specs")
-    problems: list[str] = []
-    for label in rows_doc:
-        if str(label) not in labels:
-            problems.append(f"row {label!r} does not match any state label")
+    problems = [f"row {k!r} does not match any state label" for k in rows_doc if str(k) not in known]
+    # built from the last key back, so the first of two keys with one label wins
+    specs = {str(k): spec for k, spec in reversed(rows_doc.items())}
     rows = []
     for label in labels:
-        if label not in {str(k) for k in rows_doc}:
+        if label in specs:
+            rows.append(_row_from_spec(label, specs[label], len(labels), problems))
+        else:
             problems.append(f"state {label!r} has no row")
-            rows.append([[_ for _ in np.zeros(len(labels))]])
-            continue
-        spec = next(v for k, v in rows_doc.items() if str(k) == label)
-        verts = _row_from_spec(label, spec, len(labels), problems)
-        rows.append(verts if verts is not None else [list(np.zeros(len(labels)))])
     if problems:
         raise ModelFormatError(
             f"{source}: malformed model:\n" + "\n".join(f"  - {p}" for p in problems)

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, _require_sense, choice_values, segment_bounds, target_mask
+from .core import CredalMatrix, _require_sense, choice_values, segment_bounds, segment_gather, target_mask
 
 
 class CredalChoices:
@@ -43,10 +43,8 @@ class CredalChoices:
         """Expectation of ``f`` under every choice of ``states`` (an index or an
         index array), flat and in state order."""
         states = np.atleast_1d(states)
-        counts = self._counts[states]
-        bounds = segment_bounds(counts)
-        rows = np.repeat(self._offsets[states] - bounds[:-1], counts) + np.arange(bounds[-1])
-        return choice_values(self._stack, np.asarray(f, dtype=float))[rows]
+        vals = choice_values(self._stack, np.asarray(f, dtype=float))
+        return segment_gather(vals, self._offsets[states], self._counts[states])
 
     def row(self, state: int, choice: int) -> np.ndarray:
         return self._stack[self._offsets[state] + choice]

@@ -18,6 +18,7 @@ from .chain import TransitionMatrix, hitting_times, meeting_times, simulate_hitt
 from .reach import CredalChoices, lower_reach_set
 from .solver import policy_iteration, value_iteration
 from .meeting import (
+    JointChoices,
     build_product_space,
     exhaustive_meeting_times,
     joint_transition_weight,
@@ -77,6 +78,19 @@ def check_choice_kernel():
     got = CredalChoices(model).values(np.arange(model.size), f)
     want = np.array([ext_dot(v, f) for i in range(model.size) for v in model.vertices(i)])
     return np.allclose(got, want, rtol=1e-12, atol=0.0), f"{got.tolist()} vs {want.tolist()}"
+
+
+def check_joint_kernel():
+    model = _five_state()
+    prod = build_product_space(model.space, 3, "quotient")
+    view = JointChoices(model, prod)
+    f = 1.0 + np.arange(prod.size)
+    f[prod.index_of((0, 1, 4))] = math.inf  # reached from (0, 1, 3) by one of two choices
+    got = view.values(np.arange(prod.size), f)
+    want = [ext_dot([joint_transition_weight(model, prod, s, t, d) for d in prod.states], f)
+            for i, s in enumerate(prod.states) for t in view.choice_tuples(i)]
+    ok = np.allclose(got, want, rtol=1e-12, atol=0.0)  # infs must coincide
+    return ok, f"{np.isinf(want).sum()} of {len(want)} choice values infinite"
 
 
 def check_hitting_geometric():
@@ -204,6 +218,7 @@ CHECKS = [
     ("lower transition operator", check_lower_operator),
     ("greedy vertex selection", check_greedy),
     ("choice kernel vs ext_dot reference", check_choice_kernel),
+    ("joint kernel vs joint_transition_weight", check_joint_kernel),
     ("hitting time, geometric chain", check_hitting_geometric),
     ("hitting time, absorbing start", check_hitting_absorbing),
     ("precise meeting times", check_precise_meeting),

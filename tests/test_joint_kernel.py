@@ -1,0 +1,120 @@
+"""The joint choice values, read from one contraction table, against references
+built from ``joint_transition_weight`` and ``ext_dot``."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from credalmeet import CredalMatrix, build_product_space, ext_dot, meet
+from credalmeet.core import choice_values
+from credalmeet.meeting import (
+    MAX_TABLE_ENTRIES,
+    JointChoices,
+    ProductSpace,
+    _FixedChoices,
+    joint_transition_weight,
+)
+
+from generators import random_credal_matrix
+
+
+@st.composite
+def joint_views(draw):
+    """A 2- or 3-agent view, full or quotient, on a model with sparse vertices,
+    and a value vector over its joint states with some inf entries."""
+    agents = draw(st.sampled_from([2, 3]))
+    mode = draw(st.sampled_from(["full", "quotient"]))
+    n = draw(st.integers(2, 4 if agents == 2 else 3))
+    weight = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    rows = []
+    for _ in range(n):
+        drawn = draw(st.lists(weight, min_size=1, max_size=3))
+        rows.append(list({tuple(x / sum(w) for x in w): None for w in drawn}))
+    m = CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows)
+    view = JointChoices(m, build_product_space(m.space, agents, mode))
+    entry = st.one_of(st.floats(0, 10), st.just(math.inf))
+    f = np.array(draw(st.lists(entry, min_size=view.n, max_size=view.n)))
+    pick = [draw(st.integers(0, view.nchoices(i) - 1)) for i in range(view.n)]
+    return view, f, pick
+
+
+def _reference(view, f):
+    """ext_dot of every joint choice's row, the choices enumerated here in
+    lexicographic order per state."""
+    m, prod = view.model, view.product
+    out = []
+    for origin in prod.states:
+        for choice in itertools.product(*[range(m.vertex_count(z)) for z in origin]):
+            row = [joint_transition_weight(m, prod, origin, choice, d) for d in prod.states]
+            out.append(ext_dot(row, f))
+    return np.array(out)
+
+
+def _assert_close(got, want):
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    assert np.allclose(got[fin], want[fin], rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(joint_views())
+def test_joint_values_match_transition_weight_reference(data):
+    view, f, pick = data
+    states = np.arange(view.n)
+    got = view.values(states, f)
+    want = _reference(view, f)
+    _assert_close(got, want)
+    # the pinned view reads the same table entries as the full one
+    chosen = view.choice_offsets(states)[:-1] + pick
+    pinned = _FixedChoices(view, dict(enumerate(pick))).values(states, f)
+    _assert_close(pinned, want[chosen])
+    assert np.array_equal(pinned, got[chosen])
+
+
+def test_rank_one_choice_values_is_the_einsum_row_dot():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        k, n = rng.integers(1, 40, size=2)
+        vertices = rng.random((k, n))
+        f = rng.uniform(0, 100, n)
+        assert np.array_equal(choice_values(vertices, f), np.einsum("ij,j->i", vertices, f))
+
+
+def _lowest_swap(joint, choice):
+    """The lowest tuple among those that only swap co-located agents' vertices."""
+    return tuple(c for _, c in sorted(zip(joint, choice)))
+
+
+def test_quotient_swaps_tie_exactly_and_select_the_lower_tuple():
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        m = random_credal_matrix(rng, n=5, max_vertices=3)
+        res = meet(m, 3, "vacuous", "upper", "quotient")
+        view = JointChoices(m, res.product)
+        for i, joint in enumerate(res.product.states):
+            seen = {}
+            for choice, value in zip(view.choice_tuples(i), view.values(i, res.values)):
+                key = _lowest_swap(joint, choice)
+                assert seen.setdefault(key, value) == value, (joint, choice)
+            if res.selections[i] is not None:
+                assert res.selections[i] == _lowest_swap(joint, res.selections[i])
+
+
+def test_size_guard_counts_the_choice_value_table(monkeypatch):
+    rng = np.random.default_rng(2)
+    n = 32
+    rows = [[rng.dirichlet(np.ones(n)) for _ in range(4)] for _ in range(n)]
+    m = CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows)
+    product = build_product_space(m.space, 4, "quotient")
+    assert n**4 < MAX_TABLE_ENTRIES < (4 * n) ** 4
+
+    def fail(self, joint):
+        raise AssertionError("the quotient map was built before the size guard")
+
+    monkeypatch.setattr(ProductSpace, "index_of", fail)
+    with pytest.raises(ValueError, match=f"{(4 * n) ** 4} entries"):
+        JointChoices(m, product)
