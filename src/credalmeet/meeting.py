@@ -18,6 +18,7 @@ nothing is lost.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -133,7 +134,9 @@ class JointChoices:
     Each call contracts the value tensor with that array once per agent
     (:func:`choice_values`); every choice reads the table entry of its cell,
     sorted in quotient mode, where values are symmetric in the cell, so that
-    choices that only swap co-located agents' vertices tie exactly.
+    choices that only swap co-located agents' vertices tie exactly. Support
+    tests (:meth:`touches`) take the same path with the 0/1 pattern of the
+    stacked array in place of the array itself.
     """
 
     def __init__(self, model: CredalMatrix, product: ProductSpace):
@@ -142,18 +145,22 @@ class JointChoices:
         self.n = product.size
         m = product.agents
         self._stack, self._offsets = model.stacked()
+        self._pattern = (self._stack > 0.0).astype(float)
         k = self._stack.shape[0]
         if k**m > MAX_TABLE_ENTRIES:
             raise ValueError(
                 f"the joint choice-value table would have {k**m} entries ({k} "
                 f"vertices, {m} agents), above the {MAX_TABLE_ENTRIES} limit"
             )
-        self._tensor_shape = (model.size,) * m
+        self._tensor_shape = shape = (model.size,) * m
         self._agg = None
-        if product.mode == "quotient":
-            ordered = itertools.product(range(model.size), repeat=m)
-            self._agg = np.array([product.index_of(t) for t in ordered], dtype=np.int64)
         joint = np.array(product.states, dtype=np.int64)
+        if product.mode == "quotient":
+            # index of every ordered tuple's multiset, in lexicographic order
+            lookup = np.empty(model.size**m, dtype=np.int64)
+            lookup[np.ravel_multi_index(joint.T, shape)] = np.arange(self.n)
+            ordered = np.sort(np.indices(shape).reshape(m, -1), axis=0)
+            self._agg = lookup[np.ravel_multi_index(ordered, shape)]
         agent_counts = np.diff(self._offsets)[joint]
         self._counts = agent_counts.prod(axis=1)
         self._bounds = segment_bounds(self._counts)
@@ -166,7 +173,16 @@ class JointChoices:
             rank //= agent_counts[owner, j]
         keys = np.sort(self._cells, axis=1) if product.mode == "quotient" else self._cells
         self._keys = np.ravel_multi_index(keys.T, (k,) * m)
-        self._support_cache: dict[int, np.ndarray] = {}
+
+    def pinned(self, fixed) -> "JointChoices":
+        """This view with one choice per state, flat index ``fixed[i]`` at state
+        ``i``; it shares the model, the product space and the table path."""
+        view = copy.copy(self)
+        pick = self._bounds[:-1] + np.asarray(fixed, dtype=np.int64)
+        view._cells, view._keys = self._cells[pick], self._keys[pick]
+        view._counts = np.ones(self.n, dtype=np.int64)
+        view._bounds = segment_bounds(view._counts)
+        return view
 
     def nchoices(self, state: int) -> int:
         return int(self._counts[state])
@@ -197,18 +213,26 @@ class JointChoices:
             flat = flat * count + int(c)
         return flat
 
-    def _table(self, f) -> np.ndarray:
-        """Value of ``f`` at every cell, flat; see :func:`choice_values`."""
+    def _table(self, f, vertices: np.ndarray, states) -> np.ndarray:
+        """Entry of every choice of ``states`` in the table of ``f`` contracted
+        with ``vertices``, flat and in state order; see :func:`choice_values`."""
         f = np.asarray(f, dtype=float)
         if self._agg is not None:
             f = f[self._agg]
-        return choice_values(self._stack, f.reshape(self._tensor_shape)).ravel()
+        table = choice_values(vertices, f.reshape(self._tensor_shape)).ravel()
+        states = np.atleast_1d(states)
+        return table[segment_gather(self._keys, self._bounds[states], self._counts[states])]
 
     def values(self, states, f) -> np.ndarray:
         """Expectation of ``f`` under every choice of ``states`` (an index or an
         index array), flat and in state order, with the 0 * inf = 0 rule."""
-        states = np.atleast_1d(states)
-        return self._table(f)[segment_gather(self._keys, self._bounds[states], self._counts[states])]
+        return self._table(f, self._stack, states)
+
+    def touches(self, states, mask: np.ndarray) -> np.ndarray:
+        """Whether each choice of ``states`` puts positive mass on ``mask``, laid
+        out as :meth:`values`. The pattern's entries are 0 or 1, so a table entry
+        counts destination tuples and no product of small masses can underflow."""
+        return self._table(mask, self._pattern, states) > 0.0
 
     def row(self, state: int, choice: int) -> np.ndarray:
         """Dense joint distribution of one choice over the product states."""
@@ -217,37 +241,6 @@ class JointChoices:
         if self._agg is None:
             return flat
         return np.bincount(self._agg, weights=flat, minlength=self.n)
-
-    def supports(self, state: int) -> np.ndarray:
-        cached = self._support_cache.get(state)
-        if cached is None:
-            cached = np.stack(
-                [self.row(state, c) > 0.0 for c in range(self.nchoices(state))]
-            )
-            self._support_cache[state] = cached
-        return cached
-
-
-class _FixedChoices:
-    """A joint view pinned to one selection: a single candidate row per state."""
-
-    def __init__(self, inner: JointChoices, fixed: dict[int, int]):
-        self.inner = inner
-        self.fixed = fixed
-        self.n = inner.n
-        self._keys = inner._keys[inner._bounds[:-1] + [fixed[i] for i in range(self.n)]]
-
-    def choice_offsets(self, states) -> np.ndarray:
-        return np.arange(np.size(states) + 1)
-
-    def values(self, states, f) -> np.ndarray:
-        return self.inner._table(f)[self._keys[np.atleast_1d(states)]]
-
-    def row(self, state: int, choice: int) -> np.ndarray:
-        return self.inner.row(state, self.fixed[state])
-
-    def supports(self, state: int) -> np.ndarray:
-        return self.row(state, 0)[None, :] > 0.0
 
 
 def joint_transition_weight(
@@ -323,14 +316,14 @@ class MeetingResult:
 def _normalize_selection(
     view: JointChoices,
     selection: Mapping[tuple[int, ...], tuple[int, ...]] | None,
-) -> dict[int, int]:
+) -> np.ndarray:
     """Resolve a user selection to flat choice indices on every joint state.
 
     Unspecified joint states fall back to vertex 0 for every agent. Keys are
     joint state tuples (canonicalized), values are vertex-index tuples.
     """
     product = view.product
-    fixed = {i: 0 for i in range(product.size)}
+    fixed = np.zeros(product.size, dtype=np.int64)
     if selection is not None:
         for joint, tup in selection.items():
             i = product.index_of(tuple(joint))
@@ -360,10 +353,9 @@ def _wrap_result(view, belief, sense, epsilon, res: HittingResult) -> MeetingRes
     )
 
 
-def _solve_degenerate(view: JointChoices, fixed: dict[int, int], tol, max_iter) -> HittingResult:
-    pinned = _FixedChoices(view, fixed)
-    res = solve_view_policy(pinned, view.product.target_mask(), "upper", tol, max_iter)
-    res.selection = np.array([fixed[i] for i in range(view.n)], dtype=np.int64)
+def _solve_degenerate(view: JointChoices, fixed: np.ndarray, tol, max_iter) -> HittingResult:
+    res = solve_view_policy(view.pinned(fixed), view.product.target_mask(), "upper", tol, max_iter)
+    res.selection = fixed
     return res
 
 

@@ -5,8 +5,12 @@ selection of vertices can trap the walk away from the target forever, or when
 it risks drifting into such a trap. For worst-case (lower) bounds a state is
 hopeless when no selection reaches the target almost surely. Both patterns
 are fixed points over the per-state choice sets and depend only on which
-transitions have positive probability, so all tests here are exact
-positivity tests on stored vertex entries.
+transitions have positive probability. Every closure grows its set in
+frontier rounds, one per breadth-first level: a round asks a view's
+``touches`` which choices put mass on the states added in the previous
+round, and reduces the answers per state with :func:`segment_optimum`. The
+answers are read from the 0/1 support pattern of the stored vertices, so
+they are exact however small the probabilities are.
 """
 
 from __future__ import annotations
@@ -16,16 +20,18 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, _require_sense, choice_values, segment_bounds, segment_gather, target_mask
+from .core import CredalMatrix, _require_sense, choice_values, segment_bounds, segment_gather
+from .core import segment_optimum, target_mask
 
 
 class CredalChoices:
     """Choice view of a credal model: one candidate row per vertex.
 
-    The reachability and solver passes only ever see this interface (state
-    count, batched choice values and their per-state offsets, dense row and
-    support), which lets the same passes run on joint product models without
-    those models ever being expanded into explicit vertex lists.
+    The reachability and solver passes only ever see this interface: ``n``,
+    batched choice values (``values``) and support tests (``touches``), their
+    per-state offsets (``choice_offsets``) and one dense ``row``. That lets
+    the same passes run on joint product models without those models ever
+    being expanded into explicit vertex lists.
     """
 
     def __init__(self, model: CredalMatrix):
@@ -33,7 +39,7 @@ class CredalChoices:
         self.n = model.size
         self._stack, self._offsets = model.stacked()
         self._counts = np.diff(self._offsets)
-        self._supports = self._stack > 0.0
+        self._pattern = self._stack > 0.0
 
     def choice_offsets(self, states) -> np.ndarray:
         """Bounds of each state's segment in the output of :meth:`values`."""
@@ -46,15 +52,47 @@ class CredalChoices:
         vals = choice_values(self._stack, np.asarray(f, dtype=float))
         return segment_gather(vals, self._offsets[states], self._counts[states])
 
+    def touches(self, states, mask: np.ndarray) -> np.ndarray:
+        """Whether each choice of ``states`` puts positive mass on ``mask``, laid
+        out as :meth:`values`; reads only the mask's columns of the pattern."""
+        states = np.atleast_1d(states)
+        hit = self._pattern[:, mask].any(axis=1)
+        return segment_gather(hit, self._offsets[states], self._counts[states])
+
     def row(self, state: int, choice: int) -> np.ndarray:
         return self._stack[self._offsets[state] + choice]
 
-    def supports(self, state: int) -> np.ndarray:
-        return self._supports[self._offsets[state] : self._offsets[state + 1]]
 
+def _grow(view, seeds: np.ndarray, candidates: np.ndarray, join: str, eligible=None):
+    """Grow ``seeds`` by the ``candidates`` (an index array), in frontier rounds.
 
-def _union_supports(view) -> list[np.ndarray]:
-    return [view.supports(i).any(axis=0) for i in range(view.n)]
+    A candidate joins when some choice (``join="any"``, restricted to the
+    ``eligible`` ones when given, flat over the candidates' choices) or every
+    choice (``join="all"``) puts mass on the grown set. Each round asks only
+    about the previous round's additions and keeps, per remaining choice,
+    whether it has touched the grown set yet. Returns the grown mask and, per
+    state that joined under "any", the lowest choice that let it join.
+    """
+    grown = seeds.copy()
+    witness = np.zeros(view.n, dtype=np.int64)
+    frontier, cand = seeds, candidates
+    hit = np.zeros(view.choice_offsets(cand)[-1], dtype=bool)
+    if eligible is None:
+        eligible = np.ones_like(hit)
+    while cand.size and frontier.any():
+        bounds = view.choice_offsets(cand)
+        hit |= view.touches(cand, frontier)
+        best, first = segment_optimum((hit & eligible).astype(float), bounds,
+                                      "upper" if join == "any" else "lower")
+        joined = best > 0.0
+        added = cand[joined]
+        grown[added] = True
+        witness[added] = first[joined]
+        frontier = np.zeros(view.n, dtype=bool)
+        frontier[added] = True
+        stay = np.repeat(~joined, np.diff(bounds))
+        hit, eligible, cand = hit[stay], eligible[stay], cand[~joined]
+    return grown, witness
 
 
 def _upper_closure(view, seeds: np.ndarray, allowed: np.ndarray | None = None) -> np.ndarray:
@@ -64,18 +102,8 @@ def _upper_closure(view, seeds: np.ndarray, allowed: np.ndarray | None = None) -
     ``allowed`` set, states outside it are neither added nor traversed, so
     connecting paths stay inside the allowed region (seeds are always kept).
     """
-    usup = _union_supports(view)
-    reach = seeds.copy()
-    changed = True
-    while changed:
-        changed = False
-        for x in range(view.n):
-            if reach[x] or (allowed is not None and not allowed[x]):
-                continue
-            if usup[x][reach].any():
-                reach[x] = True
-                changed = True
-    return reach
+    outside = ~seeds if allowed is None else ~seeds & allowed
+    return _grow(view, seeds, np.flatnonzero(outside), "any")[0]
 
 
 def _lower_closure(view, targets: np.ndarray) -> np.ndarray:
@@ -85,50 +113,25 @@ def _lower_closure(view, targets: np.ndarray) -> np.ndarray:
     current set; under any selection the walk then has positive probability
     of entering the target region.
     """
-    grown = targets.copy()
-    changed = True
-    while changed:
-        changed = False
-        for x in range(view.n):
-            if grown[x]:
-                continue
-            sup = view.supports(x)
-            if (sup & grown).any(axis=1).all():
-                grown[x] = True
-                changed = True
-    return grown
+    return _grow(view, targets, np.flatnonzero(~targets), "all")[0]
 
 
-def _almost_sure_closure(view, targets: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
+def _almost_sure_closure(view, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """States from which some selection reaches ``targets`` with probability one.
 
     Greatest fixed point over a candidate set ``kept``: repeatedly keep only
     the states that can make guaranteed-safe progress, meaning some choice
     stays inside ``kept`` with all its mass and touches the part of ``kept``
-    already known to progress. The witness map records, for every surviving
-    non-target state, the first such choice; selecting the witnesses yields a
-    single selection that hits the target almost surely from everywhere in
-    the returned set.
+    already known to progress. The witness array records, for every surviving
+    non-target state, the lowest such choice in the round the state joined;
+    each witness leads one breadth-first level closer to the target, so
+    selecting them yields a single selection that hits the target almost
+    surely from everywhere in the returned set.
     """
     kept = np.ones(view.n, dtype=bool)
     while True:
-        progressing = targets.copy()
-        witness: dict[int, int] = {}
-        changed = True
-        while changed:
-            changed = False
-            for x in range(view.n):
-                if not kept[x] or progressing[x]:
-                    continue
-                sup = view.supports(x)
-                for c in range(sup.shape[0]):
-                    if (sup[c] & ~kept).any():
-                        continue
-                    if (sup[c] & progressing).any():
-                        progressing[x] = True
-                        witness[x] = c
-                        changed = True
-                        break
+        cand = np.flatnonzero(kept & ~targets)
+        progressing, witness = _grow(view, targets, cand, "any", ~view.touches(cand, ~kept))
         if (progressing == kept).all():
             return kept, witness
         kept = progressing
@@ -159,8 +162,8 @@ class Classification:
         return mask
 
 
-def classify_view(view, targets: np.ndarray, sense: str) -> tuple[Classification, dict[int, int]]:
-    """Classify states of a choice view; also returns the almost-sure witness map.
+def classify_view(view, targets: np.ndarray, sense: str) -> tuple[Classification, np.ndarray]:
+    """Classify states of a choice view; also returns the almost-sure witnesses.
 
     Upper sense: ``absorbing`` holds the non-target states from which no
     guaranteed progress to the target exists (some selection avoids it
@@ -169,12 +172,13 @@ def classify_view(view, targets: np.ndarray, sense: str) -> tuple[Classification
 
     Lower sense: ``absorbing`` holds the states with no best-case path to the
     target at all, and ``unsafe`` the states that can reach the target but
-    not almost surely under any selection. The witness map backs a selection
-    that is proper on the finite region.
+    not almost surely under any selection. The witnesses, one choice index
+    per state, back a selection that is proper on the finite region (all
+    zero in the upper sense).
     """
     _require_sense(sense)
     n = view.n
-    witness: dict[int, int] = {}
+    witness = np.zeros(n, dtype=np.int64)
     if sense == "upper":
         guaranteed = _lower_closure(view, targets)
         absorbing = ~guaranteed & ~targets
@@ -209,8 +213,9 @@ def upper_reach_set(model: CredalMatrix, targets: Iterable[int], strict: bool = 
     reach = _upper_closure(view, target_mask(view.n, targets))
     if not strict:
         return frozenset(np.flatnonzero(reach).tolist())
-    usup = _union_supports(view)
-    strict_mask = np.array([usup[x][reach].any() for x in range(view.n)])
+    everyone = np.arange(view.n)
+    hit = view.touches(everyone, reach).astype(float)
+    strict_mask = segment_optimum(hit, view.choice_offsets(everyone), "upper")[0] > 0.0
     return frozenset(np.flatnonzero(strict_mask).tolist())
 
 

@@ -133,9 +133,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     # evaluated system non-singular once the starting selection is proper.
     # The others are masked to a value that never wins the improvement step.
     bounds = view.choice_offsets(finite)
-    admissible = np.concatenate(
-        [~(view.supports(x) & inf_mask).any(axis=1) for x in finite.tolist()]
-    )
+    admissible = ~view.touches(finite, inf_mask)
     fill = -math.inf if sense == "upper" else math.inf
     has_any, first_ok = segment_optimum(admissible.astype(float), bounds, "upper")
     if not has_any.all():
@@ -147,7 +145,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         # The almost-sure witness is guaranteed proper; an arbitrary
         # admissible vertex may loop forever and makes the first
         # evaluation singular.
-        choice = np.array([witness[x] for x in finite.tolist()], dtype=np.int64)
+        choice = witness[finite]
     else:
         choice = first_ok
 

@@ -1,5 +1,5 @@
-"""The joint choice values, read from one contraction table, against references
-built from ``joint_transition_weight`` and ``ext_dot``."""
+"""The joint choice values and support tests, read from one contraction table,
+against references built from ``joint_transition_weight`` and ``ext_dot``."""
 
 import itertools
 import math
@@ -15,7 +15,6 @@ from credalmeet.meeting import (
     MAX_TABLE_ENTRIES,
     JointChoices,
     ProductSpace,
-    _FixedChoices,
     joint_transition_weight,
 )
 
@@ -25,7 +24,8 @@ from generators import random_credal_matrix
 @st.composite
 def joint_views(draw):
     """A 2- or 3-agent view, full or quotient, on a model with sparse vertices,
-    and a value vector over its joint states with some inf entries."""
+    a value vector over its joint states with some inf entries, a mask over
+    them and one choice per state."""
     agents = draw(st.sampled_from([2, 3]))
     mode = draw(st.sampled_from(["full", "quotient"]))
     n = draw(st.integers(2, 4 if agents == 2 else 3))
@@ -38,20 +38,23 @@ def joint_views(draw):
     view = JointChoices(m, build_product_space(m.space, agents, mode))
     entry = st.one_of(st.floats(0, 10), st.just(math.inf))
     f = np.array(draw(st.lists(entry, min_size=view.n, max_size=view.n)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=view.n, max_size=view.n)))
     pick = [draw(st.integers(0, view.nchoices(i) - 1)) for i in range(view.n)]
-    return view, f, pick
+    return view, f, mask, pick
 
 
-def _reference(view, f):
-    """ext_dot of every joint choice's row, the choices enumerated here in
-    lexicographic order per state."""
+def _reference(view, f, mask):
+    """ext_dot of every joint choice's row, and whether the row puts positive
+    mass on ``mask``, the choices enumerated here in lexicographic order per
+    state."""
     m, prod = view.model, view.product
-    out = []
+    vals, hits = [], []
     for origin in prod.states:
         for choice in itertools.product(*[range(m.vertex_count(z)) for z in origin]):
             row = [joint_transition_weight(m, prod, origin, choice, d) for d in prod.states]
-            out.append(ext_dot(row, f))
-    return np.array(out)
+            vals.append(ext_dot(row, f))
+            hits.append(any(w > 0 for w, t in zip(row, mask) if t))
+    return np.array(vals), np.array(hits, dtype=bool)
 
 
 def _assert_close(got, want):
@@ -63,16 +66,18 @@ def _assert_close(got, want):
 @settings(max_examples=60, deadline=None)
 @given(joint_views())
 def test_joint_values_match_transition_weight_reference(data):
-    view, f, pick = data
+    view, f, mask, pick = data
     states = np.arange(view.n)
     got = view.values(states, f)
-    want = _reference(view, f)
+    want, want_hit = _reference(view, f, mask)
     _assert_close(got, want)
+    assert np.array_equal(view.touches(states, mask), want_hit)
     # the pinned view reads the same table entries as the full one
     chosen = view.choice_offsets(states)[:-1] + pick
-    pinned = _FixedChoices(view, dict(enumerate(pick))).values(states, f)
-    _assert_close(pinned, want[chosen])
-    assert np.array_equal(pinned, got[chosen])
+    pinned = view.pinned(pick)
+    _assert_close(pinned.values(states, f), want[chosen])
+    assert np.array_equal(pinned.values(states, f), got[chosen])
+    assert np.array_equal(pinned.touches(states, mask), want_hit[chosen])
 
 
 def test_rank_one_choice_values_is_the_einsum_row_dot():

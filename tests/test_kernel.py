@@ -16,7 +16,7 @@ from credalmeet import (
     greedy_selection,
 )
 from credalmeet.core import segment_bounds, segment_optimum
-from credalmeet.meeting import JointChoices, _FixedChoices
+from credalmeet.meeting import JointChoices
 from credalmeet.reach import CredalChoices
 
 from generators import random_credal_matrix
@@ -117,6 +117,21 @@ def test_greedy_selection_ties_under_constant_values():
     assert greedy_selection(m, [3.0, 3.0, 3.0], "upper").tolist() == [0, 0, 0]
 
 
+def test_base_touches_reads_the_vertex_supports():
+    rng = np.random.default_rng(8)
+    m = random_credal_matrix(rng, n=7, max_vertices=3, dense_prob=0.3)
+    view = CredalChoices(m)
+    states = np.arange(m.size)
+    bounds = view.choice_offsets(states)
+    for _ in range(20):
+        mask = rng.random(m.size) < 0.3
+        want = [(m.vertices(i) > 0)[:, mask].any(axis=1) for i in states]
+        got = view.touches(states, mask)
+        assert np.array_equal(got, np.concatenate(want))
+        for i in states:
+            assert np.array_equal(view.touches(i, mask), got[bounds[i] : bounds[i + 1]])
+
+
 def test_from_rows_vertices_are_views_of_one_array():
     m = random_credal_matrix(np.random.default_rng(3), n=7, max_vertices=3)
     stack, offsets = m.stacked()
@@ -141,7 +156,7 @@ def test_joint_batch_and_pinned_view_match_rows(mode):
     for i in states:
         assert np.array_equal(view.values(i, f), batch[bounds[i] : bounds[i + 1]])
     fixed = {i: int(rng.integers(view.nchoices(i))) for i in states}
-    pinned = _FixedChoices(view, fixed)
+    pinned = view.pinned([fixed[i] for i in states])
     assert np.array_equal(pinned.choice_offsets(states), np.arange(view.n + 1))
     got = pinned.values(states, f)
     inf = np.isinf(f)

@@ -124,6 +124,21 @@ def test_joint_values_match_rows_with_infinities():
                 )
 
 
+def test_classification_does_not_depend_on_underflow():
+    # each of a and b reaches m with 1e-200; the agents meet from (a, b) only
+    # by jumping together, with mass 1e-400, which underflows to zero in a
+    # dense joint row but is a path in the support graph
+    tiny = 1e-200
+    rows = [[[0, 0, tiny, 1 - tiny, 0]], [[0, 0, tiny, 0, 1 - tiny]]]
+    rows += [[np.eye(5)[i]] for i in (2, 3, 4)]
+    m = CredalMatrix.from_rows(["a", "b", "m", "z", "w"], rows)
+    for sense in ("upper", "lower"):
+        res = meet(m, 2, "vacuous", sense, "quotient")
+        ab = res.product.index_of((0, 1))
+        assert ab in res.classification.unsafe, sense
+        assert math.isinf(res.values[ab])
+
+
 # ----------------------------------------------------------------------- meet
 
 def test_degenerate_meet_matches_independent_product():
