@@ -16,6 +16,7 @@ import numpy as np
 from .core import CredalMatrix, apply_lower, apply_upper, ext_dot, greedy_selection
 from .chain import TransitionMatrix, hitting_times, meeting_times, simulate_hitting
 from .reach import CredalChoices, lower_reach_set
+from . import solver
 from .solver import policy_iteration, value_iteration
 from .meeting import (
     JointChoices,
@@ -91,6 +92,32 @@ def check_joint_kernel():
             for i, s in enumerate(prod.states) for t in view.choice_tuples(i)]
     ok = np.allclose(got, want, rtol=1e-12, atol=0.0)  # infs must coincide
     return ok, f"{np.isinf(want).sum()} of {len(want)} choice values infinite"
+
+
+def check_matrix_free_evaluation():
+    model = _five_state()
+    view = JointChoices(model, build_product_space(model.space, 2, "quotient"))
+    visited = []
+    evaluate = solver._evaluate_selection
+
+    def record(v, finite, choice):
+        visited.append((v, finite, choice.copy()))
+        return evaluate(v, finite, choice)
+
+    solver._evaluate_selection = record  # the solver looks it up at call time
+    try:
+        for sense in ("upper", "lower"):
+            solver.solve_view_policy(view, view.product.target_mask(), sense, 1e-10, 1_000)
+    finally:
+        solver._evaluate_selection = evaluate
+    worst = 0.0
+    for v, finite, choice in visited:
+        h, residual, products = solver._gmres(solver._selection_operator(v, finite, choice), finite.size)
+        if not solver._meets_bound(h, residual):
+            return False, f"GMRES missed its bound on {finite.size} unknowns in {products} products"
+        dense = solver._dense_solve(v, finite, choice)
+        worst = max(worst, float(np.max(np.abs(h - dense) / dense)))
+    return worst <= 1e-12, f"{len(visited)} selections, largest relative gap {worst:.1e}"
 
 
 def check_hitting_geometric():
@@ -219,6 +246,7 @@ CHECKS = [
     ("greedy vertex selection", check_greedy),
     ("choice kernel vs ext_dot reference", check_choice_kernel),
     ("joint kernel vs joint_transition_weight", check_joint_kernel),
+    ("matrix-free policy evaluation vs dense solve", check_matrix_free_evaluation),
     ("hitting time, geometric chain", check_hitting_geometric),
     ("hitting time, absorbing start", check_hitting_absorbing),
     ("precise meeting times", check_precise_meeting),

@@ -3,9 +3,12 @@
 Two methods are provided. Monotone value iteration from zero serves as an
 independent oracle: it climbs to the minimal non-negative fixed point of the
 one-step operator on the finitely-valued states. Policy iteration alternates
-exact evaluation of one selection (a dense linear solve) with a greedy switch
-to better vertices, and terminates after finitely many sweeps because there
-are finitely many selections and no strict improvement can repeat.
+exact evaluation of one selection with a greedy switch to better vertices,
+and terminates after finitely many sweeps because there are finitely many
+selections and no strict improvement can repeat. An evaluation solves the
+selection's linear system matrix-free by restarted GMRES on the choice
+kernel's product from ``MATRIX_FREE_UNKNOWNS`` unknowns on, and densely
+below that; every solution must meet a backward-error bound.
 
 Both methods first classify the states and pin the hopeless ones to inf, so
 the iteration itself only ever runs on the finite region.
@@ -21,6 +24,21 @@ import numpy as np
 
 from .core import CredalMatrix, _require_sense, segment_optimum, target_mask
 from .reach import Classification, CredalChoices, classify_view
+
+#: Unknowns from which a policy evaluation runs matrix-free (restarted GMRES)
+#: instead of a dense LU solve; the two paths cross near this size.
+MATRIX_FREE_UNKNOWNS = 256
+
+#: Krylov basis size per GMRES cycle.
+GMRES_RESTART = 30
+
+#: Constant of the backward-error bound every policy evaluation must meet.
+BACKWARD_ERROR_FACTOR = 16.0
+
+#: Refusal threshold for the bytes of a dense policy evaluation (``_dense_bytes``).
+MAX_DENSE_BYTES = 2**30
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -86,23 +104,146 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     )
 
 
-def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray) -> np.ndarray:
-    """Solve the linear system of one selection restricted to the finite states."""
+def _residual_bound(k: int, hmax: float) -> float:
+    """Backward-error bound on ``|1 - (I - P) h|_inf`` for ``k`` unknowns and
+    ``hmax = |h|_inf`` that a backward-stable solve meets: ``|I - P|_inf <= 2``
+    and ``|1|_inf = 1``."""
+    return BACKWARD_ERROR_FACTOR * _EPS * math.sqrt(k) * (1.0 + 2.0 * hmax)
+
+
+def _meets_bound(h: np.ndarray, residual: float) -> bool:
+    """Whether a solution with true residual ``residual`` meets :func:`_residual_bound`."""
+    return residual <= _residual_bound(h.size, float(np.max(np.abs(h))))
+
+
+def _selection_operator(view, finite: np.ndarray, choice: np.ndarray):
+    """The product ``x -> (I - P) x`` of one selection on the finite states,
+    one :meth:`values` call each."""
+    pick = view.choice_offsets(finite)[:-1] + choice
+    padded = np.zeros(view.n)  # admissible choices put no mass outside the finite states
+
+    def apply(x):
+        padded[finite] = x
+        return x - view.values(finite, padded)[pick]
+
+    return apply
+
+
+def _gmres_cycles(k: int) -> int:
+    """The cap on GMRES cycles for ``k`` unknowns: the ``k`` products in which
+    full GMRES terminates in exact arithmetic, and one cycle more for rounding.
+    A chain of ``k`` levels needs all of them: each cycle settles at most
+    ``GMRES_RESTART`` more levels of the selection's graph."""
+    return -(-k // GMRES_RESTART) + 1
+
+
+def _gmres(apply, k: int, give_up: bool = False):
+    """Restarted GMRES from zero for ``apply(h) = 1``: the last iterate, the
+    sup-norm of its true residual and the number of products.
+
+    It stops once the true residual meets :func:`_residual_bound`, after
+    :func:`_gmres_cycles` cycles of ``GMRES_RESTART`` products, or, with
+    ``give_up``, as soon as the last cycle's reduction of the residual's
+    2-norm, kept up, would not meet the bound within that cap.
+    """
+    h = np.zeros(k)
+    r = np.ones(k)
+    norm = math.sqrt(k)
+    products = 0
+    cycles = _gmres_cycles(k)
+    for cycle in range(1, cycles + 1):
+        basis = np.empty((GMRES_RESTART + 1, k))
+        hess = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        rhs = np.zeros(GMRES_RESTART + 1)
+        basis[0], rhs[0] = r / norm, norm
+        for j in range(GMRES_RESTART):
+            w = apply(basis[j])
+            products += 1
+            for _ in range(2):  # Gram-Schmidt twice keeps the basis orthogonal
+                c = basis[: j + 1] @ w
+                w -= c @ basis[: j + 1]
+                hess[: j + 1, j] += c
+            hess[j + 1, j] = np.linalg.norm(w)
+            y = np.linalg.lstsq(hess[: j + 2, : j + 1], rhs[: j + 2], rcond=None)[0]
+            step = y @ basis[: j + 1]
+            # the least-squares misfit is the residual's 2-norm, which bounds its sup-norm
+            misfit = np.linalg.norm(hess[: j + 2, : j + 1] @ y - rhs[: j + 2])
+            if hess[j + 1, j] == 0.0 or misfit <= _residual_bound(k, np.max(np.abs(h + step))):
+                break
+            basis[j + 1] = w / hess[j + 1, j]
+        h = h + step
+        r = 1.0 - apply(h)
+        residual = float(np.max(np.abs(r)))
+        bound = _residual_bound(k, np.max(np.abs(h)))
+        if residual <= bound:
+            break
+        last, norm = norm, float(np.linalg.norm(r))
+        # cycles still needed to bring the 2-norm to the bound at the last cycle's rate
+        if give_up and not (norm < last and cycle + math.log(bound / norm) / math.log(norm / last) <= cycles):
+            break
+    return h, residual, products
+
+
+def _dense_bytes(k: int) -> int:
+    """Bytes of a dense policy evaluation of ``k`` unknowns: ``sub``, ``eye(k)`` and ``I - sub``."""
+    return 3 * 8 * k * k
+
+
+def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "") -> np.ndarray:
+    """LU solve of one selection's system from its dense rows; ``why`` says
+    in a refusal why the system is solved densely."""
     k = finite.size
+    need = _dense_bytes(k)
+    if need > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"{why}a dense policy evaluation of size {k} would allocate about {need} "
+            f"bytes, above the {MAX_DENSE_BYTES} limit"
+        )
     sub = np.empty((k, k))
     for r, (x, c) in enumerate(zip(finite.tolist(), choice.tolist())):
         sub[r] = view.row(x, c)[finite]
     try:
-        sol = np.linalg.solve(np.eye(k) - sub, np.ones(k))
+        return np.linalg.solve(np.eye(k) - sub, np.ones(k))
     except np.linalg.LinAlgError:
         raise RuntimeError(
-            "singular policy evaluation; the classification pass admitted an "
-            "improper selection"
+            f"policy evaluation of size {k} is singular in double precision, so its "
+            "residual and largest value are unbounded: the selection's escape "
+            "probabilities round to zero and its hitting times are too large to represent"
         ) from None
-    if not np.isfinite(sol).all() or (sol <= 0).any():
+
+
+def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray) -> np.ndarray:
+    """Solve ``(I - P) h = 1`` for one selection restricted to the finite states.
+
+    From ``MATRIX_FREE_UNKNOWNS`` unknowns on, restarted GMRES runs on the
+    product ``h -> h - P h``, one :meth:`values` call each; below that, or when
+    GMRES misses the backward-error bound (it gives up early while the dense
+    solve is allowed), the system is assembled and solved densely. Either way
+    the residual must meet the bound.
+    """
+    k = finite.size
+    apply = _selection_operator(view, finite, choice)
+    sol = None
+    why = ""
+    if k >= MATRIX_FREE_UNKNOWNS:
+        sol, residual, products = _gmres(apply, k, give_up=_dense_bytes(k) <= MAX_DENSE_BYTES)
+        if not _meets_bound(sol, residual):
+            why = (
+                f"GMRES missed the backward-error bound within {products} products "
+                f"(last residual {residual:.3e}), and "
+            )
+            sol = None
+    if sol is None:
+        sol = _dense_solve(view, finite, choice, why)
+        residual = float(np.max(np.abs(1.0 - apply(sol))))
+    hmax = float(np.max(np.abs(sol)))
+    bound = _residual_bound(k, hmax)
+    if not (math.isfinite(hmax) and residual <= bound and (sol > 0).all()):
         raise RuntimeError(
-            "policy evaluation produced a non-positive value; the "
-            "classification pass admitted an improper selection"
+            f"policy evaluation of size {k} is not accurate in double precision: "
+            f"residual {residual:.3e} against the backward-error bound {bound:.3e}, "
+            f"values from {sol.min():.3e} to {hmax:.3e}; hitting times of this size "
+            "are beyond a double-precision solve"
         )
     return sol
 

@@ -304,3 +304,13 @@ def test_three_agents_quotient_meet_runs():
     h = hitting_times(TransitionMatrix(space, entries), sorted(prod.diagonal))
     finite = np.isfinite(res.values)
     assert np.allclose(h[finite], res.values[finite], atol=1e-9)
+
+
+def test_two_agent_quotient_meet_at_n200_completes():
+    # 20100 joint states: a dense policy evaluation would need about 9.6 GB
+    m = random_credal_matrix(np.random.default_rng(0), n=200, max_vertices=3, dense_prob=0.9)
+    res = meet(m, 2, "vacuous", "upper", "quotient")
+    assert res.product.size == 20100 and res.converged
+    off = np.array([i not in res.product.diagonal for i in range(res.product.size)])
+    assert np.isfinite(res.values).all() and (res.values[off] >= 1.0).all()
+    assert res.residual <= 1e-9 * res.values.max()

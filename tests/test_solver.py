@@ -1,16 +1,29 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import credalmeet
 from credalmeet import (
     CredalMatrix,
     TransitionMatrix,
+    build_product_space,
     hitting_times,
+    meet,
     policy_iteration,
     selection_matrix,
+    solver,
     value_iteration,
 )
+from credalmeet.core import target_mask
+from credalmeet.meeting import JointChoices
+from credalmeet.reach import CredalChoices, classify_view
 
 from generators import random_credal_matrix, random_selection, random_targets
 
@@ -180,3 +193,190 @@ def test_empty_target_rejected():
         policy_iteration(m, [], "upper")
     with pytest.raises(ValueError):
         value_iteration(m, [], "lower")
+
+
+# ------------------------------------------------------- policy evaluation
+
+def _view(model, agents, mode="quotient"):
+    """The base view (one agent) or a joint view, with its target mask."""
+    if agents == 1:
+        return CredalChoices(model), target_mask(model.size, [model.size - 1])
+    view = JointChoices(model, build_product_space(model.space, agents, mode))
+    return view, view.product.target_mask()
+
+
+def _admissible(view, targets):
+    """Finite states of the upper classification and, per finite state, the
+    choices that put no mass on its inf states; every such selection is proper."""
+    cls, _ = classify_view(view, targets, "upper")
+    finite = np.array(sorted(cls.finite), dtype=np.int64)
+    ok = ~view.touches(finite, cls.infinite_mask(view.n))
+    bounds = view.choice_offsets(finite)
+    return finite, [np.flatnonzero(ok[a:b]).tolist() for a, b in zip(bounds, bounds[1:])]
+
+
+def _both_solves(view, finite, choice):
+    h, residual, _ = solver._gmres(solver._selection_operator(view, finite, choice), finite.size)
+    assert solver._meets_bound(h, residual)
+    return h, solver._dense_solve(view, finite, choice)
+
+
+def _chain(n, lazy=0.0, walk=False):
+    """State i steps to i - 1 (staying put with probability ``lazy``), or with
+    ``walk`` to i - 1 or i + 1 evenly (reflected at n - 1); state 0 absorbs."""
+    rows = np.zeros((n, n))
+    rows[0, 0] = 1.0
+    for i in range(1, n):
+        if walk:
+            rows[i, i - 1] += 0.5
+            rows[i, min(i + 1, n - 1)] += 0.5
+        else:
+            rows[i, i - 1], rows[i, i] = 1.0 - lazy, lazy
+    return CredalMatrix.precise([f"s{i}" for i in range(n)], rows)
+
+
+def _chain_system(n, **kw):
+    view = CredalChoices(_chain(n, **kw))
+    finite = np.arange(1, n)
+    choice = np.zeros(n - 1, dtype=np.int64)
+    return view, finite, choice, solver._selection_operator(view, finite, choice)
+
+
+@st.composite
+def selection_systems(draw):
+    """A base view, or a 2- or 3-agent joint view (full or quotient, pinned or
+    not), on a model with sparse vertices, its finite states under the upper
+    classification (often bordered by inf states) and one admissible choice
+    per finite state."""
+    agents = draw(st.sampled_from([1, 2, 3]))
+    mode = draw(st.sampled_from(["full", "quotient"]))
+    n = draw(st.integers(2, {1: 12, 2: 6, 3: 4}[agents]))
+    weight = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    rows = []
+    for _ in range(n):
+        drawn = draw(st.lists(weight, min_size=1, max_size=3))
+        rows.append(list({tuple(x / sum(w) for x in w): None for w in drawn}))
+    view, targets = _view(CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows), agents, mode)
+    if agents > 1 and draw(st.booleans()):
+        view = view.pinned([draw(st.integers(0, view.nchoices(i) - 1)) for i in range(view.n)])
+    finite, options = _admissible(view, targets)
+    assume(finite.size)
+    return view, finite, np.array([draw(st.sampled_from(o)) for o in options])
+
+
+@settings(max_examples=80, deadline=None)
+@given(selection_systems())
+def test_matrix_free_evaluation_matches_dense_solve(system):
+    gmres, dense = _both_solves(*system)
+    assert np.allclose(gmres, dense, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("agents, mode", [(1, None), (2, "full"), (2, "quotient"), (3, "quotient")])
+def test_matrix_free_evaluation_under_slow_contraction(agents, mode):
+    # upper hitting time of b from a is exactly 200 (vertex 1 leaves at rate .005)
+    m = CredalMatrix.from_rows(["a", "b"], [[[0.99, 0.01], [0.995, 0.005]], [[0, 1]]])
+    view, targets = _view(m, agents, mode)
+    finite, options = _admissible(view, targets)
+    tops = []
+    for choice in itertools.product(*options):
+        gmres, dense = _both_solves(view, finite, np.array(choice))
+        assert np.allclose(gmres, dense, rtol=1e-9, atol=0.0)
+        tops.append(gmres.max())
+    if agents == 1:
+        assert abs(max(tops) - 200.0) <= 200.0 * 1e-9
+
+
+def test_unrepresentable_hitting_time_is_reported_as_a_scale_problem():
+    # exact answer 1e200: 1 - 1e-200 rounds to 1, so I - P is singular in
+    # double precision though the classification (a reaches m) is right
+    m = CredalMatrix.from_rows(["a", "m"], [[[1 - 1e-200, 1e-200]], [[0, 1]]])
+    for sense in ("upper", "lower"):
+        with pytest.raises(RuntimeError, match="singular in double precision") as err:
+            policy_iteration(m, [1], sense)
+        assert "size 1" in str(err.value) and "classification" not in str(err.value)
+
+
+def test_inaccurate_evaluation_names_its_residual(monkeypatch):
+    # with a zero bound no rounded solution passes the residual check
+    m = random_credal_matrix(np.random.default_rng(5), n=6, dense_prob=1.0)
+    monkeypatch.setattr(solver, "BACKWARD_ERROR_FACTOR", 0.0)
+    with pytest.raises(RuntimeError, match=r"size 5 is not accurate .* residual \d"):
+        policy_iteration(m, [0], "upper")
+
+
+@pytest.mark.parametrize("n, lazy", [(701, 0.0), (301, 0.9)])
+def test_matrix_free_evaluation_restarts_along_a_long_chain(n, lazy):
+    # each GMRES cycle settles at most GMRES_RESTART more levels of the chain,
+    # so the k = n - 1 unknowns take k products, restarted every GMRES_RESTART
+    view, finite, choice, apply = _chain_system(n, lazy=lazy)
+    h, residual, products = solver._gmres(apply, n - 1)
+    assert solver._meets_bound(h, residual) and products >= n - 1
+    assert np.allclose(h, solver._dense_solve(view, finite, choice), rtol=1e-9, atol=0.0)
+    assert np.allclose(h, finite / (1.0 - lazy), rtol=1e-9, atol=0.0)
+
+
+def test_matrix_free_evaluation_gives_up_early_when_a_dense_solve_is_allowed():
+    # a fair walk converges far too slowly for restarted GMRES: with a dense
+    # solve to fall back on it stops after one cycle, without one it runs to the cap
+    view, finite, choice, apply = _chain_system(300, walk=True)
+    for give_up, products in [(True, solver.GMRES_RESTART),
+                              (False, solver._gmres_cycles(299) * solver.GMRES_RESTART)]:
+        h, residual, used = solver._gmres(apply, 299, give_up)
+        assert used == products and not solver._meets_bound(h, residual)
+    dense = solver._dense_solve(view, finite, choice)
+    assert np.array_equal(solver._evaluate_selection(view, finite, choice), dense)
+
+
+@pytest.mark.parametrize("dense_allowed", [True, False])
+def test_policy_iteration_on_a_long_chain(monkeypatch, dense_allowed):
+    # h_i = i; without a dense solve to fall back on, GMRES must run to convergence
+    if not dense_allowed:
+        monkeypatch.setattr(solver, "MAX_DENSE_BYTES", 0)
+        monkeypatch.setattr(CredalChoices, "row", None)
+    n = 701
+    for sense in ("upper", "lower"):
+        res = policy_iteration(_chain(n), [0], sense)
+        assert res.converged and np.allclose(res.values, np.arange(n), rtol=1e-9, atol=0.0)
+
+
+def test_refusal_after_gmres_misses_its_bound_names_both_causes(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_DENSE_BYTES", 0)
+    products = solver._gmres_cycles(299) * solver.GMRES_RESTART
+    with pytest.raises(ValueError, match=(
+        rf"GMRES missed the backward-error bound within {products} products "
+        r"\(last residual \d.*\), and a dense policy evaluation of size 299 would allocate"
+    )):
+        policy_iteration(_chain(300, walk=True), [0], "upper")
+
+
+def test_dense_fallback_refuses_an_oversize_system(monkeypatch):
+    rng = np.random.default_rng(3)
+    n = 120
+    m = CredalMatrix.precise([f"s{i}" for i in range(n)], rng.dirichlet(np.ones(n), size=n))
+    k = n * (n - 1) // 2  # every off-diagonal pair is finite
+    need = 3 * 8 * k * k
+    assert need > solver.MAX_DENSE_BYTES
+
+    def fail(self, state, choice):
+        raise AssertionError("a dense row was built before the size guard")
+
+    monkeypatch.setattr(solver, "_gmres", lambda apply, k, give_up: (np.zeros(k), 1.0, 600))
+    monkeypatch.setattr(JointChoices, "row", fail)
+    with pytest.raises(ValueError, match=f"600 products .* size {k} would allocate about {need} bytes"):
+        meet(m, 2, "vacuous", "upper", "quotient")
+
+
+def test_library_does_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(credalmeet.__file__))
+    code = (
+        "import sys, numpy as np\n"
+        "from credalmeet import CredalMatrix, meet\n"
+        "rng = np.random.default_rng(0)\n"
+        "m = CredalMatrix.precise([str(i) for i in range(30)], rng.dirichlet(np.ones(30), size=30))\n"
+        "assert meet(m).converged\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
