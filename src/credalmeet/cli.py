@@ -9,6 +9,7 @@ model, 2 solver did not converge, 3 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -224,7 +225,6 @@ def _cmd_meet(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    product = result.product
     head = f"{args.belief} expected meeting times, {args.agents} agents, {args.mode} mode"
     if result.sense:
         head += f", {result.sense} bound"
@@ -232,30 +232,24 @@ def _cmd_meet(args) -> int:
         head += f", epsilon {result.epsilon}"
     print(head)
     labels = model.space.labels
+    joint_labels = [result.product.label(i) for i in range(result.product.size)]
     if args.agents == 2:
-        matrix = result.matrix()
-        cells = [[_fmt(matrix[x, y]) for y in range(len(labels))] for x in range(len(labels))]
-        width = 2 + max(
-            max(len(s) for s in labels),
-            max(len(c) for row in cells for c in row),
-        )
+        cells = [[_fmt(v) for v in row] for row in result.matrix()]
+        width = 2 + max(len(s) for s in [*labels, *itertools.chain(*cells)])
         left = 2 + max(len(s) for s in labels)
         print(" " * left + "".join(f"{s:>{width}}" for s in labels))
         for x, lab in enumerate(labels):
             print(f"{lab:<{left}}" + "".join(f"{c:>{width}}" for c in cells[x]))
     else:
         print(f"{'state':<20}{'value':>16}")
-        for i in range(product.size):
-            print(f"{product.label(i):<20}{_fmt(result.values[i]):>16}")
+        for lab, value in zip(joint_labels, result.values):
+            print(f"{lab:<20}{_fmt(value):>16}")
     print(f"{result.iterations} iterations, residual {result.residual:.3e}, "
           f"converged {result.converged}")
     if args.json:
         selections = {
-            product.label(i): list(result.selections[i])
-            for i in range(product.size)
-            if result.selections[i] is not None
+            lab: list(tup) for lab, tup in zip(joint_labels, result.selections) if tup is not None
         }
-        product_labels = tuple(product.label(i) for i in range(product.size))
         write_result(args.json, {
             "command": "meet",
             "parameters": {
@@ -264,10 +258,9 @@ def _cmd_meet(args) -> int:
                 "epsilon": result.epsilon, "tol": args.tol, "max_iter": args.max_iter,
             },
             "model": _model_info(args.model, model),
-            "values": {product.label(i): encode_value(result.values[i])
-                       for i in range(product.size)},
+            "values": {lab: encode_value(v) for lab, v in zip(joint_labels, result.values)},
             "selections": selections,
-            "classification": _classification_labels(product_labels, result.classification),
+            "classification": _classification_labels(joint_labels, result.classification),
             "diagnostics": {
                 "iterations": result.iterations,
                 "residual": result.residual,

@@ -56,6 +56,8 @@ class StateSpace:
             raise ValueError("a state space needs at least two states")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("state labels must be unique")
+        if any("," in s for s in self.labels):
+            raise ValueError("state labels must not contain ',', the joint-label separator")
 
     @property
     def size(self) -> int:

@@ -49,8 +49,10 @@ class ProductSpace:
     """Indexed joint state space of ``agents`` walkers on a shared base space.
 
     ``states`` holds ordered tuples (full mode) or sorted tuples standing for
-    multisets (quotient mode); the tuple <-> dense index mapping is a
-    bijection and the diagonal tuples are the meeting target.
+    multisets (quotient mode), ``state_array`` the same as an array. The one
+    map from ordered agent tuples to product states is ``ordered_index``;
+    :meth:`index_of`, the diagonal (the meeting target) and the joint view
+    read it.
     """
 
     base: StateSpace
@@ -58,36 +60,49 @@ class ProductSpace:
     mode: str
     states: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {s: i for i, s in enumerate(self.states)}
-        )
-        diag = frozenset(
-            i for i, s in enumerate(self.states) if len(set(s)) == 1
-        )
-        object.__setattr__(self, "_diagonal", diag)
-
     @property
     def size(self) -> int:
         return len(self.states)
 
-    @property
+    @functools.cached_property
+    def state_array(self) -> np.ndarray:
+        return np.array(self.states, dtype=np.int64).reshape(self.size, self.agents)
+
+    @functools.cached_property
+    def ordered_index(self) -> np.ndarray:
+        """Product index of every ordered tuple, ``n**agents`` entries in
+        lexicographic order: the identity in full mode, the index of the
+        tuple's multiset in quotient mode. Built on first use."""
+        if self.mode == "full":
+            return np.arange(self.size)
+        n, m = self.base.size, self.agents
+        if n**m > MAX_TABLE_ENTRIES:
+            raise ValueError(f"the ordered-tuple index would have {n**m} entries "
+                             f"({n} states, {m} agents), above the {MAX_TABLE_ENTRIES} limit")
+        shape = (n,) * m
+        lookup = np.empty(n**m, dtype=np.int64)
+        lookup[np.ravel_multi_index(self.state_array.T, shape)] = np.arange(self.size)
+        ordered = np.sort(np.indices(shape).reshape(m, -1), axis=0)
+        return lookup[np.ravel_multi_index(ordered, shape)]
+
+    @functools.cached_property
     def diagonal(self) -> frozenset[int]:
-        return self._diagonal
+        n = self.base.size
+        step = (n**self.agents - 1) // (n - 1)  # ordered position of (1, ..., 1)
+        return frozenset(self.ordered_index[np.arange(n) * step].tolist())
 
     def target_mask(self) -> np.ndarray:
-        return target_mask(self.size, self._diagonal)
+        return target_mask(self.size, self.diagonal)
 
     def canonical(self, joint: tuple[int, ...]) -> tuple[int, ...]:
         joint = tuple(int(z) for z in joint)
         return tuple(sorted(joint)) if self.mode == "quotient" else joint
 
     def index_of(self, joint: tuple[int, ...]) -> int:
-        key = self.canonical(joint)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise KeyError(f"joint state {joint!r} is not in the product space") from None
+        key, n = tuple(int(z) for z in joint), self.base.size
+        if len(key) != self.agents or not all(0 <= z < n for z in key):
+            raise KeyError(f"joint state {joint!r} is not in the product space")
+        return int(self.ordered_index[np.ravel_multi_index(key, (n,) * self.agents)])
 
     def label(self, index: int) -> str:
         return "(" + ",".join(self.base.labels[z] for z in self.states[index]) + ")"
@@ -136,7 +151,9 @@ class JointChoices:
     sorted in quotient mode, where values are symmetric in the cell, so that
     choices that only swap co-located agents' vertices tie exactly. Support
     tests (:meth:`touches`) take the same path with the 0/1 pattern of the
-    stacked array in place of the array itself.
+    stacked array in place of the array itself. Values are spread over, and
+    rows summed back from, ordered tuples by ``product.ordered_index``, built
+    only after the table size passed its guard (the identity in full mode).
     """
 
     def __init__(self, model: CredalMatrix, product: ProductSpace):
@@ -152,15 +169,9 @@ class JointChoices:
                 f"the joint choice-value table would have {k**m} entries ({k} "
                 f"vertices, {m} agents), above the {MAX_TABLE_ENTRIES} limit"
             )
-        self._tensor_shape = shape = (model.size,) * m
-        self._agg = None
-        joint = np.array(product.states, dtype=np.int64)
-        if product.mode == "quotient":
-            # index of every ordered tuple's multiset, in lexicographic order
-            lookup = np.empty(model.size**m, dtype=np.int64)
-            lookup[np.ravel_multi_index(joint.T, shape)] = np.arange(self.n)
-            ordered = np.sort(np.indices(shape).reshape(m, -1), axis=0)
-            self._agg = lookup[np.ravel_multi_index(ordered, shape)]
+        self._tensor_shape = (model.size,) * m
+        self._agg = product.ordered_index
+        joint = product.state_array
         agent_counts = np.diff(self._offsets)[joint]
         self._counts = agent_counts.prod(axis=1)
         self._bounds = segment_bounds(self._counts)
@@ -216,10 +227,8 @@ class JointChoices:
     def _table(self, f, vertices: np.ndarray, states) -> np.ndarray:
         """Entry of every choice of ``states`` in the table of ``f`` contracted
         with ``vertices``, flat and in state order; see :func:`choice_values`."""
-        f = np.asarray(f, dtype=float)
-        if self._agg is not None:
-            f = f[self._agg]
-        table = choice_values(vertices, f.reshape(self._tensor_shape)).ravel()
+        f = np.asarray(f, dtype=float)[self._agg].reshape(self._tensor_shape)
+        table = choice_values(vertices, f).ravel()
         states = np.atleast_1d(states)
         return table[segment_gather(self._keys, self._bounds[states], self._counts[states])]
 
@@ -238,8 +247,6 @@ class JointChoices:
         """Dense joint distribution of one choice over the product states."""
         factors = [self._stack[k] for k in self._cells[self._bounds[state] + choice].tolist()]
         flat = functools.reduce(np.multiply.outer, factors).ravel()
-        if self._agg is None:
-            return flat
         return np.bincount(self._agg, weights=flat, minlength=self.n)
 
 
@@ -309,8 +316,8 @@ class MeetingResult:
         """Meeting times as an (n, n) start-pair matrix; two agents only."""
         if self.product.agents != 2:
             raise ValueError("the matrix form exists only for two agents")
-        n = range(self.product.base.size)
-        return np.array([[self.values[self.product.index_of((x, y))] for y in n] for x in n])
+        n = self.product.base.size
+        return self.values[self.product.ordered_index].reshape(n, n)
 
 
 def _normalize_selection(
@@ -332,10 +339,12 @@ def _normalize_selection(
 
 
 def _selection_tuples(view: JointChoices, flat: np.ndarray) -> tuple:
-    diagonal = view.product.diagonal
-    return tuple(
-        None if i in diagonal else view.choice_tuples(i)[c] for i, c in enumerate(flat.tolist())
-    )
+    """The vertex tuple of every state's flat choice, None on the diagonal."""
+    cells = view._cells[view._bounds[:-1] + flat] - view._offsets[view.product.state_array]
+    tuples = list(map(tuple, cells.tolist()))
+    for i in view.product.diagonal:
+        tuples[i] = None
+    return tuple(tuples)
 
 
 def _wrap_result(view, belief, sense, epsilon, res: HittingResult) -> MeetingResult:
@@ -446,15 +455,13 @@ def exhaustive_meeting_times(
     product = build_product_space(model.space, 2, "full")
     view = JointChoices(model, product)
     off = [i for i in range(product.size) if i not in product.diagonal]
-    total = 1
-    for i in off:
-        total *= view.nchoices(i)
+    total = math.prod(view.nchoices(i) for i in off)
     if total > max_assignments:
         raise ValueError(
             f"{total} stationary selections exceed the enumeration limit "
             f"{max_assignments}"
         )
-    space = StateSpace(tuple(product.label(i) for i in range(product.size)))
+    space = StateSpace(tuple(map(str, range(product.size))))
     rows_cache = {
         i: [view.row(i, c) for c in range(view.nchoices(i))] for i in off
     }
@@ -485,29 +492,25 @@ class QuotientReport:
     mismatched: tuple[str, ...]
 
 
-def _expand_selection(selection: Mapping | None, space: StateSpace, agents: int):
-    """Rewrite a quotient-form selection as a full-product selection.
+def _expand_selection(selection: Mapping | None, quot: ProductSpace):
+    """Rewrite a selection on the quotient ``quot`` as a full-product selection.
 
     Quotient choices are aligned with the sorted tuple; each ordered tuple
     hands the group's vertex indices to its agents in positional order
-    (any assignment within a group aggregates to the same joint row).
+    (any assignment within a group aggregates to the same joint row), which
+    is where a stable sort of the ordered tuple puts them.
     """
     if selection is None:
         return None
-    normalized = {tuple(sorted(k)): tuple(v) for k, v in selection.items()}
-    expanded = {}
-    for joint in itertools.product(range(space.size), repeat=agents):
-        key = tuple(sorted(joint))
-        if key not in normalized:
-            continue
-        pool = {z: [c for s, c in zip(key, normalized[key]) if s == z] for z in set(key)}
-        taken = {z: 0 for z in set(key)}
-        tup = []
-        for z in joint:
-            tup.append(pool[z][taken[z]])
-            taken[z] += 1
-        expanded[joint] = tuple(tup)
-    return expanded
+    table = np.full((quot.size, quot.agents), -1)  # -1: no choice given
+    for joint, tup in selection.items():
+        table[quot.index_of(joint)] = tup
+    rows = np.flatnonzero(table[quot.ordered_index, 0] >= 0)
+    ordered = np.stack(np.unravel_index(rows, (quot.base.size,) * quot.agents), axis=1)
+    expanded = np.empty_like(ordered)
+    order = np.argsort(ordered, axis=1, kind="stable")
+    np.put_along_axis(expanded, order, table[quot.ordered_index[rows]], axis=1)
+    return dict(zip(map(tuple, ordered.tolist()), map(tuple, expanded.tolist())))
 
 
 def quotient_consistency_check(
@@ -525,30 +528,27 @@ def quotient_consistency_check(
     Reports the largest absolute difference between the value at an ordered
     tuple and the value at its multiset (over entries finite in both), and
     whether the infinite patterns agree. A degenerate or mixture selection
-    is given in quotient form and expanded symmetrically for the full run.
+    is given in quotient form (the quotient run validates it) and expanded
+    symmetrically for the full run.
     """
-    full = meet(
-        model, agents, belief, sense, "full",
-        selection=_expand_selection(selection, model.space, agents),
-        epsilon=epsilon, tol=tol, max_iter=max_iter,
-    )
     quot = meet(
         model, agents, belief, sense, "quotient",
         selection=selection, epsilon=epsilon, tol=tol, max_iter=max_iter,
     )
-    worst = 0.0
-    mismatched = []
-    for i, joint in enumerate(full.product.states):
-        a = full.values[i]
-        b = quot.values[quot.product.index_of(joint)]
-        if math.isinf(a) != math.isinf(b):
-            mismatched.append(full.product.label(i))
-        elif not math.isinf(a):
-            worst = max(worst, abs(a - b))
+    full = meet(
+        model, agents, belief, sense, "full",
+        selection=_expand_selection(selection, quot.product),
+        epsilon=epsilon, tol=tol, max_iter=max_iter,
+    )
+    # both value vectors at every ordered tuple, in the full product's order
+    a = full.values[full.product.ordered_index]
+    b = quot.values[quot.product.ordered_index]
+    finite = np.isfinite(a) & np.isfinite(b)
+    mismatched = tuple(full.product.label(i) for i in np.flatnonzero(np.isinf(a) != np.isinf(b)))
     return QuotientReport(
         full_states=full.product.size,
         quotient_states=quot.product.size,
-        max_discrepancy=worst,
+        max_discrepancy=float(np.max(np.abs(a[finite] - b[finite]), initial=0.0)),
         infinity_matches=not mismatched,
-        mismatched=tuple(mismatched),
+        mismatched=mismatched,
     )

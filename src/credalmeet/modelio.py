@@ -143,6 +143,9 @@ def parse_model(text: str, source: str = "<string>") -> CredalMatrix:
     known = set(labels)
     if len(known) != len(labels):
         raise ModelFormatError(f"{source}: state labels must be unique")
+    commas = [s for s in labels if "," in s]
+    if commas:
+        raise ModelFormatError(f"{source}: state labels must not contain ',': {commas}")
     rows_doc = doc.get("rows")
     if not isinstance(rows_doc, dict):
         raise ModelFormatError(f"{source}: 'rows' must map state labels to row specs")

@@ -57,6 +57,14 @@ def test_validate_failure_lists_violations(tmp_path, capsys):
     assert "INVALID" in out and "'a'" in out and "sum" in out
 
 
+def test_validate_rejects_labels_with_commas(tmp_path, capsys):
+    bad = tmp_path / "commas.yaml"
+    bad.write_text(MODEL.replace("states: [a, b]", 'states: ["a,b", b]').replace("  a:", '  "a,b":'))
+    assert main(["validate", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID" in out and "'a,b'" in out
+
+
 def test_missing_model_is_usage_error(capsys):
     assert main(["validate", "/nonexistent/model.yaml"]) == 3
 

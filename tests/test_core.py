@@ -88,6 +88,12 @@ def test_state_space_requires_two_unique_labels():
         StateSpace(("a", "b")).index("c")
 
 
+def test_state_space_rejects_labels_with_commas():
+    # joint labels and the CLI's label lists are comma-separated
+    with pytest.raises(ValueError, match="','"):
+        StateSpace(("a,b", "c", "a", "b,c"))
+
+
 # ----------------------------------------------------------------- operators
 
 def test_apply_upper_constant_preservation():

@@ -117,9 +117,9 @@ def test_size_guard_counts_the_choice_value_table(monkeypatch):
     product = build_product_space(m.space, 4, "quotient")
     assert n**4 < MAX_TABLE_ENTRIES < (4 * n) ** 4
 
-    def fail(self, joint):
-        raise AssertionError("the quotient map was built before the size guard")
+    def fail(self):
+        raise AssertionError("the ordered-tuple index was built before the size guard")
 
-    monkeypatch.setattr(ProductSpace, "index_of", fail)
+    monkeypatch.setattr(ProductSpace, "ordered_index", property(fail))
     with pytest.raises(ValueError, match=f"{(4 * n) ** 4} entries"):
         JointChoices(m, product)

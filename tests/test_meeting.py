@@ -300,7 +300,7 @@ def test_three_agents_quotient_meet_runs():
             entries[i, i] = 1.0
         else:
             entries[i] = view.row(i, view.flat_choice(i, res.selections[i]))
-    space = StateSpace(tuple(prod.label(i) for i in range(prod.size)))
+    space = StateSpace(tuple(f"p{i}" for i in range(prod.size)))
     h = hitting_times(TransitionMatrix(space, entries), sorted(prod.diagonal))
     finite = np.isfinite(res.values)
     assert np.allclose(h[finite], res.values[finite], atol=1e-9)

@@ -143,6 +143,21 @@ rows:
     assert "'c'" in msg and "'b'" in msg
 
 
+COMMA_DOC = """
+states: ["a,b", c]
+rows:
+  "a,b":
+    vertices: [[1, 0]]
+  c:
+    vertices: [[0, 1]]
+"""
+
+
+def test_labels_with_commas_are_a_format_error():
+    with pytest.raises(ModelFormatError, match="a,b"):
+        parse_model(COMMA_DOC)
+
+
 def test_dump_then_parse_round_trip():
     m = parse_model(VERTEX_DOC)
     again = parse_model(dump_model(m, name="demo"))
