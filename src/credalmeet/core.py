@@ -252,11 +252,16 @@ def segment_bounds(counts) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
-def segment_gather(array: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Entries ``starts[s]`` to ``starts[s] + counts[s] - 1`` of ``array`` for
-    every segment ``s``, concatenated in segment order."""
+def segment_rows(starts: np.ndarray, counts: np.ndarray):
+    """Positions ``starts[s]`` to ``starts[s] + counts[s] - 1`` for every
+    segment ``s``, concatenated in segment order; a slice when each segment
+    starts where the one before it ends, so that taking them copies nothing."""
+    if not starts.size:
+        return slice(0, 0)
+    if (starts[1:] - starts[:-1] == counts[:-1]).all():
+        return slice(int(starts[0]), int(starts[-1] + counts[-1]))
     bounds = segment_bounds(counts)
-    return array[np.repeat(starts - bounds[:-1], counts) + np.arange(bounds[-1])]
+    return np.repeat(starts - bounds[:-1], counts) + np.arange(bounds[-1])
 
 
 def segment_optimum(vals: np.ndarray, bounds: np.ndarray, sense: str):

@@ -18,7 +18,6 @@ nothing is lost.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -28,8 +27,8 @@ from typing import Mapping
 import numpy as np
 
 from .core import CredalMatrix, StateSpace, _require_sense, choice_values
-from .core import segment_bounds, segment_gather, target_mask
-from .reach import Classification, classify_view
+from .core import segment_bounds, target_mask
+from .reach import ChoiceView, Classification, classify_view
 from .solver import HittingResult, solve_view_policy
 from .chain import TransitionMatrix, hitting_times
 
@@ -82,8 +81,13 @@ class ProductSpace:
         shape = (n,) * m
         lookup = np.empty(n**m, dtype=np.int64)
         lookup[np.ravel_multi_index(self.state_array.T, shape)] = np.arange(self.size)
-        ordered = np.sort(np.indices(shape).reshape(m, -1), axis=0)
-        return lookup[np.ravel_multi_index(ordered, shape)]
+        # the sorted tuples in the smallest type that holds a state, dropped
+        # before the gather: the peak stays at three index-sized arrays
+        ordered = np.indices(shape, dtype=np.min_scalar_type(n - 1)).reshape(m, -1)
+        ordered.sort(axis=0)
+        flat = np.ravel_multi_index(ordered, shape)
+        del ordered
+        return lookup[flat]
 
     @functools.cached_property
     def diagonal(self) -> frozenset[int]:
@@ -133,7 +137,7 @@ def build_product_space(space: StateSpace, agents: int, mode: str = "quotient") 
     return ProductSpace(base=space, agents=agents, mode=mode, states=states)
 
 
-class JointChoices:
+class JointChoices(ChoiceView):
     """Choice view of the joint walk; every choice value is read from one table.
 
     A choice assigns one vertex index per agent in both modes; co-located
@@ -145,15 +149,19 @@ class JointChoices:
     are enumerated in lexicographic order, which fixes the greedy tie-break
     to the lowest tuple.
 
-    A choice's cell is its agents' rows in the model's stacked vertex array.
-    Each call contracts the value tensor with that array once per agent
-    (:func:`choice_values`); every choice reads the table entry of its cell,
-    sorted in quotient mode, where values are symmetric in the cell, so that
-    choices that only swap co-located agents' vertices tie exactly. Support
-    tests (:meth:`touches`) take the same path with the 0/1 pattern of the
-    stacked array in place of the array itself. Values are spread over, and
-    rows summed back from, ordered tuples by ``product.ordered_index``, built
-    only after the table size passed its guard (the identity in full mode).
+    A choice's cell is its agents' rows in the model's stacked vertex array,
+    and its key the cell's position in the table of all cells. Each
+    evaluation contracts the value tensor with that array once per agent
+    (:func:`choice_values`); every choice reads the table entry of its key,
+    the sorted cell's in quotient mode, where values are symmetric in the
+    cell, so that choices that only swap co-located agents' vertices tie
+    exactly. Support tests (:meth:`touches`) take the same path with the 0/1
+    pattern of the stacked array in place of the array itself. A view from
+    :meth:`restrict` (one choice per state gives a precise joint walk)
+    gathers its own cells and keys on first use and reads the same table.
+    Values are spread over, and rows summed back from, ordered tuples by
+    ``product.ordered_index``, built only after the table size passed its
+    guard (the identity in full mode).
     """
 
     def __init__(self, model: CredalMatrix, product: ProductSpace):
@@ -174,36 +182,21 @@ class JointChoices:
         joint = product.state_array
         agent_counts = np.diff(self._offsets)[joint]
         self._counts = agent_counts.prod(axis=1)
-        self._bounds = segment_bounds(self._counts)
+        bounds = segment_bounds(self._counts)
+        self._starts = bounds[:-1]
         # cells in lexicographic tuple order: the last agent's row varies fastest
         owner = np.repeat(np.arange(self.n), self._counts)
-        rank = np.arange(self._bounds[-1]) - self._bounds[owner]
-        self._cells = np.empty((rank.size, m), dtype=np.int64)
+        rank = np.arange(bounds[-1]) - bounds[owner]
+        cells = np.empty((rank.size, m), dtype=np.int64)
         for j in reversed(range(m)):
-            self._cells[:, j] = self._offsets[joint[owner, j]] + rank % agent_counts[owner, j]
+            cells[:, j] = self._offsets[joint[owner, j]] + rank % agent_counts[owner, j]
             rank //= agent_counts[owner, j]
-        keys = np.sort(self._cells, axis=1) if product.mode == "quotient" else self._cells
-        self._keys = np.ravel_multi_index(keys.T, (k,) * m)
-
-    def pinned(self, fixed) -> "JointChoices":
-        """This view with one choice per state, flat index ``fixed[i]`` at state
-        ``i``; it shares the model, the product space and the table path."""
-        view = copy.copy(self)
-        pick = self._bounds[:-1] + np.asarray(fixed, dtype=np.int64)
-        view._cells, view._keys = self._cells[pick], self._keys[pick]
-        view._counts = np.ones(self.n, dtype=np.int64)
-        view._bounds = segment_bounds(view._counts)
-        return view
-
-    def nchoices(self, state: int) -> int:
-        return int(self._counts[state])
-
-    def choice_offsets(self, states) -> np.ndarray:
-        """Bounds of each state's segment in the output of :meth:`values`."""
-        return segment_bounds(self._counts[states])
+        keys = np.sort(cells, axis=1) if product.mode == "quotient" else cells
+        self._own = {"cells": cells, "keys": np.ravel_multi_index(keys.T, (k,) * m)}
 
     def choice_tuples(self, state: int) -> list[tuple[int, ...]]:
-        cells = self._cells[self._bounds[state] : self._bounds[state + 1]]
+        start = self._starts[state]
+        cells = self._rows("cells")[start : start + self._counts[state]]
         return list(map(tuple, (cells - self._offsets[list(self.product.states[state])]).tolist()))
 
     def flat_choice(self, state: int, choice_tuple: tuple[int, ...]) -> int:
@@ -224,28 +217,24 @@ class JointChoices:
             flat = flat * count + int(c)
         return flat
 
-    def _table(self, f, vertices: np.ndarray, states) -> np.ndarray:
-        """Entry of every choice of ``states`` in the table of ``f`` contracted
-        with ``vertices``, flat and in state order; see :func:`choice_values`."""
+    def _table(self, f, vertices: np.ndarray) -> np.ndarray:
+        """Entry of every choice in the table of ``f`` contracted with
+        ``vertices``, flat and in state order; see :func:`choice_values`."""
         f = np.asarray(f, dtype=float)[self._agg].reshape(self._tensor_shape)
-        table = choice_values(vertices, f).ravel()
-        states = np.atleast_1d(states)
-        return table[segment_gather(self._keys, self._bounds[states], self._counts[states])]
+        return choice_values(vertices, f).ravel()[self._rows("keys")]
 
-    def values(self, states, f) -> np.ndarray:
-        """Expectation of ``f`` under every choice of ``states`` (an index or an
-        index array), flat and in state order, with the 0 * inf = 0 rule."""
-        return self._table(f, self._stack, states)
+    def _values(self, f: np.ndarray) -> np.ndarray:
+        return self._table(f, self._stack)
 
-    def touches(self, states, mask: np.ndarray) -> np.ndarray:
-        """Whether each choice of ``states`` puts positive mass on ``mask``, laid
-        out as :meth:`values`. The pattern's entries are 0 or 1, so a table entry
-        counts destination tuples and no product of small masses can underflow."""
-        return self._table(mask, self._pattern, states) > 0.0
+    def _touches(self, mask: np.ndarray) -> np.ndarray:
+        # the pattern's entries are 0 or 1, so a table entry counts destination
+        # tuples and no product of small masses can underflow
+        return self._table(mask, self._pattern) > 0.0
 
     def row(self, state: int, choice: int) -> np.ndarray:
         """Dense joint distribution of one choice over the product states."""
-        factors = [self._stack[k] for k in self._cells[self._bounds[state] + choice].tolist()]
+        cells = self._rows("cells")[self._starts[state] + choice]
+        factors = [self._stack[k] for k in cells.tolist()]
         flat = functools.reduce(np.multiply.outer, factors).ravel()
         return np.bincount(self._agg, weights=flat, minlength=self.n)
 
@@ -340,7 +329,7 @@ def _normalize_selection(
 
 def _selection_tuples(view: JointChoices, flat: np.ndarray) -> tuple:
     """The vertex tuple of every state's flat choice, None on the diagonal."""
-    cells = view._cells[view._bounds[:-1] + flat] - view._offsets[view.product.state_array]
+    cells = view._rows("cells")[view._starts + flat] - view._offsets[view.product.state_array]
     tuples = list(map(tuple, cells.tolist()))
     for i in view.product.diagonal:
         tuples[i] = None
@@ -363,7 +352,8 @@ def _wrap_result(view, belief, sense, epsilon, res: HittingResult) -> MeetingRes
 
 
 def _solve_degenerate(view: JointChoices, fixed: np.ndarray, tol, max_iter) -> HittingResult:
-    res = solve_view_policy(view.pinned(fixed), view.product.target_mask(), "upper", tol, max_iter)
+    pinned = view.restrict(np.arange(view.n), fixed)
+    res = solve_view_policy(pinned, view.product.target_mask(), "upper", tol, max_iter)
     res.selection = fixed
     return res
 

@@ -15,52 +15,101 @@ they are exact however small the probabilities are.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, _require_sense, choice_values, segment_bounds, segment_gather
-from .core import segment_optimum, target_mask
+from .core import CredalMatrix, _require_sense, choice_values, segment_bounds, segment_optimum
+from .core import segment_rows, target_mask
 
 
-class CredalChoices:
-    """Choice view of a credal model: one candidate row per vertex.
+class ChoiceView:
+    """Choices of a view laid out state by state: state ``i`` owns the
+    ``_counts[i]`` consecutive rows from ``_starts[i]`` of the view's row
+    arrays (:meth:`_rows`), none once :meth:`restrict` has left ``i`` out.
 
-    The reachability and solver passes only ever see this interface: ``n``,
-    batched choice values (``values``) and support tests (``touches``), their
-    per-state offsets (``choice_offsets``) and one dense ``row``. That lets
-    the same passes run on joint product models without those models ever
-    being expanded into explicit vertex lists.
+    A subclass gives ``n`` and the evaluation of all its rows at once,
+    ``_values(f)`` and ``_touches(mask)``; :meth:`values` and :meth:`touches`
+    evaluate the rows of a few states by restricting the view to them first,
+    so that every evaluation takes the one path.
     """
 
-    def __init__(self, model: CredalMatrix):
-        self.model = model
-        self.n = model.size
-        self._stack, self._offsets = model.stacked()
-        self._counts = np.diff(self._offsets)
-        self._pattern = self._stack > 0.0
+    def _rows(self, name: str) -> np.ndarray:
+        """This view's own rows of the row array ``name``. A restricted view
+        takes them from the view it came from on first use, so that one used
+        only for support tests never copies the vertices."""
+        if name not in self._own:
+            source, rows = self._source
+            self._own[name] = source._rows(name)[rows]
+        return self._own[name]
+
+    def nchoices(self, state: int) -> int:
+        return int(self._counts[state])
 
     def choice_offsets(self, states) -> np.ndarray:
         """Bounds of each state's segment in the output of :meth:`values`."""
         return segment_bounds(self._counts[states])
 
+    def restrict(self, states, choice=None):
+        """A shallow copy of this view holding only the choices of ``states``
+        (distinct indices), or only choice ``choice[i]`` of ``states[i]``, in
+        state order. It keeps the class and owns its rows: a slice of this
+        view's row arrays when the rows are consecutive, a copy otherwise."""
+        states = np.atleast_1d(states)
+        starts, counts = self._starts[states], self._counts[states]
+        if choice is not None:
+            starts, counts = starts + np.asarray(choice, dtype=np.int64), np.ones_like(counts)
+        view = copy.copy(self)
+        view._own, view._source = {}, (self, segment_rows(starts, counts))
+        view._starts, view._counts = np.zeros((2, self.n), dtype=np.int64)
+        view._starts[states] = np.cumsum(counts) - counts
+        view._counts[states] = counts
+        return view
+
     def values(self, states, f) -> np.ndarray:
         """Expectation of ``f`` under every choice of ``states`` (an index or an
-        index array), flat and in state order."""
-        states = np.atleast_1d(states)
-        vals = choice_values(self._stack, np.asarray(f, dtype=float))
-        return segment_gather(vals, self._offsets[states], self._counts[states])
+        index array; None for every choice the view holds), flat and in state
+        order, with the 0 * inf = 0 rule."""
+        view = self if states is None else self.restrict(states)
+        return view._values(np.asarray(f, dtype=float))
 
     def touches(self, states, mask: np.ndarray) -> np.ndarray:
-        """Whether each choice of ``states`` puts positive mass on ``mask``, laid
-        out as :meth:`values`; reads only the mask's columns of the pattern."""
-        states = np.atleast_1d(states)
-        hit = self._pattern[:, mask].any(axis=1)
-        return segment_gather(hit, self._offsets[states], self._counts[states])
+        """Whether each choice of ``states`` puts positive mass on ``mask``,
+        laid out as :meth:`values`."""
+        view = self if states is None else self.restrict(states)
+        return view._touches(mask)
+
+
+class CredalChoices(ChoiceView):
+    """Choice view of a credal model: one candidate row per vertex.
+
+    The reachability and solver passes only ever see the :class:`ChoiceView`
+    interface: ``n``, batched choice values (``values``) and support tests
+    (``touches``), their per-state offsets (``choice_offsets``), restricted
+    copies (``restrict``) and one dense ``row``. That lets the same passes
+    run on joint product models without those models ever being expanded
+    into explicit vertex lists. The row arrays are the model's stacked
+    vertices and their 0/1 support pattern.
+    """
+
+    def __init__(self, model: CredalMatrix):
+        self.model = model
+        self.n = model.size
+        stack, offsets = model.stacked()
+        self._starts, self._counts = offsets[:-1], np.diff(offsets)
+        self._own = {"stack": stack, "pattern": stack > 0.0}
+
+    def _values(self, f: np.ndarray) -> np.ndarray:
+        return choice_values(self._rows("stack"), f)
+
+    def _touches(self, mask: np.ndarray) -> np.ndarray:
+        # reads only the mask's columns of the pattern
+        return self._rows("pattern")[:, mask].any(axis=1)
 
     def row(self, state: int, choice: int) -> np.ndarray:
-        return self._stack[self._offsets[state] + choice]
+        return self._rows("stack")[self._starts[state] + choice]
 
 
 def _grow(view, seeds: np.ndarray, candidates: np.ndarray, join: str, eligible=None):
@@ -79,9 +128,11 @@ def _grow(view, seeds: np.ndarray, candidates: np.ndarray, join: str, eligible=N
     hit = np.zeros(view.choice_offsets(cand)[-1], dtype=bool)
     if eligible is None:
         eligible = np.ones_like(hit)
+    # restricted once: a round reads the remaining candidates' choices by mask
+    sub, left = view.restrict(candidates), np.ones_like(hit)
     while cand.size and frontier.any():
         bounds = view.choice_offsets(cand)
-        hit |= view.touches(cand, frontier)
+        hit |= sub.touches(None, frontier)[left]
         best, first = segment_optimum((hit & eligible).astype(float), bounds,
                                       "upper" if join == "any" else "lower")
         joined = best > 0.0
@@ -91,6 +142,7 @@ def _grow(view, seeds: np.ndarray, candidates: np.ndarray, join: str, eligible=N
         frontier = np.zeros(view.n, dtype=bool)
         frontier[added] = True
         stay = np.repeat(~joined, np.diff(bounds))
+        left[left] = stay
         hit, eligible, cand = hit[stay], eligible[stay], cand[~joined]
     return grown, witness
 

@@ -10,6 +10,12 @@ selection's linear system matrix-free by restarted GMRES on the choice
 kernel's product from ``MATRIX_FREE_UNKNOWNS`` unknowns on, and densely
 below that; every solution must meet a backward-error bound.
 
+A solve restricts its view once (:meth:`~credalmeet.reach.ChoiceView.restrict`)
+to the choices of the finite states, which every sweep, improvement step
+and final residual evaluates whole, and an evaluation once to the selected
+choice of each finite state, so that a product on a base model contracts
+only the ``k`` selected rows.
+
 Both methods first classify the states and pin the hopeless ones to inf, so
 the iteration itself only ever runs on the finite region.
 """
@@ -63,11 +69,12 @@ class HittingResult:
     sweep_values: tuple[np.ndarray, ...] = ()
 
 
-def _finish(view, h: np.ndarray, finite: np.ndarray, sense: str) -> tuple[np.ndarray, float]:
+def _finish(fin, bounds: np.ndarray, h: np.ndarray, finite: np.ndarray, sense: str):
     """Greedy selection under ``h`` (lowest index on ties) and the sup-norm
-    defect of ``h = 1 + opt(T h)`` on the finite states."""
-    best, pick = segment_optimum(view.values(finite, h), view.choice_offsets(finite), sense)
-    selection = np.zeros(view.n, dtype=np.int64)
+    defect of ``h = 1 + opt(T h)`` on the finite states, from ``fin``, the
+    view restricted to them, whose choices ``bounds`` delimits."""
+    best, pick = segment_optimum(fin.values(None, h), bounds, sense)
+    selection = np.zeros(fin.n, dtype=np.int64)
     selection[finite] = pick
     return selection, float(np.max(np.abs(h[finite] - (1.0 + best)), initial=0.0))
 
@@ -79,20 +86,21 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     h = np.zeros(n)
     h[list(cls.infinite)] = math.inf
     finite = np.array(sorted(cls.finite), dtype=int)
+    fin = view.restrict(finite)
     bounds = view.choice_offsets(finite)
+    best_of = (np.maximum if sense == "upper" else np.minimum).reduceat
     iterations = 0
     converged = False
     while iterations < max_iter:
         # one synchronous sweep: every update reads the previous vector
-        best, _ = segment_optimum(view.values(finite, h), bounds, sense)
-        new_vals = 1.0 + best
+        new_vals = 1.0 + best_of(fin.values(None, h), bounds[:-1])
         delta = float(np.max(np.abs(new_vals - h[finite]), initial=0.0))
         h[finite] = new_vals
         iterations += 1
         if delta <= tol:
             converged = True
             break
-    selection, residual = _finish(view, h, finite, sense)
+    selection, residual = _finish(fin, bounds, h, finite, sense)
     return HittingResult(
         values=h,
         selection=selection,
@@ -118,13 +126,13 @@ def _meets_bound(h: np.ndarray, residual: float) -> bool:
 
 def _selection_operator(view, finite: np.ndarray, choice: np.ndarray):
     """The product ``x -> (I - P) x`` of one selection on the finite states,
-    one :meth:`values` call each."""
-    pick = view.choice_offsets(finite)[:-1] + choice
+    one :meth:`values` call each on the view restricted to the selection."""
+    sel = view.restrict(finite, choice)
     padded = np.zeros(view.n)  # admissible choices put no mass outside the finite states
 
     def apply(x):
         padded[finite] = x
-        return x - view.values(finite, padded)[pick]
+        return x - sel.values(None, padded)
 
     return apply
 
@@ -273,6 +281,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     # selection can use, and keeping the walk off that region makes every
     # evaluated system non-singular once the starting selection is proper.
     # The others are masked to a value that never wins the improvement step.
+    fin = view.restrict(finite)
     bounds = view.choice_offsets(finite)
     admissible = ~view.touches(finite, inf_mask)
     fill = -math.inf if sense == "upper" else math.inf
@@ -302,7 +311,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         if prev is not None and np.max(np.abs(sol - prev)) <= tol:
             converged = True
             break
-        vals = np.where(admissible, view.values(finite, h), fill)
+        vals = np.where(admissible, fin.values(None, h), fill)
         _, new_choice = segment_optimum(vals, bounds, sense)
         if np.array_equal(new_choice, choice):
             converged = True
@@ -317,7 +326,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         selection=selection,
         classification=cls,
         iterations=sweeps,
-        residual=_finish(view, h, finite, sense)[1],
+        residual=_finish(fin, bounds, h, finite, sense)[1],
         converged=converged,
         method="policy-iteration",
         sweep_values=tuple(trace),

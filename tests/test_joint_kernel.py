@@ -74,7 +74,7 @@ def test_joint_values_match_transition_weight_reference(data):
     assert np.array_equal(view.touches(states, mask), want_hit)
     # the pinned view reads the same table entries as the full one
     chosen = view.choice_offsets(states)[:-1] + pick
-    pinned = view.pinned(pick)
+    pinned = view.restrict(states, pick)
     _assert_close(pinned.values(states, f), want[chosen])
     assert np.array_equal(pinned.values(states, f), got[chosen])
     assert np.array_equal(pinned.touches(states, mask), want_hit[chosen])

@@ -156,7 +156,7 @@ def test_joint_batch_and_pinned_view_match_rows(mode):
     for i in states:
         assert np.array_equal(view.values(i, f), batch[bounds[i] : bounds[i + 1]])
     fixed = {i: int(rng.integers(view.nchoices(i))) for i in states}
-    pinned = view.pinned([fixed[i] for i in states])
+    pinned = view.restrict(states, [fixed[i] for i in states])
     assert np.array_equal(pinned.choice_offsets(states), np.arange(view.n + 1))
     got = pinned.values(states, f)
     inf = np.isinf(f)

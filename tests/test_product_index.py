@@ -4,6 +4,7 @@ enumeration, and what reads it: ``index_of``, the diagonal, ``value_at``,
 selections."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,31 @@ def test_ordered_index_matches_enumeration(agents, mode):
     # the index is no dataclass field: equality and hashing see the states only
     assert product == build_product_space(space, agents, mode)
     assert hash(product) == hash(build_product_space(space, agents, mode))
+
+
+@pytest.mark.parametrize("n,agents", [(300, 2), (9, 4)])
+def test_ordered_index_sorts_every_tuple(n, agents):
+    # n=300 holds the tuples in uint16, n=9 in uint8
+    product = build_product_space(StateSpace(tuple(f"s{i}" for i in range(n))), agents, "quotient")
+    ordered = np.indices((n,) * agents).reshape(agents, -1).T
+    assert np.array_equal(product.state_array[product.ordered_index], np.sort(ordered, axis=1))
+
+
+def test_ordered_index_peak_memory():
+    # 2.56 M ordered tuples: the index, its lookup table and the tuples'
+    # flat positions are 8 bytes an entry each; the tuples themselves, one
+    # byte per agent, are gone before the final gather
+    n, agents = 40, 4
+    product = build_product_space(StateSpace(tuple(f"s{i}" for i in range(n))), agents, "quotient")
+    product.state_array  # cached before measuring
+    tracemalloc.start()
+    try:
+        index = product.ordered_index
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.size == n**agents
+    assert peak <= 32 * n**agents
 
 
 @pytest.mark.parametrize("agents,mode", CASES)

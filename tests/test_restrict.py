@@ -1,0 +1,235 @@
+"""Restricted choice views: a restricted copy evaluates exactly the entries of
+the view it came from, the solvers that evaluate through restricted views
+give the same bits as the reference sweep loop and selection product, and a
+selection product on a base model contracts only the selected rows."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from credalmeet import CredalMatrix, build_product_space, meet, policy_iteration, reach
+from credalmeet import solver, value_iteration
+from credalmeet.core import segment_optimum, target_mask
+from credalmeet.meeting import JointChoices
+from credalmeet.reach import CredalChoices, classify_view
+from credalmeet.solver import MATRIX_FREE_UNKNOWNS, HittingResult
+
+from generators import random_credal_matrix, random_distribution
+
+
+# ------------------------------------------------------ restrict vs full view
+
+@st.composite
+def restricted_views(draw):
+    """A base view or a 2- or 3-agent joint view (full or quotient) on a model
+    with sparse vertices, a value vector over its states with some inf
+    entries, a mask, a random subset of its states in state order and one
+    random choice per state of the subset."""
+    agents = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(2, {1: 8, 2: 4, 3: 3}[agents]))
+    weight = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    rows = []
+    for _ in range(n):
+        drawn = draw(st.lists(weight, min_size=1, max_size=3))
+        rows.append(list({tuple(x / sum(w) for x in w): None for w in drawn}))
+    m = CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows)
+    if agents == 1:
+        view = CredalChoices(m)
+    else:
+        mode = draw(st.sampled_from(["full", "quotient"]))
+        view = JointChoices(m, build_product_space(m.space, agents, mode))
+    entry = st.one_of(st.floats(0, 10), st.just(math.inf))
+    f = np.array(draw(st.lists(entry, min_size=view.n, max_size=view.n)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=view.n, max_size=view.n)))
+    keep = draw(st.lists(st.booleans(), min_size=view.n, max_size=view.n))
+    states = np.flatnonzero(keep)
+    choice = np.array([draw(st.integers(0, view.nchoices(i) - 1)) for i in states], dtype=np.int64)
+    return view, f, mask, states, choice
+
+
+@settings(max_examples=150, deadline=None)
+@given(restricted_views())
+def test_restricted_view_reads_the_full_views_entries(data):
+    view, f, mask, states, choice = data
+    everyone = np.arange(view.n)
+    whole, hit = view.values(everyone, f), view.touches(everyone, mask)
+    bounds = view.choice_offsets(everyone)
+    mine = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in states] + [[]]).astype(int)
+    picked = bounds[states] + choice
+
+    sub = view.restrict(states)
+    assert type(sub) is type(view)
+    assert np.array_equal(sub.values(None, f), view.values(states, f))
+    assert np.array_equal(sub.values(None, f), whole[mine])
+    assert np.array_equal(sub.touches(None, mask), view.touches(states, mask))
+    assert np.array_equal(sub.touches(None, mask), hit[mine])
+    assert np.array_equal(sub.choice_offsets(states), view.choice_offsets(states))
+
+    sel = view.restrict(states, choice)
+    assert np.array_equal(sel.values(None, f), whole[picked])
+    assert np.array_equal(sel.touches(None, mask), hit[picked])
+    assert np.array_equal(sel.choice_offsets(states), np.arange(states.size + 1))
+    for i, c in zip(states.tolist(), choice.tolist()):
+        assert np.array_equal(sel.row(i, 0), view.row(i, c))
+        assert np.array_equal(sub.row(i, c), view.row(i, c))
+
+    # a restricted copy restricts again, as a pinned view does in a solve
+    seventh = np.array([7 % view.nchoices(i) for i in everyone])
+    pinned = view.restrict(everyone, seventh)
+    pick = bounds[:-1] + seventh
+    assert np.array_equal(pinned.values(states, f), whole[pick[states]])
+    assert np.array_equal(pinned.restrict(states).touches(None, mask), hit[pick[states]])
+
+
+# ------------------------------------------------- solvers against reference
+
+def _reference_finish(view, h, finite, sense):
+    best, pick = segment_optimum(view.values(finite, h), view.choice_offsets(finite), sense)
+    selection = np.zeros(view.n, dtype=np.int64)
+    selection[finite] = pick
+    return selection, float(np.max(np.abs(h[finite] - (1.0 + best)), initial=0.0))
+
+
+def _reference_value(view, targets, sense, tol, max_iter):
+    """Value iteration that evaluates every choice of the finite states through
+    the full view in each sweep and scans for the best position."""
+    cls, _ = classify_view(view, targets, sense)
+    n = view.n
+    h = np.zeros(n)
+    h[list(cls.infinite)] = math.inf
+    finite = np.array(sorted(cls.finite), dtype=int)
+    bounds = view.choice_offsets(finite)
+    iterations = 0
+    converged = False
+    while iterations < max_iter:
+        best, _ = segment_optimum(view.values(finite, h), bounds, sense)
+        new_vals = 1.0 + best
+        delta = float(np.max(np.abs(new_vals - h[finite]), initial=0.0))
+        h[finite] = new_vals
+        iterations += 1
+        if delta <= tol:
+            converged = True
+            break
+    selection, residual = _reference_finish(view, h, finite, sense)
+    return HittingResult(h, selection, cls, iterations, residual, converged, "value-iteration")
+
+
+def _reference_selection_operator(view, finite, choice):
+    """The selection product through the full view: every choice of the
+    finite states evaluated, the selected ones picked."""
+    pick = view.choice_offsets(finite)[:-1] + choice
+    padded = np.zeros(view.n)
+
+    def apply(x):
+        padded[finite] = x
+        return x - view.values(finite, padded)[pick]
+
+    return apply
+
+
+def _same(a, b):
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.selection, b.selection)
+    assert a.classification == b.classification
+    assert (a.iterations, a.residual, a.converged) == (b.iterations, b.residual, b.converged)
+
+
+def _trapped_model(rng, n, trap, leak):
+    """A random model on ``n + trap`` states in shuffled order: ``n`` states
+    with up to 3 vertices, some sparse, and ``trap`` states that never leave
+    the trap and so have infinite values. With ``leak`` a fifth of the ``n``
+    states get one more vertex into the trap: in lower sense it has an inf
+    value and is never selected (in upper sense it would make every state
+    that reaches it infinite)."""
+    core = random_credal_matrix(rng, n=n, max_vertices=3, dense_prob=0.8)
+    total = n + trap
+    rows = []
+    for i in range(n):
+        verts = [np.concatenate([v, np.zeros(trap)]) for v in core.vertices(i)]
+        if leak and rng.random() < 0.2:
+            into = np.concatenate([random_distribution(rng, n), random_distribution(rng, trap)])
+            verts.append(0.5 * into)
+        rows.append(verts)
+    for _ in range(trap):
+        rows.append([np.concatenate([np.zeros(n), random_distribution(rng, trap)])])
+    order = rng.permutation(total)
+    shuffled = [[v[order] for v in rows[j]] for j in order]
+    model = CredalMatrix.from_rows([f"s{i}" for i in range(total)], shuffled)
+    return model, int(np.argsort(order)[0])
+
+
+@pytest.mark.parametrize("n", [40, 300])
+@pytest.mark.parametrize("sense", ["upper", "lower"])
+def test_solvers_match_the_reference_bit_for_bit(n, sense, monkeypatch):
+    rng = np.random.default_rng([n, len(sense)])
+    model, target = _trapped_model(rng, n, 6, leak=sense == "lower")
+    view = CredalChoices(model)
+    targets = target_mask(model.size, [target])
+
+    vi = value_iteration(model, [target], sense, 1e-9, 200)
+    _same(vi, _reference_value(view, targets, sense, 1e-9, 200))
+    assert np.isinf(vi.values).any()
+
+    pi = policy_iteration(model, [target], sense)
+    assert (len(pi.classification.finite) >= MATRIX_FREE_UNKNOWNS) == (n == 300)
+    monkeypatch.setattr(solver, "_selection_operator", _reference_selection_operator)
+    _same(pi, policy_iteration(model, [target], sense))
+
+
+@pytest.mark.parametrize("agents", [2, 3])
+@pytest.mark.parametrize("mode", ["full", "quotient"])
+@pytest.mark.parametrize("belief", ["degenerate", "vacuous", "mixture"])
+def test_meet_matches_the_reference_selection_product(agents, mode, belief, monkeypatch):
+    rng = np.random.default_rng([agents, len(mode), len(belief)])
+    m = random_credal_matrix(rng, n=7 if agents == 2 else 5, max_vertices=3, dense_prob=0.5)
+    rows = [list(m.vertices(i)) for i in range(m.size)]
+    rows[0], rows[1] = [np.eye(m.size)[0]], [np.eye(m.size)[1]]  # walkers parked apart never meet
+    model = CredalMatrix.from_rows(m.space.labels, rows)
+    product = build_product_space(model.space, agents, mode)
+    selection = {s: tuple(int(rng.integers(model.vertex_count(z))) for z in s)
+                 for s in product.states}
+    kw = dict(selection=selection, epsilon=0.3) if belief != "vacuous" else {}
+    for sense in ("upper", "lower"):
+        got = meet(model, agents, belief, sense, mode, **kw)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_selection_operator", _reference_selection_operator)
+            want = meet(model, agents, belief, sense, mode, **kw)
+        assert np.array_equal(got.values, want.values) and np.isinf(got.values).any()
+        assert got.selections == want.selections and got.classification == want.classification
+        assert got.iterations == want.iterations and got.residual == want.residual
+        assert got.converged == want.converged
+
+
+# ------------------------------------------------ rows of a selection product
+
+def test_base_selection_product_contracts_the_selected_rows(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 300
+    model = CredalMatrix.from_rows(
+        [f"s{i}" for i in range(n)],
+        [[random_distribution(rng, n) for _ in range(3)] for _ in range(n)],
+    )
+    k = n - 1  # every non-target state is finite
+    contracted, in_gmres = [], [False]
+    choice_values, gmres = reach.choice_values, solver._gmres
+
+    def record(vertices, values):
+        if in_gmres[0]:
+            contracted.append(vertices.shape[0])
+        return choice_values(vertices, values)
+
+    def traced_gmres(*args, **kwargs):
+        in_gmres[0] = True
+        try:
+            return gmres(*args, **kwargs)
+        finally:
+            in_gmres[0] = False
+
+    monkeypatch.setattr(reach, "choice_values", record)
+    monkeypatch.setattr(solver, "_gmres", traced_gmres)
+    res = policy_iteration(model, [0], "upper")
+    assert len(res.classification.finite) == k >= MATRIX_FREE_UNKNOWNS
+    assert contracted and set(contracted) == {k}

@@ -258,7 +258,8 @@ def selection_systems(draw):
         rows.append(list({tuple(x / sum(w) for x in w): None for w in drawn}))
     view, targets = _view(CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows), agents, mode)
     if agents > 1 and draw(st.booleans()):
-        view = view.pinned([draw(st.integers(0, view.nchoices(i) - 1)) for i in range(view.n)])
+        pick = [draw(st.integers(0, view.nchoices(i) - 1)) for i in range(view.n)]
+        view = view.restrict(np.arange(view.n), pick)
     finite, options = _admissible(view, targets)
     assume(finite.size)
     return view, finite, np.array([draw(st.sampled_from(o)) for o in options])
