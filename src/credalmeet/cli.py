@@ -60,7 +60,8 @@ def _load(model_arg: str) -> CredalMatrix:
 
 
 def _targets(model: CredalMatrix, raw: str) -> list[int]:
-    labels = [s.strip() for s in raw.split(",") if s.strip()]
+    # a repeated label names the same target: keep its first occurrence
+    labels = list(dict.fromkeys(s.strip() for s in raw.split(",") if s.strip()))
     if not labels:
         raise ValueError("the target list is empty")
     return model.space.indices(labels)

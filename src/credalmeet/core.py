@@ -9,9 +9,11 @@ finite maximisation over the stored vertices.
 Value vectors may contain ``numpy.inf`` to mark states with no finite
 expectation. All dot products follow the convention that a zero-probability
 entry contributes nothing even when paired with an infinite value. They all
-go through one row-dot kernel, :func:`choice_values`, so identical inputs
-give identical bits on one machine; :func:`ext_dot` stays the left-to-right
-reference.
+go through one kernel, :func:`choice_values`, so identical inputs give
+identical bits on one machine; :func:`ext_dot` stays the left-to-right
+reference. A value vector is contracted by an ``einsum`` row-dot, which
+gives a vertex row the same bits in any subset of rows; the joint walk's
+value tensor, always contracted whole, by one BLAS product per agent axis.
 """
 
 from __future__ import annotations
@@ -229,16 +231,25 @@ def choice_values(vertices: np.ndarray, values: np.ndarray) -> np.ndarray:
     rows: entry ``[a, b, ...]`` of the result is the joint choice of row ``a``
     for the first agent, row ``b`` for the second, and so on. A second
     contraction, against the inf mask, sets to inf every choice with positive
-    mass on an infinite entry. Two-operand ``einsum``, unlike BLAS, gives a
-    row the same bits whichever other rows are evaluated with it.
+    mass on an infinite entry.
+
+    A vector is contracted by two-operand ``einsum``, which, unlike BLAS,
+    gives a row the same bits whichever other rows are evaluated with it, so
+    any subset of a model's vertex rows reproduces the whole stack's entries.
+    A tensor is contracted by one BLAS product per axis: its callers always
+    contract the whole tensor with the whole stack and gather entries from
+    that one table, so identical inputs still give identical bits.
     """
     inf = np.isinf(values)
     if inf.any():
         out = choice_values(vertices, np.where(inf, 0.0, values))
         out[choice_values(vertices, inf.astype(float)) > 0.0] = math.inf
         return out
+    if values.ndim == 1:
+        return np.einsum("ij,...j->i...", vertices, values)
     for _ in range(values.ndim):  # last axis first, the new row axis in front
-        values = np.einsum("ij,...j->i...", vertices, values)
+        rest = values.shape[:-1]
+        values = (vertices @ values.reshape(-1, values.shape[-1]).T).reshape(-1, *rest)
     return values
 
 

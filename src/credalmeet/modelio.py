@@ -80,6 +80,17 @@ def interval_vertices(lower, upper) -> np.ndarray:
     return np.array([found[k] for k in sorted(found)])
 
 
+def _numeric(where: str, entries: list, problems: list[str]) -> bool:
+    """Whether every entry is a number; reports each one that is not."""
+    bad = [
+        f"{where} entry {k} is not a number ({x!r})"
+        for k, x in enumerate(entries)
+        if isinstance(x, bool) or not isinstance(x, (int, float))
+    ]
+    problems.extend(bad)
+    return not bad
+
+
 def _row_from_spec(label: str, spec, n: int, problems: list[str]):
     if not isinstance(spec, dict):
         problems.append(f"row {label!r}: expected a mapping, found {type(spec).__name__}")
@@ -94,6 +105,9 @@ def _row_from_spec(label: str, spec, n: int, problems: list[str]):
         if not isinstance(verts, list) or not all(isinstance(v, list) for v in verts):
             problems.append(f"row {label!r}: vertices must be a list of lists")
             return None
+        numeric = [_numeric(f"row {label!r} vertex {j}:", v, problems) for j, v in enumerate(verts)]
+        if not all(numeric):
+            return None
         return verts
     if not ("lower" in spec and "upper" in spec):
         problems.append(f"row {label!r}: needs vertices, or both lower and upper")
@@ -101,6 +115,9 @@ def _row_from_spec(label: str, spec, n: int, problems: list[str]):
     lo, hi = spec["lower"], spec["upper"]
     if not (isinstance(lo, list) and isinstance(hi, list) and len(lo) == n and len(hi) == n):
         problems.append(f"row {label!r}: lower and upper must be lists of {n} numbers")
+        return None
+    numeric = [_numeric(f"row {label!r}: {key}", spec[key], problems) for key in ("lower", "upper")]
+    if not all(numeric):
         return None
     if n > MAX_INTERVAL_STATES:
         problems.append(

@@ -65,6 +65,18 @@ def test_validate_rejects_labels_with_commas(tmp_path, capsys):
     assert "INVALID" in out and "'a,b'" in out
 
 
+@pytest.mark.parametrize("entry", ["abc", "[0.5]", "true"])
+def test_non_numeric_entry_is_an_invalid_model(tmp_path, capsys, entry):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MODEL.replace("[0.9, 0.1]", f"[0.9, {entry}]"))
+    assert main(["validate", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID" in out and "row 'a' vertex 1: entry 1 is not a number" in out
+    assert main(["hit", str(bad), "--target", "b", "--sense", "upper"]) == 1
+    assert main(["meet", str(bad), "--sense", "upper"]) == 1
+    assert "row 'a' vertex 1" in capsys.readouterr().err
+
+
 def test_missing_model_is_usage_error(capsys):
     assert main(["validate", "/nonexistent/model.yaml"]) == 3
 
@@ -105,6 +117,21 @@ def test_hit_reports_infinity_as_string(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["values"]["a"] == "inf"
     assert doc["classification"]["absorbing"] == ["a"]
+
+
+def test_repeated_target_labels_name_one_target(precise_file, tmp_path, capsys):
+    out = tmp_path / "hit.json"
+    args = ["builtin:five-state", "--target", "1,1", "--sense", "upper"]
+    assert main(["hit", *args, "--json", str(out)]) == 0
+    assert "upper expected hitting times of {1}\n" in capsys.readouterr().out
+    assert json.loads(out.read_text())["parameters"]["target"] == ["1"]
+    assert main(["classify", *args, "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["parameters"]["target"] == ["1"]
+    assert main([
+        "simulate", precise_file, "--target", "b,b", "--start", "a",
+        "--trials", "10", "--json", str(out),
+    ]) == 0
+    assert json.loads(out.read_text())["parameters"]["target"] == ["b"]
 
 
 def test_hit_non_convergence_exit_code(model_file):

@@ -1,5 +1,6 @@
 """The joint choice values and support tests, read from one contraction table,
-against references built from ``joint_transition_weight`` and ``ext_dot``."""
+against references built from ``joint_transition_weight`` and ``ext_dot``, and
+the tensor contraction against the two-operand ``einsum`` loop it replaced."""
 
 import itertools
 import math
@@ -87,6 +88,56 @@ def test_rank_one_choice_values_is_the_einsum_row_dot():
         vertices = rng.random((k, n))
         f = rng.uniform(0, 100, n)
         assert np.array_equal(choice_values(vertices, f), np.einsum("ij,j->i", vertices, f))
+
+
+def _einsum_choice_values(vertices, values):
+    """The contraction with two-operand ``einsum`` on every axis, as it was
+    before tensors went through BLAS: the reference for the tests below."""
+    inf = np.isinf(values)
+    if inf.any():
+        out = _einsum_choice_values(vertices, np.where(inf, 0.0, values))
+        out[_einsum_choice_values(vertices, inf.astype(float)) > 0.0] = math.inf
+        return out
+    for _ in range(values.ndim):
+        values = np.einsum("ij,...j->i...", vertices, values)
+    return values
+
+
+#: Sparse non-negative reals, and the entries of a 0/1 pattern.
+REAL = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+ZERO_ONE = st.sampled_from([0.0, 1.0])
+
+
+@st.composite
+def tensor_contractions(draw, vertex_entry, value_entry):
+    """A ``(k, n)`` vertex array and an ``(n,) * agents`` tensor, 2 or 3 agents."""
+    agents = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 7 if agents == 2 else 5))
+    k = draw(st.integers(1, 9))
+    vertices = draw(st.lists(vertex_entry, min_size=k * n, max_size=k * n))
+    values = draw(st.lists(value_entry, min_size=n**agents, max_size=n**agents))
+    return np.reshape(vertices, (k, n)), np.reshape(values, (n,) * agents)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensor_contractions(REAL, st.one_of(REAL, st.just(math.inf))))
+def test_tensor_choice_values_match_the_einsum_loop(data):
+    vertices, values = data
+    got = choice_values(vertices, values)
+    want = _einsum_choice_values(vertices, values)
+    assert got.shape == want.shape == (vertices.shape[0],) * values.ndim
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    assert (np.abs(got[fin] - want[fin]) <= 1e-13 * want[fin]).all()
+    # identical inputs, in fresh arrays, give identical bits
+    assert np.array_equal(choice_values(vertices.copy(), values.copy()), got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tensor_contractions(ZERO_ONE, ZERO_ONE))
+def test_tensor_choice_values_count_zero_one_products_exactly(data):
+    vertices, values = data
+    assert np.array_equal(choice_values(vertices, values), _einsum_choice_values(vertices, values))
 
 
 def _lowest_swap(joint, choice):

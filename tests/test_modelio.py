@@ -158,6 +158,33 @@ def test_labels_with_commas_are_a_format_error():
         parse_model(COMMA_DOC)
 
 
+NON_NUMERIC_DOC = """
+states: [a, b]
+rows:
+  a:
+    vertices:
+      - [0.5, abc]
+      - [0.5, [0.5]]
+      - [true, 0]
+  b:
+    lower: [0, x]
+    upper: [1, [1]]
+"""
+
+
+def test_non_numeric_entries_are_format_errors_naming_their_place():
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(NON_NUMERIC_DOC)
+    lines = str(err.value).splitlines()[1:]
+    assert lines == [
+        "  - row 'a' vertex 0: entry 1 is not a number ('abc')",
+        "  - row 'a' vertex 1: entry 1 is not a number ([0.5])",
+        "  - row 'a' vertex 2: entry 0 is not a number (True)",
+        "  - row 'b': lower entry 1 is not a number ('x')",
+        "  - row 'b': upper entry 1 is not a number ([1])",
+    ]
+
+
 def test_dump_then_parse_round_trip():
     m = parse_model(VERTEX_DOC)
     again = parse_model(dump_model(m, name="demo"))
