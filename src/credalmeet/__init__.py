@@ -10,7 +10,6 @@ permutation-quotiented product space.
 from .core import (
     SUM_TOL,
     CredalMatrix,
-    CredalRow,
     ModelValidationError,
     StateSpace,
     apply_lower,
@@ -55,7 +54,6 @@ __all__ = [
     "SUM_TOL",
     "Classification",
     "CredalMatrix",
-    "CredalRow",
     "HittingResult",
     "MeetingResult",
     "ModelFormatError",

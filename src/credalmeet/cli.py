@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .core import CredalMatrix, ModelValidationError, validate
+from .core import CredalMatrix, ModelValidationError
 from .chain import TransitionMatrix, simulate_hitting
 from .solver import policy_iteration, value_iteration
 from .meeting import meet
@@ -100,7 +100,7 @@ def _cmd_validate(args) -> int:
         model = load_model(path)
         violations: list[str] = []
     except (ModelFormatError, ModelValidationError) as exc:
-        violations = getattr(exc, "violations", None) or [str(exc)]
+        violations = exc.violations
         model = None
     if args.json:
         payload = {
@@ -275,15 +275,12 @@ def _cmd_meet(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _load(args.model)
-    precise = []
-    for i in range(model.size):
-        if model.vertex_count(i) != 1:
-            return _fail(
-                f"simulation needs a precise model; row {model.space.labels[i]!r} "
-                f"has {model.vertex_count(i)} vertices", EXIT_USAGE,
-            )
-        precise.append(model.vertices(i)[0])
-    matrix = TransitionMatrix(model.space, np.stack(precise))
+    stack, offsets = model.stacked()
+    if len(stack) != model.size:  # every row has a vertex, so some row has several
+        i = int(np.flatnonzero(np.diff(offsets) > 1)[0])
+        return _fail(f"simulation needs a precise model; row {model.space.labels[i]!r} "
+                     f"has {model.vertex_count(i)} vertices", EXIT_USAGE)
+    matrix = TransitionMatrix(model.space, stack)
     targets = _targets(model, args.target)
     start = model.space.index(args.start)
     summary = simulate_hitting(
@@ -392,7 +389,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except (ModelFormatError, ModelValidationError) as exc:
         return _fail(str(exc), EXIT_INVALID)
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        return _fail(exc.args[0] if exc.args else "", EXIT_USAGE)
+    except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     except SystemExit as exc:
         return int(exc.code or 0)

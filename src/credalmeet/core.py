@@ -18,6 +18,7 @@ value tensor, always contracted whole, by one BLAS product per agent axis.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -76,56 +77,31 @@ class StateSpace:
 
 
 @dataclass(frozen=True)
-class CredalRow:
-    """Extreme points of one state's set of transition rows, shape (k, n)."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim == 1:
-            v = v.reshape(1, -1)
-        object.__setattr__(self, "vertices", v)
-
-    @property
-    def count(self) -> int:
-        return self.vertices.shape[0]
-
-
-@dataclass(frozen=True)
 class CredalMatrix:
     """Per-state credal rows over a shared state space.
 
-    All vertices live in one ``(K, n)`` array in which state ``i`` owns rows
-    ``offsets[i]:offsets[i + 1]`` (see :meth:`stacked`). In a model built by
-    :meth:`from_rows` every ``vertices(i)`` is a view into that array; for a
-    model built through the constructor the array is assembled on first use.
+    All vertices live in one ``(K, n)`` array, ``stack``, in which state ``i``
+    owns rows ``offsets[i]:offsets[i + 1]``; ``vertices(i)`` is a view of that
+    slice. Build models with :meth:`from_rows`, which validates and rescales.
     """
 
     space: StateSpace
-    rows: tuple[CredalRow, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "_stack", None)
+    stack: np.ndarray
+    offsets: np.ndarray
 
     @property
     def size(self) -> int:
         return self.space.size
 
     def vertices(self, state: int) -> np.ndarray:
-        return self.rows[state].vertices
+        return self.stack[self.offsets[state] : self.offsets[state + 1]]
 
     def vertex_count(self, state: int) -> int:
-        return self.rows[state].count
+        return int(self.offsets[state + 1] - self.offsets[state])
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """All vertices as one ``(K, n)`` array, and the ``n + 1`` state offsets."""
-        if self._stack is None:
-            offsets = segment_bounds([row.count for row in self.rows])
-            stack = np.concatenate([row.vertices for row in self.rows])
-            object.__setattr__(self, "_stack", (stack, offsets))
-        return self._stack
+        """All vertices as one ``(K, n)`` array, and the state offsets."""
+        return self.stack, self.offsets
 
     @classmethod
     def from_rows(cls, labels: Iterable[str], row_vertices) -> "CredalMatrix":
@@ -136,19 +112,17 @@ class CredalMatrix:
         exactly.
         """
         space = StateSpace(tuple(labels))
-        raw = [[np.asarray(v, dtype=float).ravel() for v in verts] for verts in row_vertices]
-        if all(raw) and all(a.size == space.size for arr in raw for a in arr):
-            stack = np.stack([a for arr in raw for a in arr])
-            offsets = segment_bounds([len(arr) for arr in raw])
-            model = cls(space, [CredalRow(stack[a:b]) for a, b in zip(offsets[:-1], offsets[1:])])
-            object.__setattr__(model, "_stack", (stack, offsets))
-        else:
-            model = cls(space, [_ragged_row(arr, space.size) for arr in raw])
-        problems = validate(model)
+        n = space.size
+        rows = [[np.asarray(v, dtype=float).ravel() for v in verts] for verts in row_vertices]
+        # a row whose vertices do not all have n entries is kept out of the stack
+        wrong = {i: next(a.size for a in row if a.size != n)
+                 for i, row in enumerate(rows) if any(a.size != n for a in row)}
+        kept = [[] if i in wrong else row for i, row in enumerate(rows)]
+        stack = np.array([a for row in kept for a in row], dtype=float).reshape(-1, n)
+        model = cls(space, stack, segment_bounds([len(row) for row in kept]))
+        problems = _problems(model, wrong)
         if problems:
             raise ModelValidationError(problems)
-        # well-formed rows are views into the stack: rescale them in place
-        stack, _ = model.stacked()
         stack /= stack.sum(axis=1, keepdims=True)
         return model
 
@@ -159,58 +133,61 @@ class CredalMatrix:
         return cls.from_rows(labels, [[row] for row in m])
 
 
-def _ragged_row(arr: list[np.ndarray], n: int) -> CredalRow:
-    """A malformed row kept for validation; short vertices are NaN-padded so
-    that validation can still name the coordinates."""
-    padded = np.full((len(arr), max((a.size for a in arr), default=n)), np.nan)
-    for i, a in enumerate(arr):
-        padded[i, : a.size] = a
-    return CredalRow(padded)
-
-
 def validate(model: CredalMatrix) -> list[str]:
     """Check every structural invariant of ``model``.
 
     Returns one message per violation (empty list when the model is well
-    formed). Violations are reported as data rather than raised so callers
-    can collect and display all of them at once.
+    formed), in state order. Violations are reported as data rather than
+    raised so callers can collect and display all of them at once.
+
+    Vertices are screened by their smallest and largest entry and their sum,
+    and duplicates by one weighted sum each; messages are formatted, and
+    duplicates confirmed exactly, only for the states that fail a screen.
     """
-    problems: list[str] = []
-    n = model.space.size
-    if len(model.rows) != n:
-        problems.append(f"model has {len(model.rows)} rows for {n} states")
-    for i, row in enumerate(model.rows):
-        label = model.space.labels[i] if i < n else f"#{i}"
-        verts = row.vertices
-        if verts.shape[0] == 0:
-            problems.append(f"row {label!r}: no vertices")
-            continue
-        if verts.shape[1] != n:
-            problems.append(
-                f"row {label!r}: vertices have {verts.shape[1]} entries, expected {n}"
-            )
-            continue
-        normalized = []
-        for j, v in enumerate(verts):
-            nan = np.isnan(v)
-            for k in np.flatnonzero(nan | (v < 0) | (v > 1)).tolist():
-                what = "is not a number" if nan[k] else (
-                    f"is negative ({v[k]!r})" if v[k] < 0 else f"exceeds 1 ({v[k]!r})"
-                )
-                problems.append(f"row {label!r} vertex {j}: entry {k} {what}")
-            if nan.any():
-                normalized.append(None)
-                continue
-            total = float(v.sum())
-            if abs(total - 1.0) > SUM_TOL:
-                problems.append(f"row {label!r} vertex {j}: entries sum to {total!r}, not 1")
-            normalized.append(v / total if total > 0 else None)
-        for j in range(len(normalized)):
-            for k in range(j + 1, len(normalized)):
-                a, b = normalized[j], normalized[k]
-                if a is not None and b is not None and np.array_equal(a, b):
-                    problems.append(f"row {label!r}: vertices {j} and {k} coincide")
-    return problems
+    return _problems(model, {})
+
+
+@np.errstate(all="ignore")  # non-finite entries are reported, not warned about
+def _problems(model: CredalMatrix, widths: dict[int, int]) -> list[str]:
+    """:func:`validate`, where each state in ``widths`` has vertices of that
+    many entries, kept out of the stack."""
+    stack, offsets = model.stacked()
+    n = model.size
+    counts = np.diff(offsets)
+    if stack.shape[1] != n:  # every vertex has the stack's width: report it per state
+        widths = dict.fromkeys(np.flatnonzero(counts).tolist(), stack.shape[1])
+        return _problems(CredalMatrix(model.space, np.empty((0, n)), 0 * offsets), widths)
+    rows = [f"row {s!r}" for s in (*model.space.labels, *(f"#{i}" for i in range(n, counts.size)))]
+    problems = [[] if c else [f"{rows[i]}: no vertices"] for i, c in enumerate(counts)]
+    for i, width in widths.items():
+        problems[i] = [f"{rows[i]}: vertices have {width} entries, expected {n}"]
+    owner = np.repeat(np.arange(counts.size), counts)
+    sums = stack.sum(axis=1)
+    ok = (stack.min(axis=1) >= 0) & (stack.max(axis=1) <= 1) & (abs(sums - 1.0) <= SUM_TOL)
+    bad = np.flatnonzero(~ok)
+    for r in bad.tolist():
+        i, v = owner[r], stack[r]
+        nan = np.isnan(v)
+        for k in np.flatnonzero(nan | (v < 0) | (v > 1)).tolist():
+            x = float(v[k])
+            what = "is not a number" if nan[k] else f"is negative ({x!r})" if x < 0 else f"exceeds 1 ({x!r})"
+            problems[i].append(f"{rows[i]} vertex {r - offsets[i]}: entry {k} {what}")
+        if not nan.any() and abs(sums[r] - 1.0) > SUM_TOL:
+            problems[i].append(f"{rows[i]} vertex {r - offsets[i]}: entries sum to {float(sums[r])!r}, not 1")
+    # a vertex with entries in [0, 1] is its normalised vertex times its sum,
+    # so exact duplicates among them have weighted sums within a few ulps
+    weighted = stack @ np.random.default_rng(0).uniform(1.0, 2.0, n) / sums
+    order = np.lexsort((weighted, owner))
+    w, o = weighted[order], owner[order]
+    close = (o[1:] == o[:-1]) & (abs(w[1:] - w[:-1]) <= 4 * (n + 2) * np.finfo(float).eps * w[1:])
+    for i in sorted({*o[1:][close].tolist(), *owner[bad].tolist()}):
+        verts, s = model.vertices(i), sums[offsets[i] : offsets[i + 1]]
+        keep = [j for j, v in enumerate(verts) if s[j] > 0 and not np.isnan(v).any()]
+        for j, k in itertools.combinations(keep, 2):
+            if np.array_equal(verts[j] / s[j], verts[k] / s[k]):
+                problems[i].append(f"{rows[i]}: vertices {j} and {k} coincide")
+    head = [f"model has {counts.size} rows for {n} states"] if counts.size != n else []
+    return head + [p for row in problems for p in row]
 
 
 def ext_dot(weights, values) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import CredalMatrix, StateSpace, _require_sense, choice_values
 from .core import segment_bounds, target_mask
-from .reach import ChoiceView, Classification, classify_view
+from .reach import ChoiceView, Classification
 from .solver import HittingResult, solve_view_policy
 from .chain import TransitionMatrix, hitting_times
 

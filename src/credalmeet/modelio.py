@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import yaml
@@ -47,7 +48,15 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ModelFormatError(ValueError):
-    """The model file could not be parsed or has the wrong structure."""
+    """The model file could not be parsed or has the wrong structure.
+
+    ``violations`` lists every problem found, one message each; an error
+    raised with a message alone is its own single violation.
+    """
+
+    def __init__(self, message: str, violations: Sequence[str] = ()):
+        self.violations = list(violations) or [message]
+        super().__init__("\n".join([message, *(f"  - {v}" for v in violations)]))
 
 
 def interval_vertices(lower, upper) -> np.ndarray:
@@ -81,12 +90,16 @@ def interval_vertices(lower, upper) -> np.ndarray:
 
 
 def _numeric(where: str, entries: list, problems: list[str]) -> bool:
-    """Whether every entry is a number; reports each one that is not."""
-    bad = [
-        f"{where} entry {k} is not a number ({x!r})"
-        for k, x in enumerate(entries)
-        if isinstance(x, bool) or not isinstance(x, (int, float))
-    ]
+    """Whether every entry is a number a float can hold; reports each one that is not."""
+    bad = []
+    for k, x in enumerate(entries):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            bad.append(f"{where} entry {k} is not a number ({x!r})")
+            continue
+        try:
+            float(x)
+        except OverflowError:
+            bad.append(f"{where} entry {k} is too large for a float")
     problems.extend(bad)
     return not bad
 
@@ -131,10 +144,10 @@ def _row_from_spec(label: str, spec, n: int, problems: list[str]):
         problems.append(f"row {label!r}: a lower bound exceeds its upper bound")
         return None
     if lo_arr.sum() > 1.0 + 1e-12:
-        problems.append(f"row {label!r}: lower bounds sum to {lo_arr.sum()!r} > 1, infeasible")
+        problems.append(f"row {label!r}: lower bounds sum to {float(lo_arr.sum())!r} > 1, infeasible")
         return None
     if hi_arr.sum() < 1.0 - 1e-12:
-        problems.append(f"row {label!r}: upper bounds sum to {hi_arr.sum()!r} < 1, infeasible")
+        problems.append(f"row {label!r}: upper bounds sum to {float(hi_arr.sum())!r} < 1, infeasible")
         return None
     verts = interval_vertices(lo_arr, hi_arr)
     if verts.size == 0:
@@ -176,9 +189,7 @@ def parse_model(text: str, source: str = "<string>") -> CredalMatrix:
         else:
             problems.append(f"state {label!r} has no row")
     if problems:
-        raise ModelFormatError(
-            f"{source}: malformed model:\n" + "\n".join(f"  - {p}" for p in problems)
-        )
+        raise ModelFormatError(f"{source}: malformed model:", problems)
     try:
         return CredalMatrix.from_rows(labels, rows)
     except ModelValidationError as exc:

@@ -88,7 +88,32 @@ def test_usage_error_exit_code():
 
 def test_unknown_label_is_usage_error(model_file, capsys):
     assert main(["hit", model_file, "--target", "zz", "--sense", "upper"]) == 3
-    assert "zz" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown state label 'zz'\n"
+
+
+def test_validate_lists_one_violation_per_format_problem(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MODEL.replace("[0.9, 0.1]", "[0.9, x]").replace("[0, 1]", "[y, 1]"))
+    out = tmp_path / "v.json"
+    assert main(["validate", str(bad), "--json", str(out)]) == 1
+    violations = [
+        "row 'a' vertex 1: entry 1 is not a number ('x')",
+        "row 'b' vertex 0: entry 0 is not a number ('y')",
+    ]
+    assert json.loads(out.read_text())["violations"] == violations
+    assert capsys.readouterr().out == f"{bad}: INVALID\n" + "".join(f"  - {v}\n" for v in violations)
+
+
+def test_non_finite_and_huge_entries_are_invalid_models(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    for entry, message in ((".inf", "entry 1 exceeds 1 (inf)"), ("1" + "0" * 400, "entry 1 is too large")):
+        bad.write_text(MODEL.replace("[0.9, 0.1]", f"[0.9, {entry}]"))
+        assert main(["validate", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID" in out and f"row 'a' vertex 1: {message}" in out
+        assert main(["hit", str(bad), "--target", "b", "--sense", "upper"]) == 1
+        assert main(["meet", str(bad), "--sense", "upper"]) == 1
+        assert f"row 'a' vertex 1: {message}" in capsys.readouterr().err
 
 
 def test_hit_golden_values(model_file, tmp_path, capsys):

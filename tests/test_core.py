@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from credalmeet import (
     CredalMatrix,
-    CredalRow,
     ModelValidationError,
     StateSpace,
     apply_lower,
@@ -26,7 +25,8 @@ def raw_model(rows):
     n = len(rows)
     return CredalMatrix(
         StateSpace(tuple(f"s{i}" for i in range(n))),
-        tuple(CredalRow(np.asarray(r, dtype=float)) for r in rows),
+        np.concatenate([np.asarray(r, dtype=float) for r in rows]),
+        np.cumsum([0, *map(len, rows)]),
     )
 
 
@@ -53,11 +53,9 @@ def test_validate_flags_negative_and_excess_entries():
 
 
 def test_validate_flags_empty_row_and_bad_width():
-    m = CredalMatrix(
-        StateSpace(("s0", "s1")),
-        (CredalRow(np.zeros((0, 2))), CredalRow(np.array([[0.5, 0.25, 0.25]]))),
-    )
-    problems = validate(m)
+    with pytest.raises(ModelValidationError) as err:
+        CredalMatrix.from_rows(("s0", "s1"), [[], [[0.5, 0.25, 0.25]]])
+    problems = err.value.violations
     assert any("no vertices" in p for p in problems)
     assert any("expected 2" in p for p in problems)
 
@@ -77,6 +75,52 @@ def test_from_rows_rejects_large_roundoff():
     with pytest.raises(ModelValidationError) as err:
         CredalMatrix.from_rows(["a", "b"], [[[0.5, 0.6]], [[0, 1]]])
     assert any("sum" in v for v in err.value.violations)
+
+
+def test_validate_messages_print_plain_floats():
+    assert validate(raw_model([[[1.5, -0.5]], [[0, 1]]])) == [
+        "row 's0' vertex 0: entry 0 exceeds 1 (1.5)",
+        "row 's0' vertex 0: entry 1 is negative (-0.5)",
+    ]
+
+
+def test_non_finite_entries_are_violations_not_warnings():
+    with pytest.raises(ModelValidationError) as err:
+        CredalMatrix.from_rows(["a", "b"], [[[math.inf, 0]], [[0, 1]]])
+    assert err.value.violations == [
+        "row 'a' vertex 0: entry 0 exceeds 1 (inf)",
+        "row 'a' vertex 0: entries sum to inf, not 1",
+    ]
+    # overflowing sums and inf - inf are reported without a RuntimeWarning
+    assert validate(raw_model([[[1e308, 1e308]], [[math.inf, -math.inf]]])) == [
+        "row 's0' vertex 0: entry 0 exceeds 1 (1e+308)",
+        "row 's0' vertex 0: entry 1 exceeds 1 (1e+308)",
+        "row 's0' vertex 0: entries sum to inf, not 1",
+        "row 's1' vertex 0: entry 0 exceeds 1 (inf)",
+        "row 's1' vertex 0: entry 1 is negative (-inf)",
+    ]
+
+
+def test_from_rows_reports_every_row_in_state_order():
+    rows = [[[0.5, 0.5, 0.0], [1.0, 1.0, 0.0]], [[1, 0], [0, 0, 1]], [], [[0, 0, 1]]]
+    with pytest.raises(ModelValidationError) as err:
+        CredalMatrix.from_rows(["a", "b", "c"], rows)
+    assert err.value.violations == [
+        "model has 4 rows for 3 states",
+        "row 'a' vertex 1: entries sum to 2.0, not 1",
+        "row 'a': vertices 0 and 1 coincide",
+        "row 'b': vertices have 2 entries, expected 3",
+        "row 'c': no vertices",
+    ]
+
+
+def test_stack_of_the_wrong_width_is_reported_per_row():
+    m = CredalMatrix(StateSpace(("a", "b", "c")), np.eye(2), np.array([0, 1, 1, 2]))
+    assert validate(m) == [
+        "row 'a': vertices have 2 entries, expected 3",
+        "row 'b': no vertices",
+        "row 'c': vertices have 2 entries, expected 3",
+    ]
 
 
 def test_state_space_requires_two_unique_labels():

@@ -99,6 +99,41 @@ rows:
         parse_model(doc3)
 
 
+
+def test_interval_bound_sums_print_plain_floats():
+    doc = """
+states: [a, b]
+rows:
+  a: {lower: [0.5, .inf], upper: [1, .inf]}
+  b: {lower: [0, 0], upper: [0.25, 0.5]}
+"""
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(doc)
+    assert err.value.violations == [
+        "row 'a': lower bounds sum to inf > 1, infeasible",
+        "row 'b': upper bounds sum to 0.75 < 1, infeasible",
+    ]
+
+
+def test_integers_too_large_for_a_float_are_format_errors():
+    huge = "1" + "0" * 400
+    doc = f"""
+states: [a, b]
+rows:
+  a:
+    vertices: [[0.5, 0.5], [-{huge}, 1]]
+  b:
+    lower: [0, {huge}]
+    upper: [1, 1]
+"""
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(doc)
+    assert err.value.violations == [
+        "row 'a' vertex 1: entry 0 is too large for a float",
+        "row 'b': lower entry 1 is too large for a float",
+    ]
+
+
 def test_interval_form_refused_beyond_eight_states():
     labels = [f"s{i}" for i in range(9)]
     rows = "\n".join(
