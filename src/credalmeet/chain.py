@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import SUM_TOL, ModelValidationError, StateSpace, target_mask
+from .core import CredalMatrix, StateSpace, target_mask
 
 
 @dataclass(frozen=True)
@@ -40,30 +40,9 @@ class TransitionMatrix:
 
     @classmethod
     def from_entries(cls, labels: Iterable[str], entries) -> "TransitionMatrix":
-        """Validate and renormalize a raw matrix; rejects rows off by more than SUM_TOL."""
-        space = StateSpace(tuple(labels))
-        m = np.asarray(entries, dtype=float)
-        problems = []
-        if m.shape != (space.size, space.size):
-            problems.append(
-                f"matrix has shape {m.shape}, expected ({space.size}, {space.size})"
-            )
-        else:
-            for i, row in enumerate(m):
-                label = space.labels[i]
-                for k, entry in enumerate(row):
-                    if math.isnan(entry):
-                        problems.append(f"row {label!r}: entry {k} is not a number")
-                    elif entry < 0:
-                        problems.append(
-                            f"row {label!r}: entry {k} is negative ({entry!r})"
-                        )
-                total = float(row.sum())
-                if abs(total - 1.0) > SUM_TOL:
-                    problems.append(f"row {label!r}: entries sum to {total!r}, not 1")
-        if problems:
-            raise ModelValidationError(problems)
-        return cls(space, m / m.sum(axis=1, keepdims=True))
+        """Validate and renormalize a raw matrix as :meth:`CredalMatrix.precise` does."""
+        model = CredalMatrix.precise(labels, entries)
+        return cls(model.space, model.stack)
 
 
 def _backward_closure(

@@ -208,7 +208,10 @@ def _read_selection(model: CredalMatrix, path: str | None):
         joint = tuple(model.space.index(lab.strip()) for lab in str(key).split(","))
         if not isinstance(tup, list):
             raise ValueError(f"selection for {key!r} must be a list of vertex indices")
-        selection[joint] = tuple(int(c) for c in tup)
+        for k, c in enumerate(tup):
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ValueError(f"selection for {key!r}: entry {k} is not an integer ({c!r})")
+        selection[joint] = tuple(tup)
     return selection
 
 

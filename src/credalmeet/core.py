@@ -129,7 +129,10 @@ class CredalMatrix:
     @classmethod
     def precise(cls, labels: Iterable[str], matrix) -> "CredalMatrix":
         """Wrap a single transition matrix as singleton credal rows."""
-        m = np.asarray(matrix, dtype=float)
+        labels, m = tuple(labels), np.asarray(matrix, dtype=float)
+        if m.ndim != 2:
+            n = len(labels)
+            raise ModelValidationError([f"matrix has shape {m.shape}, expected ({n}, {n})"])
         return cls.from_rows(labels, [[row] for row in m])
 
 
@@ -143,7 +146,13 @@ def validate(model: CredalMatrix) -> list[str]:
     Vertices are screened by their smallest and largest entry and their sum,
     and duplicates by one weighted sum each; messages are formatted, and
     duplicates confirmed exactly, only for the states that fail a screen.
+    Offsets that do not bound the stack, which only a model built through
+    the constructor can have, are reported alone.
     """
+    stack, offsets = model.stacked()
+    if offsets[:1].tolist() != [0] or offsets[-1] != len(stack) or (np.diff(offsets) < 0).any():
+        return [f"offsets {offsets.tolist()} must start at 0, never decrease and end at "
+                f"{len(stack)}, the number of stacked vertices"]
     return _problems(model, {})
 
 
@@ -163,12 +172,14 @@ def _problems(model: CredalMatrix, widths: dict[int, int]) -> list[str]:
         problems[i] = [f"{rows[i]}: vertices have {width} entries, expected {n}"]
     owner = np.repeat(np.arange(counts.size), counts)
     sums = stack.sum(axis=1)
-    ok = (stack.min(axis=1) >= 0) & (stack.max(axis=1) <= 1) & (abs(sums - 1.0) <= SUM_TOL)
+    # an entry above 1 by no more than the sum tolerance is rescaled like its row
+    top = 1 + SUM_TOL
+    ok = (stack.min(axis=1) >= 0) & (stack.max(axis=1) <= top) & (abs(sums - 1.0) <= SUM_TOL)
     bad = np.flatnonzero(~ok)
     for r in bad.tolist():
         i, v = owner[r], stack[r]
         nan = np.isnan(v)
-        for k in np.flatnonzero(nan | (v < 0) | (v > 1)).tolist():
+        for k in np.flatnonzero(nan | (v < 0) | (v > top)).tolist():
             x = float(v[k])
             what = "is not a number" if nan[k] else f"is negative ({x!r})" if x < 0 else f"exceeds 1 ({x!r})"
             problems[i].append(f"{rows[i]} vertex {r - offsets[i]}: entry {k} {what}")

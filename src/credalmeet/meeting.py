@@ -156,8 +156,8 @@ class JointChoices(ChoiceView):
     the sorted cell's in quotient mode, where values are symmetric in the
     cell, so that choices that only swap co-located agents' vertices tie
     exactly. Support tests (:meth:`touches`) take the same path with the 0/1
-    pattern of the stacked array in place of the array itself. A view from
-    :meth:`restrict` (one choice per state gives a precise joint walk)
+    pattern of the stacked array in place of the array itself. A pinned view
+    from :meth:`restrict` (one choice per state: a precise joint walk)
     gathers its own cells and keys on first use and reads the same table.
     Values are spread over, and rows summed back from, ordered tuples by
     ``product.ordered_index``, built only after the table size passed its
@@ -443,18 +443,18 @@ def exhaustive_meeting_times(
     """
     _require_sense(sense)
     product = build_product_space(model.space, 2, "full")
-    view = JointChoices(model, product)
     off = [i for i in range(product.size) if i not in product.diagonal]
-    total = math.prod(view.nchoices(i) for i in off)
+    pairs = [product.states[i] for i in off]
+    total = math.prod(model.vertex_count(x) * model.vertex_count(y) for x, y in pairs)
     if total > max_assignments:
         raise ValueError(
             f"{total} stationary selections exceed the enumeration limit "
             f"{max_assignments}"
         )
     space = StateSpace(tuple(map(str, range(product.size))))
-    rows_cache = {
-        i: [view.row(i, c) for c in range(view.nchoices(i))] for i in off
-    }
+    # joint rows built here, not by the joint view whose solver this checks
+    choices = [[np.outer(a, b).ravel() for a in model.vertices(x) for b in model.vertices(y)]
+               for x, y in pairs]
     base = np.zeros((product.size, product.size))
     for d in product.diagonal:
         base[d, d] = 1.0
@@ -462,10 +462,9 @@ def exhaustive_meeting_times(
     n = model.size
     best = None
     reduce = np.maximum if sense == "upper" else np.minimum
-    for combo in itertools.product(*[range(view.nchoices(i)) for i in off]):
+    for combo in itertools.product(*choices):
         entries = base.copy()
-        for i, c in zip(off, combo):
-            entries[i] = rows_cache[i][c]
+        entries[off] = combo
         h = hitting_times(TransitionMatrix(space, entries), diag)
         best = h if best is None else reduce(best, h)
     return best.reshape(n, n)

@@ -28,18 +28,20 @@ from .core import segment_rows, target_mask
 class ChoiceView:
     """Choices of a view laid out state by state: state ``i`` owns the
     ``_counts[i]`` consecutive rows from ``_starts[i]`` of the view's row
-    arrays (:meth:`_rows`), none once :meth:`restrict` has left ``i`` out.
+    arrays (:meth:`_rows`), one once :meth:`restrict` has pinned ``i`` to a
+    choice, none once it has left ``i`` out.
 
     A subclass gives ``n`` and the evaluation of all its rows at once,
     ``_values(f)`` and ``_touches(mask)``; :meth:`values` and :meth:`touches`
-    evaluate the rows of a few states by restricting the view to them first,
-    so that every evaluation takes the one path.
+    gather a few states' segments (:meth:`choice_rows`) from that whole
+    evaluation, so that every evaluation takes the one path.
     """
 
     def _rows(self, name: str) -> np.ndarray:
-        """This view's own rows of the row array ``name``. A restricted view
-        takes them from the view it came from on first use, so that one used
-        only for support tests never copies the vertices."""
+        """This view's own rows of the row array ``name``. A pinned view
+        takes them from the view it came from on first use, so that it copies
+        only the row arrays something reads (a selection product on a base
+        model reads the vertices, never their support pattern)."""
         if name not in self._own:
             source, rows = self._source
             self._own[name] = source._rows(name)[rows]
@@ -52,34 +54,40 @@ class ChoiceView:
         """Bounds of each state's segment in the output of :meth:`values`."""
         return segment_bounds(self._counts[states])
 
-    def restrict(self, states, choice=None):
-        """A shallow copy of this view holding only the choices of ``states``
-        (distinct indices), or only choice ``choice[i]`` of ``states[i]``, in
-        state order. It keeps the class and owns its rows: a slice of this
-        view's row arrays when the rows are consecutive, a copy otherwise."""
+    def choice_rows(self, states):
+        """Positions of the choices of ``states`` (an index or an index array)
+        in the output of ``values(None, f)``, in state order; a slice when
+        they are consecutive."""
         states = np.atleast_1d(states)
-        starts, counts = self._starts[states], self._counts[states]
-        if choice is not None:
-            starts, counts = starts + np.asarray(choice, dtype=np.int64), np.ones_like(counts)
+        return segment_rows(self._starts[states], self._counts[states])
+
+    def restrict(self, states, choice):
+        """A shallow copy of this view that pins each of ``states`` (distinct
+        indices) to its choice ``choice[i]`` and holds no other choice: one
+        selection, a precise chain on those states. It keeps the class and
+        owns its rows: a slice of this view's row arrays when the choices are
+        consecutive, a copy otherwise."""
+        states = np.atleast_1d(states)
+        starts = self._starts[states] + np.asarray(choice, dtype=np.int64)
         view = copy.copy(self)
-        view._own, view._source = {}, (self, segment_rows(starts, counts))
+        view._own, view._source = {}, (self, segment_rows(starts, np.ones_like(starts)))
         view._starts, view._counts = np.zeros((2, self.n), dtype=np.int64)
-        view._starts[states] = np.cumsum(counts) - counts
-        view._counts[states] = counts
+        view._starts[states] = np.arange(states.size)
+        view._counts[states] = 1
         return view
 
     def values(self, states, f) -> np.ndarray:
         """Expectation of ``f`` under every choice of ``states`` (an index or an
         index array; None for every choice the view holds), flat and in state
         order, with the 0 * inf = 0 rule."""
-        view = self if states is None else self.restrict(states)
-        return view._values(np.asarray(f, dtype=float))
+        out = self._values(np.asarray(f, dtype=float))
+        return out if states is None else out[self.choice_rows(states)]
 
     def touches(self, states, mask: np.ndarray) -> np.ndarray:
         """Whether each choice of ``states`` puts positive mass on ``mask``,
         laid out as :meth:`values`."""
-        view = self if states is None else self.restrict(states)
-        return view._touches(mask)
+        out = self._touches(mask)
+        return out if states is None else out[self.choice_rows(states)]
 
 
 class CredalChoices(ChoiceView):
@@ -87,11 +95,12 @@ class CredalChoices(ChoiceView):
 
     The reachability and solver passes only ever see the :class:`ChoiceView`
     interface: ``n``, batched choice values (``values``) and support tests
-    (``touches``), their per-state offsets (``choice_offsets``), restricted
-    copies (``restrict``) and one dense ``row``. That lets the same passes
-    run on joint product models without those models ever being expanded
-    into explicit vertex lists. The row arrays are the model's stacked
-    vertices and their 0/1 support pattern.
+    (``touches``), their per-state offsets (``choice_offsets``) and
+    positions (``choice_rows``), pinned selections (``restrict``) and one
+    dense ``row``. That lets the same passes run on joint product models
+    without those models ever being expanded into explicit vertex lists.
+    The row arrays are the model's stacked vertices and their 0/1 support
+    pattern.
     """
 
     def __init__(self, model: CredalMatrix):
@@ -119,7 +128,8 @@ def _grow(view, seeds: np.ndarray, candidates: np.ndarray, join: str, eligible=N
     ``eligible`` ones when given, flat over the candidates' choices) or every
     choice (``join="all"``) puts mass on the grown set. Each round asks only
     about the previous round's additions and keeps, per remaining choice,
-    whether it has touched the grown set yet. Returns the grown mask and, per
+    whether it has touched the grown set yet, read from one whole-view
+    support test per round. Returns the grown mask and, per
     state that joined under "any", the lowest choice that let it join.
     """
     grown = seeds.copy()
@@ -128,11 +138,9 @@ def _grow(view, seeds: np.ndarray, candidates: np.ndarray, join: str, eligible=N
     hit = np.zeros(view.choice_offsets(cand)[-1], dtype=bool)
     if eligible is None:
         eligible = np.ones_like(hit)
-    # restricted once: a round reads the remaining candidates' choices by mask
-    sub, left = view.restrict(candidates), np.ones_like(hit)
     while cand.size and frontier.any():
         bounds = view.choice_offsets(cand)
-        hit |= sub.touches(None, frontier)[left]
+        hit |= view.touches(cand, frontier)
         best, first = segment_optimum((hit & eligible).astype(float), bounds,
                                       "upper" if join == "any" else "lower")
         joined = best > 0.0
@@ -142,7 +150,6 @@ def _grow(view, seeds: np.ndarray, candidates: np.ndarray, join: str, eligible=N
         frontier = np.zeros(view.n, dtype=bool)
         frontier[added] = True
         stay = np.repeat(~joined, np.diff(bounds))
-        left[left] = stay
         hit, eligible, cand = hit[stay], eligible[stay], cand[~joined]
     return grown, witness
 

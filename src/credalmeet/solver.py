@@ -10,11 +10,12 @@ selection's linear system matrix-free by restarted GMRES on the choice
 kernel's product from ``MATRIX_FREE_UNKNOWNS`` unknowns on, and densely
 below that; every solution must meet a backward-error bound.
 
-A solve restricts its view once (:meth:`~credalmeet.reach.ChoiceView.restrict`)
-to the choices of the finite states, which every sweep, improvement step
-and final residual evaluates whole, and an evaluation once to the selected
-choice of each finite state, so that a product on a base model contracts
-only the ``k`` selected rows.
+Every sweep, improvement step and final residual evaluates all the view's
+choices at once and reads the finite states' among them, at positions
+(:meth:`~credalmeet.reach.ChoiceView.choice_rows`) found once per solve. An
+evaluation pins the view once to the selected choice of each finite state
+(:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a product on a base
+model contracts only the ``k`` selected rows.
 
 Both methods first classify the states and pin the hopeless ones to inf, so
 the iteration itself only ever runs on the finite region.
@@ -69,12 +70,12 @@ class HittingResult:
     sweep_values: tuple[np.ndarray, ...] = ()
 
 
-def _finish(fin, bounds: np.ndarray, h: np.ndarray, finite: np.ndarray, sense: str):
+def _finish(view, rows, bounds: np.ndarray, h: np.ndarray, finite: np.ndarray, sense: str):
     """Greedy selection under ``h`` (lowest index on ties) and the sup-norm
-    defect of ``h = 1 + opt(T h)`` on the finite states, from ``fin``, the
-    view restricted to them, whose choices ``bounds`` delimits."""
-    best, pick = segment_optimum(fin.values(None, h), bounds, sense)
-    selection = np.zeros(fin.n, dtype=np.int64)
+    defect of ``h = 1 + opt(T h)`` on the finite states, whose choices sit at
+    ``rows`` of the view's values and are delimited by ``bounds``."""
+    best, pick = segment_optimum(view.values(None, h)[rows], bounds, sense)
+    selection = np.zeros(view.n, dtype=np.int64)
     selection[finite] = pick
     return selection, float(np.max(np.abs(h[finite] - (1.0 + best)), initial=0.0))
 
@@ -86,21 +87,20 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     h = np.zeros(n)
     h[list(cls.infinite)] = math.inf
     finite = np.array(sorted(cls.finite), dtype=int)
-    fin = view.restrict(finite)
-    bounds = view.choice_offsets(finite)
+    rows, bounds = view.choice_rows(finite), view.choice_offsets(finite)
     best_of = (np.maximum if sense == "upper" else np.minimum).reduceat
     iterations = 0
     converged = False
     while iterations < max_iter:
         # one synchronous sweep: every update reads the previous vector
-        new_vals = 1.0 + best_of(fin.values(None, h), bounds[:-1])
+        new_vals = 1.0 + best_of(view.values(None, h)[rows], bounds[:-1])
         delta = float(np.max(np.abs(new_vals - h[finite]), initial=0.0))
         h[finite] = new_vals
         iterations += 1
         if delta <= tol:
             converged = True
             break
-    selection, residual = _finish(fin, bounds, h, finite, sense)
+    selection, residual = _finish(view, rows, bounds, h, finite, sense)
     return HittingResult(
         values=h,
         selection=selection,
@@ -126,7 +126,7 @@ def _meets_bound(h: np.ndarray, residual: float) -> bool:
 
 def _selection_operator(view, finite: np.ndarray, choice: np.ndarray):
     """The product ``x -> (I - P) x`` of one selection on the finite states,
-    one :meth:`values` call each on the view restricted to the selection."""
+    one :meth:`values` call each on the view pinned to the selection."""
     sel = view.restrict(finite, choice)
     padded = np.zeros(view.n)  # admissible choices put no mass outside the finite states
 
@@ -281,9 +281,8 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     # selection can use, and keeping the walk off that region makes every
     # evaluated system non-singular once the starting selection is proper.
     # The others are masked to a value that never wins the improvement step.
-    fin = view.restrict(finite)
-    bounds = view.choice_offsets(finite)
-    admissible = ~view.touches(finite, inf_mask)
+    rows, bounds = view.choice_rows(finite), view.choice_offsets(finite)
+    admissible = ~view.touches(None, inf_mask)[rows]
     fill = -math.inf if sense == "upper" else math.inf
     has_any, first_ok = segment_optimum(admissible.astype(float), bounds, "upper")
     if not has_any.all():
@@ -311,7 +310,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         if prev is not None and np.max(np.abs(sol - prev)) <= tol:
             converged = True
             break
-        vals = np.where(admissible, fin.values(None, h), fill)
+        vals = np.where(admissible, view.values(None, h)[rows], fill)
         _, new_choice = segment_optimum(vals, bounds, sense)
         if np.array_equal(new_choice, choice):
             converged = True
@@ -326,7 +325,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         selection=selection,
         classification=cls,
         iterations=sweeps,
-        residual=_finish(fin, bounds, h, finite, sense)[1],
+        residual=_finish(view, rows, bounds, h, finite, sense)[1],
         converged=converged,
         method="policy-iteration",
         sweep_values=tuple(trace),

@@ -78,6 +78,35 @@ def test_from_entries_validates():
         TransitionMatrix.from_entries(["a", "b"], [[-0.1, 1.1], [0, 1]])
 
 
+
+def test_from_entries_reports_the_credal_models_messages():
+    with pytest.raises(ModelValidationError) as err:
+        TransitionMatrix.from_entries(["a", "b"], [[-0.1, 1.1], [0, 1]])
+    assert err.value.violations == [
+        "row 'a' vertex 0: entry 0 is negative (-0.1)",
+        "row 'a' vertex 0: entry 1 exceeds 1 (1.1)",
+    ]
+    with pytest.raises(ModelValidationError) as err:
+        TransitionMatrix.from_entries(["a", "b"], [[math.nan, 1], [0.5, 0.6], [0, 1]])
+    assert err.value.violations == [
+        "model has 3 rows for 2 states",
+        "row 'a' vertex 0: entry 0 is not a number",
+        "row 'b' vertex 0: entries sum to 1.1, not 1",
+    ]
+    with pytest.raises(ModelValidationError) as err:
+        TransitionMatrix.from_entries(["a", "b"], [[0.5, 0.5, 0.0], [0, 1, 0]])
+    assert err.value.violations == [
+        "row 'a': vertices have 3 entries, expected 2",
+        "row 'b': vertices have 3 entries, expected 2",
+    ]
+    with pytest.raises(ModelValidationError) as err:
+        TransitionMatrix.from_entries(["a", "b"], [[[0.5, 0.5]], [[0, 1]]])
+    assert err.value.violations == ["matrix has shape (2, 1, 2), expected (2, 2)"]
+    # rows inside the sum tolerance are rescaled, an entry just above 1 included
+    t = TransitionMatrix.from_entries(["a", "b"], [[1 + 1e-11, 0], [0, 1]])
+    assert t.entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
 # ------------------------------------------------------------------- meeting
 
 def test_meeting_diagonal_is_zero_and_mixing_pair_is_two():

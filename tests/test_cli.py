@@ -250,3 +250,14 @@ def test_selfcheck_passes(capsys):
     assert main(["selfcheck"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
+
+
+@pytest.mark.parametrize("entry, shown",
+                         [("1.7", "1.7"), ("true", "True"), ("x", "'x'"), ("1.0", "1.0")])
+def test_meet_rejects_a_selection_entry_that_is_not_an_integer(model_file, tmp_path, capsys,
+                                                               entry, shown):
+    sel = tmp_path / "sel.yaml"
+    sel.write_text(f'"a,b": [{entry}, 0]\n')
+    assert main(["meet", model_file, "--belief", "degenerate", "--selection", str(sel)]) == 3
+    err = capsys.readouterr().err
+    assert f"selection for 'a,b': entry 0 is not an integer ({shown})" in err

@@ -69,6 +69,9 @@ def test_validate_flags_duplicate_vertices_after_normalization():
 def test_from_rows_renormalizes_small_roundoff():
     m = CredalMatrix.from_rows(["a", "b"], [[[0.5, 0.5 + 1e-10]], [[0, 1]]])
     assert m.vertices(0).sum() == 1.0
+    # an entry above 1 by roundoff belongs to a row inside the tolerance
+    m = CredalMatrix.from_rows(["a", "b"], [[[1 + 1e-11, 0]], [[0, 1]]])
+    assert m.vertices(0).tolist() == [[1.0, 0.0]]
 
 
 def test_from_rows_rejects_large_roundoff():
@@ -120,6 +123,15 @@ def test_stack_of_the_wrong_width_is_reported_per_row():
         "row 'a': vertices have 2 entries, expected 3",
         "row 'b': no vertices",
         "row 'c': vertices have 2 entries, expected 3",
+    ]
+
+
+@pytest.mark.parametrize("offsets", [[0, 1, 3], [0, 2, 1], [0, 1], [1, 2, 2], []])
+def test_inconsistent_offsets_are_a_violation(offsets):
+    m = CredalMatrix(StateSpace(("a", "b")), np.eye(2), np.array(offsets, dtype=np.int64))
+    assert validate(m) == [
+        f"offsets {offsets} must start at 0, never decrease and end at 2, "
+        "the number of stacked vertices"
     ]
 
 

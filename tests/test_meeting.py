@@ -284,6 +284,22 @@ def test_exhaustive_oracle_guard():
         exhaustive_meeting_times(m, "upper", max_assignments=10)
 
 
+def test_exhaustive_oracle_builds_its_own_joint_rows(monkeypatch):
+    rng = np.random.default_rng(84)
+    m = random_credal_matrix(rng, n=3, max_vertices=2, dense_prob=0.5)
+    want = {sense: meet(m, 2, "vacuous", sense, "full").matrix() for sense in ("upper", "lower")}
+
+    def refuse(self, state, choice):
+        raise AssertionError("the oracle read a joint row from the view it checks")
+
+    monkeypatch.setattr(JointChoices, "row", refuse)
+    for sense, matrix in want.items():
+        oracle = exhaustive_meeting_times(m, sense)
+        assert np.array_equal(np.isinf(oracle), np.isinf(matrix))
+        finite = np.isfinite(matrix)
+        assert np.allclose(oracle[finite], matrix[finite], rtol=1e-10, atol=0.0)
+
+
 def test_three_agents_quotient_meet_runs():
     rng = np.random.default_rng(89)
     m = random_credal_matrix(rng, n=3, max_vertices=2, dense_prob=0.8)

@@ -1,9 +1,10 @@
-"""Restricted choice views: a restricted copy evaluates exactly the entries of
-the view it came from, the solvers that evaluate through restricted views
+"""Restricted choice views: a view's values at a few states and a pinned
+selection evaluate exactly the entries of the whole view, the solvers
 give the same bits as the reference sweep loop and selection product, and a
 selection product on a base model contracts only the selected rows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,28 +61,24 @@ def test_restricted_view_reads_the_full_views_entries(data):
     mine = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in states] + [[]]).astype(int)
     picked = bounds[states] + choice
 
-    sub = view.restrict(states)
-    assert type(sub) is type(view)
-    assert np.array_equal(sub.values(None, f), view.values(states, f))
-    assert np.array_equal(sub.values(None, f), whole[mine])
-    assert np.array_equal(sub.touches(None, mask), view.touches(states, mask))
-    assert np.array_equal(sub.touches(None, mask), hit[mine])
-    assert np.array_equal(sub.choice_offsets(states), view.choice_offsets(states))
+    assert np.array_equal(view.values(states, f), whole[mine])
+    assert np.array_equal(view.touches(states, mask), hit[mine])
 
     sel = view.restrict(states, choice)
+    assert type(sel) is type(view)
     assert np.array_equal(sel.values(None, f), whole[picked])
     assert np.array_equal(sel.touches(None, mask), hit[picked])
     assert np.array_equal(sel.choice_offsets(states), np.arange(states.size + 1))
     for i, c in zip(states.tolist(), choice.tolist()):
         assert np.array_equal(sel.row(i, 0), view.row(i, c))
-        assert np.array_equal(sub.row(i, c), view.row(i, c))
 
-    # a restricted copy restricts again, as a pinned view does in a solve
+    # a pinned view pins again, as a degenerate meeting solve does
     seventh = np.array([7 % view.nchoices(i) for i in everyone])
     pinned = view.restrict(everyone, seventh)
     pick = bounds[:-1] + seventh
     assert np.array_equal(pinned.values(states, f), whole[pick[states]])
-    assert np.array_equal(pinned.restrict(states).touches(None, mask), hit[pick[states]])
+    repinned = pinned.restrict(states, 0 * choice)
+    assert np.array_equal(repinned.touches(None, mask), hit[pick[states]])
 
 
 # ------------------------------------------------- solvers against reference
@@ -233,3 +230,26 @@ def test_base_selection_product_contracts_the_selected_rows(monkeypatch):
     res = policy_iteration(model, [0], "upper")
     assert len(res.classification.finite) == k >= MATRIX_FREE_UNKNOWNS
     assert contracted and set(contracted) == {k}
+
+
+# ------------------------------------------------------- memory of a solve
+
+def test_a_target_between_finite_states_costs_no_row_copy():
+    """The finite states' choices are read from the whole view's values, so a
+    solve whose finite states are not consecutive copies no vertex rows for
+    them: its peak stays at that of a solve with the target in front."""
+    rng = np.random.default_rng(7)
+    n = 500
+    model = CredalMatrix.from_rows(
+        [f"s{i}" for i in range(n)],
+        [[rng.dirichlet(np.ones(n)) for _ in range(2)] for _ in range(n)],
+    )
+    peaks = []
+    for target in (0, n // 2):
+        tracemalloc.start()
+        try:
+            policy_iteration(model, [target], "upper")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**20, peaks
