@@ -94,10 +94,8 @@ def _model_info(model_arg: str, model: CredalMatrix) -> dict:
 
 def _cmd_validate(args) -> int:
     path = _resolve_path(args.model)
-    if not Path(path).exists():
-        return _fail(f"model file not found: {path}", EXIT_USAGE)
     try:
-        model = load_model(path)
+        model = _load(args.model)
         violations: list[str] = []
     except (ModelFormatError, ModelValidationError) as exc:
         violations = exc.violations
@@ -278,7 +276,7 @@ def _cmd_meet(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _load(args.model)
-    stack, offsets = model.stacked()
+    stack, offsets = model.stack, model.offsets
     if len(stack) != model.size:  # every row has a vertex, so some row has several
         i = int(np.flatnonzero(np.diff(offsets) > 1)[0])
         return _fail(f"simulation needs a precise model; row {model.space.labels[i]!r} "

@@ -99,10 +99,6 @@ class CredalMatrix:
     def vertex_count(self, state: int) -> int:
         return int(self.offsets[state + 1] - self.offsets[state])
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """All vertices as one ``(K, n)`` array, and the state offsets."""
-        return self.stack, self.offsets
-
     @classmethod
     def from_rows(cls, labels: Iterable[str], row_vertices) -> "CredalMatrix":
         """Validate, renormalize and wrap raw per-state vertex lists.
@@ -113,10 +109,9 @@ class CredalMatrix:
         """
         space = StateSpace(tuple(labels))
         n = space.size
-        rows = [[np.asarray(v, dtype=float).ravel() for v in verts] for verts in row_vertices]
-        # a row whose vertices do not all have n entries is kept out of the stack
-        wrong = {i: next(a.size for a in row if a.size != n)
-                 for i, row in enumerate(rows) if any(a.size != n for a in row)}
+        rows = [[np.asarray(v, dtype=float) for v in verts] for verts in row_vertices]
+        # a row whose vertices are not all vectors of n entries is kept out of the stack
+        wrong = {i: _misfits(row, n) for i, row in enumerate(rows) if any(a.shape != (n,) for a in row)}
         kept = [[] if i in wrong else row for i, row in enumerate(rows)]
         stack = np.array([a for row in kept for a in row], dtype=float).reshape(-1, n)
         model = cls(space, stack, segment_bounds([len(row) for row in kept]))
@@ -149,27 +144,35 @@ def validate(model: CredalMatrix) -> list[str]:
     Offsets that do not bound the stack, which only a model built through
     the constructor can have, are reported alone.
     """
-    stack, offsets = model.stacked()
+    stack, offsets = model.stack, model.offsets
     if offsets[:1].tolist() != [0] or offsets[-1] != len(stack) or (np.diff(offsets) < 0).any():
         return [f"offsets {offsets.tolist()} must start at 0, never decrease and end at "
                 f"{len(stack)}, the number of stacked vertices"]
     return _problems(model, {})
 
 
+def _misfits(row: list[np.ndarray], n: int) -> list[str]:
+    """Violations, each to follow the row's name, of a row's vertices that are
+    not vectors of ``n`` entries: the first wrong length, each other shape."""
+    width = [f": vertices have {a.size} entries, expected {n}" for a in row if a.ndim == 1 and a.size != n]
+    shape = [f" vertex {j}: has shape {a.shape}, expected ({n},)" for j, a in enumerate(row) if a.ndim != 1]
+    return width[:1] + shape
+
+
 @np.errstate(all="ignore")  # non-finite entries are reported, not warned about
-def _problems(model: CredalMatrix, widths: dict[int, int]) -> list[str]:
-    """:func:`validate`, where each state in ``widths`` has vertices of that
-    many entries, kept out of the stack."""
-    stack, offsets = model.stacked()
+def _problems(model: CredalMatrix, misfits: dict[int, list[str]]) -> list[str]:
+    """:func:`validate`, where each state in ``misfits`` has those violations
+    (:func:`_misfits`) and its vertices kept out of the stack."""
+    stack, offsets = model.stack, model.offsets
     n = model.size
     counts = np.diff(offsets)
     if stack.shape[1] != n:  # every vertex has the stack's width: report it per state
-        widths = dict.fromkeys(np.flatnonzero(counts).tolist(), stack.shape[1])
-        return _problems(CredalMatrix(model.space, np.empty((0, n)), 0 * offsets), widths)
+        misfits = dict.fromkeys(np.flatnonzero(counts).tolist(), _misfits([np.empty(stack.shape[1])], n))
+        return _problems(CredalMatrix(model.space, np.empty((0, n)), 0 * offsets), misfits)
     rows = [f"row {s!r}" for s in (*model.space.labels, *(f"#{i}" for i in range(n, counts.size)))]
     problems = [[] if c else [f"{rows[i]}: no vertices"] for i, c in enumerate(counts)]
-    for i, width in widths.items():
-        problems[i] = [f"{rows[i]}: vertices have {width} entries, expected {n}"]
+    for i, found in misfits.items():
+        problems[i] = [rows[i] + p for p in found]
     owner = np.repeat(np.arange(counts.size), counts)
     sums = stack.sum(axis=1)
     # an entry above 1 by no more than the sum tolerance is rescaled like its row
@@ -307,8 +310,7 @@ def _check_values(model: CredalMatrix, values) -> np.ndarray:
 
 
 def _optimize(model: CredalMatrix, values, sense: str):
-    stack, offsets = model.stacked()
-    return segment_optimum(choice_values(stack, _check_values(model, values)), offsets, sense)
+    return segment_optimum(choice_values(model.stack, _check_values(model, values)), model.offsets, sense)
 
 
 def apply_upper(model: CredalMatrix, values) -> np.ndarray:
@@ -345,7 +347,7 @@ def selection_matrix(model: CredalMatrix, selection) -> np.ndarray:
         raise ValueError(
             f"selection has shape {sel.shape}, expected ({model.size},)"
         )
-    stack, offsets = model.stacked()
+    stack, offsets = model.stack, model.offsets
     bad = np.flatnonzero((sel < 0) | (sel >= np.diff(offsets)))
     if bad.size:
         i = bad[0]

@@ -169,9 +169,8 @@ class JointChoices(ChoiceView):
         self.product = product
         self.n = product.size
         m = product.agents
-        self._stack, self._offsets = model.stacked()
-        self._pattern = (self._stack > 0.0).astype(float)
-        k = self._stack.shape[0]
+        self._pattern = (model.stack > 0.0).astype(float)
+        k = model.stack.shape[0]
         if k**m > MAX_TABLE_ENTRIES:
             raise ValueError(
                 f"the joint choice-value table would have {k**m} entries ({k} "
@@ -180,7 +179,7 @@ class JointChoices(ChoiceView):
         self._tensor_shape = (model.size,) * m
         self._agg = product.ordered_index
         joint = product.state_array
-        agent_counts = np.diff(self._offsets)[joint]
+        agent_counts = np.diff(model.offsets)[joint]
         self._counts = agent_counts.prod(axis=1)
         bounds = segment_bounds(self._counts)
         self._starts = bounds[:-1]
@@ -189,7 +188,7 @@ class JointChoices(ChoiceView):
         rank = np.arange(bounds[-1]) - bounds[owner]
         cells = np.empty((rank.size, m), dtype=np.int64)
         for j in reversed(range(m)):
-            cells[:, j] = self._offsets[joint[owner, j]] + rank % agent_counts[owner, j]
+            cells[:, j] = model.offsets[joint[owner, j]] + rank % agent_counts[owner, j]
             rank //= agent_counts[owner, j]
         keys = np.sort(cells, axis=1) if product.mode == "quotient" else cells
         self._own = {"cells": cells, "keys": np.ravel_multi_index(keys.T, (k,) * m)}
@@ -197,7 +196,7 @@ class JointChoices(ChoiceView):
     def choice_tuples(self, state: int) -> list[tuple[int, ...]]:
         start = self._starts[state]
         cells = self._rows("cells")[start : start + self._counts[state]]
-        return list(map(tuple, (cells - self._offsets[list(self.product.states[state])]).tolist()))
+        return list(map(tuple, (cells - self.model.offsets[list(self.product.states[state])]).tolist()))
 
     def flat_choice(self, state: int, choice_tuple: tuple[int, ...]) -> int:
         joint = self.product.states[state]
@@ -224,19 +223,35 @@ class JointChoices(ChoiceView):
         return choice_values(vertices, f).ravel()[self._rows("keys")]
 
     def _values(self, f: np.ndarray) -> np.ndarray:
-        return self._table(f, self._stack)
+        return self._table(f, self.model.stack)
 
     def _touches(self, mask: np.ndarray) -> np.ndarray:
         # the pattern's entries are 0 or 1, so a table entry counts destination
         # tuples and no product of small masses can underflow
         return self._table(mask, self._pattern) > 0.0
 
-    def row(self, state: int, choice: int) -> np.ndarray:
-        """Dense joint distribution of one choice over the product states."""
-        cells = self._rows("cells")[self._starts[state] + choice]
-        factors = [self._stack[k] for k in cells.tolist()]
-        flat = functools.reduce(np.multiply.outer, factors).ravel()
-        return np.bincount(self._agg, weights=flat, minlength=self.n)
+    def block(self, states: np.ndarray) -> np.ndarray:
+        """Per chunk of pinned cells, the outer product of their agents' vertex
+        rows over the ordered tuples of the base states in ``states``, summed
+        into the columns ``states`` (and a dropped last column for the other
+        tuples) by one ``bincount``. A chunk's products, bin indices and sums
+        each take about a quarter of the block at most."""
+        k, m, n = states.size, self.product.agents, self.model.size
+        base = np.flatnonzero(np.bincount(self.product.state_array[states].ravel(), minlength=n))
+        tuples = np.ravel_multi_index(np.ix_(*[base] * m), (n,) * m).ravel()
+        column = np.full(self.n, k)
+        column[states] = np.arange(k)
+        step = max(1, k * k // max(1, 4 * tuples.size))
+        index = ((np.arange(step) * (k + 1))[:, None] + column[self._agg[tuples]]).ravel()
+        rows, cells = self.model.stack[:, base], self._rows("cells")[self._starts[states]]
+        out = np.empty((k, k))
+        for lo in range(0, k, step):
+            flat = functools.reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1),
+                                    rows[cells[lo : lo + step].T])
+            out[lo : lo + len(flat)] = np.bincount(
+                index[: flat.size], flat.ravel(), len(flat) * (k + 1)).reshape(-1, k + 1)[:, :k]
+            del flat  # before the next chunk's products are allocated
+        return out
 
 
 def joint_transition_weight(
@@ -261,18 +276,9 @@ def joint_transition_weight(
     if len(choice) != product.agents:
         raise ValueError("a joint choice takes one vertex index per agent")
     rows = [model.vertices(z)[c] for z, c in zip(origin, choice)]
-    if product.mode == "full":
-        weight = 1.0
-        for row, dest in zip(rows, destination):
-            weight *= row[dest]
-        return float(weight)
-    total = 0.0
-    for arrangement in set(itertools.permutations(destination)):
-        weight = 1.0
-        for row, dest in zip(rows, arrangement):
-            weight *= row[dest]
-        total += weight
-    return float(total)
+    arrangements = [destination] if product.mode == "full" else set(itertools.permutations(destination))
+    return float(sum(math.prod(row[dest] for row, dest in zip(rows, arrangement))
+                     for arrangement in arrangements))
 
 
 @dataclass
@@ -329,7 +335,7 @@ def _normalize_selection(
 
 def _selection_tuples(view: JointChoices, flat: np.ndarray) -> tuple:
     """The vertex tuple of every state's flat choice, None on the diagonal."""
-    cells = view._rows("cells")[view._starts + flat] - view._offsets[view.product.state_array]
+    cells = view._rows("cells")[view._starts + flat] - view.model.offsets[view.product.state_array]
     tuples = list(map(tuple, cells.tolist()))
     for i in view.product.diagonal:
         tuples[i] = None

@@ -34,7 +34,8 @@ class ChoiceView:
     A subclass gives ``n`` and the evaluation of all its rows at once,
     ``_values(f)`` and ``_touches(mask)``; :meth:`values` and :meth:`touches`
     gather a few states' segments (:meth:`choice_rows`) from that whole
-    evaluation, so that every evaluation takes the one path.
+    evaluation, so that every evaluation takes the one path. A pinned view's
+    ``block(states)`` is its transition matrix on ``states``, one pinned row each.
     """
 
     def _rows(self, name: str) -> np.ndarray:
@@ -96,19 +97,18 @@ class CredalChoices(ChoiceView):
     The reachability and solver passes only ever see the :class:`ChoiceView`
     interface: ``n``, batched choice values (``values``) and support tests
     (``touches``), their per-state offsets (``choice_offsets``) and
-    positions (``choice_rows``), pinned selections (``restrict``) and one
-    dense ``row``. That lets the same passes run on joint product models
-    without those models ever being expanded into explicit vertex lists.
-    The row arrays are the model's stacked vertices and their 0/1 support
-    pattern.
+    positions (``choice_rows``), pinned selections (``restrict``) and a
+    pinned selection's dense ``block``. That lets the same passes run on
+    joint product models without those models ever being expanded into
+    explicit vertex lists. The row arrays are the model's stacked vertices
+    and their 0/1 support pattern.
     """
 
     def __init__(self, model: CredalMatrix):
         self.model = model
         self.n = model.size
-        stack, offsets = model.stacked()
-        self._starts, self._counts = offsets[:-1], np.diff(offsets)
-        self._own = {"stack": stack, "pattern": stack > 0.0}
+        self._starts, self._counts = model.offsets[:-1], np.diff(model.offsets)
+        self._own = {"stack": model.stack, "pattern": model.stack > 0.0}
 
     def _values(self, f: np.ndarray) -> np.ndarray:
         return choice_values(self._rows("stack"), f)
@@ -117,8 +117,8 @@ class CredalChoices(ChoiceView):
         # reads only the mask's columns of the pattern
         return self._rows("pattern")[:, mask].any(axis=1)
 
-    def row(self, state: int, choice: int) -> np.ndarray:
-        return self._rows("stack")[self._starts[state] + choice]
+    def block(self, states: np.ndarray) -> np.ndarray:
+        return self._rows("stack")[self._starts[states][:, None], states]
 
 
 def _grow(view, seeds: np.ndarray, candidates: np.ndarray, join: str, eligible=None):

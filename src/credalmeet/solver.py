@@ -13,9 +13,10 @@ below that; every solution must meet a backward-error bound.
 Every sweep, improvement step and final residual evaluates all the view's
 choices at once and reads the finite states' among them, at positions
 (:meth:`~credalmeet.reach.ChoiceView.choice_rows`) found once per solve. An
-evaluation pins the view once to the selected choice of each finite state
+evaluation pins the view to the selected choice of each finite state
 (:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a product on a base
-model contracts only the ``k`` selected rows.
+model contracts only the ``k`` selected rows, and a dense solve takes the
+pinned view's ``(k, k)`` block of the finite states in one call.
 
 Both methods first classify the states and pin the hopeless ones to inf, so
 the iteration itself only ever runs on the finite region.
@@ -193,12 +194,13 @@ def _gmres(apply, k: int, give_up: bool = False):
 
 
 def _dense_bytes(k: int) -> int:
-    """Bytes of a dense policy evaluation of ``k`` unknowns: ``sub``, ``eye(k)`` and ``I - sub``."""
-    return 3 * 8 * k * k
+    """Bytes of a dense policy evaluation of ``k`` unknowns: the block, and its
+    LU copy or a joint assembly's chunk temporaries (:meth:`JointChoices.block`)."""
+    return 2 * 8 * k * k
 
 
 def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "") -> np.ndarray:
-    """LU solve of one selection's system from its dense rows; ``why`` says
+    """LU solve of one selection's system from its dense block; ``why`` says
     in a refusal why the system is solved densely."""
     k = finite.size
     need = _dense_bytes(k)
@@ -207,11 +209,11 @@ def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "") ->
             f"{why}a dense policy evaluation of size {k} would allocate about {need} "
             f"bytes, above the {MAX_DENSE_BYTES} limit"
         )
-    sub = np.empty((k, k))
-    for r, (x, c) in enumerate(zip(finite.tolist(), choice.tolist())):
-        sub[r] = view.row(x, c)[finite]
+    system = view.restrict(finite, choice).block(finite)
+    np.subtract(0.0, system, out=system)  # I - P in place, bit for bit
+    system.flat[:: k + 1] += 1.0
     try:
-        return np.linalg.solve(np.eye(k) - sub, np.ones(k))
+        return np.linalg.solve(system, np.ones(k))
     except np.linalg.LinAlgError:
         raise RuntimeError(
             f"policy evaluation of size {k} is singular in double precision, so its "
@@ -265,17 +267,6 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     h = np.zeros(n)
     h[inf_mask] = math.inf
 
-    if finite.size == 0:
-        return HittingResult(
-            values=h,
-            selection=np.zeros(n, dtype=np.int64),
-            classification=cls,
-            iterations=0,
-            residual=0.0,
-            converged=True,
-            method="policy-iteration",
-        )
-
     # Restrict each finite row to the vertices that put no mass on the
     # hopeless region; those are the only candidates an optimal stationary
     # selection can use, and keeping the walk off that region makes every
@@ -299,10 +290,10 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         choice = first_ok
 
     sweeps = 0
-    converged = False
+    converged = finite.size == 0  # nothing to evaluate
     prev = None
     trace = []
-    while sweeps < max_iter:
+    while not converged and sweeps < max_iter:
         sol = _evaluate_selection(view, finite, choice)
         h[finite] = sol
         trace.append(h.copy())

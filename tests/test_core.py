@@ -117,6 +117,21 @@ def test_from_rows_reports_every_row_in_state_order():
     ]
 
 
+def test_from_rows_reports_vertices_that_are_not_vectors():
+    with pytest.raises(ModelValidationError) as err:
+        CredalMatrix.from_rows(["a", "b"], [[[[0.5], [0.5]]], [[[0, 1]]]])
+    assert err.value.violations == [
+        "row 'a' vertex 0: has shape (2, 1), expected (2,)",
+        "row 'b' vertex 0: has shape (1, 2), expected (2,)",
+    ]
+    with pytest.raises(ModelValidationError) as err:
+        CredalMatrix.from_rows(["a", "b"], [[[0.5, 0.5], 0.5, [1, 0, 0]], [[0, 1]]])
+    assert err.value.violations == [
+        "row 'a': vertices have 3 entries, expected 2",
+        "row 'a' vertex 1: has shape (), expected (2,)",
+    ]
+
+
 def test_stack_of_the_wrong_width_is_reported_per_row():
     m = CredalMatrix(StateSpace(("a", "b", "c")), np.eye(2), np.array([0, 1, 1, 2]))
     assert validate(m) == [

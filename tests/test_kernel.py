@@ -14,6 +14,7 @@ from credalmeet import (
     build_product_space,
     ext_dot,
     greedy_selection,
+    joint_transition_weight,
 )
 from credalmeet.core import segment_bounds, segment_optimum
 from credalmeet.meeting import JointChoices
@@ -111,7 +112,7 @@ def test_greedy_selection_ties_under_constant_values():
     for f in ([3.0, 3.0, 3.0], [0.0, 0.0, 0.0], [4.0, 0.0, 4.0]):
         for sense in ("upper", "lower"):
             vals = _reference(m, np.array(f))
-            bounds = m.stacked()[1]
+            bounds = m.offsets
             want = _scalar_scan(vals, bounds, sense)
             assert np.array_equal(greedy_selection(m, f, sense), want)
     assert greedy_selection(m, [3.0, 3.0, 3.0], "upper").tolist() == [0, 0, 0]
@@ -134,13 +135,13 @@ def test_base_touches_reads_the_vertex_supports():
 
 def test_from_rows_vertices_are_views_of_one_array():
     m = random_credal_matrix(np.random.default_rng(3), n=7, max_vertices=3)
-    stack, offsets = m.stacked()
+    stack, offsets = m.stack, m.offsets
     assert stack.shape == (offsets[-1], m.size)
     for i in range(m.size):
         assert np.shares_memory(m.vertices(i), stack)
         assert np.array_equal(m.vertices(i), stack[offsets[i] : offsets[i + 1]])
     precise = CredalMatrix.precise(["a", "b"], [[0.5, 0.5], [0.0, 1.0]])
-    assert all(np.shares_memory(precise.vertices(i), precise.stacked()[0]) for i in range(2))
+    assert all(np.shares_memory(precise.vertices(i), precise.stack) for i in range(2))
 
 
 @pytest.mark.parametrize("mode", ["full", "quotient"])
@@ -161,7 +162,9 @@ def test_joint_batch_and_pinned_view_match_rows(mode):
     got = pinned.values(states, f)
     inf = np.isinf(f)
     for i in states:
-        row = view.row(i, fixed[i])
+        tup = view.choice_tuples(i)[fixed[i]]
+        row = np.array([joint_transition_weight(m, view.product, view.product.states[i], tup, dest)
+                        for dest in view.product.states])
         if (row[inf] > 0).any():
             assert math.isinf(got[i])
         else:

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credalmeet import CredalMatrix, build_product_space, meet, policy_iteration, reach
-from credalmeet import solver, value_iteration
+from credalmeet import CredalMatrix, build_product_space, joint_transition_weight, meet
+from credalmeet import policy_iteration, reach, selection_matrix, solver, value_iteration
 from credalmeet.core import segment_optimum, target_mask
 from credalmeet.meeting import JointChoices
 from credalmeet.reach import CredalChoices, classify_view
@@ -69,8 +69,15 @@ def test_restricted_view_reads_the_full_views_entries(data):
     assert np.array_equal(sel.values(None, f), whole[picked])
     assert np.array_equal(sel.touches(None, mask), hit[picked])
     assert np.array_equal(sel.choice_offsets(states), np.arange(states.size + 1))
-    for i, c in zip(states.tolist(), choice.tolist()):
-        assert np.array_equal(sel.row(i, 0), view.row(i, c))
+    if isinstance(view, CredalChoices):
+        full = np.zeros(view.n, dtype=np.int64)
+        full[states] = choice
+        assert np.array_equal(sel.block(states), selection_matrix(view.model, full)[np.ix_(states, states)])
+    else:
+        joint = view.product.states
+        want = [[joint_transition_weight(view.model, view.product, joint[i], view.choice_tuples(i)[c], joint[j])
+                 for j in states] for i, c in zip(states.tolist(), choice.tolist())]
+        assert np.allclose(sel.block(states), np.reshape(want, (states.size,) * 2), rtol=1e-13, atol=0.0)
 
     # a pinned view pins again, as a degenerate meeting solve does
     seventh = np.array([7 % view.nchoices(i) for i in everyone])
@@ -253,3 +260,26 @@ def test_a_target_between_finite_states_costs_no_row_copy():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2**20, peaks
+
+
+@pytest.mark.parametrize("agents, mode, n", [(2, "full", 24), (3, "quotient", 14)])
+def test_a_dense_joint_evaluation_stays_within_its_byte_estimate(agents, mode, n):
+    """The joint block is summed chunk by chunk from the pinned cells and
+    ``I - P`` is formed in place, so a dense solve on a system with fewer
+    unknowns than ordered tuples allocates no more than ``_dense_bytes``."""
+    m = random_credal_matrix(np.random.default_rng(1), n=n, max_vertices=2, dense_prob=0.9)
+    product = build_product_space(m.space, agents, mode)
+    view = JointChoices(m, product)
+    cls, witness = classify_view(view, product.target_mask(), "lower")
+    finite = np.array(sorted(cls.finite))
+    k = finite.size
+    assert n**agents > k > 500
+    want = solver._dense_solve(view, finite, witness[finite])  # caches filled before tracing
+    tracemalloc.start()
+    try:
+        got = solver._dense_solve(view, finite, witness[finite])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= solver._dense_bytes(k), (peak, solver._dense_bytes(k))

@@ -333,7 +333,7 @@ def test_policy_iteration_on_a_long_chain(monkeypatch, dense_allowed):
     # h_i = i; without a dense solve to fall back on, GMRES must run to convergence
     if not dense_allowed:
         monkeypatch.setattr(solver, "MAX_DENSE_BYTES", 0)
-        monkeypatch.setattr(CredalChoices, "row", None)
+        monkeypatch.setattr(CredalChoices, "block", None)
     n = 701
     for sense in ("upper", "lower"):
         res = policy_iteration(_chain(n), [0], sense)
@@ -352,17 +352,17 @@ def test_refusal_after_gmres_misses_its_bound_names_both_causes(monkeypatch):
 
 def test_dense_fallback_refuses_an_oversize_system(monkeypatch):
     rng = np.random.default_rng(3)
-    n = 120
+    n = 130
     m = CredalMatrix.precise([f"s{i}" for i in range(n)], rng.dirichlet(np.ones(n), size=n))
     k = n * (n - 1) // 2  # every off-diagonal pair is finite
-    need = 3 * 8 * k * k
+    need = solver._dense_bytes(k)
     assert need > solver.MAX_DENSE_BYTES
 
-    def fail(self, state, choice):
-        raise AssertionError("a dense row was built before the size guard")
+    def fail(self, states):
+        raise AssertionError("a dense block was built before the size guard")
 
     monkeypatch.setattr(solver, "_gmres", lambda apply, k, give_up: (np.zeros(k), 1.0, 600))
-    monkeypatch.setattr(JointChoices, "row", fail)
+    monkeypatch.setattr(JointChoices, "block", fail)
     with pytest.raises(ValueError, match=f"600 products .* size {k} would allocate about {need} bytes"):
         meet(m, 2, "vacuous", "upper", "quotient")
 
