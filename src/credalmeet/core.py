@@ -18,6 +18,7 @@ value tensor, always contracted whole, by one BLAS product per agent axis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,12 +55,12 @@ class StateSpace:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
         if len(self.labels) < 2:
             raise ValueError("a state space needs at least two states")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("state labels must be unique")
-        if any("," in s for s in self.labels):
+        if "," in "".join(self.labels):
             raise ValueError("state labels must not contain ',', the joint-label separator")
 
     @property
@@ -109,12 +110,21 @@ class CredalMatrix:
         """
         space = StateSpace(tuple(labels))
         n = space.size
-        rows = [[np.asarray(v, dtype=float) for v in verts] for verts in row_vertices]
-        # a row whose vertices are not all vectors of n entries is kept out of the stack
-        wrong = {i: _misfits(row, n) for i, row in enumerate(rows) if any(a.shape != (n,) for a in row)}
-        kept = [[] if i in wrong else row for i, row in enumerate(rows)]
-        stack = np.array([a for row in kept for a in row], dtype=float).reshape(-1, n)
-        model = cls(space, stack, segment_bounds([len(row) for row in kept]))
+        rows = list(map(list, row_vertices))
+        counts = list(map(len, rows))
+        try:  # every vertex at once
+            stack = np.array(list(itertools.chain.from_iterable(rows)), dtype=float)
+        except (ValueError, TypeError):  # ragged: some vertex has another shape
+            stack = None
+        wrong = {}
+        if stack is None or stack.shape != (sum(counts), n):
+            # a row whose vertices are not all vectors of n entries is kept out of the stack
+            rows = [[np.asarray(v, dtype=float) for v in row] for row in rows]
+            wrong = {i: _misfits(row, n) for i, row in enumerate(rows) if any(a.shape != (n,) for a in row)}
+            counts = [0 if i in wrong else c for i, c in enumerate(counts)]
+            kept = [a for i, row in enumerate(rows) if i not in wrong for a in row]
+            stack = np.array(kept, dtype=float).reshape(-1, n)
+        model = cls(space, stack, segment_bounds(counts))
         problems = _problems(model, wrong)
         if problems:
             raise ModelValidationError(problems)
@@ -159,20 +169,33 @@ def _misfits(row: list[np.ndarray], n: int) -> list[str]:
     return width[:1] + shape
 
 
+@functools.lru_cache(maxsize=16)
+def _screen_weights(n: int) -> np.ndarray:
+    """Fixed weights in [1, 2) of the duplicate screen of :func:`_problems`."""
+    weights = np.random.default_rng(0).uniform(1.0, 2.0, n)
+    weights.flags.writeable = False  # shared by every model of n states
+    return weights
+
+
 @np.errstate(all="ignore")  # non-finite entries are reported, not warned about
 def _problems(model: CredalMatrix, misfits: dict[int, list[str]]) -> list[str]:
     """:func:`validate`, where each state in ``misfits`` has those violations
-    (:func:`_misfits`) and its vertices kept out of the stack."""
+    (:func:`_misfits`) and its vertices kept out of the stack. Only states
+    with a violation are named, so a valid model takes no per-state step."""
     stack, offsets = model.stack, model.offsets
     n = model.size
     counts = np.diff(offsets)
     if stack.shape[1] != n:  # every vertex has the stack's width: report it per state
         misfits = dict.fromkeys(np.flatnonzero(counts).tolist(), _misfits([np.empty(stack.shape[1])], n))
         return _problems(CredalMatrix(model.space, np.empty((0, n)), 0 * offsets), misfits)
-    rows = [f"row {s!r}" for s in (*model.space.labels, *(f"#{i}" for i in range(n, counts.size)))]
-    problems = [[] if c else [f"{rows[i]}: no vertices"] for i, c in enumerate(counts)]
+    labels = model.space.labels
+
+    def row(i: int) -> str:
+        return f"row {labels[i]!r}" if i < n else f"row '#{i}'"
+
+    problems = {i: [f"{row(i)}: no vertices"] for i in np.flatnonzero(counts == 0).tolist()}
     for i, found in misfits.items():
-        problems[i] = [rows[i] + p for p in found]
+        problems[i] = [row(i) + p for p in found]
     owner = np.repeat(np.arange(counts.size), counts)
     sums = stack.sum(axis=1)
     # an entry above 1 by no more than the sum tolerance is rescaled like its row
@@ -180,17 +203,18 @@ def _problems(model: CredalMatrix, misfits: dict[int, list[str]]) -> list[str]:
     ok = (stack.min(axis=1) >= 0) & (stack.max(axis=1) <= top) & (abs(sums - 1.0) <= SUM_TOL)
     bad = np.flatnonzero(~ok)
     for r in bad.tolist():
-        i, v = owner[r], stack[r]
+        i, v = int(owner[r]), stack[r]
         nan = np.isnan(v)
         for k in np.flatnonzero(nan | (v < 0) | (v > top)).tolist():
             x = float(v[k])
             what = "is not a number" if nan[k] else f"is negative ({x!r})" if x < 0 else f"exceeds 1 ({x!r})"
-            problems[i].append(f"{rows[i]} vertex {r - offsets[i]}: entry {k} {what}")
+            problems.setdefault(i, []).append(f"{row(i)} vertex {r - offsets[i]}: entry {k} {what}")
         if not nan.any() and abs(sums[r] - 1.0) > SUM_TOL:
-            problems[i].append(f"{rows[i]} vertex {r - offsets[i]}: entries sum to {float(sums[r])!r}, not 1")
+            problems.setdefault(i, []).append(
+                f"{row(i)} vertex {r - offsets[i]}: entries sum to {float(sums[r])!r}, not 1")
     # a vertex with entries in [0, 1] is its normalised vertex times its sum,
     # so exact duplicates among them have weighted sums within a few ulps
-    weighted = stack @ np.random.default_rng(0).uniform(1.0, 2.0, n) / sums
+    weighted = stack @ _screen_weights(n) / sums
     order = np.lexsort((weighted, owner))
     w, o = weighted[order], owner[order]
     close = (o[1:] == o[:-1]) & (abs(w[1:] - w[:-1]) <= 4 * (n + 2) * np.finfo(float).eps * w[1:])
@@ -199,9 +223,9 @@ def _problems(model: CredalMatrix, misfits: dict[int, list[str]]) -> list[str]:
         keep = [j for j, v in enumerate(verts) if s[j] > 0 and not np.isnan(v).any()]
         for j, k in itertools.combinations(keep, 2):
             if np.array_equal(verts[j] / s[j], verts[k] / s[k]):
-                problems[i].append(f"{rows[i]}: vertices {j} and {k} coincide")
+                problems.setdefault(i, []).append(f"{row(i)}: vertices {j} and {k} coincide")
     head = [f"model has {counts.size} rows for {n} states"] if counts.size != n else []
-    return head + [p for row in problems for p in row]
+    return head + [p for i in sorted(problems) for p in problems[i]]
 
 
 def ext_dot(weights, values) -> float:

@@ -230,18 +230,24 @@ class JointChoices(ChoiceView):
         # tuples and no product of small masses can underflow
         return self._table(mask, self._pattern) > 0.0
 
+    def _block_plan(self, states: np.ndarray):
+        """The base states that ``states`` hold, and the pinned cells per chunk
+        of :meth:`block`, chosen so that a chunk's products, bin indices and
+        sums each take about a quarter of the block at most."""
+        k, m = states.size, self.product.agents
+        base = np.flatnonzero(np.bincount(self.product.state_array[states].ravel(), minlength=self.model.size))
+        return base, max(1, k * k // max(1, 4 * base.size**m))
+
     def block(self, states: np.ndarray) -> np.ndarray:
-        """Per chunk of pinned cells, the outer product of their agents' vertex
-        rows over the ordered tuples of the base states in ``states``, summed
-        into the columns ``states`` (and a dropped last column for the other
-        tuples) by one ``bincount``. A chunk's products, bin indices and sums
-        each take about a quarter of the block at most."""
+        """Per chunk of pinned cells (:meth:`_block_plan`), the outer product of
+        their agents' vertex rows over the ordered tuples of the base states in
+        ``states``, summed into the columns ``states`` (and a dropped last
+        column for the other tuples) by one ``bincount``."""
         k, m, n = states.size, self.product.agents, self.model.size
-        base = np.flatnonzero(np.bincount(self.product.state_array[states].ravel(), minlength=n))
+        base, step = self._block_plan(states)
         tuples = np.ravel_multi_index(np.ix_(*[base] * m), (n,) * m).ravel()
         column = np.full(self.n, k)
         column[states] = np.arange(k)
-        step = max(1, k * k // max(1, 4 * tuples.size))
         index = ((np.arange(step) * (k + 1))[:, None] + column[self._agg[tuples]]).ravel()
         rows, cells = self.model.stack[:, base], self._rows("cells")[self._starts[states]]
         out = np.empty((k, k))
@@ -252,6 +258,18 @@ class JointChoices(ChoiceView):
                 index[: flat.size], flat.ravel(), len(flat) * (k + 1)).reshape(-1, k + 1)[:, :k]
             del flat  # before the next chunk's products are allocated
         return out
+
+    def block_bytes(self, states: np.ndarray) -> int:
+        """Bytes that :meth:`block` on ``states``, with the view pinned to them,
+        holds at its peak, at most: the block; the pinned view's starts, counts
+        and cells; the column map; the ordered tuples and two gathers of them;
+        the bin index; the agents' rows over the base states; and one chunk's
+        gathered rows, products (two for three agents or more) and sums."""
+        k, m = states.size, self.product.agents
+        base, step = self._block_plan(states)
+        b, t = base.size, base.size**m
+        return 8 * (k * k + 3 * self.n + 3 * k * m + 4 * k + 3 * t + step * t
+                    + self.model.stack.shape[0] * b + step * (m * b + 2 * t + k + 1))
 
 
 def joint_transition_weight(

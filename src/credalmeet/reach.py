@@ -35,7 +35,8 @@ class ChoiceView:
     ``_values(f)`` and ``_touches(mask)``; :meth:`values` and :meth:`touches`
     gather a few states' segments (:meth:`choice_rows`) from that whole
     evaluation, so that every evaluation takes the one path. A pinned view's
-    ``block(states)`` is its transition matrix on ``states``, one pinned row each.
+    ``block(states)`` is its transition matrix on ``states``, one pinned row
+    each, and ``block_bytes(states)`` bounds the bytes that building it takes.
     """
 
     def _rows(self, name: str) -> np.ndarray:
@@ -119,6 +120,13 @@ class CredalChoices(ChoiceView):
 
     def block(self, states: np.ndarray) -> np.ndarray:
         return self._rows("stack")[self._starts[states][:, None], states]
+
+    def block_bytes(self, states: np.ndarray) -> int:
+        """Bytes that :meth:`block` on ``states``, with the view pinned to them,
+        holds at its peak, at most: the block, the pinned view's starts, counts
+        and stack rows, and the index arrays."""
+        k = states.size
+        return 8 * (k * k + 2 * self.n + k * self.model.size + 4 * k)
 
 
 def _grow(view, seeds: np.ndarray, candidates: np.ndarray, join: str, eligible=None):

@@ -12,7 +12,9 @@ below that; every solution must meet a backward-error bound.
 
 Every sweep, improvement step and final residual evaluates all the view's
 choices at once and reads the finite states' among them, at positions
-(:meth:`~credalmeet.reach.ChoiceView.choice_rows`) found once per solve. An
+(:meth:`~credalmeet.reach.ChoiceView.choice_rows`) found once per solve. It
+contracts the values with their inf entries zeroed and sets the choices with
+mass on the inf states, also found once per solve, to inf. An
 evaluation pins the view to the selected choice of each finite state
 (:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a product on a base
 model contracts only the ``k`` selected rows, and a dense solve takes the
@@ -46,6 +48,10 @@ BACKWARD_ERROR_FACTOR = 16.0
 #: Refusal threshold for the bytes of a dense policy evaluation (``_dense_bytes``).
 MAX_DENSE_BYTES = 2**30
 
+#: Allowance in ``_dense_bytes`` for the buffers numpy's iterators take in a
+#: broadcast or a gather, about 130 KB each.
+ITERATOR_BUFFER_BYTES = 2**18
+
 _EPS = float(np.finfo(float).eps)
 
 
@@ -71,39 +77,66 @@ class HittingResult:
     sweep_values: tuple[np.ndarray, ...] = ()
 
 
-def _finish(view, rows, bounds: np.ndarray, h: np.ndarray, finite: np.ndarray, sense: str):
-    """Greedy selection under ``h`` (lowest index on ties) and the sup-norm
-    defect of ``h = 1 + opt(T h)`` on the finite states, whose choices sit at
-    ``rows`` of the view's values and are delimited by ``bounds``."""
-    best, pick = segment_optimum(view.values(None, h)[rows], bounds, sense)
+def _choice_values(view, rows, f: np.ndarray, hopeless: np.ndarray) -> np.ndarray:
+    """The values at ``rows`` of every choice under the values that are ``f``
+    off the inf states and inf on them: one :meth:`values` call on ``f``,
+    which is zero on the inf states, then inf at ``hopeless``, the positions
+    among ``rows`` of the choices with mass there. These are the bits of a
+    :meth:`values` call on the values with their infs."""
+    vals = view.values(None, f)[rows]
+    vals[hopeless] = math.inf
+    return vals
+
+
+def _finish(view, rows, bounds: np.ndarray, f: np.ndarray, hopeless: np.ndarray, finite: np.ndarray, sense: str):
+    """Greedy selection (lowest index on ties) and the sup-norm defect of
+    ``h = 1 + opt(T h)`` on the finite states, for the values ``h`` given by
+    ``f`` and ``hopeless`` (:func:`_choice_values`); the finite states' choices
+    sit at ``rows`` of the view's values and are delimited by ``bounds``."""
+    best, pick = segment_optimum(_choice_values(view, rows, f, hopeless), bounds, sense)
     selection = np.zeros(view.n, dtype=np.int64)
     selection[finite] = pick
-    return selection, float(np.max(np.abs(h[finite] - (1.0 + best)), initial=0.0))
+    return selection, float(np.max(np.abs(f[finite] - (1.0 + best)), initial=0.0))
+
+
+def _finite_region(view, cls: Classification):
+    """The finite states, the positions of their choices in the view's values,
+    the bounds of each state's segment among those, and the positions among
+    them of the choices with mass on the inf states, found once per solve."""
+    finite = np.array(sorted(cls.finite), dtype=int)
+    rows = view.choice_rows(finite)
+    hopeless = np.flatnonzero(view.touches(None, cls.infinite_mask(view.n))[rows])
+    return finite, rows, view.choice_offsets(finite), hopeless
 
 
 def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter: int) -> HittingResult:
-    """Value iteration on a choice view; see :func:`value_iteration`."""
+    """Value iteration on a choice view; see :func:`value_iteration`.
+
+    Each sweep contracts the current values with their inf entries zeroed,
+    one :meth:`values` call, and sets the choices with mass on the inf states,
+    found once, to inf (:func:`_choice_values`).
+    """
     cls, _ = classify_view(view, targets, sense)
-    n = view.n
-    h = np.zeros(n)
-    h[list(cls.infinite)] = math.inf
-    finite = np.array(sorted(cls.finite), dtype=int)
-    rows, bounds = view.choice_rows(finite), view.choice_offsets(finite)
+    finite, rows, bounds, hopeless = _finite_region(view, cls)
+    f = np.zeros(view.n)
+    cur = np.zeros(finite.size)
+    starts = bounds[:-1]
     best_of = (np.maximum if sense == "upper" else np.minimum).reduceat
     iterations = 0
     converged = False
     while iterations < max_iter:
         # one synchronous sweep: every update reads the previous vector
-        new_vals = 1.0 + best_of(view.values(None, h)[rows], bounds[:-1])
-        delta = float(np.max(np.abs(new_vals - h[finite]), initial=0.0))
-        h[finite] = new_vals
+        new = 1.0 + best_of(_choice_values(view, rows, f, hopeless), starts)
+        delta = float(np.maximum.reduce(np.abs(new - cur), initial=0.0))
+        f[finite] = cur = new
         iterations += 1
         if delta <= tol:
             converged = True
             break
-    selection, residual = _finish(view, rows, bounds, h, finite, sense)
+    selection, residual = _finish(view, rows, bounds, f, hopeless, finite, sense)
+    f[list(cls.infinite)] = math.inf
     return HittingResult(
-        values=h,
+        values=f,
         selection=selection,
         classification=cls,
         iterations=iterations,
@@ -150,60 +183,87 @@ def _gmres(apply, k: int, give_up: bool = False):
     """Restarted GMRES from zero for ``apply(h) = 1``: the last iterate, the
     sup-norm of its true residual and the number of products.
 
+    Each product adds a column to the Hessenberg matrix, orthogonalised by
+    Gram-Schmidt twice, which the Givens rotations of the earlier columns and
+    one new rotation bring to upper triangular form; the rotated right-hand
+    side then holds the least-squares misfit, the 2-norm of the residual,
+    which bounds its sup-norm. The iterate ``h + y @ basis`` (``y`` from one
+    small triangular solve) is formed only when the misfit could meet
+    :func:`_residual_bound` at its size: the basis rows are orthonormal, so
+    ``|h|_inf + |y|_2`` bounds its sup-norm. A cycle ends on that bound, on a
+    breakdown or after ``GMRES_RESTART`` products.
+
     It stops once the true residual meets :func:`_residual_bound`, after
-    :func:`_gmres_cycles` cycles of ``GMRES_RESTART`` products, or, with
-    ``give_up``, as soon as the last cycle's reduction of the residual's
-    2-norm, kept up, would not meet the bound within that cap.
+    :func:`_gmres_cycles` cycles, or, with ``give_up``, as soon as the last
+    cycle's reduction of the residual's 2-norm, kept up, would not meet the
+    bound within that cap.
     """
-    h = np.zeros(k)
+    h, hmax = np.zeros(k), 0.0
     r = np.ones(k)
     norm = math.sqrt(k)
     products = 0
     cycles = _gmres_cycles(k)
     for cycle in range(1, cycles + 1):
         basis = np.empty((GMRES_RESTART + 1, k))
-        hess = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
-        rhs = np.zeros(GMRES_RESTART + 1)
-        basis[0], rhs[0] = r / norm, norm
+        basis[0] = r / norm
+        tri = np.zeros((GMRES_RESTART, GMRES_RESTART))  # the rotated Hessenberg matrix
+        rhs, turns = [norm], []  # the rotated right-hand side; (cos, sin) per rotation
+        y, new = np.zeros(0), None
         for j in range(GMRES_RESTART):
             w = apply(basis[j])
             products += 1
+            coef = np.zeros(j + 1)
             for _ in range(2):  # Gram-Schmidt twice keeps the basis orthogonal
                 c = basis[: j + 1] @ w
                 w -= c @ basis[: j + 1]
-                hess[: j + 1, j] += c
-            hess[j + 1, j] = np.linalg.norm(w)
-            y = np.linalg.lstsq(hess[: j + 2, : j + 1], rhs[: j + 2], rcond=None)[0]
-            step = y @ basis[: j + 1]
-            # the least-squares misfit is the residual's 2-norm, which bounds its sup-norm
-            misfit = np.linalg.norm(hess[: j + 2, : j + 1] @ y - rhs[: j + 2])
-            if hess[j + 1, j] == 0.0 or misfit <= _residual_bound(k, np.max(np.abs(h + step))):
+                coef += c
+            beta = math.sqrt(w @ w)
+            col = coef.tolist()  # the new column, rotated as Python floats
+            for i, (cs, sn) in enumerate(turns):
+                col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+            rho = math.hypot(col[j], beta)
+            if rho == 0.0:  # a zero column: the system is singular on the Krylov space
                 break
-            basis[j + 1] = w / hess[j + 1, j]
-        h = h + step
+            cs, sn = col[j] / rho, beta / rho
+            turns.append((cs, sn))
+            col[j] = rho
+            tri[: j + 1, j] = col
+            rhs.append(-sn * rhs[j])
+            rhs[j] *= cs
+            misfit = abs(rhs[j + 1])
+            y, new = np.linalg.solve(tri[: j + 1, : j + 1], rhs[: j + 1]), None
+            if beta == 0.0 or misfit <= _residual_bound(k, hmax + math.sqrt(y @ y)):
+                new = h + y @ basis[: j + 1]
+                if beta == 0.0 or misfit <= _residual_bound(k, np.max(np.abs(new))):
+                    break
+            np.divide(w, beta, out=basis[j + 1])
+        h = h + y @ basis[: y.size] if new is None else new
+        hmax = float(np.max(np.abs(h)))
         r = 1.0 - apply(h)
         residual = float(np.max(np.abs(r)))
-        bound = _residual_bound(k, np.max(np.abs(h)))
+        bound = _residual_bound(k, hmax)
         if residual <= bound:
             break
-        last, norm = norm, float(np.linalg.norm(r))
+        last, norm = norm, math.sqrt(r @ r)
         # cycles still needed to bring the 2-norm to the bound at the last cycle's rate
         if give_up and not (norm < last and cycle + math.log(bound / norm) / math.log(norm / last) <= cycles):
             break
     return h, residual, products
 
 
-def _dense_bytes(k: int) -> int:
-    """Bytes of a dense policy evaluation of ``k`` unknowns: the block, and its
-    LU copy or a joint assembly's chunk temporaries (:meth:`JointChoices.block`)."""
-    return 2 * 8 * k * k
+def _dense_bytes(view, states: np.ndarray) -> int:
+    """Bytes of a dense policy evaluation on ``states``, at most: the larger of
+    the pinned view's assembly of the block (``block_bytes``) and the block with
+    its LU copy and vectors, and ``ITERATOR_BUFFER_BYTES``."""
+    k = states.size
+    return max(view.block_bytes(states), 8 * (2 * k * k + 4 * k)) + ITERATOR_BUFFER_BYTES
 
 
 def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "") -> np.ndarray:
     """LU solve of one selection's system from its dense block; ``why`` says
     in a refusal why the system is solved densely."""
     k = finite.size
-    need = _dense_bytes(k)
+    need = _dense_bytes(view, finite)
     if need > MAX_DENSE_BYTES:
         raise ValueError(
             f"{why}a dense policy evaluation of size {k} would allocate about {need} "
@@ -236,7 +296,7 @@ def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray) -> np.ndar
     sol = None
     why = ""
     if k >= MATRIX_FREE_UNKNOWNS:
-        sol, residual, products = _gmres(apply, k, give_up=_dense_bytes(k) <= MAX_DENSE_BYTES)
+        sol, residual, products = _gmres(apply, k, give_up=_dense_bytes(view, finite) <= MAX_DENSE_BYTES)
         if not _meets_bound(sol, residual):
             why = (
                 f"GMRES missed the backward-error bound within {products} products "
@@ -262,20 +322,18 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     """Policy iteration on a choice view; see :func:`policy_iteration`."""
     cls, witness = classify_view(view, targets, sense)
     n = view.n
-    inf_mask = cls.infinite_mask(n)
-    finite = np.array(sorted(cls.finite), dtype=int)
-    h = np.zeros(n)
-    h[inf_mask] = math.inf
 
     # Restrict each finite row to the vertices that put no mass on the
     # hopeless region; those are the only candidates an optimal stationary
     # selection can use, and keeping the walk off that region makes every
     # evaluated system non-singular once the starting selection is proper.
-    # The others are masked to a value that never wins the improvement step.
-    rows, bounds = view.choice_rows(finite), view.choice_offsets(finite)
-    admissible = ~view.touches(None, inf_mask)[rows]
+    # The others are set to a value that never wins the improvement step
+    # (in place of the inf that _choice_values gives them).
+    finite, rows, bounds, hopeless = _finite_region(view, cls)
+    admissible = np.ones(bounds[-1])
+    admissible[hopeless] = 0.0
     fill = -math.inf if sense == "upper" else math.inf
-    has_any, first_ok = segment_optimum(admissible.astype(float), bounds, "upper")
+    has_any, first_ok = segment_optimum(admissible, bounds, "upper")
     if not has_any.all():
         raise RuntimeError(
             f"state {finite[np.argmin(has_any)]} is classified finite but has no "
@@ -289,19 +347,22 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     else:
         choice = first_ok
 
+    f = np.zeros(n)  # the values with the inf states zeroed
+    infinite = np.where(cls.infinite_mask(n), math.inf, 0.0)  # f + infinite: the values
     sweeps = 0
     converged = finite.size == 0  # nothing to evaluate
     prev = None
     trace = []
     while not converged and sweeps < max_iter:
         sol = _evaluate_selection(view, finite, choice)
-        h[finite] = sol
-        trace.append(h.copy())
+        f[finite] = sol
+        trace.append(f + infinite)
         sweeps += 1
         if prev is not None and np.max(np.abs(sol - prev)) <= tol:
             converged = True
             break
-        vals = np.where(admissible, view.values(None, h)[rows], fill)
+        vals = view.values(None, f)[rows]
+        vals[hopeless] = fill
         _, new_choice = segment_optimum(vals, bounds, sense)
         if np.array_equal(new_choice, choice):
             converged = True
@@ -311,12 +372,13 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
 
     selection = np.zeros(n, dtype=np.int64)
     selection[finite] = choice
+    residual = _finish(view, rows, bounds, f, hopeless, finite, sense)[1]
     return HittingResult(
-        values=h,
+        values=f + infinite,
         selection=selection,
         classification=cls,
         iterations=sweeps,
-        residual=_finish(view, rows, bounds, h, finite, sense)[1],
+        residual=residual,
         converged=converged,
         method="policy-iteration",
         sweep_values=tuple(trace),

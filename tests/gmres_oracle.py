@@ -1,0 +1,55 @@
+"""Restarted GMRES with a least-squares solve of the whole Hessenberg system
+after every product, kept as an oracle for ``solver._gmres``.
+
+It is the loop the solver ran before its Givens rotations: one
+``np.linalg.lstsq`` call and one new iterate per product. The stop rules
+are the solver's own (``_residual_bound``, ``_gmres_cycles``, ``give_up``),
+so the two must take the same number of products and agree to rounding.
+"""
+
+import math
+
+import numpy as np
+
+from credalmeet.solver import GMRES_RESTART, _gmres_cycles, _residual_bound
+
+
+def lstsq_gmres(apply, k: int, give_up: bool = False):
+    """Restarted GMRES from zero for ``apply(h) = 1``: the last iterate, the
+    sup-norm of its true residual and the number of products."""
+    h = np.zeros(k)
+    r = np.ones(k)
+    norm = math.sqrt(k)
+    products = 0
+    cycles = _gmres_cycles(k)
+    for cycle in range(1, cycles + 1):
+        basis = np.empty((GMRES_RESTART + 1, k))
+        hess = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        rhs = np.zeros(GMRES_RESTART + 1)
+        basis[0], rhs[0] = r / norm, norm
+        for j in range(GMRES_RESTART):
+            w = apply(basis[j])
+            products += 1
+            for _ in range(2):  # Gram-Schmidt twice keeps the basis orthogonal
+                c = basis[: j + 1] @ w
+                w -= c @ basis[: j + 1]
+                hess[: j + 1, j] += c
+            hess[j + 1, j] = np.linalg.norm(w)
+            y = np.linalg.lstsq(hess[: j + 2, : j + 1], rhs[: j + 2], rcond=None)[0]
+            step = y @ basis[: j + 1]
+            # the least-squares misfit is the residual's 2-norm, which bounds its sup-norm
+            misfit = np.linalg.norm(hess[: j + 2, : j + 1] @ y - rhs[: j + 2])
+            if hess[j + 1, j] == 0.0 or misfit <= _residual_bound(k, np.max(np.abs(h + step))):
+                break
+            basis[j + 1] = w / hess[j + 1, j]
+        h = h + step
+        r = 1.0 - apply(h)
+        residual = float(np.max(np.abs(r)))
+        bound = _residual_bound(k, np.max(np.abs(h)))
+        if residual <= bound:
+            break
+        last, norm = norm, float(np.linalg.norm(r))
+        # cycles still needed to bring the 2-norm to the bound at the last cycle's rate
+        if give_up and not (norm < last and cycle + math.log(bound / norm) / math.log(norm / last) <= cycles):
+            break
+    return h, residual, products

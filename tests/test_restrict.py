@@ -262,6 +262,23 @@ def test_a_target_between_finite_states_costs_no_row_copy():
     assert peaks[1] <= peaks[0] + 2**20, peaks
 
 
+def _dense_peak(view, targets, sense):
+    """The finite states of ``sense`` on ``view``, and the ``tracemalloc``
+    peak of a dense solve of the witness selection on them, with every cache
+    it fills filled before tracing; the traced solve must repeat the first."""
+    cls, witness = classify_view(view, targets, sense)
+    finite = np.array(sorted(cls.finite))
+    want = solver._dense_solve(view, finite, witness[finite])
+    tracemalloc.start()
+    try:
+        got = solver._dense_solve(view, finite, witness[finite])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    return finite, peak
+
+
 @pytest.mark.parametrize("agents, mode, n", [(2, "full", 24), (3, "quotient", 14)])
 def test_a_dense_joint_evaluation_stays_within_its_byte_estimate(agents, mode, n):
     """The joint block is summed chunk by chunk from the pinned cells and
@@ -270,16 +287,25 @@ def test_a_dense_joint_evaluation_stays_within_its_byte_estimate(agents, mode, n
     m = random_credal_matrix(np.random.default_rng(1), n=n, max_vertices=2, dense_prob=0.9)
     product = build_product_space(m.space, agents, mode)
     view = JointChoices(m, product)
-    cls, witness = classify_view(view, product.target_mask(), "lower")
-    finite = np.array(sorted(cls.finite))
-    k = finite.size
-    assert n**agents > k > 500
-    want = solver._dense_solve(view, finite, witness[finite])  # caches filled before tracing
-    tracemalloc.start()
-    try:
-        got = solver._dense_solve(view, finite, witness[finite])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(got, want)
-    assert peak <= solver._dense_bytes(k), (peak, solver._dense_bytes(k))
+    finite, peak = _dense_peak(view, product.target_mask(), "lower")
+    assert n**agents > finite.size > 500
+    assert peak <= solver._dense_bytes(view, finite), (peak, solver._dense_bytes(view, finite))
+
+
+@pytest.mark.parametrize("agents, mode, n", [
+    (1, None, 50), (1, None, 300), (2, "quotient", 6), (2, "quotient", 20), (2, "full", 15),
+    (3, "quotient", 4), (3, "quotient", 8), (3, "quotient", 9), (3, "full", 4),
+])
+def test_a_small_dense_evaluation_stays_within_its_byte_estimate(agents, mode, n):
+    """Below a few hundred unknowns the pinned vertex rows, the index maps over
+    the ordered tuples and numpy's iterator buffers take a large share of a
+    dense solve, up to several times the block; ``_dense_bytes`` counts them."""
+    m = random_credal_matrix(np.random.default_rng(0), n=n, max_vertices=2, dense_prob=1.0)
+    if agents == 1:
+        view, targets = CredalChoices(m), target_mask(n, [0])
+    else:
+        view = JointChoices(m, build_product_space(m.space, agents, mode))
+        targets = view.product.target_mask()
+    finite, peak = _dense_peak(view, targets, "upper")
+    assert finite.size == view.n - targets.sum()
+    assert peak <= solver._dense_bytes(view, finite), (peak, solver._dense_bytes(view, finite))

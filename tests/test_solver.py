@@ -26,6 +26,7 @@ from credalmeet.meeting import JointChoices
 from credalmeet.reach import CredalChoices, classify_view
 
 from generators import random_credal_matrix, random_selection, random_targets
+from gmres_oracle import lstsq_gmres
 
 
 def two_vertex_model():
@@ -328,6 +329,64 @@ def test_matrix_free_evaluation_gives_up_early_when_a_dense_solve_is_allowed():
     assert np.array_equal(solver._evaluate_selection(view, finite, choice), dense)
 
 
+@st.composite
+def large_selection_systems(draw):
+    """A base view or a 2- or 3-agent joint view on a seeded random model with
+    at least ``MATRIX_FREE_UNKNOWNS`` finite states under the upper
+    classification, one random admissible choice per finite state, and
+    whether GMRES may give up."""
+    agents, mode, n = draw(st.sampled_from([
+        (1, None, 257), (1, None, 330), (2, "quotient", 24), (2, "quotient", 28),
+        (2, "full", 17), (3, "quotient", 12), (3, "quotient", 13),
+    ]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_credal_matrix(rng, n=n, max_vertices=3, dense_prob=draw(st.sampled_from([0.7, 0.9, 1.0])))
+    view, targets = _view(model, agents, mode)
+    finite, options = _admissible(view, targets)
+    assume(finite.size >= solver.MATRIX_FREE_UNKNOWNS)
+    choice = np.array([o[rng.integers(len(o))] for o in options])
+    return view, finite, choice, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_selection_systems())
+def test_gmres_matches_its_least_squares_oracle(system):
+    # the Givens loop takes the oracle's stop decisions, so its product count,
+    # and agrees with its iterate to rounding
+    view, finite, choice, give_up = system
+    apply = solver._selection_operator(view, finite, choice)
+    h, residual, products = solver._gmres(apply, finite.size, give_up)
+    want, _, want_products = lstsq_gmres(apply, finite.size, give_up)
+    assert products == want_products
+    assert np.allclose(h, want, rtol=1e-12, atol=0.0)
+
+
+def test_policy_evaluation_never_calls_lstsq(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq was called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    rng = np.random.default_rng(11)
+    base = random_credal_matrix(rng, n=300, max_vertices=3, dense_prob=0.9)
+    pair = random_credal_matrix(rng, n=25, max_vertices=3, dense_prob=0.9)
+    for sense in ("upper", "lower"):
+        assert policy_iteration(base, [0], sense).converged
+        assert meet(pair, 2, "vacuous", sense).converged
+
+
+@pytest.mark.parametrize("n, chain, give_up", [
+    (301, {"lazy": 0.9}, False), (300, {"walk": True}, True), (300, {"walk": True}, False),
+])
+def test_gmres_restarts_and_gives_up_like_its_oracle(n, chain, give_up):
+    # many cycles, or a give-up after one: the same products as the oracle,
+    # and the same verdict on the bound
+    *_, apply = _chain_system(n, **chain)
+    h, residual, products = solver._gmres(apply, n - 1, give_up)
+    want, want_residual, want_products = lstsq_gmres(apply, n - 1, give_up)
+    assert products == want_products
+    assert solver._meets_bound(h, residual) == solver._meets_bound(want, want_residual)
+
+
 @pytest.mark.parametrize("dense_allowed", [True, False])
 def test_policy_iteration_on_a_long_chain(monkeypatch, dense_allowed):
     # h_i = i; without a dense solve to fall back on, GMRES must run to convergence
@@ -354,8 +413,10 @@ def test_dense_fallback_refuses_an_oversize_system(monkeypatch):
     rng = np.random.default_rng(3)
     n = 130
     m = CredalMatrix.precise([f"s{i}" for i in range(n)], rng.dirichlet(np.ones(n), size=n))
-    k = n * (n - 1) // 2  # every off-diagonal pair is finite
-    need = solver._dense_bytes(k)
+    view = JointChoices(m, build_product_space(m.space, 2, "quotient"))
+    finite = np.flatnonzero(~view.product.target_mask())  # every off-diagonal pair is finite
+    k = finite.size
+    need = solver._dense_bytes(view, finite)
     assert need > solver.MAX_DENSE_BYTES
 
     def fail(self, states):
