@@ -9,11 +9,15 @@ finite maximisation over the stored vertices.
 Value vectors may contain ``numpy.inf`` to mark states with no finite
 expectation. All dot products follow the convention that a zero-probability
 entry contributes nothing even when paired with an infinite value. They all
-go through one kernel, :func:`choice_values`, so identical inputs give
+go through one finite contraction, :func:`contract`, so identical inputs give
 identical bits on one machine; :func:`ext_dot` stays the left-to-right
 reference. A value vector is contracted by an ``einsum`` row-dot, which
 gives a vertex row the same bits in any subset of rows; the joint walk's
 value tensor, always contracted whole, by one BLAS product per agent axis.
+Values with infinite entries go through :func:`choice_values`, which zeroes
+them, contracts once more against the inf mask and sets the choices with
+mass on them to inf. The solvers know where the inf states are once per
+solve, so their sweeps call :func:`contract` on zeroed values directly.
 """
 
 from __future__ import annotations
@@ -239,33 +243,43 @@ def ext_dot(weights, values) -> float:
     return total
 
 
-def choice_values(vertices: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Expectation of ``values`` under every row of ``vertices``, with 0 * inf = 0.
+def contract(vertices: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Expectation of the finite ``values`` under every row of ``vertices``,
+    written into ``out`` when given.
 
     ``values`` may have one axis per agent, each contracted in turn with the
     rows: entry ``[a, b, ...]`` of the result is the joint choice of row ``a``
-    for the first agent, row ``b`` for the second, and so on. A second
-    contraction, against the inf mask, sets to inf every choice with positive
-    mass on an infinite entry.
+    for the first agent, row ``b`` for the second, and so on.
 
     A vector is contracted by two-operand ``einsum``, which, unlike BLAS,
     gives a row the same bits whichever other rows are evaluated with it, so
-    any subset of a model's vertex rows reproduces the whole stack's entries.
-    A tensor is contracted by one BLAS product per axis: its callers always
-    contract the whole tensor with the whole stack and gather entries from
-    that one table, so identical inputs still give identical bits.
+    any subset of a model's vertex rows reproduces the whole stack's entries;
+    ``out`` takes the same bits. A tensor is contracted by one BLAS product
+    per axis: its callers always contract the whole tensor with the whole
+    stack and gather entries from that one table, so identical inputs still
+    give identical bits.
     """
-    inf = np.isinf(values)
-    if inf.any():
-        out = choice_values(vertices, np.where(inf, 0.0, values))
-        out[choice_values(vertices, inf.astype(float)) > 0.0] = math.inf
-        return out
     if values.ndim == 1:
-        return np.einsum("ij,...j->i...", vertices, values)
+        return np.einsum("ij,...j->i...", vertices, values, out=out)
     for _ in range(values.ndim):  # last axis first, the new row axis in front
         rest = values.shape[:-1]
         values = (vertices @ values.reshape(-1, values.shape[-1]).T).reshape(-1, *rest)
-    return values
+    if out is None:
+        return values
+    out[...] = values
+    return out
+
+
+def choice_values(vertices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """:func:`contract` for values that may hold inf, with 0 * inf = 0: a
+    second contraction, against the inf mask, sets to inf every choice with
+    positive mass on an infinite entry. The public operators take this path."""
+    inf = np.isinf(values)
+    if not inf.any():
+        return contract(vertices, values)
+    out = contract(vertices, np.where(inf, 0.0, values))
+    out[contract(vertices, inf.astype(float)) > 0.0] = math.inf
+    return out
 
 
 def ext_matvec(matrix, values) -> np.ndarray:

@@ -26,10 +26,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import CredalMatrix, StateSpace, _require_sense, choice_values
+from .core import CredalMatrix, StateSpace, _require_sense, choice_values, contract
 from .core import segment_bounds, target_mask
 from .reach import ChoiceView, Classification
-from .solver import HittingResult, solve_view_policy
+from .solver import HittingResult, _require_budget, solve_view_policy
 from .chain import TransitionMatrix, hitting_times
 
 #: Refusal threshold for the number of joint states.
@@ -152,7 +152,8 @@ class JointChoices(ChoiceView):
     A choice's cell is its agents' rows in the model's stacked vertex array,
     and its key the cell's position in the table of all cells. Each
     evaluation contracts the value tensor with that array once per agent
-    (:func:`choice_values`); every choice reads the table entry of its key,
+    (:func:`~credalmeet.core.contract`, through :func:`choice_values` when
+    the values may hold inf); every choice reads the table entry of its key,
     the sorted cell's in quotient mode, where values are symmetric in the
     cell, so that choices that only swap co-located agents' vertices tie
     exactly. Support tests (:meth:`touches`) take the same path with the 0/1
@@ -224,6 +225,13 @@ class JointChoices(ChoiceView):
 
     def _values(self, f: np.ndarray) -> np.ndarray:
         return self._table(f, self.model.stack)
+
+    def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Expectation of the finite ``f`` under every choice, laid out as
+        ``values(None, f)`` with the same bits, into ``out`` when given: the
+        table of :func:`contract`, its keys' entries gathered."""
+        table = contract(self.model.stack, f[self._agg].reshape(self._tensor_shape))
+        return np.take(table.ravel(), self._rows("keys"), out=out)
 
     def _touches(self, mask: np.ndarray) -> np.ndarray:
         # the pattern's entries are 0 or 1, so a table entry counts destination
@@ -430,6 +438,7 @@ def meet(
         )
     if belief != "degenerate":
         _require_sense(sense)
+    _require_budget(tol, max_iter)
     product = build_product_space(model.space, agents, mode)
     view = JointChoices(model, product)
     if belief == "degenerate":

@@ -21,8 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, _require_sense, choice_values, segment_bounds, segment_optimum
-from .core import segment_rows, target_mask
+from .core import CredalMatrix, _require_sense, choice_values, contract, segment_bounds
+from .core import segment_optimum, segment_rows, target_mask
 
 
 class ChoiceView:
@@ -34,7 +34,11 @@ class ChoiceView:
     A subclass gives ``n`` and the evaluation of all its rows at once,
     ``_values(f)`` and ``_touches(mask)``; :meth:`values` and :meth:`touches`
     gather a few states' segments (:meth:`choice_rows`) from that whole
-    evaluation, so that every evaluation takes the one path. A pinned view's
+    evaluation, so that every evaluation takes the one path. It also gives
+    ``finite_values(f, out)``, the same whole evaluation for finite ``f``
+    written into a buffer the caller owns: the solvers' loops, which zero
+    the inf states and know the choices with mass there, call it once per
+    sweep without a scan for infs or a fresh array. A pinned view's
     ``block(states)`` is its transition matrix on ``states``, one pinned row
     each, and ``block_bytes(states)`` bounds the bytes that building it takes.
     """
@@ -113,6 +117,12 @@ class CredalChoices(ChoiceView):
 
     def _values(self, f: np.ndarray) -> np.ndarray:
         return choice_values(self._rows("stack"), f)
+
+    def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Expectation of the finite ``f`` under every choice, laid out as
+        ``values(None, f)`` with the same bits, into ``out`` when given: one
+        :func:`contract` of the view's rows, the whole stack when unpinned."""
+        return contract(self._rows("stack"), f, out)
 
     def _touches(self, mask: np.ndarray) -> np.ndarray:
         # reads only the mask's columns of the pattern

@@ -1,21 +1,31 @@
 """Best- and worst-case expected hitting times for credal transition models.
 
-Two methods are provided. Monotone value iteration from zero serves as an
-independent oracle: it climbs to the minimal non-negative fixed point of the
-one-step operator on the finitely-valued states. Policy iteration alternates
-exact evaluation of one selection with a greedy switch to better vertices,
-and terminates after finitely many sweeps because there are finitely many
-selections and no strict improvement can repeat. An evaluation solves the
-selection's linear system matrix-free by restarted GMRES on the choice
+Two methods are provided. Monotone value iteration from zero climbs to the
+minimal non-negative fixed point of the one-step operator on the
+finitely-valued states. Policy iteration alternates exact evaluation of one
+selection with a greedy switch to better vertices, and terminates after
+finitely many sweeps because there are finitely many selections and no
+strict improvement can repeat. Both share the classification and the choice
+kernel, so they cross-check each other's iteration, not those; the
+independent oracles are :func:`~credalmeet.chain.hitting_times`,
+:func:`~credalmeet.chain.meeting_times` and
+:func:`~credalmeet.meeting.exhaustive_meeting_times`. An evaluation solves
+the selection's linear system matrix-free by restarted GMRES on the choice
 kernel's product from ``MATRIX_FREE_UNKNOWNS`` unknowns on, and densely
 below that; every solution must meet a backward-error bound.
 
 Every sweep, improvement step and final residual evaluates all the view's
 choices at once and reads the finite states' among them, at positions
 (:meth:`~credalmeet.reach.ChoiceView.choice_rows`) found once per solve. It
-contracts the values with their inf entries zeroed and sets the choices with
-mass on the inf states, also found once per solve, to inf. An
-evaluation pins the view to the selected choice of each finite state
+contracts the values with their inf entries zeroed
+(:meth:`~credalmeet.reach.ChoiceView.finite_values`) and sets the choices
+with mass on the inf states, also found once per solve, to inf. A value
+iteration sweep is that one contraction into a buffer allocated once, a read
+of the finite states' choices (a view of it when they are consecutive),
+inf at those choices when there are any, and the per-state optimum, step and
+its largest entry, all into buffers of their own, two of which hold the
+current and the next iterate in turn. An evaluation pins the view to the
+selected choice of each finite state
 (:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a product on a base
 model contracts only the ``k`` selected rows, and a dense solve takes the
 pinned view's ``(k, k)`` block of the finite states in one call.
@@ -77,23 +87,24 @@ class HittingResult:
     sweep_values: tuple[np.ndarray, ...] = ()
 
 
-def _choice_values(view, rows, f: np.ndarray, hopeless: np.ndarray) -> np.ndarray:
-    """The values at ``rows`` of every choice under the values that are ``f``
-    off the inf states and inf on them: one :meth:`values` call on ``f``,
-    which is zero on the inf states, then inf at ``hopeless``, the positions
-    among ``rows`` of the choices with mass there. These are the bits of a
-    :meth:`values` call on the values with their infs."""
-    vals = view.values(None, f)[rows]
-    vals[hopeless] = math.inf
-    return vals
+def _require_budget(tol, max_iter) -> None:
+    """Refuse a ``tol`` that is not a non-negative number (NaN included) and
+    a negative ``max_iter``, naming the argument."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative and not NaN, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
 
 
 def _finish(view, rows, bounds: np.ndarray, f: np.ndarray, hopeless: np.ndarray, finite: np.ndarray, sense: str):
     """Greedy selection (lowest index on ties) and the sup-norm defect of
-    ``h = 1 + opt(T h)`` on the finite states, for the values ``h`` given by
-    ``f`` and ``hopeless`` (:func:`_choice_values`); the finite states' choices
-    sit at ``rows`` of the view's values and are delimited by ``bounds``."""
-    best, pick = segment_optimum(_choice_values(view, rows, f, hopeless), bounds, sense)
+    ``h = 1 + opt(T h)`` on the finite states, for the values ``h`` that are
+    ``f`` off the inf states and inf on them; the finite states' choices sit
+    at ``rows`` of the view's values, are delimited by ``bounds`` and have
+    mass on the inf states at ``hopeless``."""
+    vals = view.finite_values(f)[rows]
+    vals[hopeless] = math.inf
+    best, pick = segment_optimum(vals, bounds, sense)
     selection = np.zeros(view.n, dtype=np.int64)
     selection[finite] = pick
     return selection, float(np.max(np.abs(f[finite] - (1.0 + best)), initial=0.0))
@@ -112,23 +123,35 @@ def _finite_region(view, cls: Classification):
 def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter: int) -> HittingResult:
     """Value iteration on a choice view; see :func:`value_iteration`.
 
-    Each sweep contracts the current values with their inf entries zeroed,
-    one :meth:`values` call, and sets the choices with mass on the inf states,
-    found once, to inf (:func:`_choice_values`).
+    Each sweep makes one :meth:`finite_values` call on the current values,
+    which are zero on the inf states, into a buffer allocated once, and sets
+    the choices with mass on the inf states, found once, to inf; every other
+    step of the sweep also writes into a buffer of its own.
     """
     cls, _ = classify_view(view, targets, sense)
     finite, rows, bounds, hopeless = _finite_region(view, cls)
     f = np.zeros(view.n)
-    cur = np.zeros(finite.size)
+    everything = np.empty(view.choice_offsets(np.arange(view.n))[-1])
+    gather = not isinstance(rows, slice)  # else the finite states' choices are a view
+    vals = np.empty(bounds[-1]) if gather else everything[rows]
+    cur, new, step = np.zeros(finite.size), np.empty(finite.size), np.empty(finite.size)
     starts = bounds[:-1]
     best_of = (np.maximum if sense == "upper" else np.minimum).reduceat
     iterations = 0
     converged = False
     while iterations < max_iter:
         # one synchronous sweep: every update reads the previous vector
-        new = 1.0 + best_of(_choice_values(view, rows, f, hopeless), starts)
-        delta = float(np.maximum.reduce(np.abs(new - cur), initial=0.0))
-        f[finite] = cur = new
+        view.finite_values(f, everything)
+        if gather:
+            np.take(everything, rows, out=vals)
+        if hopeless.size:
+            vals[hopeless] = math.inf
+        best_of(vals, starts, out=new)
+        new += 1.0
+        np.subtract(new, cur, out=step)
+        delta = float(np.maximum.reduce(np.abs(step, out=step), initial=0.0))
+        f[finite] = new
+        cur, new = new, cur
         iterations += 1
         if delta <= tol:
             converged = True
@@ -328,7 +351,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     # selection can use, and keeping the walk off that region makes every
     # evaluated system non-singular once the starting selection is proper.
     # The others are set to a value that never wins the improvement step
-    # (in place of the inf that _choice_values gives them).
+    # (in place of the inf that _finish gives them).
     finite, rows, bounds, hopeless = _finite_region(view, cls)
     admissible = np.ones(bounds[-1])
     admissible[hopeless] = 0.0
@@ -361,7 +384,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         if prev is not None and np.max(np.abs(sol - prev)) <= tol:
             converged = True
             break
-        vals = view.values(None, f)[rows]
+        vals = view.finite_values(f)[rows]
         vals[hopeless] = fill
         _, new_choice = segment_optimum(vals, bounds, sense)
         if np.array_equal(new_choice, choice):
@@ -402,6 +425,7 @@ def value_iteration(
     ``max_iter`` runs out first the result is flagged as not converged.
     """
     _require_sense(sense)
+    _require_budget(tol, max_iter)
     view = CredalChoices(model)
     return solve_view_value(view, target_mask(view.n, targets), sense, tol, max_iter)
 
@@ -423,5 +447,6 @@ def policy_iteration(
     lower mode non-increasing.
     """
     _require_sense(sense)
+    _require_budget(tol, max_iter)
     view = CredalChoices(model)
     return solve_view_policy(view, target_mask(view.n, targets), sense, tol, max_iter)

@@ -167,6 +167,19 @@ def test_hit_non_convergence_exit_code(model_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(["hit", "builtin:five-state", "--target", "5", "--sense", "upper",
+                  "--method", "value", "--tol", "nan"], "tol", id="hit-value-nan-tol"),
+    pytest.param(["hit", "builtin:five-state", "--target", "5", "--sense", "lower",
+                  "--tol", "-1"], "tol", id="hit-policy-negative-tol"),
+    pytest.param(["meet", "builtin:five-state", "--max-iter", "-3"], "max_iter",
+                 id="meet-negative-max_iter"),
+])
+def test_a_nan_or_negative_budget_is_a_usage_error(argv, name, capsys):
+    assert main(argv) == 3
+    assert f"error: {name} must be non-negative" in capsys.readouterr().err
+
+
 def test_classify_five_state_pairs(capsys):
     assert main(["classify", "builtin:five-state", "--agents", "2", "--sense", "upper"]) == 0
     out = capsys.readouterr().out

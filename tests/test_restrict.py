@@ -88,6 +88,20 @@ def test_restricted_view_reads_the_full_views_entries(data):
     assert np.array_equal(repinned.touches(None, mask), hit[pick[states]])
 
 
+@settings(max_examples=100, deadline=None)
+@given(restricted_views())
+def test_finite_values_give_the_views_values_into_a_buffer(data):
+    """On finite values, ``finite_values`` gives every choice's value with the
+    bits of ``values``, for whole and pinned views, into the given buffer."""
+    view, f, mask, states, choice = data
+    f[np.isinf(f)] = 0.0
+    for v in (view, view.restrict(states, choice)):
+        want = v.values(None, f)
+        out = np.full(want.size, np.nan)
+        assert v.finite_values(f, out) is out
+        assert np.array_equal(out, want) and np.array_equal(v.finite_values(f), want)
+
+
 # ------------------------------------------------- solvers against reference
 
 def _reference_finish(view, h, finite, sense):
@@ -181,6 +195,75 @@ def test_solvers_match_the_reference_bit_for_bit(n, sense, monkeypatch):
     assert (len(pi.classification.finite) >= MATRIX_FREE_UNKNOWNS) == (n == 300)
     monkeypatch.setattr(solver, "_selection_operator", _reference_selection_operator)
     _same(pi, policy_iteration(model, [target], sense))
+
+
+@st.composite
+def value_problems(draw):
+    """A base model on 2 to 8 states, a non-empty target set, a sense, a
+    tolerance and a sweep budget. About a quarter of the states are traps,
+    one vertex on themselves; every other state holds 1 to 3 vertices of
+    small integer weights, some of them zero, and in lower sense at times one
+    more vertex straight into a trap. The traps and the states that cannot
+    avoid them are infinite and fall between finite ones, so the finite
+    states' choices are often not a slice, and in lower sense finite states
+    have choices into them; a target set of every state, or of states nothing
+    reaches, leaves no finite state."""
+    sense = draw(st.sampled_from(["upper", "lower"]))
+    n = draw(st.integers(2, 8))
+    traps = np.flatnonzero([draw(st.booleans()) and draw(st.booleans()) for _ in range(n)])
+    weight = st.lists(st.sampled_from([0, 1, 3]), min_size=n, max_size=n).filter(any)
+    rows = []
+    for i in range(n):
+        if i in traps:
+            rows.append([np.eye(n)[i]])
+            continue
+        drawn = draw(st.lists(weight, min_size=1, max_size=3))
+        if sense == "lower" and traps.size and draw(st.booleans()):
+            drawn.append(np.eye(n, dtype=int)[draw(st.sampled_from(traps.tolist()))].tolist())
+        rows.append(list({tuple(x / sum(w) for x in w): None for w in drawn}))
+    model = CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows)
+    targets = target_mask(n, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-3, math.inf]))
+    max_iter = draw(st.sampled_from([0, 1, 3, 500]))
+    return model, targets, sense, tol, max_iter
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_problems())
+def test_value_iteration_matches_the_reference_on_random_models(problem):
+    model, targets, sense, tol, max_iter = problem
+    got = value_iteration(model, np.flatnonzero(targets), sense, tol, max_iter)
+    _same(got, _reference_value(CredalChoices(model), targets, sense, tol, max_iter))
+
+
+def test_a_value_iteration_sweep_makes_one_finite_contraction(monkeypatch):
+    """Each sweep contracts the values, with their inf entries zeroed, once;
+    the inf-aware kernel is called a fixed number of times whatever the
+    number of sweeps. In lower sense the third vertex of ``a`` leads to the
+    trap ``c`` and is never chosen; the bound at ``a`` is 100, approached by
+    a factor 0.99 per sweep, so neither budget converges at ``tol = 0``."""
+    model = CredalMatrix.from_rows(
+        ["a", "b", "c"],
+        [[[0.99, 0.01, 0.0], [0.995, 0.005, 0.0], [0.5, 0.0, 0.5]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]],
+    )
+    calls = {"kernel": 0, "contract": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(reach, "choice_values", counted("kernel", reach.choice_values))
+    monkeypatch.setattr(reach, "contract", counted("contract", reach.contract))
+    kernel = []
+    for max_iter in (5, 500):
+        calls.update(kernel=0, contract=0)
+        res = value_iteration(model, [1], "lower", 0.0, max_iter)
+        assert res.iterations == max_iter and not res.converged and np.isinf(res.values[2])
+        assert calls["contract"] == max_iter + 1  # one per sweep, one for the residual
+        kernel.append(calls["kernel"])
+    assert kernel[0] == kernel[1]
 
 
 @pytest.mark.parametrize("agents", [2, 3])

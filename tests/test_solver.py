@@ -188,6 +188,26 @@ def test_lower_mode_starts_from_a_proper_selection():
     assert r.selection[0] == 1
 
 
+def _meet_two(model, targets, sense, **kw):
+    return meet(model, 2, "vacuous", sense, **kw)
+
+
+@pytest.mark.parametrize("solve", [value_iteration, policy_iteration, _meet_two])
+@pytest.mark.parametrize("budget, name", [
+    pytest.param({"tol": math.nan}, "tol", id="nan-tol"),
+    pytest.param({"tol": -1e-9}, "tol", id="negative-tol"),
+    pytest.param({"max_iter": -3}, "max_iter", id="negative-max_iter"),
+])
+def test_a_nan_or_negative_budget_is_refused_by_name(solve, budget, name):
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+        solve(two_vertex_model(), [1], "upper", **budget)
+
+
+def test_a_zero_budget_is_accepted():
+    r = value_iteration(two_vertex_model(), [1], "upper", tol=0.0, max_iter=0)
+    assert r.iterations == 0 and not r.converged
+
+
 def test_empty_target_rejected():
     m = two_vertex_model()
     with pytest.raises(ValueError):
