@@ -14,10 +14,12 @@ identical bits on one machine; :func:`ext_dot` stays the left-to-right
 reference. A value vector is contracted by an ``einsum`` row-dot, which
 gives a vertex row the same bits in any subset of rows; the joint walk's
 value tensor, always contracted whole, by one BLAS product per agent axis.
-Values with infinite entries go through :func:`choice_values`, which zeroes
-them, contracts once more against the inf mask and sets the choices with
-mass on them to inf. The solvers know where the inf states are once per
-solve, so their sweeps call :func:`contract` on zeroed values directly.
+The public operators take values with infinite entries through
+:func:`choice_values`, which zeroes them, contracts once more against the inf
+mask and sets the choices with mass on them to inf. A choice view's
+``values`` reads that mass from the exact 0/1 support pattern instead, and
+the solvers, which know the inf states once per solve, call the view's
+finite contraction on zeroed values directly.
 """
 
 from __future__ import annotations

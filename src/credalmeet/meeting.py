@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import CredalMatrix, StateSpace, _require_sense, choice_values, contract
+from .core import CredalMatrix, StateSpace, _require_sense, contract
 from .core import segment_bounds, target_mask
 from .reach import ChoiceView, Classification
 from .solver import HittingResult, _require_budget, solve_view_policy
@@ -150,20 +150,22 @@ class JointChoices(ChoiceView):
     to the lowest tuple.
 
     A choice's cell is its agents' rows in the model's stacked vertex array,
-    and its key the cell's position in the table of all cells. Each
-    evaluation contracts the value tensor with that array once per agent
-    (:func:`~credalmeet.core.contract`, through :func:`choice_values` when
-    the values may hold inf); every choice reads the table entry of its key,
-    the sorted cell's in quotient mode, where values are symmetric in the
-    cell, so that choices that only swap co-located agents' vertices tie
-    exactly. Support tests (:meth:`touches`) take the same path with the 0/1
-    pattern of the stacked array in place of the array itself. A pinned view
-    from :meth:`restrict` (one choice per state: a precise joint walk)
-    gathers its own cells and keys on first use and reads the same table.
+    and its key the cell's position in the table of all cells; cells and
+    keys are the view's row arrays. Each evaluation contracts the value
+    tensor with that array once per agent
+    (:func:`~credalmeet.core.contract`); every choice reads the table entry
+    of its key, the sorted cell's in quotient mode, where values are
+    symmetric in the cell, so that choices that only swap co-located agents'
+    vertices tie exactly. Support tests (:meth:`touches`) contract the 0/1
+    mask with the 0/1 pattern of the stacked array in place of the array
+    itself. A pinned view from :meth:`restrict` (one choice per state: a
+    precise joint walk) holds its own cells and keys and reads the same table.
     Values are spread over, and rows summed back from, ordered tuples by
     ``product.ordered_index``, built only after the table size passed its
     guard (the identity in full mode).
     """
+
+    _row_arrays = ("_cells", "_keys")
 
     def __init__(self, model: CredalMatrix, product: ProductSpace):
         self.model = model
@@ -192,11 +194,11 @@ class JointChoices(ChoiceView):
             cells[:, j] = model.offsets[joint[owner, j]] + rank % agent_counts[owner, j]
             rank //= agent_counts[owner, j]
         keys = np.sort(cells, axis=1) if product.mode == "quotient" else cells
-        self._own = {"cells": cells, "keys": np.ravel_multi_index(keys.T, (k,) * m)}
+        self._cells, self._keys = cells, np.ravel_multi_index(keys.T, (k,) * m)
 
     def choice_tuples(self, state: int) -> list[tuple[int, ...]]:
         start = self._starts[state]
-        cells = self._rows("cells")[start : start + self._counts[state]]
+        cells = self._cells[start : start + self._counts[state]]
         return list(map(tuple, (cells - self.model.offsets[list(self.product.states[state])]).tolist()))
 
     def flat_choice(self, state: int, choice_tuple: tuple[int, ...]) -> int:
@@ -207,7 +209,10 @@ class JointChoices(ChoiceView):
                 f"{len(joint)} vertex choices, one per agent, got {len(choice_tuple)}"
             )
         flat = 0
-        for z, c in zip(joint, choice_tuple):
+        for k, (z, c) in enumerate(zip(joint, choice_tuple)):
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise ValueError(f"selection for joint state {self.product.label(state)}: "
+                                 f"entry {k} is not an integer ({c!r})")
             count = self.model.vertex_count(z)
             if not 0 <= int(c) < count:
                 raise ValueError(
@@ -217,26 +222,18 @@ class JointChoices(ChoiceView):
             flat = flat * count + int(c)
         return flat
 
-    def _table(self, f, vertices: np.ndarray) -> np.ndarray:
-        """Entry of every choice in the table of ``f`` contracted with
-        ``vertices``, flat and in state order; see :func:`choice_values`."""
-        f = np.asarray(f, dtype=float)[self._agg].reshape(self._tensor_shape)
-        return choice_values(vertices, f).ravel()[self._rows("keys")]
-
-    def _values(self, f: np.ndarray) -> np.ndarray:
-        return self._table(f, self.model.stack)
-
     def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Expectation of the finite ``f`` under every choice, laid out as
-        ``values(None, f)`` with the same bits, into ``out`` when given: the
-        table of :func:`contract`, its keys' entries gathered."""
+        ``values(None, f)``, into ``out`` when given: the table of
+        :func:`contract`, its keys' entries gathered."""
         table = contract(self.model.stack, f[self._agg].reshape(self._tensor_shape))
-        return np.take(table.ravel(), self._rows("keys"), out=out)
+        return np.take(table.ravel(), self._keys, out=out)
 
     def _touches(self, mask: np.ndarray) -> np.ndarray:
         # the pattern's entries are 0 or 1, so a table entry counts destination
         # tuples and no product of small masses can underflow
-        return self._table(mask, self._pattern) > 0.0
+        mask = np.asarray(mask, dtype=float)[self._agg].reshape(self._tensor_shape)
+        return contract(self._pattern, mask).ravel()[self._keys] > 0.0
 
     def _block_plan(self, states: np.ndarray):
         """The base states that ``states`` hold, and the pinned cells per chunk
@@ -246,18 +243,18 @@ class JointChoices(ChoiceView):
         base = np.flatnonzero(np.bincount(self.product.state_array[states].ravel(), minlength=self.model.size))
         return base, max(1, k * k // max(1, 4 * base.size**m))
 
-    def block(self, states: np.ndarray) -> np.ndarray:
-        """Per chunk of pinned cells (:meth:`_block_plan`), the outer product of
-        their agents' vertex rows over the ordered tuples of the base states in
-        ``states``, summed into the columns ``states`` (and a dropped last
-        column for the other tuples) by one ``bincount``."""
+    def block(self, states: np.ndarray, choice: np.ndarray) -> np.ndarray:
+        """Per chunk of the selected cells (:meth:`_block_plan`), the outer
+        product of their agents' vertex rows over the ordered tuples of the
+        base states in ``states``, summed into the columns ``states`` (and a
+        dropped last column for the other tuples) by one ``bincount``."""
         k, m, n = states.size, self.product.agents, self.model.size
         base, step = self._block_plan(states)
         tuples = np.ravel_multi_index(np.ix_(*[base] * m), (n,) * m).ravel()
         column = np.full(self.n, k)
         column[states] = np.arange(k)
         index = ((np.arange(step) * (k + 1))[:, None] + column[self._agg[tuples]]).ravel()
-        rows, cells = self.model.stack[:, base], self._rows("cells")[self._starts[states]]
+        rows, cells = self.model.stack[:, base], self._cells[self._starts[states] + choice]
         out = np.empty((k, k))
         for lo in range(0, k, step):
             flat = functools.reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1),
@@ -268,15 +265,15 @@ class JointChoices(ChoiceView):
         return out
 
     def block_bytes(self, states: np.ndarray) -> int:
-        """Bytes that :meth:`block` on ``states``, with the view pinned to them,
-        holds at its peak, at most: the block; the pinned view's starts, counts
-        and cells; the column map; the ordered tuples and two gathers of them;
-        the bin index; the agents' rows over the base states; and one chunk's
-        gathered rows, products (two for three agents or more) and sums."""
+        """Bytes that :meth:`block` on ``states`` holds at its peak, at most:
+        the block; the column map; the selected cells; the ordered tuples and
+        two gathers of them; the bin index; the agents' rows over the base
+        states; and one chunk's gathered rows, products (two for three agents
+        or more) and sums."""
         k, m = states.size, self.product.agents
         base, step = self._block_plan(states)
         b, t = base.size, base.size**m
-        return 8 * (k * k + 3 * self.n + 3 * k * m + 4 * k + 3 * t + step * t
+        return 8 * (k * k + self.n + 2 * k * m + 4 * k + 3 * t + step * t
                     + self.model.stack.shape[0] * b + step * (m * b + 2 * t + k + 1))
 
 
@@ -361,7 +358,7 @@ def _normalize_selection(
 
 def _selection_tuples(view: JointChoices, flat: np.ndarray) -> tuple:
     """The vertex tuple of every state's flat choice, None on the diagonal."""
-    cells = view._rows("cells")[view._starts + flat] - view.model.offsets[view.product.state_array]
+    cells = view._cells[view._starts + flat] - view.model.offsets[view.product.state_array]
     tuples = list(map(tuple, cells.tolist()))
     for i in view.product.diagonal:
         tuples[i] = None

@@ -65,10 +65,13 @@ def interval_vertices(lower, upper) -> np.ndarray:
     At a vertex all coordinates but at most one sit at a bound, so the
     enumeration walks every bound pattern with zero or one free coordinate
     and keeps the feasible, distinct ones. Returned rows are sorted
-    lexicographically.
+    lexicographically. Bounds of other shapes are refused with a ``ValueError``.
     """
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape or lo.size > MAX_INTERVAL_STATES:
+        raise ValueError(f"lower and upper bounds must be vectors of equal length, at most "
+                         f"{MAX_INTERVAL_STATES} states, got shapes {lo.shape} and {hi.shape}")
     n = lo.size
     found = {}
     for free in (None, *range(n)):

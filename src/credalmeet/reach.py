@@ -10,48 +10,38 @@ frontier rounds, one per breadth-first level: a round asks a view's
 ``touches`` which choices put mass on the states added in the previous
 round, and reduces the answers per state with :func:`segment_optimum`. The
 answers are read from the 0/1 support pattern of the stored vertices, so
-they are exact however small the probabilities are.
+they are exact however small the probabilities are; a view's ``values`` sets
+inf where the same test finds mass on an infinite entry.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, _require_sense, choice_values, contract, segment_bounds
+from .core import CredalMatrix, _require_sense, contract, segment_bounds
 from .core import segment_optimum, segment_rows, target_mask
 
 
 class ChoiceView:
     """Choices of a view laid out state by state: state ``i`` owns the
-    ``_counts[i]`` consecutive rows from ``_starts[i]`` of the view's row
-    arrays (:meth:`_rows`), one once :meth:`restrict` has pinned ``i`` to a
-    choice, none once it has left ``i`` out.
+    ``_counts[i]`` consecutive rows from ``_starts[i]`` of the row arrays
+    named in ``_row_arrays``, one once :meth:`restrict` has pinned ``i`` to
+    a choice, none once it has left ``i`` out.
 
-    A subclass gives ``n`` and the evaluation of all its rows at once,
-    ``_values(f)`` and ``_touches(mask)``; :meth:`values` and :meth:`touches`
-    gather a few states' segments (:meth:`choice_rows`) from that whole
-    evaluation, so that every evaluation takes the one path. It also gives
-    ``finite_values(f, out)``, the same whole evaluation for finite ``f``
-    written into a buffer the caller owns: the solvers' loops, which zero
-    the inf states and know the choices with mass there, call it once per
-    sweep without a scan for infs or a fresh array. A pinned view's
-    ``block(states)`` is its transition matrix on ``states``, one pinned row
-    each, and ``block_bytes(states)`` bounds the bytes that building it takes.
+    A subclass gives ``n``, the finite contraction of all its rows,
+    ``finite_values(f, out)`` (into a buffer the caller owns when given),
+    and their exact support test, ``_touches(mask)``. :meth:`values` builds
+    the 0 * inf = 0 rule from those two; it and :meth:`touches` gather a few
+    states' segments (:meth:`choice_rows`) from the whole evaluation.
+    ``block(states, choice)`` is the transition matrix on ``states`` of the
+    selection of ``choice[i]`` at ``states[i]``, and ``block_bytes(states)``
+    bounds the bytes that building it takes.
     """
-
-    def _rows(self, name: str) -> np.ndarray:
-        """This view's own rows of the row array ``name``. A pinned view
-        takes them from the view it came from on first use, so that it copies
-        only the row arrays something reads (a selection product on a base
-        model reads the vertices, never their support pattern)."""
-        if name not in self._own:
-            source, rows = self._source
-            self._own[name] = source._rows(name)[rows]
-        return self._own[name]
 
     def nchoices(self, state: int) -> int:
         return int(self._counts[state])
@@ -71,12 +61,14 @@ class ChoiceView:
         """A shallow copy of this view that pins each of ``states`` (distinct
         indices) to its choice ``choice[i]`` and holds no other choice: one
         selection, a precise chain on those states. It keeps the class and
-        owns its rows: a slice of this view's row arrays when the choices are
-        consecutive, a copy otherwise."""
+        owns its rows: a slice of each of this view's row arrays when the
+        choices are consecutive, a copy otherwise."""
         states = np.atleast_1d(states)
         starts = self._starts[states] + np.asarray(choice, dtype=np.int64)
+        rows = segment_rows(starts, np.ones_like(starts))
         view = copy.copy(self)
-        view._own, view._source = {}, (self, segment_rows(starts, np.ones_like(starts)))
+        for name in self._row_arrays:
+            setattr(view, name, getattr(self, name)[rows])
         view._starts, view._counts = np.zeros((2, self.n), dtype=np.int64)
         view._starts[states] = np.arange(states.size)
         view._counts[states] = 1
@@ -85,8 +77,15 @@ class ChoiceView:
     def values(self, states, f) -> np.ndarray:
         """Expectation of ``f`` under every choice of ``states`` (an index or an
         index array; None for every choice the view holds), flat and in state
-        order, with the 0 * inf = 0 rule."""
-        out = self._values(np.asarray(f, dtype=float))
+        order, with the 0 * inf = 0 rule: inf wherever the support test finds
+        mass on an inf entry, however small."""
+        f = np.asarray(f, dtype=float)
+        inf = np.isinf(f)
+        if inf.any():
+            out = self.finite_values(np.where(inf, 0.0, f))
+            out[self._touches(inf)] = math.inf
+        else:
+            out = self.finite_values(f)
         return out if states is None else out[self.choice_rows(states)]
 
     def touches(self, states, mask: np.ndarray) -> np.ndarray:
@@ -100,43 +99,41 @@ class CredalChoices(ChoiceView):
     """Choice view of a credal model: one candidate row per vertex.
 
     The reachability and solver passes only ever see the :class:`ChoiceView`
-    interface: ``n``, batched choice values (``values``) and support tests
-    (``touches``), their per-state offsets (``choice_offsets``) and
-    positions (``choice_rows``), pinned selections (``restrict``) and a
-    pinned selection's dense ``block``. That lets the same passes run on
-    joint product models without those models ever being expanded into
-    explicit vertex lists. The row arrays are the model's stacked vertices
-    and their 0/1 support pattern.
+    interface: ``n``, batched choice values (``values``, ``finite_values``)
+    and support tests (``touches``), their per-state offsets
+    (``choice_offsets``) and positions (``choice_rows``), pinned selections
+    (``restrict``) and a selection's dense ``block``. That lets the same
+    passes run on joint product models without those models ever being
+    expanded into explicit vertex lists. The row arrays are the model's
+    stacked vertices and their 0/1 support pattern.
     """
+
+    _row_arrays = ("_stack", "_pattern")
 
     def __init__(self, model: CredalMatrix):
         self.model = model
         self.n = model.size
         self._starts, self._counts = model.offsets[:-1], np.diff(model.offsets)
-        self._own = {"stack": model.stack, "pattern": model.stack > 0.0}
-
-    def _values(self, f: np.ndarray) -> np.ndarray:
-        return choice_values(self._rows("stack"), f)
+        self._stack, self._pattern = model.stack, model.stack > 0.0
 
     def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Expectation of the finite ``f`` under every choice, laid out as
-        ``values(None, f)`` with the same bits, into ``out`` when given: one
-        :func:`contract` of the view's rows, the whole stack when unpinned."""
-        return contract(self._rows("stack"), f, out)
+        ``values(None, f)``, into ``out`` when given: one :func:`contract` of
+        the view's rows, the whole stack when unpinned."""
+        return contract(self._stack, f, out)
 
     def _touches(self, mask: np.ndarray) -> np.ndarray:
         # reads only the mask's columns of the pattern
-        return self._rows("pattern")[:, mask].any(axis=1)
+        return self._pattern[:, mask].any(axis=1)
 
-    def block(self, states: np.ndarray) -> np.ndarray:
-        return self._rows("stack")[self._starts[states][:, None], states]
+    def block(self, states: np.ndarray, choice: np.ndarray) -> np.ndarray:
+        return self._stack[(self._starts[states] + choice)[:, None], states]
 
     def block_bytes(self, states: np.ndarray) -> int:
-        """Bytes that :meth:`block` on ``states``, with the view pinned to them,
-        holds at its peak, at most: the block, the pinned view's starts, counts
-        and stack rows, and the index arrays."""
+        """Bytes that :meth:`block` on ``states`` holds at its peak, at most:
+        the block and the index arrays."""
         k = states.size
-        return 8 * (k * k + 2 * self.n + k * self.model.size + 4 * k)
+        return 8 * (k * k + 4 * k)
 
 
 def _grow(view, seeds: np.ndarray, candidates: np.ndarray, join: str, eligible=None):

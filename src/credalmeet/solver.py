@@ -19,16 +19,17 @@ choices at once and reads the finite states' among them, at positions
 (:meth:`~credalmeet.reach.ChoiceView.choice_rows`) found once per solve. It
 contracts the values with their inf entries zeroed
 (:meth:`~credalmeet.reach.ChoiceView.finite_values`) and sets the choices
-with mass on the inf states, also found once per solve, to inf. A value
-iteration sweep is that one contraction into a buffer allocated once, a read
-of the finite states' choices (a view of it when they are consecutive),
-inf at those choices when there are any, and the per-state optimum, step and
-its largest entry, all into buffers of their own, two of which hold the
-current and the next iterate in turn. An evaluation pins the view to the
-selected choice of each finite state
+with mass on the inf states, also found once per solve, to inf. The
+improvement step of policy iteration and the final selection are one greedy
+pass over those values. A value iteration sweep is that one contraction into
+a buffer allocated once, a read of the finite states' choices (a view of it
+when they are consecutive), inf at those choices when there are any, and the
+per-state optimum, step and its largest entry, all into buffers of their
+own, two of which hold the current and the next iterate in turn. A GMRES
+evaluation pins the view to the selected choice of each finite state
 (:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a product on a base
-model contracts only the ``k`` selected rows, and a dense solve takes the
-pinned view's ``(k, k)`` block of the finite states in one call.
+model contracts only the ``k`` selected rows; a dense solve reads the
+selection's ``(k, k)`` block of the finite states from the view in one call.
 
 Both methods first classify the states and pin the hopeless ones to inf, so
 the iteration itself only ever runs on the finite region.
@@ -97,17 +98,15 @@ def _require_budget(tol, max_iter) -> None:
 
 
 def _finish(view, rows, bounds: np.ndarray, f: np.ndarray, hopeless: np.ndarray, finite: np.ndarray, sense: str):
-    """Greedy selection (lowest index on ties) and the sup-norm defect of
-    ``h = 1 + opt(T h)`` on the finite states, for the values ``h`` that are
-    ``f`` off the inf states and inf on them; the finite states' choices sit
-    at ``rows`` of the view's values, are delimited by ``bounds`` and have
-    mass on the inf states at ``hopeless``."""
+    """Greedy choice per finite state (lowest index on ties) and the sup-norm
+    defect of ``h = 1 + opt(T h)`` on the finite states, for the values ``h``
+    that are ``f`` off the inf states and inf on them; the finite states'
+    choices sit at ``rows`` of the view's values, are delimited by ``bounds``
+    and have mass on the inf states at ``hopeless``."""
     vals = view.finite_values(f)[rows]
     vals[hopeless] = math.inf
     best, pick = segment_optimum(vals, bounds, sense)
-    selection = np.zeros(view.n, dtype=np.int64)
-    selection[finite] = pick
-    return selection, float(np.max(np.abs(f[finite] - (1.0 + best)), initial=0.0))
+    return pick, float(np.max(np.abs(f[finite] - (1.0 + best)), initial=0.0))
 
 
 def _finite_region(view, cls: Classification):
@@ -156,7 +155,8 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
         if delta <= tol:
             converged = True
             break
-    selection, residual = _finish(view, rows, bounds, f, hopeless, finite, sense)
+    selection = np.zeros(view.n, dtype=np.int64)
+    selection[finite], residual = _finish(view, rows, bounds, f, hopeless, finite, sense)
     f[list(cls.infinite)] = math.inf
     return HittingResult(
         values=f,
@@ -276,8 +276,8 @@ def _gmres(apply, k: int, give_up: bool = False):
 
 def _dense_bytes(view, states: np.ndarray) -> int:
     """Bytes of a dense policy evaluation on ``states``, at most: the larger of
-    the pinned view's assembly of the block (``block_bytes``) and the block with
-    its LU copy and vectors, and ``ITERATOR_BUFFER_BYTES``."""
+    the view's assembly of the block (``block_bytes``) and the block with its
+    LU copy and vectors, and ``ITERATOR_BUFFER_BYTES``."""
     k = states.size
     return max(view.block_bytes(states), 8 * (2 * k * k + 4 * k)) + ITERATOR_BUFFER_BYTES
 
@@ -292,7 +292,7 @@ def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "") ->
             f"{why}a dense policy evaluation of size {k} would allocate about {need} "
             f"bytes, above the {MAX_DENSE_BYTES} limit"
         )
-    system = view.restrict(finite, choice).block(finite)
+    system = view.block(finite, choice)
     np.subtract(0.0, system, out=system)  # I - P in place, bit for bit
     system.flat[:: k + 1] += 1.0
     try:
@@ -350,12 +350,12 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     # hopeless region; those are the only candidates an optimal stationary
     # selection can use, and keeping the walk off that region makes every
     # evaluated system non-singular once the starting selection is proper.
-    # The others are set to a value that never wins the improvement step
-    # (in place of the inf that _finish gives them).
+    # The improvement step gives the others inf, which never wins: in the
+    # upper sense there are none, since a finite state with mass on the
+    # hopeless region would be unsafe itself.
     finite, rows, bounds, hopeless = _finite_region(view, cls)
     admissible = np.ones(bounds[-1])
     admissible[hopeless] = 0.0
-    fill = -math.inf if sense == "upper" else math.inf
     has_any, first_ok = segment_optimum(admissible, bounds, "upper")
     if not has_any.all():
         raise RuntimeError(
@@ -384,9 +384,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         if prev is not None and np.max(np.abs(sol - prev)) <= tol:
             converged = True
             break
-        vals = view.finite_values(f)[rows]
-        vals[hopeless] = fill
-        _, new_choice = segment_optimum(vals, bounds, sense)
+        new_choice = _finish(view, rows, bounds, f, hopeless, finite, sense)[0]
         if np.array_equal(new_choice, choice):
             converged = True
             break

@@ -81,6 +81,31 @@ def test_joint_values_match_transition_weight_reference(data):
     assert np.array_equal(pinned.touches(states, mask), want_hit[chosen])
 
 
+@pytest.mark.parametrize("agents", [2, 3])
+@pytest.mark.parametrize("mode", ["full", "quotient"])
+def test_values_are_inf_exactly_where_a_choice_touches_an_inf_state(agents, mode):
+    """Each agent at ``a`` moves to ``b`` with mass 1e-200, so the agents reach
+    ``(b, ..., b)`` together with a mass that underflows to zero; a choice
+    whose row carries it still has an infinite value when that state is
+    infinite, as the support test says, and the other choices keep the
+    finite contraction of the values with their infs zeroed."""
+    tiny = 1e-200
+    rows = [[[1 - tiny, tiny, 0.0], [0.5, 0.0, 0.5]], [[tiny, 1 - 2 * tiny, tiny]], [[0.0, 0.0, 1.0]]]
+    m = CredalMatrix.from_rows(["a", "b", "c"], rows)
+    prod = build_product_space(m.space, agents, mode)
+    view = JointChoices(m, prod)
+    start, stuck = prod.index_of((0,) * agents), prod.index_of((1,) * agents)
+    for hopeless in [[i] for i in range(view.n)] + [[stuck, prod.index_of((2,) * agents)]]:
+        f = np.arange(1.0, view.n + 1)
+        f[hopeless] = math.inf
+        inf = np.isinf(f)
+        got, hit = view.values(None, f), view.touches(None, inf)
+        assert np.array_equal(np.isinf(got), hit)
+        assert np.array_equal(got[~hit], view.finite_values(np.where(inf, 0.0, f))[~hit])
+        if hopeless == [stuck]:
+            assert np.isinf(view.values(start, f)[0])
+
+
 def test_rank_one_choice_values_is_the_einsum_row_dot():
     rng = np.random.default_rng(5)
     for _ in range(200):

@@ -99,7 +99,7 @@ def test_joint_weights_sum_to_one():
         everyone = np.arange(prod.size)
         for c in range(max(map(view.nchoices, everyone))):
             choice = np.array([c % view.nchoices(i) for i in everyone])
-            block = view.restrict(everyone, choice).block(everyone)
+            block = view.block(everyone, choice)
             assert np.allclose(block.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
             for i in everyone:
                 want = joint_row(m, prod, view, i, choice[i])
@@ -281,6 +281,18 @@ def test_degenerate_selection_validation():
         meet(m, 2, "degenerate", mode="full", selection={(0, 1): (0, 7)})
     with pytest.raises(KeyError):
         meet(m, 2, "degenerate", mode="full", selection={(0, 9): (0, 0)})
+
+
+@pytest.mark.parametrize("entry", [1.9, 1.0, True, "1", None])
+def test_selection_entries_must_be_integers(entry):
+    """A vertex index that is not an integer is refused, naming the joint
+    state and the entry, not truncated; numpy integers are integers."""
+    m = hold_or_mix()
+    with pytest.raises(ValueError, match=r"joint state \(a,b\): entry 0 is not an integer"):
+        meet(m, 2, "degenerate", mode="full", selection={(0, 1): (entry, 0)})
+    want = meet(m, 2, "degenerate", mode="full", selection={(0, 1): (1, 0)}).values
+    got = meet(m, 2, "degenerate", mode="full", selection={(0, 1): (np.int64(1), 0)}).values
+    assert np.array_equal(got, want)
 
 
 def test_exhaustive_oracle_guard():

@@ -15,7 +15,7 @@ from credalmeet import (
     model_digest,
     parse_model,
 )
-from credalmeet.modelio import decode_value, encode_value, write_result
+from credalmeet.modelio import MAX_INTERVAL_STATES, decode_value, encode_value, write_result
 
 VERTEX_DOC = """
 name: demo
@@ -75,6 +75,24 @@ def test_interval_vertices_against_linear_programs():
             assert lp.success
             best = max(float(c @ v) for v in verts)
             assert best == pytest.approx(-lp.fun, abs=1e-8)
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ([0.1, 0.2, 0.3], [0.5, 0.6, 0.7, 0.9]),  # an extra upper bound
+    ([0.1, 0.2, 0.3, 0.1], [0.5, 0.6, 0.7]),  # an extra lower bound
+    ([[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6], [0.7, 0.8]]),
+    (0.5, 0.5),
+])
+def test_interval_vertices_refuses_bounds_of_other_shapes(lower, upper):
+    with pytest.raises(ValueError, match="vectors of equal length"):
+        interval_vertices(lower, upper)
+
+
+def test_interval_vertices_refuses_more_than_the_state_limit():
+    n = MAX_INTERVAL_STATES
+    assert np.array_equal(interval_vertices(np.zeros(n), np.ones(n)), np.eye(n)[::-1])
+    with pytest.raises(ValueError, match=rf"at most {n} states, got shapes \({n + 1},\)"):
+        interval_vertices(np.zeros(n + 1), np.ones(n + 1))
 
 
 def test_interval_infeasible_rows_are_reported():

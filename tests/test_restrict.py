@@ -72,12 +72,14 @@ def test_restricted_view_reads_the_full_views_entries(data):
     if isinstance(view, CredalChoices):
         full = np.zeros(view.n, dtype=np.int64)
         full[states] = choice
-        assert np.array_equal(sel.block(states), selection_matrix(view.model, full)[np.ix_(states, states)])
+        assert np.array_equal(view.block(states, choice), selection_matrix(view.model, full)[np.ix_(states, states)])
     else:
         joint = view.product.states
         want = [[joint_transition_weight(view.model, view.product, joint[i], view.choice_tuples(i)[c], joint[j])
                  for j in states] for i, c in zip(states.tolist(), choice.tolist())]
-        assert np.allclose(sel.block(states), np.reshape(want, (states.size,) * 2), rtol=1e-13, atol=0.0)
+        assert np.allclose(view.block(states, choice), np.reshape(want, (states.size,) * 2), rtol=1e-13, atol=0.0)
+    # a pinned view's block reads its one choice per state
+    assert np.array_equal(sel.block(states, 0 * choice), view.block(states, choice))
 
     # a pinned view pins again, as a degenerate meeting solve does
     seventh = np.array([7 % view.nchoices(i) for i in everyone])
@@ -86,6 +88,43 @@ def test_restricted_view_reads_the_full_views_entries(data):
     assert np.array_equal(pinned.values(states, f), whole[pick[states]])
     repinned = pinned.restrict(states, 0 * choice)
     assert np.array_equal(repinned.touches(None, mask), hit[pick[states]])
+
+
+@st.composite
+def trapped_views(draw):
+    """A base view with target ``{0}``, or a 2- or 3-agent joint view (full or
+    quotient) with the meeting target, on a model whose states from 2 on are
+    traps at random. Every other state's vertices put mass on the state
+    below it and on others below, and now and then on a state above, so
+    often some states are finite and others infinite."""
+    agents = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(3, {1: 8, 2: 5, 3: 4}[agents]))
+    traps = [i for i in range(2, n) if draw(st.booleans())]
+    rows = []
+    for i in range(n):
+        if i in traps:
+            rows.append([np.eye(n)[i]])
+            continue
+        weight = st.tuples(*[st.sampled_from([0, 1, 3] if j <= i else [0, 0, 0, 1]) for j in range(n)])
+        drawn = [np.add(w, np.eye(n, dtype=int)[max(i - 1, 0)]) for w in draw(st.lists(weight, min_size=1, max_size=3))]
+        rows.append(list({tuple(x / sum(w) for x in w): None for w in drawn}))
+    m = CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows)
+    if agents == 1:
+        return CredalChoices(m), target_mask(n, [0])
+    view = JointChoices(m, build_product_space(m.space, agents, draw(st.sampled_from(["full", "quotient"]))))
+    return view, view.product.target_mask()
+
+
+@settings(max_examples=200, deadline=None)
+@given(trapped_views())
+def test_no_finite_state_has_a_choice_into_the_infinite_region_in_upper_sense(data):
+    """In the upper sense a finite state with mass on an infinite state would
+    be unsafe itself, so the improvement step of policy iteration never meets
+    a choice into the infinite region there: no value is needed for one."""
+    view, targets = data
+    cls, _ = classify_view(view, targets, "upper")
+    finite = np.array(sorted(cls.finite), dtype=int)
+    assert not view.touches(finite, cls.infinite_mask(view.n)).any()
 
 
 @settings(max_examples=100, deadline=None)
@@ -254,7 +293,7 @@ def test_a_value_iteration_sweep_makes_one_finite_contraction(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(reach, "choice_values", counted("kernel", reach.choice_values))
+    monkeypatch.setattr(reach.ChoiceView, "values", counted("kernel", reach.ChoiceView.values))
     monkeypatch.setattr(reach, "contract", counted("contract", reach.contract))
     kernel = []
     for max_iter in (5, 500):
@@ -301,12 +340,12 @@ def test_base_selection_product_contracts_the_selected_rows(monkeypatch):
     )
     k = n - 1  # every non-target state is finite
     contracted, in_gmres = [], [False]
-    choice_values, gmres = reach.choice_values, solver._gmres
+    contract, gmres = reach.contract, solver._gmres
 
-    def record(vertices, values):
+    def record(vertices, values, out=None):
         if in_gmres[0]:
             contracted.append(vertices.shape[0])
-        return choice_values(vertices, values)
+        return contract(vertices, values, out)
 
     def traced_gmres(*args, **kwargs):
         in_gmres[0] = True
@@ -315,7 +354,7 @@ def test_base_selection_product_contracts_the_selected_rows(monkeypatch):
         finally:
             in_gmres[0] = False
 
-    monkeypatch.setattr(reach, "choice_values", record)
+    monkeypatch.setattr(reach, "contract", record)
     monkeypatch.setattr(solver, "_gmres", traced_gmres)
     res = policy_iteration(model, [0], "upper")
     assert len(res.classification.finite) == k >= MATRIX_FREE_UNKNOWNS
