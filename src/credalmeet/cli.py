@@ -132,7 +132,7 @@ def _cmd_classify(args) -> int:
         product = build_product_space(model.space, args.agents, args.mode)
         view = JointChoices(model, product)
         cls, _ = classify_view(view, product.target_mask(), args.sense)
-        labels = tuple(product.label(i) for i in range(product.size))
+        labels = product.labels
         target_echo = ["(diagonal)"]
     else:
         if args.target is None:
@@ -234,7 +234,7 @@ def _cmd_meet(args) -> int:
         head += f", epsilon {result.epsilon}"
     print(head)
     labels = model.space.labels
-    joint_labels = [result.product.label(i) for i in range(result.product.size)]
+    joint_labels = result.product.labels
     if args.agents == 2:
         cells = [[_fmt(v) for v in row] for row in result.matrix()]
         width = 2 + max(len(s) for s in [*labels, *itertools.chain(*cells)])

@@ -48,10 +48,13 @@ class ProductSpace:
     """Indexed joint state space of ``agents`` walkers on a shared base space.
 
     ``states`` holds ordered tuples (full mode) or sorted tuples standing for
-    multisets (quotient mode), ``state_array`` the same as an array. The one
-    map from ordered agent tuples to product states is ``ordered_index``;
-    :meth:`index_of`, the diagonal (the meeting target) and the joint view
-    read it.
+    multisets (quotient mode), ``state_array`` the same as an array, built
+    by array arithmetic, and ``labels`` their labels, built in one pass over
+    it. The one map from ordered agent tuples to product states is
+    ``ordered_index``; :meth:`index_of`, the diagonal (the meeting target)
+    and the joint view read it. Its quotient form sorts every ordered tuple
+    by a compare-exchange network over the agents' rows
+    (:func:`_sorted_rows`), not by a sort per tuple.
     """
 
     base: StateSpace
@@ -65,7 +68,25 @@ class ProductSpace:
 
     @functools.cached_property
     def state_array(self) -> np.ndarray:
-        return np.array(self.states, dtype=np.int64).reshape(self.size, self.agents)
+        """``states`` as a ``(size, agents)`` array, by array arithmetic."""
+        n, m = self.base.size, self.agents
+        if self.mode == "full":
+            return np.indices((n,) * m).reshape(m, -1).T.copy()
+        rows = np.arange(n)[:, None]  # the sorted tuples of one agent, then of more
+        for _ in range(m - 1):
+            # put each a in front of the rows from the first whose lead is a on;
+            # in lexicographic order those are exactly the rows with lead >= a
+            starts = np.searchsorted(rows[:, 0], np.arange(n))
+            counts = len(rows) - starts
+            take = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+            rows = np.column_stack([np.repeat(np.arange(n), counts), rows[take]])
+        return rows
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Every state's :meth:`label`, in index order."""
+        names = np.array(self.base.labels, dtype=object)[self.state_array.T].tolist()
+        return tuple(map(("(" + ",".join(["{}"] * self.agents) + ")").format, *names))
 
     @functools.cached_property
     def ordered_index(self) -> np.ndarray:
@@ -83,8 +104,7 @@ class ProductSpace:
         lookup[np.ravel_multi_index(self.state_array.T, shape)] = np.arange(self.size)
         # the sorted tuples in the smallest type that holds a state, dropped
         # before the gather: the peak stays at three index-sized arrays
-        ordered = np.indices(shape, dtype=np.min_scalar_type(n - 1)).reshape(m, -1)
-        ordered.sort(axis=0)
+        ordered = _sorted_rows(np.indices(shape, dtype=np.min_scalar_type(n - 1)).reshape(m, -1))
         flat = np.ravel_multi_index(ordered, shape)
         del ordered
         return lookup[flat]
@@ -110,6 +130,18 @@ class ProductSpace:
 
     def label(self, index: int) -> str:
         return "(" + ",".join(self.base.labels[z] for z in self.states[index]) + ")"
+
+
+def _sorted_rows(rows) -> list[np.ndarray]:
+    """The equally long arrays ``rows`` sorted position by position: array
+    ``j`` of the result holds the ``j``-th smallest entry at each position.
+    A bubble network of compare-exchanges, one ``np.minimum`` and
+    ``np.maximum`` pair each; the inputs are not written."""
+    rows = list(rows)
+    for top in range(len(rows) - 1, 0, -1):
+        for j in range(top):
+            rows[j], rows[j + 1] = np.minimum(rows[j], rows[j + 1]), np.maximum(rows[j], rows[j + 1])
+    return rows
 
 
 def build_product_space(space: StateSpace, agents: int, mode: str = "quotient") -> ProductSpace:
@@ -154,7 +186,8 @@ class JointChoices(ChoiceView):
     keys are the view's row arrays. Each evaluation contracts the value
     tensor with that array once per agent
     (:func:`~credalmeet.core.contract`); every choice reads the table entry
-    of its key, the sorted cell's in quotient mode, where values are
+    of its key, the sorted cell's in quotient mode (sorted by the network of
+    :func:`_sorted_rows` over the agents' columns), where values are
     symmetric in the cell, so that choices that only swap co-located agents'
     vertices tie exactly. Support tests (:meth:`touches`) contract the 0/1
     mask with the 0/1 pattern of the stacked array in place of the array
@@ -183,18 +216,18 @@ class JointChoices(ChoiceView):
         self._agg = product.ordered_index
         joint = product.state_array
         agent_counts = np.diff(model.offsets)[joint]
-        self._counts = agent_counts.prod(axis=1)
+        self._counts = functools.reduce(np.multiply, agent_counts.T)
         bounds = segment_bounds(self._counts)
         self._starts = bounds[:-1]
-        # cells in lexicographic tuple order: the last agent's row varies fastest
-        owner = np.repeat(np.arange(self.n), self._counts)
-        rank = np.arange(bounds[-1]) - bounds[owner]
-        cells = np.empty((rank.size, m), dtype=np.int64)
+        # cells in lexicographic tuple order: each state's agents' first rows,
+        # plus the digits of the rank in its segment, the last agent's fastest
+        cells = np.repeat(model.offsets[joint], self._counts, axis=0)
+        rank = np.arange(bounds[-1]) - np.repeat(self._starts, self._counts)
         for j in reversed(range(m)):
-            cells[:, j] = model.offsets[joint[owner, j]] + rank % agent_counts[owner, j]
-            rank //= agent_counts[owner, j]
-        keys = np.sort(cells, axis=1) if product.mode == "quotient" else cells
-        self._cells, self._keys = cells, np.ravel_multi_index(keys.T, (k,) * m)
+            rank, pick = np.divmod(rank, np.repeat(agent_counts[:, j], self._counts))
+            cells[:, j] += pick
+        keys = _sorted_rows(cells.T) if product.mode == "quotient" else cells.T
+        self._cells, self._keys = cells, np.ravel_multi_index(keys, (k,) * m)
 
     def choice_tuples(self, state: int) -> list[tuple[int, ...]]:
         start = self._starts[state]
@@ -359,7 +392,7 @@ def _normalize_selection(
 def _selection_tuples(view: JointChoices, flat: np.ndarray) -> tuple:
     """The vertex tuple of every state's flat choice, None on the diagonal."""
     cells = view._cells[view._starts + flat] - view.model.offsets[view.product.state_array]
-    tuples = list(map(tuple, cells.tolist()))
+    tuples = list(zip(*cells.T.tolist()))
     for i in view.product.diagonal:
         tuples[i] = None
     return tuple(tuples)

@@ -100,9 +100,9 @@ def check_matrix_free_evaluation():
     visited = []
     evaluate = solver._evaluate_selection
 
-    def record(v, finite, choice):
+    def record(v, finite, choice, *rest):
         visited.append((v, finite, choice.copy()))
-        return evaluate(v, finite, choice)
+        return evaluate(v, finite, choice, *rest)
 
     solver._evaluate_selection = record  # the solver looks it up at call time
     try:

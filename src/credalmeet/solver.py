@@ -28,8 +28,11 @@ per-state optimum, step and its largest entry, all into buffers of their
 own, two of which hold the current and the next iterate in turn. A GMRES
 evaluation pins the view to the selected choice of each finite state
 (:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a product on a base
-model contracts only the ``k`` selected rows; a dense solve reads the
-selection's ``(k, k)`` block of the finite states from the view in one call.
+model contracts only the ``k`` selected rows; a product is one
+:meth:`~credalmeet.reach.ChoiceView.finite_values` call into a buffer of its
+own, and the least-squares coefficients are solved for only when an iterate
+is formed. A dense solve reads the selection's ``(k, k)`` block of the
+finite states from the view in one call.
 
 Both methods first classify the states and pin the hopeless ones to inf, so
 the iteration itself only ever runs on the finite region.
@@ -125,7 +128,8 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     Each sweep makes one :meth:`finite_values` call on the current values,
     which are zero on the inf states, into a buffer allocated once, and sets
     the choices with mass on the inf states, found once, to inf; every other
-    step of the sweep also writes into a buffer of its own.
+    step of the sweep also writes into a buffer of its own. With no finite
+    state the solve is converged before any sweep.
     """
     cls, _ = classify_view(view, targets, sense)
     finite, rows, bounds, hopeless = _finite_region(view, cls)
@@ -137,8 +141,8 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     starts = bounds[:-1]
     best_of = (np.maximum if sense == "upper" else np.minimum).reduceat
     iterations = 0
-    converged = False
-    while iterations < max_iter:
+    converged = finite.size == 0  # nothing to iterate
+    while not converged and iterations < max_iter:
         # one synchronous sweep: every update reads the previous vector
         view.finite_values(f, everything)
         if gather:
@@ -183,13 +187,16 @@ def _meets_bound(h: np.ndarray, residual: float) -> bool:
 
 def _selection_operator(view, finite: np.ndarray, choice: np.ndarray):
     """The product ``x -> (I - P) x`` of one selection on the finite states,
-    one :meth:`values` call each on the view pinned to the selection."""
+    one :meth:`finite_values` call each on the view pinned to the selection
+    (the padded ``x`` is finite), into a buffer of the operator's own that
+    holds the result until the next product."""
     sel = view.restrict(finite, choice)
     padded = np.zeros(view.n)  # admissible choices put no mass outside the finite states
+    out = np.empty(finite.size)
 
     def apply(x):
         padded[finite] = x
-        return x - sel.values(None, padded)
+        return np.subtract(x, sel.finite_values(padded, out), out=out)
 
     return apply
 
@@ -210,11 +217,14 @@ def _gmres(apply, k: int, give_up: bool = False):
     Gram-Schmidt twice, which the Givens rotations of the earlier columns and
     one new rotation bring to upper triangular form; the rotated right-hand
     side then holds the least-squares misfit, the 2-norm of the residual,
-    which bounds its sup-norm. The iterate ``h + y @ basis`` (``y`` from one
-    small triangular solve) is formed only when the misfit could meet
-    :func:`_residual_bound` at its size: the basis rows are orthonormal, so
-    ``|h|_inf + |y|_2`` bounds its sup-norm. A cycle ends on that bound, on a
-    breakdown or after ``GMRES_RESTART`` products.
+    which bounds its sup-norm. The iterate ``h + y @ basis`` is formed, with
+    ``y`` from one triangular solve, only when the misfit could meet
+    :func:`_residual_bound` at its size, and at the end of a cycle: the basis
+    rows are orthonormal, so ``|h|_inf + |y|_2`` bounds its sup-norm, and
+    ``|y|_2`` is read from the inverse of the rotated triangle, which gains
+    one column per product. A cycle ends on that bound, on a breakdown or
+    after ``GMRES_RESTART`` products. The basis, the triangle and the
+    Gram-Schmidt coefficients live in buffers allocated once per call.
 
     It stops once the true residual meets :func:`_residual_bound`, after
     :func:`_gmres_cycles` cycles, or, with ``give_up``, as soon as the last
@@ -226,22 +236,29 @@ def _gmres(apply, k: int, give_up: bool = False):
     norm = math.sqrt(k)
     products = 0
     cycles = _gmres_cycles(k)
+    basis = np.empty((GMRES_RESTART + 1, k))
+    # the rotated Hessenberg matrix and the inverse of its leading triangle;
+    # only their upper triangles are ever written, so they serve every cycle
+    tri = np.zeros((GMRES_RESTART, GMRES_RESTART))
+    inv = np.zeros((GMRES_RESTART, GMRES_RESTART))
+    rhs = np.empty(GMRES_RESTART + 1)  # the rotated right-hand side
+    coef, part, proj = np.empty(GMRES_RESTART), np.empty(GMRES_RESTART), np.empty(k)
     for cycle in range(1, cycles + 1):
-        basis = np.empty((GMRES_RESTART + 1, k))
-        basis[0] = r / norm
-        tri = np.zeros((GMRES_RESTART, GMRES_RESTART))  # the rotated Hessenberg matrix
-        rhs, turns = [norm], []  # the rotated right-hand side; (cos, sin) per rotation
-        y, new = np.zeros(0), None
+        np.divide(r, norm, out=basis[0])
+        rhs[0] = norm
+        turns = []  # (cos, sin) per rotation
+        size, new = 0, None  # columns of the triangle; the iterate, once formed
         for j in range(GMRES_RESTART):
             w = apply(basis[j])
             products += 1
-            coef = np.zeros(j + 1)
+            done, c, total = basis[: j + 1], part[: j + 1], coef[: j + 1]
+            total[:] = 0.0
             for _ in range(2):  # Gram-Schmidt twice keeps the basis orthogonal
-                c = basis[: j + 1] @ w
-                w -= c @ basis[: j + 1]
-                coef += c
+                np.matmul(done, w, out=c)
+                w -= np.matmul(c, done, out=proj)
+                total += c
             beta = math.sqrt(w @ w)
-            col = coef.tolist()  # the new column, rotated as Python floats
+            col = total.tolist()  # the new column, rotated as Python floats
             for i, (cs, sn) in enumerate(turns):
                 col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
             rho = math.hypot(col[j], beta)
@@ -251,16 +268,21 @@ def _gmres(apply, k: int, give_up: bool = False):
             turns.append((cs, sn))
             col[j] = rho
             tri[: j + 1, j] = col
-            rhs.append(-sn * rhs[j])
+            inv[:j, j] = inv[:j, :j] @ tri[:j, j] / -rho
+            inv[j, j] = 1.0 / rho
+            rhs[j + 1] = -sn * rhs[j]
             rhs[j] *= cs
-            misfit = abs(rhs[j + 1])
-            y, new = np.linalg.solve(tri[: j + 1, : j + 1], rhs[: j + 1]), None
+            size, new = j + 1, None
+            misfit = abs(rhs[size])
+            y = inv[:size, :size] @ rhs[:size]  # the least-squares solution, for its norm
             if beta == 0.0 or misfit <= _residual_bound(k, hmax + math.sqrt(y @ y)):
-                new = h + y @ basis[: j + 1]
+                new = h + np.linalg.solve(tri[:size, :size], rhs[:size]) @ basis[:size]
                 if beta == 0.0 or misfit <= _residual_bound(k, np.max(np.abs(new))):
                     break
             np.divide(w, beta, out=basis[j + 1])
-        h = h + y @ basis[: y.size] if new is None else new
+        if new is None:
+            new = h + np.linalg.solve(tri[:size, :size], rhs[:size]) @ basis[:size]
+        h = new
         hmax = float(np.max(np.abs(h)))
         r = 1.0 - apply(h)
         residual = float(np.max(np.abs(r)))
@@ -282,11 +304,12 @@ def _dense_bytes(view, states: np.ndarray) -> int:
     return max(view.block_bytes(states), 8 * (2 * k * k + 4 * k)) + ITERATOR_BUFFER_BYTES
 
 
-def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "") -> np.ndarray:
+def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "", need: int | None = None) -> np.ndarray:
     """LU solve of one selection's system from its dense block; ``why`` says
-    in a refusal why the system is solved densely."""
+    in a refusal why the system is solved densely, and ``need`` is
+    ``_dense_bytes(view, finite)`` when the caller has it."""
     k = finite.size
-    need = _dense_bytes(view, finite)
+    need = _dense_bytes(view, finite) if need is None else need
     if need > MAX_DENSE_BYTES:
         raise ValueError(
             f"{why}a dense policy evaluation of size {k} would allocate about {need} "
@@ -305,21 +328,23 @@ def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "") ->
         ) from None
 
 
-def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray) -> np.ndarray:
+def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray, need: int | None = None) -> np.ndarray:
     """Solve ``(I - P) h = 1`` for one selection restricted to the finite states.
 
     From ``MATRIX_FREE_UNKNOWNS`` unknowns on, restarted GMRES runs on the
-    product ``h -> h - P h``, one :meth:`values` call each; below that, or when
-    GMRES misses the backward-error bound (it gives up early while the dense
-    solve is allowed), the system is assembled and solved densely. Either way
-    the residual must meet the bound.
+    product ``h -> h - P h``, one :meth:`finite_values` call each; below that,
+    or when GMRES misses the backward-error bound (it gives up early while
+    the dense solve is allowed), the system is assembled and solved densely.
+    Either way the residual must meet the bound. ``need`` is
+    ``_dense_bytes(view, finite)`` when the caller has it.
     """
     k = finite.size
+    need = _dense_bytes(view, finite) if need is None else need
     apply = _selection_operator(view, finite, choice)
     sol = None
     why = ""
     if k >= MATRIX_FREE_UNKNOWNS:
-        sol, residual, products = _gmres(apply, k, give_up=_dense_bytes(view, finite) <= MAX_DENSE_BYTES)
+        sol, residual, products = _gmres(apply, k, give_up=need <= MAX_DENSE_BYTES)
         if not _meets_bound(sol, residual):
             why = (
                 f"GMRES missed the backward-error bound within {products} products "
@@ -327,7 +352,7 @@ def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray) -> np.ndar
             )
             sol = None
     if sol is None:
-        sol = _dense_solve(view, finite, choice, why)
+        sol = _dense_solve(view, finite, choice, why, need)
         residual = float(np.max(np.abs(1.0 - apply(sol))))
     hmax = float(np.max(np.abs(sol)))
     bound = _residual_bound(k, hmax)
@@ -342,7 +367,9 @@ def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray) -> np.ndar
 
 
 def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_iter: int) -> HittingResult:
-    """Policy iteration on a choice view; see :func:`policy_iteration`."""
+    """Policy iteration on a choice view; see :func:`policy_iteration`. The
+    dense-solve bytes are counted once, and the last greedy pass gives the
+    final residual unless the values changed after it."""
     cls, witness = classify_view(view, targets, sense)
     n = view.n
 
@@ -372,19 +399,20 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
 
     f = np.zeros(n)  # the values with the inf states zeroed
     infinite = np.where(cls.infinite_mask(n), math.inf, 0.0)  # f + infinite: the values
+    need = _dense_bytes(view, finite)  # the finite states are fixed from here on
     sweeps = 0
     converged = finite.size == 0  # nothing to evaluate
-    prev = None
+    prev = residual = None  # residual: of f, once a greedy pass has read it
     trace = []
     while not converged and sweeps < max_iter:
-        sol = _evaluate_selection(view, finite, choice)
-        f[finite] = sol
+        sol = _evaluate_selection(view, finite, choice, need)
+        f[finite], residual = sol, None
         trace.append(f + infinite)
         sweeps += 1
         if prev is not None and np.max(np.abs(sol - prev)) <= tol:
             converged = True
             break
-        new_choice = _finish(view, rows, bounds, f, hopeless, finite, sense)[0]
+        new_choice, residual = _finish(view, rows, bounds, f, hopeless, finite, sense)
         if np.array_equal(new_choice, choice):
             converged = True
             break
@@ -393,7 +421,8 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
 
     selection = np.zeros(n, dtype=np.int64)
     selection[finite] = choice
-    residual = _finish(view, rows, bounds, f, hopeless, finite, sense)[1]
+    if residual is None:  # no greedy pass read the last f
+        residual = _finish(view, rows, bounds, f, hopeless, finite, sense)[1]
     return HittingResult(
         values=f + infinite,
         selection=selection,

@@ -167,6 +167,19 @@ def test_hit_non_convergence_exit_code(model_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("method", ["value", "policy"])
+def test_hit_with_nothing_to_solve_converges_at_any_budget(tmp_path, method):
+    # a never leaves itself, so it is infinite and no state is left to solve
+    path = tmp_path / "stuck.yaml"
+    path.write_text(PRECISE.replace("[0.5, 0.5]", "[1, 0]", 1).replace("[0.5, 0.5]", "[0, 1]"))
+    out = tmp_path / "out.json"
+    assert main(["hit", str(path), "--target", "b", "--sense", "upper", "--method", method,
+                 "--max-iter", "0", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["values"] == {"a": "inf", "b": 0.0}
+    assert payload["diagnostics"]["iterations"] == 0 and payload["diagnostics"]["converged"]
+
+
 @pytest.mark.parametrize("argv, name", [
     pytest.param(["hit", "builtin:five-state", "--target", "5", "--sense", "upper",
                   "--method", "value", "--tol", "nan"], "tol", id="hit-value-nan-tol"),

@@ -105,6 +105,45 @@ def test_ordered_index_peak_memory():
     assert peak <= 32 * n**agents
 
 
+def _unequal_model(n, agents):
+    """A model on ``n`` states labelled ``x0``, ``x1``, ... whose vertex counts
+    run 1, 2, 3, 1, ..., so that agents on different states have different
+    numbers of choices."""
+    rng = np.random.default_rng([n, agents])
+    rows = [list(rng.dirichlet(np.ones(n), size=1 + i % 3)) for i in range(n)]
+    return CredalMatrix.from_rows([f"x{i}" for i in range(n)], rows)
+
+
+@pytest.mark.parametrize("agents, n", [(2, 2), (2, 5), (2, 7), (3, 3), (3, 7), (4, 2), (4, 5), (5, 2), (5, 4)])
+@pytest.mark.parametrize("mode", ["full", "quotient"])
+def test_joint_indices_match_the_tuple_enumeration(agents, n, mode):
+    """Every index array the product space and its joint view build by array
+    arithmetic, against a loop over the enumerated tuples: states, ordered
+    index, diagonal, cells and keys, choice tuples, selection tuples and
+    labels."""
+    model = _unequal_model(n, agents)
+    product = build_product_space(model.space, agents, mode)
+    view = JointChoices(model, product)
+    states, index = _reference(model.space, agents, mode)
+    assert product.state_array.dtype == np.int64
+    assert product.state_array.tolist() == [list(s) for s in states]
+    assert product.ordered_index.tolist() == list(index.values())
+    assert product.diagonal == {index[(z,) * agents] for z in range(n)}
+    assert product.labels == tuple("(" + ",".join(f"x{z}" for z in s) + ")" for s in states)
+    assert product.labels == tuple(product.label(i) for i in range(product.size))
+    offsets, k = model.offsets, model.stack.shape[0]
+    choices = [list(itertools.product(*(range(model.vertex_count(z)) for z in s))) for s in states]
+    cells = [[offsets[z] + c for z, c in zip(s, tup)] for s, options in zip(states, choices) for tup in options]
+    keys = [int(np.ravel_multi_index(sorted(c) if mode == "quotient" else c, (k,) * agents)) for c in cells]
+    assert view._cells.tolist() == cells and view._keys.tolist() == keys
+    assert [view.choice_tuples(i) for i in range(product.size)] == choices
+    flat = np.random.default_rng(n).integers(0, [len(c) for c in choices])
+    want = tuple(None if i in product.diagonal else options[f]
+                 for i, (options, f) in enumerate(zip(choices, flat)))
+    got = _selection_tuples(view, flat)
+    assert got == want and all(type(t) is tuple for t in got if t is not None)
+
+
 @pytest.mark.parametrize("agents,mode", CASES)
 def test_index_of_rejects_tuples_outside_the_space(agents, mode):
     n = _space(agents).size

@@ -35,13 +35,25 @@ def two_vertex_model():
     )
 
 
-def test_all_targets_is_zero_in_one_iteration():
+def test_all_targets_is_zero_without_a_sweep():
     m = CredalMatrix.precise(["a", "b"], np.eye(2))
     r = value_iteration(m, [0, 1], "upper")
     assert np.array_equal(r.values, [0.0, 0.0])
-    assert r.iterations == 1 and r.converged
+    assert r.iterations == 0 and r.converged
     p = policy_iteration(m, [0, 1], "upper")
-    assert np.array_equal(p.values, [0.0, 0.0]) and p.converged
+    assert np.array_equal(p.values, [0.0, 0.0])
+    assert p.iterations == 0 and p.converged
+
+
+@pytest.mark.parametrize("solve", [value_iteration, policy_iteration])
+@pytest.mark.parametrize("max_iter", [0, 1, 50])
+def test_nothing_to_solve_is_converged_without_a_sweep(solve, max_iter):
+    # a never leaves itself and cannot reach the target b: no state is finite
+    m = CredalMatrix.precise(["a", "b"], np.eye(2))
+    r = solve(m, [1], "upper", max_iter=max_iter)
+    assert not r.classification.finite
+    assert np.array_equal(r.values, [math.inf, 0.0])
+    assert (r.iterations, r.residual, r.converged) == (0, 0.0, True)
 
 
 def test_singleton_rows_reduce_to_precise_hitting():
@@ -407,6 +419,43 @@ def test_gmres_restarts_and_gives_up_like_its_oracle(n, chain, give_up):
     assert solver._meets_bound(h, residual) == solver._meets_bound(want, want_residual)
 
 
+@pytest.mark.parametrize("n, chain, give_up", [
+    (301, {"lazy": 0.9}, False), (701, {}, False), (300, {"walk": True}, True), (300, {"walk": True}, False),
+])
+def test_gmres_solves_its_triangle_once_per_iterate(n, chain, give_up, monkeypatch):
+    # along a chain the misfit meets its bound only at the end of a cycle, so
+    # the only iterates formed are the cycles' last ones, each from one
+    # triangular solve, while a cycle takes up to GMRES_RESTART products
+    solves, calls = [], []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    *_, apply = _chain_system(n, **chain)
+    _, _, products = solver._gmres(lambda x: calls.append(1) or apply(x), n - 1, give_up)
+    cycles = len(calls) - products  # each cycle ends on one product with its iterate
+    assert len(solves) == cycles == -(-products // solver.GMRES_RESTART)
+
+
+@pytest.mark.parametrize("agents, n", [(1, 12), (1, 300), (2, 9)])
+@pytest.mark.parametrize("sense", ["upper", "lower"])
+@pytest.mark.parametrize("tol, max_iter", [(1e-10, 1000), (0.0, 1000), (1e-10, 1), (1e-10, 0), (1e3, 1000)])
+def test_policy_iteration_makes_one_greedy_pass_per_sweep(agents, n, sense, tol, max_iter, monkeypatch):
+    # a sweep that reaches the improvement step makes the one greedy pass, and
+    # the final residual reuses it unless the values changed after it (a sweep
+    # that stops on tol, as every second sweep does at tol 1e3) or no sweep
+    # ran; the dense-solve bytes are counted once per solve
+    calls = {"_finish": 0, "_dense_bytes": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(solver, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(solver, name, counted)
+    model = random_credal_matrix(np.random.default_rng(n), n=n, max_vertices=3, dense_prob=0.9)
+    view, targets = _view(model, agents, "quotient")
+    res = solver.solve_view_policy(view, targets, sense, tol, max_iter)
+    assert res.classification.finite
+    assert calls == {"_finish": max(res.iterations, 1), "_dense_bytes": 1}
+
+
 @pytest.mark.parametrize("dense_allowed", [True, False])
 def test_policy_iteration_on_a_long_chain(monkeypatch, dense_allowed):
     # h_i = i; without a dense solve to fall back on, GMRES must run to convergence
@@ -449,16 +498,23 @@ def test_dense_fallback_refuses_an_oversize_system(monkeypatch):
 
 
 def test_library_does_not_import_scipy():
+    # precise and credal pair meetings, whose 435 unknowns go through GMRES,
+    # leave scipy unloaded
     src = os.path.dirname(os.path.dirname(credalmeet.__file__))
     code = (
         "import sys, numpy as np\n"
-        "from credalmeet import CredalMatrix, meet\n"
+        "from credalmeet import CredalMatrix, meet, solver\n"
+        "gmres, calls = solver._gmres, []\n"
+        "solver._gmres = lambda *args, **kw: calls.append(1) or gmres(*args, **kw)\n"
         "rng = np.random.default_rng(0)\n"
-        "m = CredalMatrix.precise([str(i) for i in range(30)], rng.dirichlet(np.ones(30), size=30))\n"
+        "labels = [str(i) for i in range(30)]\n"
+        "m = CredalMatrix.precise(labels, rng.dirichlet(np.ones(30), size=30))\n"
+        "c = CredalMatrix.from_rows(labels, [rng.dirichlet(np.ones(30), size=2) for _ in labels])\n"
         "assert meet(m).converged\n"
-        "print('scipy' in sys.modules)\n"
+        "assert all(meet(c, sense=s).converged for s in ('upper', 'lower'))\n"
+        "print(len(calls) > 0, 'scipy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "True False"
