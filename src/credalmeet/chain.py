@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, StateSpace, target_mask
+from .core import CredalMatrix, StateSpace, is_integer, target_mask
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,9 @@ def simulate_hitting(
     """
     n = matrix.size
     target = target_mask(n, targets)
-    if not 0 <= int(start) < n:
+    if not is_integer(start):
+        raise ValueError(f"start index {start!r} is not an integer")
+    if not 0 <= start < n:
         raise ValueError(f"start index {start} out of range for {n} states")
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .core import CredalMatrix, ModelValidationError
+from .core import CredalMatrix, ModelValidationError, is_integer
 from .chain import TransitionMatrix, simulate_hitting
 from .solver import policy_iteration, value_iteration
 from .meeting import meet
@@ -207,7 +207,7 @@ def _read_selection(model: CredalMatrix, path: str | None):
         if not isinstance(tup, list):
             raise ValueError(f"selection for {key!r} must be a list of vertex indices")
         for k, c in enumerate(tup):
-            if isinstance(c, bool) or not isinstance(c, int):
+            if not is_integer(c):
                 raise ValueError(f"selection for {key!r}: entry {k} is not an integer ({c!r})")
         selection[joint] = tuple(tup)
     return selection

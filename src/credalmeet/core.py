@@ -318,6 +318,12 @@ def segment_optimum(vals: np.ndarray, bounds: np.ndarray, sense: str):
     return best, first - starts
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer: an index, never a bool
+    and never a float, however whole, that ``int()`` would truncate."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def target_mask(n: int, targets: Iterable[int]) -> np.ndarray:
     """Boolean mask of a non-empty set of state indices."""
     idx = list(targets)
@@ -325,9 +331,11 @@ def target_mask(n: int, targets: Iterable[int]) -> np.ndarray:
         raise ValueError("target set is empty")
     mask = np.zeros(n, dtype=bool)
     for t in idx:
-        if not 0 <= int(t) < n:
+        if not is_integer(t):
+            raise ValueError(f"target index {t!r} is not an integer")
+        if not 0 <= t < n:
             raise ValueError(f"target index {t} out of range for {n} states")
-        mask[int(t)] = True
+        mask[t] = True
     return mask
 
 
@@ -382,11 +390,15 @@ def greedy_selection(model: CredalMatrix, values, sense: str) -> np.ndarray:
 
 def selection_matrix(model: CredalMatrix, selection) -> np.ndarray:
     """Assemble the transition matrix induced by per-state vertex choices."""
-    sel = np.asarray(selection, dtype=int)
+    sel = np.asarray(selection, dtype=object)  # each entry as given: no bool read as 1
     if sel.shape != (model.size,):
         raise ValueError(
             f"selection has shape {sel.shape}, expected ({model.size},)"
         )
+    wrong = [c for c in sel.tolist() if not is_integer(c)]
+    if wrong:
+        raise ValueError(f"selection index {wrong[0]!r} is not an integer")
+    sel = sel.astype(np.int64)
     stack, offsets = model.stack, model.offsets
     bad = np.flatnonzero((sel < 0) | (sel >= np.diff(offsets)))
     if bad.size:

@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import CredalMatrix, StateSpace, _require_sense, contract
-from .core import segment_bounds, target_mask
+from .core import is_integer, segment_bounds, target_mask
 from .reach import ChoiceView, Classification
 from .solver import HittingResult, _require_budget, solve_view_policy
 from .chain import TransitionMatrix, hitting_times
@@ -47,28 +47,28 @@ _BELIEFS = ("degenerate", "vacuous", "mixture")
 class ProductSpace:
     """Indexed joint state space of ``agents`` walkers on a shared base space.
 
-    ``states`` holds ordered tuples (full mode) or sorted tuples standing for
-    multisets (quotient mode), ``state_array`` the same as an array, built
-    by array arithmetic, and ``labels`` their labels, built in one pass over
-    it. The one map from ordered agent tuples to product states is
-    ``ordered_index``; :meth:`index_of`, the diagonal (the meeting target)
-    and the joint view read it. Its quotient form sorts every ordered tuple
-    by a compare-exchange network over the agents' rows
-    (:func:`_sorted_rows`), not by a sort per tuple.
+    Its states, ordered tuples (full mode) or sorted tuples standing for
+    multisets (quotient mode), are enumerated once, on first use, by array
+    arithmetic as ``state_array``; ``labels``, :meth:`label`, the joint view
+    and ``states`` (tuples, read by no solve) derive from it. The one map
+    from ordered agent tuples to product states is ``ordered_index``, read
+    by :meth:`index_of`, the diagonal (the meeting target) and the joint
+    view. Its quotient form sorts every ordered tuple by a compare-exchange
+    network over the agents' rows (:func:`_sorted_rows`), not per tuple.
     """
 
     base: StateSpace
     agents: int
     mode: str
-    states: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        n, m = self.base.size, self.agents
+        return n**m if self.mode == "full" else math.comb(n + m - 1, m)
 
     @functools.cached_property
     def state_array(self) -> np.ndarray:
-        """``states`` as a ``(size, agents)`` array, by array arithmetic."""
+        """The states as a ``(size, agents)`` array, by array arithmetic."""
         n, m = self.base.size, self.agents
         if self.mode == "full":
             return np.indices((n,) * m).reshape(m, -1).T.copy()
@@ -81,6 +81,11 @@ class ProductSpace:
             take = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - starts, counts)
             rows = np.column_stack([np.repeat(np.arange(n), counts), rows[take]])
         return rows
+
+    @functools.cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        """``state_array``'s rows as tuples; no solve reads them."""
+        return tuple(map(tuple, self.state_array.tolist()))
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:
@@ -119,17 +124,19 @@ class ProductSpace:
         return target_mask(self.size, self.diagonal)
 
     def canonical(self, joint: tuple[int, ...]) -> tuple[int, ...]:
-        joint = tuple(int(z) for z in joint)
+        if not all(map(is_integer, joint)):
+            raise ValueError(f"joint state {joint!r} must list integer base states")
+        joint = tuple(map(int, joint))
         return tuple(sorted(joint)) if self.mode == "quotient" else joint
 
     def index_of(self, joint: tuple[int, ...]) -> int:
-        key, n = tuple(int(z) for z in joint), self.base.size
-        if len(key) != self.agents or not all(0 <= z < n for z in key):
+        key, n = tuple(joint), self.base.size
+        if len(key) != self.agents or not all(is_integer(z) and 0 <= z < n for z in key):
             raise KeyError(f"joint state {joint!r} is not in the product space")
         return int(self.ordered_index[np.ravel_multi_index(key, (n,) * self.agents)])
 
     def label(self, index: int) -> str:
-        return "(" + ",".join(self.base.labels[z] for z in self.states[index]) + ")"
+        return "(" + ",".join(self.base.labels[z] for z in self.state_array[index].tolist()) + ")"
 
 
 def _sorted_rows(rows) -> list[np.ndarray]:
@@ -145,28 +152,23 @@ def _sorted_rows(rows) -> list[np.ndarray]:
 
 
 def build_product_space(space: StateSpace, agents: int, mode: str = "quotient") -> ProductSpace:
-    """Enumerate and index the joint state space.
+    """The joint state space, sized but not yet enumerated.
 
-    Full mode lists all ``n**agents`` ordered tuples; quotient mode lists the
+    Full mode has all ``n**agents`` ordered tuples; quotient mode has the
     ``C(n+agents-1, agents)`` multisets as sorted tuples. Sizes beyond
-    ``MAX_PRODUCT_STATES`` are refused.
+    ``MAX_PRODUCT_STATES`` are refused before anything is allocated.
     """
+    if not is_integer(agents):
+        raise ValueError(f"the agent count must be an integer, got {agents!r}")
     if agents < 2:
         raise ValueError("a joint walk needs at least two agents")
     if mode not in _MODES:
         raise ValueError(f"mode must be 'full' or 'quotient', got {mode!r}")
-    n = space.size
-    count = n**agents if mode == "full" else math.comb(n + agents - 1, agents)
-    if count > MAX_PRODUCT_STATES:
-        raise ValueError(
-            f"the {mode} product space would have {count} states, above the "
-            f"{MAX_PRODUCT_STATES} limit"
-        )
-    if mode == "full":
-        states = tuple(itertools.product(range(n), repeat=agents))
-    else:
-        states = tuple(itertools.combinations_with_replacement(range(n), agents))
-    return ProductSpace(base=space, agents=agents, mode=mode, states=states)
+    product = ProductSpace(base=space, agents=int(agents), mode=mode)
+    if product.size > MAX_PRODUCT_STATES:
+        raise ValueError(f"the {mode} product space would have {product.size} states, "
+                         f"above the {MAX_PRODUCT_STATES} limit")
+    return product
 
 
 class JointChoices(ChoiceView):
@@ -232,10 +234,10 @@ class JointChoices(ChoiceView):
     def choice_tuples(self, state: int) -> list[tuple[int, ...]]:
         start = self._starts[state]
         cells = self._cells[start : start + self._counts[state]]
-        return list(map(tuple, (cells - self.model.offsets[list(self.product.states[state])]).tolist()))
+        return list(map(tuple, (cells - self.model.offsets[self.product.state_array[state]]).tolist()))
 
     def flat_choice(self, state: int, choice_tuple: tuple[int, ...]) -> int:
-        joint = self.product.states[state]
+        joint = self.product.state_array[state].tolist()
         if len(choice_tuple) != len(joint):
             raise ValueError(
                 f"joint state {self.product.label(state)} takes "
@@ -243,7 +245,7 @@ class JointChoices(ChoiceView):
             )
         flat = 0
         for k, (z, c) in enumerate(zip(joint, choice_tuple)):
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            if not is_integer(c):
                 raise ValueError(f"selection for joint state {self.product.label(state)}: "
                                  f"entry {k} is not an integer ({c!r})")
             count = self.model.vertex_count(z)
@@ -255,18 +257,22 @@ class JointChoices(ChoiceView):
             flat = flat * count + int(c)
         return flat
 
+    def _contract(self, rows: np.ndarray, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per choice, into ``out`` when given, the entry at its key of the
+        table that :func:`contract` makes of ``rows`` (the stack or its 0/1
+        pattern) and ``f`` spread over the ordered tuples."""
+        table = contract(rows, f[self._agg].reshape(self._tensor_shape))
+        return np.take(table.ravel(), self._keys, out=out)
+
     def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Expectation of the finite ``f`` under every choice, laid out as
-        ``values(None, f)``, into ``out`` when given: the table of
-        :func:`contract`, its keys' entries gathered."""
-        table = contract(self.model.stack, f[self._agg].reshape(self._tensor_shape))
-        return np.take(table.ravel(), self._keys, out=out)
+        ``values(None, f)``, into ``out`` when given."""
+        return self._contract(self.model.stack, f, out)
 
     def _touches(self, mask: np.ndarray) -> np.ndarray:
         # the pattern's entries are 0 or 1, so a table entry counts destination
         # tuples and no product of small masses can underflow
-        mask = np.asarray(mask, dtype=float)[self._agg].reshape(self._tensor_shape)
-        return contract(self._pattern, mask).ravel()[self._keys] > 0.0
+        return self._contract(self._pattern, np.asarray(mask, dtype=float)) > 0.0
 
     def _block_plan(self, states: np.ndarray):
         """The base states that ``states`` hold, and the pinned cells per chunk

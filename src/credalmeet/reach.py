@@ -64,8 +64,9 @@ class ChoiceView:
         owns its rows: a slice of each of this view's row arrays when the
         choices are consecutive, a copy otherwise."""
         states = np.atleast_1d(states)
-        starts = self._starts[states] + np.asarray(choice, dtype=np.int64)
-        rows = segment_rows(starts, np.ones_like(starts))
+        rows = self._starts[states] + np.asarray(choice, dtype=np.int64)
+        if rows.size and (rows[1:] - rows[:-1] == 1).all():
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
         view = copy.copy(self)
         for name in self._row_arrays:
             setattr(view, name, getattr(self, name)[rows])

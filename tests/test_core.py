@@ -9,13 +9,21 @@ from credalmeet import (
     CredalMatrix,
     ModelValidationError,
     StateSpace,
+    TransitionMatrix,
     apply_lower,
     apply_upper,
+    classify,
     ext_dot,
     ext_matvec,
     greedy_selection,
+    hitting_times,
+    lower_reach_set,
+    policy_iteration,
     selection_matrix,
+    simulate_hitting,
+    upper_reach_set,
     validate,
+    value_iteration,
 )
 
 from generators import random_credal_matrix, random_selection
@@ -231,6 +239,61 @@ def test_selection_matrix_bounds():
     m = CredalMatrix.precise(["a", "b"], np.eye(2))
     with pytest.raises(ValueError):
         selection_matrix(m, [0, 5])
+
+
+# ------------------------------------------------------------ integer indices
+
+def _two_pickers():
+    return CredalMatrix.from_rows(["a", "b"], [[[0.5, 0.5], [0.9, 0.1]], [[0, 1]]])
+
+
+@pytest.mark.parametrize("target", [1.6, 1.0, True, np.float64(1.0), "1"])
+@pytest.mark.parametrize("entry", [
+    lambda m, t: policy_iteration(m, t, "upper"),
+    lambda m, t: value_iteration(m, t, "upper"),
+    lambda m, t: classify(m, t, "lower"),
+    upper_reach_set,
+    lower_reach_set,
+    lambda m, t: hitting_times(TransitionMatrix(m.space, m.stack[[0, 2]]), t),
+    lambda m, t: simulate_hitting(TransitionMatrix(m.space, m.stack[[0, 2]]), t, 0, trials=1),
+], ids=["policy_iteration", "value_iteration", "classify", "upper_reach_set", "lower_reach_set",
+        "hitting_times", "simulate_hitting"])
+def test_a_target_that_is_not_an_integer_is_refused(entry, target):
+    """A target index is not truncated (1.6 is no state 1) nor taken from a
+    bool; the refusal is the ValueError of an out-of-range target."""
+    with pytest.raises(ValueError, match=r"target index .* is not an integer"):
+        entry(_two_pickers(), [target])
+
+
+def test_numpy_integer_targets_are_accepted():
+    m = _two_pickers()
+    want = policy_iteration(m, [1], "upper").values
+    for targets in ([np.int64(1)], np.array([1]), np.array([1], dtype=np.uint8)):
+        assert np.array_equal(policy_iteration(m, targets, "upper").values, want)
+
+
+@pytest.mark.parametrize("selection", [[1.9, 0.2], [1.0, 0], [True, 0], np.array([1.0, 0.0]),
+                                       np.array([True, False]), ["1", 0]])
+def test_selection_matrix_refuses_entries_that_are_not_integers(selection):
+    with pytest.raises(ValueError, match="is not an integer"):
+        selection_matrix(_two_pickers(), selection)
+
+
+def test_selection_matrix_accepts_numpy_integers():
+    m = _two_pickers()
+    want = m.stack[[1, 2]]
+    for selection in ([1, 0], [np.int64(1), np.int32(0)], np.array([1, 0], dtype=np.uint16),
+                      np.array([1, 0], dtype=object)):
+        assert np.array_equal(selection_matrix(m, selection), want)
+
+
+@pytest.mark.parametrize("start", [0.0, 0.7, True, "0"])
+def test_simulation_start_that_is_not_an_integer_is_refused(start):
+    t = TransitionMatrix(StateSpace(("a", "b")), [[0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="start index .* is not an integer"):
+        simulate_hitting(t, [1], start, trials=5)
+    want = simulate_hitting(t, [1], 0, trials=5)
+    assert simulate_hitting(t, [1], np.int64(0), trials=5) == want
 
 
 # --------------------------------------------------------------- properties

@@ -295,6 +295,26 @@ def test_selection_entries_must_be_integers(entry):
     assert np.array_equal(got, want)
 
 
+def test_joint_indices_that_are_not_integers_are_refused():
+    """Joint states and agent counts are not truncated: (0, 1.7) is no state
+    (0, 1) and 2.5 agents are not two. Each is refused with the error of an
+    out-of-range one; numpy integers are integers."""
+    m = hold_or_mix()
+    with pytest.raises(KeyError, match="not in the product space"):
+        meet(m, 2, "degenerate", selection={(0, 1.7): (1, 0)})
+    res = meet(m, 2, "vacuous")
+    for joint in [(0, 1.2), (0, True), (0.0, 1)]:
+        with pytest.raises(KeyError, match="not in the product space"):
+            res.value_at(joint)
+    assert res.value_at((np.int64(0), np.int8(1))) == res.value_at((0, 1))
+    with pytest.raises(ValueError, match="integer base states"):
+        joint_transition_weight(m, res.product, (0, 1.5), (0, 0), (0, 1))
+    for agents in (2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="agent count must be an integer"):
+            meet(m, agents=agents)
+    assert np.array_equal(meet(m, agents=np.int64(2)).values, res.values)
+
+
 def test_exhaustive_oracle_guard():
     rng = np.random.default_rng(83)
     m = random_credal_matrix(rng, n=4, max_vertices=4, dense_prob=1.0)

@@ -8,8 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
-from credalmeet import CredalMatrix, StateSpace, build_product_space, meet
+from credalmeet import CredalMatrix, StateSpace, build_product_space, meet, meeting
+from credalmeet.cli import main
 from credalmeet.meeting import MAX_TABLE_ENTRIES, JointChoices, _expand_selection
 from credalmeet.meeting import _selection_tuples
 
@@ -78,6 +80,55 @@ def test_ordered_index_matches_enumeration(agents, mode):
     # the index is no dataclass field: equality and hashing see the states only
     assert product == build_product_space(space, agents, mode)
     assert hash(product) == hash(build_product_space(space, agents, mode))
+
+
+@pytest.mark.parametrize("agents,mode", CASES)
+def test_no_solve_enumerates_the_states_as_tuples(agents, mode, tmp_path, monkeypatch):
+    """Building a product space, ``meet`` under every belief and sense, and
+    the CLI's joint ``classify`` and ``meet`` read the state array only, never
+    the per-state tuples; read afterwards, ``states`` is still the itertools
+    enumeration."""
+    rng = np.random.default_rng([agents, len(mode)])
+    model = _model(rng, _space(agents).size)
+    product = build_product_space(model.space, agents, mode)
+    assert "states" not in vars(product)
+    selection = {tuple(row): tuple(int(rng.integers(model.vertex_count(z))) for z in row)
+                 for row in product.state_array.tolist()}
+    products = [product]
+    for belief, sense in [("degenerate", "upper"), ("vacuous", "upper"), ("vacuous", "lower"),
+                          ("mixture", "upper"), ("mixture", "lower")]:
+        products.append(meet(model, agents, belief, sense, mode, selection=selection, epsilon=0.5).product)
+    built, build = [], meeting.build_product_space
+
+    def record(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(meeting, "build_product_space", record)
+    path = tmp_path / "model.yaml"
+    path.write_text(yaml.safe_dump({"states": list(model.space.labels), "rows": {
+        lab: {"vertices": model.vertices(i).tolist()} for i, lab in enumerate(model.space.labels)}}))
+    for argv in (["classify", str(path), "--sense", "upper"], ["meet", str(path)]):
+        assert main([*argv, "--agents", str(agents), "--mode", mode]) in (0, 2)
+    assert len(built) == 2
+    for p in products + built:
+        assert "states" not in vars(p)
+        assert p.states == tuple(_reference(model.space, agents, mode)[0])
+        assert "states" in vars(p)
+
+
+def test_building_a_product_space_holds_no_tuples():
+    """Sizing the 160 000 ordered pairs of 400 states allocates nothing;
+    Python tuples of them would take about 10 MB."""
+    space = StateSpace(tuple(f"s{i}" for i in range(400)))
+    tracemalloc.start()
+    try:
+        product = build_product_space(space, 2, "full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product.size == 160_000
+    assert peak <= 2**16
 
 
 @pytest.mark.parametrize("n,agents", [(300, 2), (9, 4)])
