@@ -206,6 +206,10 @@ def simulate_hitting(
     Each trial draws from its own generator seeded with ``(seed, trial)``, so
     the result depends only on the inputs and never on execution order.
     Identical inputs and seed give identical statistics.
+
+    ``trials``, ``horizon`` and ``seed`` must be Python or numpy integers,
+    never floats or bools; ``trials`` and ``horizon`` at least 1 and ``seed``
+    non-negative. Anything else raises ValueError.
     """
     n = matrix.size
     target = target_mask(n, targets)
@@ -213,10 +217,15 @@ def simulate_hitting(
         raise ValueError(f"start index {start!r} is not an integer")
     if not 0 <= start < n:
         raise ValueError(f"start index {start} out of range for {n} states")
+    for name, count in (("trials", trials), ("horizon", horizon), ("seed", seed)):
+        if not is_integer(count):
+            raise ValueError(f"{name} {count!r} is not an integer")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     cum = np.cumsum(matrix.entries, axis=1)
     cum[:, -1] = 1.0  # guard against round-off at the last column
     times = []

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import meeting, reach
 from .core import CredalMatrix, ModelValidationError, is_integer
 from .chain import TransitionMatrix, simulate_hitting
 from .solver import policy_iteration, value_iteration
-from .meeting import meet
 from .modelio import ModelFormatError, encode_value, load_model, model_digest, write_result
 from .selfcheck import bundled_model_path, run_selfcheck
 
@@ -28,6 +28,10 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_USAGE = 3
+
+
+class _NotConverged(Exception):
+    """A solve that ran out of its iteration budget."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +59,7 @@ def _fail(message: str, code: int) -> int:
 def _load(model_arg: str) -> CredalMatrix:
     path = _resolve_path(model_arg)
     if not Path(path).exists():
-        raise SystemExit(_fail(f"model file not found: {path}", EXIT_USAGE))
+        raise ValueError(f"model file not found: {path}")
     return load_model(path)
 
 
@@ -92,6 +96,25 @@ def _model_info(model_arg: str, model: CredalMatrix) -> dict:
     }
 
 
+def _report(args, fields) -> None:
+    """Write the ``--json`` file of the command, when one was asked for:
+    ``command`` first, then the fields returned by ``fields()``, which is
+    only called then."""
+    if args.json:  # a wrapper set on cli.write_result sees every write
+        write_result(args.json, {"command": args.command, **fields()})
+
+
+def _diagnostics(result, **head) -> dict:
+    return {**head, "iterations": result.iterations, "residual": result.residual,
+            "converged": result.converged}
+
+
+def _check_converged(result, max_iter: int, steps: str) -> int:
+    if not result.converged:
+        raise _NotConverged(f"solver did not converge within {max_iter} {steps}")
+    return EXIT_OK
+
+
 def _cmd_validate(args) -> int:
     path = _resolve_path(args.model)
     try:
@@ -100,16 +123,12 @@ def _cmd_validate(args) -> int:
     except (ModelFormatError, ModelValidationError) as exc:
         violations = exc.violations
         model = None
-    if args.json:
-        payload = {
-            "command": "validate",
-            "parameters": {"model": path},
-            "valid": not violations,
-            "violations": violations,
-        }
-        if model is not None:
-            payload["model"] = _model_info(args.model, model)
-        write_result(args.json, payload)
+    _report(args, lambda: {
+        "parameters": {"model": path},
+        "valid": not violations,
+        "violations": violations,
+        **({} if model is None else {"model": _model_info(args.model, model)}),
+    })
     if violations:
         print(f"{path}: INVALID")
         for v in violations:
@@ -124,41 +143,36 @@ def _cmd_classify(args) -> int:
     if args.agents is not None:
         # joint classification of the product space, target = the diagonal
         if args.target is not None:
-            return _fail("--target cannot be combined with --agents; the joint "
-                         "target is the diagonal", EXIT_USAGE)
-        from .meeting import JointChoices, build_product_space
-        from .reach import classify_view
-
-        product = build_product_space(model.space, args.agents, args.mode)
-        view = JointChoices(model, product)
-        cls, _ = classify_view(view, product.target_mask(), args.sense)
+            raise ValueError("--target cannot be combined with --agents; the joint "
+                             "target is the diagonal")
+        product = meeting.build_product_space(model.space, args.agents, args.mode)
+        view = meeting.JointChoices(model, product)
+        cls, _ = reach.classify_view(view, product.target_mask(), args.sense)
         labels = product.labels
         target_echo = ["(diagonal)"]
     else:
         if args.target is None:
-            return _fail("--target is required unless --agents is given", EXIT_USAGE)
-        from .reach import classify
-
+            raise ValueError("--target is required unless --agents is given")
         targets = _targets(model, args.target)
-        cls = classify(model, targets, args.sense)
+        cls = reach.classify(model, targets, args.sense)
         labels = model.space.labels
         target_echo = sorted(model.space.labels[i] for i in targets)
     sets = _classification_labels(labels, cls)
     _print_classification(sets)
-    if args.json:
-        write_result(args.json, {
-            "command": "classify",
-            "parameters": {"target": target_echo, "sense": args.sense,
-                           "agents": args.agents, "mode": args.mode},
-            "model": _model_info(args.model, model),
-            "classification": sets,
-        })
+    _report(args, lambda: {
+        "parameters": {"target": target_echo, "sense": args.sense,
+                       "agents": args.agents, "mode": args.mode},
+        "model": _model_info(args.model, model),
+        "classification": sets,
+    })
     return EXIT_OK
 
 
 def _cmd_hit(args) -> int:
     model = _load(args.model)
     targets = _targets(model, args.target)
+    if args.max_iter is None:
+        args.max_iter = 1000 if args.method == "policy" else 10_000
     solve = policy_iteration if args.method == "policy" else value_iteration
     result = solve(model, targets, args.sense, tol=args.tol, max_iter=args.max_iter)
     labels = model.space.labels
@@ -168,28 +182,19 @@ def _cmd_hit(args) -> int:
         print(f"{lab:<12}{_fmt(result.values[i]):>16}  {int(result.selection[i])}")
     print(f"method {result.method}, {result.iterations} iterations, "
           f"residual {result.residual:.3e}, converged {result.converged}")
-    if args.json:
-        write_result(args.json, {
-            "command": "hit",
-            "parameters": {
-                "target": sorted(labels[i] for i in targets),
-                "sense": args.sense, "method": args.method,
-                "tol": args.tol, "max_iter": args.max_iter,
-            },
-            "model": _model_info(args.model, model),
-            "values": {lab: encode_value(result.values[i]) for i, lab in enumerate(labels)},
-            "selection": {lab: int(result.selection[i]) for i, lab in enumerate(labels)},
-            "classification": _classification_labels(labels, result.classification),
-            "diagnostics": {
-                "method": result.method,
-                "iterations": result.iterations,
-                "residual": result.residual,
-                "converged": result.converged,
-            },
-        })
-    if not result.converged:
-        return _fail(f"solver did not converge within {args.max_iter} iterations", EXIT_NO_CONVERGENCE)
-    return EXIT_OK
+    _report(args, lambda: {
+        "parameters": {
+            "target": sorted(labels[i] for i in targets),
+            "sense": args.sense, "method": args.method,
+            "tol": args.tol, "max_iter": args.max_iter,
+        },
+        "model": _model_info(args.model, model),
+        "values": {lab: encode_value(result.values[i]) for i, lab in enumerate(labels)},
+        "selection": {lab: int(result.selection[i]) for i, lab in enumerate(labels)},
+        "classification": _classification_labels(labels, result.classification),
+        "diagnostics": _diagnostics(result, method=result.method),
+    })
+    return _check_converged(result, args.max_iter, "iterations")
 
 
 def _read_selection(model: CredalMatrix, path: str | None):
@@ -216,7 +221,7 @@ def _read_selection(model: CredalMatrix, path: str | None):
 def _cmd_meet(args) -> int:
     model = _load(args.model)
     selection = _read_selection(model, args.selection)
-    result = meet(
+    result = meeting.meet(
         model,
         agents=args.agents,
         belief=args.belief,
@@ -248,30 +253,21 @@ def _cmd_meet(args) -> int:
             print(f"{lab:<20}{_fmt(value):>16}")
     print(f"{result.iterations} iterations, residual {result.residual:.3e}, "
           f"converged {result.converged}")
-    if args.json:
-        selections = {
+    _report(args, lambda: {
+        "parameters": {
+            "agents": args.agents, "belief": args.belief,
+            "sense": result.sense, "mode": args.mode,
+            "epsilon": result.epsilon, "tol": args.tol, "max_iter": args.max_iter,
+        },
+        "model": _model_info(args.model, model),
+        "values": {lab: encode_value(v) for lab, v in zip(joint_labels, result.values)},
+        "selections": {
             lab: list(tup) for lab, tup in zip(joint_labels, result.selections) if tup is not None
-        }
-        write_result(args.json, {
-            "command": "meet",
-            "parameters": {
-                "agents": args.agents, "belief": args.belief,
-                "sense": result.sense, "mode": args.mode,
-                "epsilon": result.epsilon, "tol": args.tol, "max_iter": args.max_iter,
-            },
-            "model": _model_info(args.model, model),
-            "values": {lab: encode_value(v) for lab, v in zip(joint_labels, result.values)},
-            "selections": selections,
-            "classification": _classification_labels(joint_labels, result.classification),
-            "diagnostics": {
-                "iterations": result.iterations,
-                "residual": result.residual,
-                "converged": result.converged,
-            },
-        })
-    if not result.converged:
-        return _fail(f"solver did not converge within {args.max_iter} sweeps", EXIT_NO_CONVERGENCE)
-    return EXIT_OK
+        },
+        "classification": _classification_labels(joint_labels, result.classification),
+        "diagnostics": _diagnostics(result),
+    })
+    return _check_converged(result, args.max_iter, "sweeps")
 
 
 def _cmd_simulate(args) -> int:
@@ -279,8 +275,8 @@ def _cmd_simulate(args) -> int:
     stack, offsets = model.stack, model.offsets
     if len(stack) != model.size:  # every row has a vertex, so some row has several
         i = int(np.flatnonzero(np.diff(offsets) > 1)[0])
-        return _fail(f"simulation needs a precise model; row {model.space.labels[i]!r} "
-                     f"has {model.vertex_count(i)} vertices", EXIT_USAGE)
+        raise ValueError(f"simulation needs a precise model; row {model.space.labels[i]!r} "
+                         f"has {model.vertex_count(i)} vertices")
     matrix = TransitionMatrix(model.space, stack)
     targets = _targets(model, args.target)
     start = model.space.index(args.start)
@@ -294,28 +290,25 @@ def _cmd_simulate(args) -> int:
     var = "n/a" if summary.variance is None else f"{summary.variance:.6f}"
     print(f"uncensored {summary.uncensored}, censored {summary.censored}")
     print(f"mean {mean}, variance {var}")
-    if args.json:
-        write_result(args.json, {
-            "command": "simulate",
-            "parameters": {
-                "target": sorted(model.space.labels[i] for i in targets),
-                "start": args.start, "trials": args.trials,
-                "horizon": args.horizon, "seed": args.seed,
-            },
-            "model": _model_info(args.model, model),
-            "result": {
-                "mean": summary.mean, "variance": summary.variance,
-                "censored": summary.censored, "uncensored": summary.uncensored,
-                "trials": summary.trials,
-            },
-        })
+    _report(args, lambda: {
+        "parameters": {
+            "target": sorted(model.space.labels[i] for i in targets),
+            "start": args.start, "trials": args.trials,
+            "horizon": args.horizon, "seed": args.seed,
+        },
+        "model": _model_info(args.model, model),
+        "result": {
+            "mean": summary.mean, "variance": summary.variance,
+            "censored": summary.censored, "uncensored": summary.uncensored,
+            "trials": summary.trials,
+        },
+    })
     return EXIT_OK
 
 
 def _cmd_selfcheck(args) -> int:
     ok = run_selfcheck()
-    if args.json:
-        write_result(args.json, {"command": "selfcheck", "passed": ok})
+    _report(args, lambda: {"passed": ok})
     return EXIT_OK if ok else EXIT_INVALID
 
 
@@ -323,30 +316,31 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="credalmeet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, helptext, with_model=True):
+    def add(name, helptext, handler, with_model=True):
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(handler=handler)
         if with_model:
             p.add_argument("model", help="model file path, or builtin:five-state")
         p.add_argument("--json", metavar="PATH", help="also write a JSON result file")
         return p
 
-    add("validate", "check a model file and list every violation")
+    add("validate", "check a model file and list every violation", _cmd_validate)
 
-    p = add("classify", "partition the states for a hitting-time bound")
+    p = add("classify", "partition the states for a hitting-time bound", _cmd_classify)
     p.add_argument("--target", help="comma-separated target labels")
     p.add_argument("--sense", choices=("upper", "lower"), required=True)
     p.add_argument("--agents", type=int, default=None,
                    help="classify the joint pair space instead, target = diagonal")
     p.add_argument("--mode", choices=("full", "quotient"), default="quotient")
 
-    p = add("hit", "bound the expected hitting time of a target set")
+    p = add("hit", "bound the expected hitting time of a target set", _cmd_hit)
     p.add_argument("--target", required=True, help="comma-separated target labels")
     p.add_argument("--sense", choices=("upper", "lower"), required=True)
     p.add_argument("--method", choices=("policy", "value"), default="policy")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=None)
 
-    p = add("meet", "bound the expected meeting time of several agents")
+    p = add("meet", "bound the expected meeting time of several agents", _cmd_meet)
     p.add_argument("--agents", type=int, default=2)
     p.add_argument("--belief", choices=("degenerate", "vacuous", "mixture"), default="vacuous")
     p.add_argument("--sense", choices=("upper", "lower"), default="upper")
@@ -357,25 +351,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=1000)
 
-    p = add("simulate", "estimate a hitting time of a precise model by simulation")
+    p = add("simulate", "estimate a hitting time of a precise model by simulation", _cmd_simulate)
     p.add_argument("--target", required=True, help="comma-separated target labels")
     p.add_argument("--start", required=True, help="start state label")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--horizon", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
 
-    add("selfcheck", "run the built-in verification suite", with_model=False)
+    add("selfcheck", "run the built-in verification suite", _cmd_selfcheck, with_model=False)
     return parser
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "classify": _cmd_classify,
-    "hit": _cmd_hit,
-    "meet": _cmd_meet,
-    "simulate": _cmd_simulate,
-    "selfcheck": _cmd_selfcheck,
-}
 
 
 def main(argv=None) -> int:
@@ -384,18 +368,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "max_iter", None) is None and args.command == "hit":
-        args.max_iter = 1000 if args.method == "policy" else 10_000
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ModelFormatError, ModelValidationError) as exc:
         return _fail(str(exc), EXIT_INVALID)
+    except _NotConverged as exc:
+        return _fail(str(exc), EXIT_NO_CONVERGENCE)
     except KeyError as exc:  # str() of a KeyError is the repr of its message
         return _fail(exc.args[0] if exc.args else "", EXIT_USAGE)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    except SystemExit as exc:
-        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

@@ -285,8 +285,22 @@ def choice_values(vertices: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def ext_matvec(matrix, values) -> np.ndarray:
-    """Row-wise 0 * inf = 0 product of a dense matrix with a value vector."""
-    return choice_values(np.asarray(matrix, dtype=float), np.asarray(values, dtype=float))
+    """Row-wise 0 * inf = 0 product of a dense matrix with a value vector:
+    row ``i`` is ``ext_dot(matrix[i], values)`` up to rounding, with the same
+    ``inf`` entries.
+
+    The matrix must be 2-D with finite, non-negative entries, and the values
+    a vector of its column count with non-negative entries, ``inf`` allowed
+    and NaN not. Anything else raises ValueError.
+    """
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"matrix has shape {m.shape}, expected two axes")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    if (m < 0).any():
+        raise ValueError("matrix entries must be non-negative")
+    return choice_values(m, _check_values(values, m.shape[1]))
 
 
 def segment_bounds(counts) -> np.ndarray:
@@ -344,11 +358,11 @@ def _require_sense(sense: str) -> None:
         raise ValueError(f"sense must be 'upper' or 'lower', got {sense!r}")
 
 
-def _check_values(model: CredalMatrix, values) -> np.ndarray:
+def _check_values(values, n: int) -> np.ndarray:
     f = np.asarray(values, dtype=float)
-    if f.shape != (model.size,):
+    if f.shape != (n,):
         raise ValueError(
-            f"value vector has shape {f.shape}, expected ({model.size},)"
+            f"value vector has shape {f.shape}, expected ({n},)"
         )
     if np.isnan(f).any():
         raise ValueError("value vector contains NaN")
@@ -358,7 +372,7 @@ def _check_values(model: CredalMatrix, values) -> np.ndarray:
 
 
 def _optimize(model: CredalMatrix, values, sense: str):
-    return segment_optimum(choice_values(model.stack, _check_values(model, values)), model.offsets, sense)
+    return segment_optimum(choice_values(model.stack, _check_values(values, model.size)), model.offsets, sense)
 
 
 def apply_upper(model: CredalMatrix, values) -> np.ndarray:

@@ -126,6 +126,8 @@ class ProductSpace:
     def canonical(self, joint: tuple[int, ...]) -> tuple[int, ...]:
         if not all(map(is_integer, joint)):
             raise ValueError(f"joint state {joint!r} must list integer base states")
+        if not all(0 <= z < self.base.size for z in joint):
+            raise ValueError(f"joint state {joint!r} is out of range for {self.base.size} base states")
         joint = tuple(map(int, joint))
         return tuple(sorted(joint)) if self.mode == "quotient" else joint
 
@@ -337,6 +339,10 @@ def joint_transition_weight(
         raise ValueError("joint states must list one base state per agent")
     if len(choice) != product.agents:
         raise ValueError("a joint choice takes one vertex index per agent")
+    for k, (z, c) in enumerate(zip(origin, choice)):
+        if not (is_integer(c) and 0 <= c < model.vertex_count(z)):
+            raise ValueError(f"choice entry {k} ({c!r}) is not a vertex index of row "
+                             f"{model.space.labels[z]!r} with {model.vertex_count(z)} vertices")
     rows = [model.vertices(z)[c] for z, c in zip(origin, choice)]
     arrangements = [destination] if product.mode == "full" else set(itertools.permutations(destination))
     return float(sum(math.prod(row[dest] for row, dest in zip(rows, arrangement))

@@ -70,7 +70,7 @@ def check_lower_operator():
 def check_greedy():
     m = CredalMatrix.from_rows(["a", "b"], [[[0.5, 0.5], [0.9, 0.1]], [[0, 1]]])
     got = greedy_selection(m, [10.0, 0.0], "upper")
-    return got[0] == 1, f"picked vertex {got[0]}, dot products 5 vs 9"
+    return bool(got[0] == 1), f"picked vertex {got[0]}, dot products 5 vs 9"
 
 
 def check_choice_kernel():
@@ -129,7 +129,7 @@ def check_hitting_geometric():
 def check_hitting_absorbing():
     t = TransitionMatrix.from_entries(["a", "b"], [[1, 0], [0, 1]])
     got = hitting_times(t, [1])
-    return math.isinf(got[0]) and got[1] == 0.0, f"{got}"
+    return math.isinf(got[0]) and bool(got[1] == 0.0), f"{got}"
 
 
 def check_precise_meeting():
@@ -168,7 +168,7 @@ def check_meeting_bounds():
     ok = (
         math.isinf(oracle_up[0, 1])
         and math.isinf(up[0, 1])
-        and abs(oracle_lo[0, 1] - lo[0, 1]) < 1e-10
+        and bool(abs(oracle_lo[0, 1] - lo[0, 1]) < 1e-10)
     )
     return ok, f"upper {up[0, 1]}, lower {lo[0, 1]} (oracle {oracle_lo[0, 1]})"
 

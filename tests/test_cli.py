@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from credalmeet.cli import main
+from credalmeet.selfcheck import CHECKS
 
 MODEL = """
 states: [a, b]
@@ -276,6 +277,31 @@ def test_selfcheck_passes(capsys):
     assert main(["selfcheck"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
+
+
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_every_selfcheck_flag_is_a_python_bool(name, check):
+    ok, _ = check()
+    assert type(ok) is bool and ok
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "builtin:five-state"],
+    ["classify", "builtin:five-state", "--target", "5", "--sense", "upper"],
+    ["hit", "builtin:five-state", "--target", "5", "--sense", "lower"],
+    ["meet", "builtin:five-state"],
+    ["simulate", "PRECISE", "--target", "b", "--start", "a", "--trials", "20"],
+    ["selfcheck"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_writes_its_json_file(argv, precise_file, tmp_path, capsys):
+    out = tmp_path / "result.json"
+    argv = [precise_file if a == "PRECISE" else a for a in argv]
+    assert main([*argv, "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert list(payload)[:2] == ["schema_version", "command"]
+    assert payload["schema_version"] == 1 and payload["command"] == argv[0]
+    if argv[0] == "selfcheck":
+        assert payload == {"schema_version": 1, "command": "selfcheck", "passed": True}
 
 
 @pytest.mark.parametrize("entry, shown",

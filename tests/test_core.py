@@ -296,6 +296,58 @@ def test_simulation_start_that_is_not_an_integer_is_refused(start):
     assert simulate_hitting(t, [1], np.int64(0), trials=5) == want
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(trials=2.5), "trials"), (dict(trials=True), "trials"), (dict(trials=5.0), "trials"),
+    (dict(trials=5, horizon=2.5), "horizon"), (dict(trials=5, horizon=False), "horizon"),
+    (dict(trials=5, seed=1.5), "seed"), (dict(trials=5, seed=True), "seed"),
+])
+def test_simulation_counts_that_are_not_integers_are_refused(kwargs, name):
+    t = TransitionMatrix(StateSpace(("a", "b")), [[0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=f"^{name} .* is not an integer$"):
+        simulate_hitting(t, [1], 0, **kwargs)
+
+
+def test_simulation_seed_must_be_non_negative_and_counts_may_be_numpy_integers():
+    t = TransitionMatrix(StateSpace(("a", "b")), [[0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        simulate_hitting(t, [1], 0, trials=5, seed=-1)
+    want = simulate_hitting(t, [1], 0, trials=5, horizon=9, seed=3)
+    got = simulate_hitting(t, [1], 0, trials=np.int64(5), horizon=np.int32(9), seed=np.uint8(3))
+    assert got == want
+
+
+# ------------------------------------------------------------------ ext_matvec
+
+@pytest.mark.parametrize("matrix, values, message", [
+    ([[0.5, 0.5], [0, 1]], [-math.inf, 1], "value vector entries must be non-negative"),
+    ([[0.5, 0.5]], [-1.0, 1.0], "value vector entries must be non-negative"),
+    ([[1, -1]], [math.inf, math.inf], "matrix entries must be non-negative"),
+    ([[1, 0]], [math.nan, 1.0], "value vector contains NaN"),
+    ([[math.nan, 1]], [1.0, 1.0], "matrix entries must be finite"),
+    ([[math.inf, 0.5]], [0.0, 1.0], "matrix entries must be finite"),
+    ([[0.5, 0.5], [0, 1]], [[1, 2], [3, 4]], r"value vector has shape \(2, 2\), expected \(2,\)"),
+    ([0.5, 0.5], [1.0, 2.0], r"matrix has shape \(2,\), expected two axes"),
+    ([[0.5, 0.5]], [1.0, 2.0, 3.0], r"value vector has shape \(3,\), expected \(2,\)"),
+], ids=["minus-inf-value", "negative-value", "negative-entry", "nan-value", "nan-entry",
+        "inf-entry", "2d-values", "1d-matrix", "wrong-length"])
+def test_ext_matvec_refuses_malformed_input(matrix, values, message):
+    with pytest.raises(ValueError, match=message):
+        ext_matvec(matrix, values)
+
+
+def test_ext_matvec_matches_ext_dot_row_by_row_with_inf_values():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        rows, cols = rng.integers(1, 6, size=2)
+        matrix = rng.uniform(0, 1, (rows, cols)) * (rng.uniform(size=(rows, cols)) < 0.6)
+        values = rng.uniform(0, 10, cols)
+        values[rng.uniform(size=cols) < 0.3] = math.inf
+        got = ext_matvec(matrix, values)
+        want = [ext_dot(row, values) for row in matrix]
+        assert np.allclose(got, want, rtol=1e-12, atol=0) and np.array_equal(np.isinf(got), np.isinf(want))
+    assert ext_matvec([[0.5, 0.5], [0, 1]], [math.inf, 1]).tolist() == [math.inf, 1.0]
+
+
 # --------------------------------------------------------------- properties
 
 def _weights(n):

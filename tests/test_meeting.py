@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ def test_joint_weight_quotient_cohabitation():
     prod = build_product_space(m.space, 2, "quotient")
     assert joint_transition_weight(m, prod, (0, 0), (0, 0), (0, 1)) == pytest.approx(0.5)
     assert joint_transition_weight(m, prod, (0, 0), (0, 0), (0, 0)) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("mode", ["full", "quotient"])
+def test_joint_weight_refuses_states_and_choices_out_of_range(mode):
+    m = CredalMatrix.from_rows(["a", "b", "c"], [[[1 / 3] * 3]] * 3)
+    prod = build_product_space(m.space, 2, mode)
+    for origin, destination, bad in [((0, 5), (0, 0), "(0, 5)"), ((0, 0), (0, 7), "(0, 7)"),
+                                     ((-1, 0), (0, 0), "(-1, 0)")]:
+        with pytest.raises(ValueError, match=rf"joint state {re.escape(bad)} is out of range"):
+            joint_transition_weight(m, prod, origin, (0, 0), destination)
+    for choice in [(0, 3), (0, -1), (0, 0.0)]:
+        with pytest.raises(ValueError, match=rf"choice entry 1 \({choice[1]!r}\) is not a vertex index"):
+            joint_transition_weight(m, prod, (0, 1), choice, (0, 1))
+    assert joint_transition_weight(m, prod, (0, 1), (0, 0), (0, 1)) > 0
 
 
 def joint_row(m, prod, view, i, c):
