@@ -3,7 +3,8 @@
 Subcommands: ``validate``, ``classify``, ``hit``, ``meet``, ``simulate`` and
 ``selfcheck``. Every command prints a human-readable table and optionally
 writes a JSON result file via ``--json``. Exit status: 0 success, 1 invalid
-model, 2 solver did not converge, 3 usage error.
+model, 2 solver did not converge, 3 usage error (a bad argument, or a file
+that cannot be opened).
 """
 
 from __future__ import annotations
@@ -377,6 +378,8 @@ def main(argv=None) -> int:
     except KeyError as exc:  # str() of a KeyError is the repr of its message
         return _fail(exc.args[0] if exc.args else "", EXIT_USAGE)
     except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    except OSError as exc:  # a model or a --json file that cannot be opened
         return _fail(str(exc), EXIT_USAGE)
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -336,6 +337,11 @@ def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer: an index, never a bool
     and never a float, however whole, that ``int()`` would truncate."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number, never a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def target_mask(n: int, targets: Iterable[int]) -> np.ndarray:

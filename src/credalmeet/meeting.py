@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import CredalMatrix, StateSpace, _require_sense, contract
-from .core import is_integer, segment_bounds, target_mask
+from .core import is_integer, is_real, segment_bounds, target_mask
 from .reach import ChoiceView, Classification
 from .solver import HittingResult, _require_budget, solve_view_policy
 from .chain import TransitionMatrix, hitting_times
@@ -138,6 +138,8 @@ class ProductSpace:
         return int(self.ordered_index[np.ravel_multi_index(key, (n,) * self.agents)])
 
     def label(self, index: int) -> str:
+        if not (is_integer(index) and 0 <= index < self.size):
+            raise ValueError(f"product state index {index!r} is not an integer in [0, {self.size})")
         return "(" + ",".join(self.base.labels[z] for z in self.state_array[index].tolist()) + ")"
 
 
@@ -490,8 +492,8 @@ def meet(
     if belief == "vacuous":
         res = solve_view_policy(view, product.target_mask(), sense, tol, max_iter)
         return _wrap_result(view, belief, sense, None, res)
-    if epsilon is None or not 0.0 <= float(epsilon) <= 1.0:
-        raise ValueError("a mixture belief needs epsilon in [0, 1]")
+    if not (is_real(epsilon) and 0.0 <= epsilon <= 1.0):
+        raise ValueError(f"a mixture belief needs a real epsilon in [0, 1], got {epsilon!r}")
     epsilon = float(epsilon)
     fixed = _normalize_selection(view, selection)
     deg = _solve_degenerate(view, fixed, tol, max_iter)

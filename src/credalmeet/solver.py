@@ -14,19 +14,18 @@ the selection's linear system matrix-free by restarted GMRES on the choice
 kernel's product from ``MATRIX_FREE_UNKNOWNS`` unknowns on, and densely
 below that; every solution must meet a backward-error bound.
 
-Every sweep, improvement step and final residual evaluates all the view's
-choices at once and reads the finite states' among them, at positions
-(:meth:`~credalmeet.reach.ChoiceView.choice_rows`) found once per solve. It
-contracts the values with their inf entries zeroed
-(:meth:`~credalmeet.reach.ChoiceView.finite_values`) and sets the choices
-with mass on the inf states, also found once per solve, to inf. The
-improvement step of policy iteration and the final selection are one greedy
-pass over those values. A value iteration sweep is that one contraction into
-a buffer allocated once, a read of the finite states' choices (a view of it
-when they are consecutive), inf at those choices when there are any, and the
-per-state optimum, step and its largest entry, all into buffers of their
-own, two of which hold the current and the next iterate in turn. A GMRES
-evaluation pins the view to the selected choice of each finite state
+Every value iteration sweep, greedy pass of policy iteration and final
+residual reads one evaluation of the finite states' choices, set up once per
+solve (:func:`_finite_region`): one contraction of the values with their inf
+entries zeroed (:meth:`~credalmeet.reach.ChoiceView.finite_values`) into a
+buffer of its own, a read of the finite states' choices (a view of it when
+they are consecutive, one gather into a second buffer otherwise) and inf at
+the choices with mass on the inf states. A greedy pass gives the improvement
+step and the final selection; a sweep takes the per-state optimum, step and
+its largest entry into buffers of its own, two of which hold the current and
+the next iterate in turn. Policy iteration starts from the classification's
+witness, a selection proper on the finite region. A GMRES evaluation pins
+the view to the selected choice of each finite state
 (:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a product on a base
 model contracts only the ``k`` selected rows; a product is one
 :meth:`~credalmeet.reach.ChoiceView.finite_values` call into a buffer of its
@@ -46,7 +45,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, _require_sense, segment_optimum, target_mask
+from .core import CredalMatrix, _require_sense, is_integer, is_real, segment_optimum, target_mask
 from .reach import Classification, CredalChoices, classify_view
 
 #: Unknowns from which a policy evaluation runs matrix-free (restarted GMRES)
@@ -92,51 +91,61 @@ class HittingResult:
 
 
 def _require_budget(tol, max_iter) -> None:
-    """Refuse a ``tol`` that is not a non-negative number (NaN included) and
-    a negative ``max_iter``, naming the argument."""
+    """Refuse a ``tol`` that is not a non-negative real number (NaN and bools
+    included) and a ``max_iter`` that is not a non-negative integer, naming
+    the argument."""
+    if not is_real(tol):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be non-negative and not NaN, got {tol!r}")
+    if not is_integer(max_iter):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
 
 
-def _finish(view, rows, bounds: np.ndarray, f: np.ndarray, hopeless: np.ndarray, finite: np.ndarray, sense: str):
+def _finish(evaluate, bounds: np.ndarray, f: np.ndarray, finite: np.ndarray, sense: str):
     """Greedy choice per finite state (lowest index on ties) and the sup-norm
     defect of ``h = 1 + opt(T h)`` on the finite states, for the values ``h``
-    that are ``f`` off the inf states and inf on them; the finite states'
-    choices sit at ``rows`` of the view's values, are delimited by ``bounds``
-    and have mass on the inf states at ``hopeless``."""
-    vals = view.finite_values(f)[rows]
-    vals[hopeless] = math.inf
-    best, pick = segment_optimum(vals, bounds, sense)
+    that are ``f`` off the inf states and inf on them; ``evaluate`` and
+    ``bounds`` are :func:`_finite_region`'s."""
+    best, pick = segment_optimum(evaluate(f), bounds, sense)
     return pick, float(np.max(np.abs(f[finite] - (1.0 + best)), initial=0.0))
 
 
 def _finite_region(view, cls: Classification):
-    """The finite states, the positions of their choices in the view's values,
-    the bounds of each state's segment among those, and the positions among
-    them of the choices with mass on the inf states, found once per solve."""
+    """The finite states, the bounds of each state's segment among their
+    choices, the positions there of the choices with mass on the inf states,
+    and ``evaluate(f)``, the values of those choices for ``f`` zero on the
+    inf states, inf at those positions, in one buffer that every call
+    overwrites and returns."""
     finite = np.array(sorted(cls.finite), dtype=int)
     rows = view.choice_rows(finite)
+    bounds = view.choice_offsets(finite)
     hopeless = np.flatnonzero(view.touches(None, cls.infinite_mask(view.n))[rows])
-    return finite, rows, view.choice_offsets(finite), hopeless
-
-
-def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter: int) -> HittingResult:
-    """Value iteration on a choice view; see :func:`value_iteration`.
-
-    Each sweep makes one :meth:`finite_values` call on the current values,
-    which are zero on the inf states, into a buffer allocated once, and sets
-    the choices with mass on the inf states, found once, to inf; every other
-    step of the sweep also writes into a buffer of its own. With no finite
-    state the solve is converged before any sweep.
-    """
-    cls, _ = classify_view(view, targets, sense)
-    finite, rows, bounds, hopeless = _finite_region(view, cls)
-    f = np.zeros(view.n)
     everything = np.empty(view.choice_offsets(np.arange(view.n))[-1])
     gather = not isinstance(rows, slice)  # else the finite states' choices are a view
     vals = np.empty(bounds[-1]) if gather else everything[rows]
+
+    def evaluate(f):
+        view.finite_values(f, everything)
+        if gather:
+            np.take(everything, rows, out=vals)
+        if hopeless.size:
+            vals[hopeless] = math.inf
+        return vals
+
+    return finite, bounds, hopeless, evaluate
+
+
+def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter: int) -> HittingResult:
+    """Value iteration on a choice view; see :func:`value_iteration`. Each
+    sweep applies :func:`_finite_region`'s evaluator to the current values and
+    writes every other step into a buffer of its own. With no finite state
+    the solve is converged before any sweep."""
+    cls, _ = classify_view(view, targets, sense)
+    finite, bounds, _, evaluate = _finite_region(view, cls)
+    f = np.zeros(view.n)
     cur, new, step = np.zeros(finite.size), np.empty(finite.size), np.empty(finite.size)
     starts = bounds[:-1]
     best_of = (np.maximum if sense == "upper" else np.minimum).reduceat
@@ -144,12 +153,7 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     converged = finite.size == 0  # nothing to iterate
     while not converged and iterations < max_iter:
         # one synchronous sweep: every update reads the previous vector
-        view.finite_values(f, everything)
-        if gather:
-            np.take(everything, rows, out=vals)
-        if hopeless.size:
-            vals[hopeless] = math.inf
-        best_of(vals, starts, out=new)
+        best_of(evaluate(f), starts, out=new)
         new += 1.0
         np.subtract(new, cur, out=step)
         delta = float(np.maximum.reduce(np.abs(step, out=step), initial=0.0))
@@ -160,7 +164,7 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
             converged = True
             break
     selection = np.zeros(view.n, dtype=np.int64)
-    selection[finite], residual = _finish(view, rows, bounds, f, hopeless, finite, sense)
+    selection[finite], residual = _finish(evaluate, bounds, f, finite, sense)
     f[list(cls.infinite)] = math.inf
     return HittingResult(
         values=f,
@@ -373,29 +377,20 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     cls, witness = classify_view(view, targets, sense)
     n = view.n
 
-    # Restrict each finite row to the vertices that put no mass on the
-    # hopeless region; those are the only candidates an optimal stationary
-    # selection can use, and keeping the walk off that region makes every
-    # evaluated system non-singular once the starting selection is proper.
-    # The improvement step gives the others inf, which never wins: in the
-    # upper sense there are none, since a finite state with mass on the
-    # hopeless region would be unsafe itself.
-    finite, rows, bounds, hopeless = _finite_region(view, cls)
-    admissible = np.ones(bounds[-1])
-    admissible[hopeless] = 0.0
-    has_any, first_ok = segment_optimum(admissible, bounds, "upper")
-    if not has_any.all():
+    # Start from the classification's witness, proper on the finite region,
+    # so that every evaluated system is non-singular: an arbitrary vertex may
+    # loop forever. In the upper sense it is vertex 0 and every selection is
+    # proper there, since a finite state with mass on the inf states would be
+    # unsafe itself; in the lower sense the greedy pass gives the choices
+    # with mass on them inf, which never wins.
+    finite, bounds, hopeless, evaluate = _finite_region(view, cls)
+    choice = witness[finite]
+    off = np.isin(bounds[:-1] + choice, hopeless)
+    if off.any():
         raise RuntimeError(
-            f"state {finite[np.argmin(has_any)]} is classified finite but has no "
-            "admissible vertex; the classification pass is inconsistent"
+            f"state {finite[np.argmax(off)]} is classified finite but its start "
+            "choice puts mass on the inf states; the classification pass is inconsistent"
         )
-    if sense == "lower":
-        # The almost-sure witness is guaranteed proper; an arbitrary
-        # admissible vertex may loop forever and makes the first
-        # evaluation singular.
-        choice = witness[finite]
-    else:
-        choice = first_ok
 
     f = np.zeros(n)  # the values with the inf states zeroed
     infinite = np.where(cls.infinite_mask(n), math.inf, 0.0)  # f + infinite: the values
@@ -412,7 +407,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         if prev is not None and np.max(np.abs(sol - prev)) <= tol:
             converged = True
             break
-        new_choice, residual = _finish(view, rows, bounds, f, hopeless, finite, sense)
+        new_choice, residual = _finish(evaluate, bounds, f, finite, sense)
         if np.array_equal(new_choice, choice):
             converged = True
             break
@@ -422,7 +417,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     selection = np.zeros(n, dtype=np.int64)
     selection[finite] = choice
     if residual is None:  # no greedy pass read the last f
-        residual = _finish(view, rows, bounds, f, hopeless, finite, sense)[1]
+        residual = _finish(evaluate, bounds, f, finite, sense)[1]
     return HittingResult(
         values=f + infinite,
         selection=selection,

@@ -82,6 +82,17 @@ def test_missing_model_is_usage_error(capsys):
     assert main(["validate", "/nonexistent/model.yaml"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["hit", "builtin:five-state", "--target", "5", "--sense", "upper",
+                  "--json", "{tmp}/no/such/dir/x.json"], id="json-in-a-missing-directory"),
+    pytest.param(["validate", "{tmp}"], id="directory-as-model"),
+])
+def test_a_file_that_cannot_be_opened_is_a_usage_error(argv, tmp_path, capsys):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 3
     assert main(["hit"]) == 3

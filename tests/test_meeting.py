@@ -290,6 +290,26 @@ def test_mixture_requires_epsilon():
         meet(m, 2, "nonsense")
 
 
+@pytest.mark.parametrize("epsilon", [True, "0.5", np.bool_(True), math.nan])
+def test_mixture_refuses_an_epsilon_that_is_not_a_real_number_in_range(epsilon):
+    with pytest.raises(ValueError, match=r"^a mixture belief needs a real epsilon in \[0, 1\], got"):
+        meet(hold_or_mix(), 2, "mixture", "upper", "full", epsilon=epsilon)
+
+
+def test_mixture_accepts_a_numpy_epsilon():
+    m = hold_or_mix()
+    at = meet(m, 2, "mixture", "upper", "full", epsilon=np.float32(0.5))
+    np.testing.assert_array_equal(at.values, meet(m, 2, "mixture", "upper", "full", epsilon=0.5).values)
+
+
+@pytest.mark.parametrize("index", [-1, 6, 1.0, True, "0"])
+def test_product_label_refuses_an_index_outside_the_space(index):
+    quot = build_product_space(StateSpace(("a", "b", "c")), 2, "quotient")
+    with pytest.raises(ValueError, match=r"^product state index .* is not an integer in \[0, 6\)"):
+        quot.label(index)
+    assert quot.label(np.int64(5)) == quot.labels[5]
+
+
 def test_degenerate_selection_validation():
     m = hold_or_mix()
     with pytest.raises(ValueError):

@@ -215,6 +215,25 @@ def test_a_nan_or_negative_budget_is_refused_by_name(solve, budget, name):
         solve(two_vertex_model(), [1], "upper", **budget)
 
 
+@pytest.mark.parametrize("solve", [value_iteration, policy_iteration, _meet_two])
+@pytest.mark.parametrize("budget, name", [
+    pytest.param({"max_iter": 2.5}, "max_iter", id="float-max_iter"),
+    pytest.param({"max_iter": True}, "max_iter", id="bool-max_iter"),
+    pytest.param({"max_iter": "5"}, "max_iter", id="string-max_iter"),
+    pytest.param({"tol": True}, "tol", id="bool-tol"),
+    pytest.param({"tol": "1e-8"}, "tol", id="string-tol"),
+])
+def test_a_budget_of_the_wrong_kind_is_refused_by_name(solve, budget, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an? (integer|real number), got"):
+        solve(two_vertex_model(), [1], "upper", **budget)
+
+
+@pytest.mark.parametrize("solve", [value_iteration, policy_iteration, _meet_two])
+def test_numpy_budgets_are_accepted(solve):
+    r = solve(two_vertex_model(), [1], "upper", tol=np.float32(1e-8), max_iter=np.int32(1000))
+    assert r.converged
+
+
 def test_a_zero_budget_is_accepted():
     r = value_iteration(two_vertex_model(), [1], "upper", tol=0.0, max_iter=0)
     assert r.iterations == 0 and not r.converged
@@ -518,3 +537,65 @@ def test_library_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "True False"
+
+
+@pytest.mark.parametrize("sense", ["upper", "lower"])
+def test_no_solve_contracts_into_a_fresh_array(sense, monkeypatch):
+    # every choice evaluation of a solve writes into a buffer the solve owns:
+    # the sweeps and greedy passes into _finite_region's, a GMRES product
+    # into its operator's
+    passed = []
+    for view_class in (CredalChoices, JointChoices):
+        def recorded(self, f, out=None, fn=view_class.finite_values):
+            passed.append(out is not None)
+            return fn(self, f, out)
+        monkeypatch.setattr(view_class, "finite_values", recorded)
+    for n in (12, 300):
+        model = random_credal_matrix(np.random.default_rng(n), n=n, max_vertices=3, dense_prob=0.9)
+        value_iteration(model, [n - 1], sense, max_iter=50)
+        res = policy_iteration(model, [n - 1], sense)
+        assert res.converged and len(res.classification.finite) == n - 1
+    assert n - 1 >= solver.MATRIX_FREE_UNKNOWNS  # the last solve took the GMRES path
+    model = random_credal_matrix(np.random.default_rng(0), n=5, max_vertices=3, dense_prob=0.4)
+    for belief in ("vacuous", "degenerate", "mixture"):
+        meet(model, 2, belief, sense, epsilon=0.5 if belief == "mixture" else None)
+    assert passed and all(passed)
+
+
+@pytest.mark.parametrize("agents, n", [(1, 8), (2, 5)])
+def test_policy_iteration_starts_from_the_classification_witness(agents, n, monkeypatch):
+    # in both senses the first evaluated selection is classify_view's witness
+    # on the finite states: vertex 0 in the upper sense, and in the lower
+    # sense, on this model, some other vertex at one state at least
+    starts = []
+    evaluate = solver._evaluate_selection
+
+    def recorded(view, finite, choice, *rest):
+        starts.append(choice.copy())
+        return evaluate(view, finite, choice, *rest)
+
+    monkeypatch.setattr(solver, "_evaluate_selection", recorded)
+    model = random_credal_matrix(np.random.default_rng(0), n=n, max_vertices=3, dense_prob=0.4)
+    view, targets = _view(model, agents)
+    for sense, moved in (("upper", False), ("lower", True)):
+        starts.clear()
+        solver.solve_view_policy(view, targets, sense, 1e-10, 1000)
+        cls, witness = classify_view(view, targets, sense)
+        start = witness[sorted(cls.finite)]
+        np.testing.assert_array_equal(starts[0], start)
+        assert start.any() == moved
+
+
+def test_a_start_with_mass_on_the_inf_states_is_an_inconsistent_classification(monkeypatch):
+    # vertex 0 of a puts mass on the absorbing state z; the almost-sure
+    # witness is vertex 1, and a classification that gave vertex 0 instead
+    # is refused before any evaluation
+    model = CredalMatrix.from_rows(
+        ["a", "g", "z"], [[[0, 0.5, 0.5], [0, 1, 0]], [[0, 1, 0]], [[0, 0, 1]]]
+    )
+    assert policy_iteration(model, [1], "lower").selection[0] == 1
+    classify = solver.classify_view
+    monkeypatch.setattr(solver, "classify_view",
+                        lambda *args: (classify(*args)[0], np.zeros(3, dtype=np.int64)))
+    with pytest.raises(RuntimeError, match="state 0 is classified finite.*classification pass is inconsistent"):
+        policy_iteration(model, [1], "lower")
