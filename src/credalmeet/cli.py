@@ -10,6 +10,7 @@ that cannot be opened).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -220,6 +221,11 @@ def _read_selection(model: CredalMatrix, path: str | None):
 
 
 def _cmd_meet(args) -> int:
+    # library meet ignores the options its belief does not read; the command line refuses them
+    if args.epsilon is not None and args.belief != "mixture":
+        raise ValueError(f"--epsilon applies only to --belief mixture, not {args.belief}")
+    if args.selection is not None and args.belief == "vacuous":
+        raise ValueError("--selection applies only to --belief degenerate or mixture, not vacuous")
     model = _load(args.model)
     selection = _read_selection(model, args.selection)
     result = meeting.meet(
@@ -313,6 +319,7 @@ def _cmd_selfcheck(args) -> int:
     return EXIT_OK if ok else EXIT_INVALID
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="credalmeet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -392,13 +392,19 @@ def _normalize_selection(
     """Resolve a user selection to flat choice indices on every joint state.
 
     Unspecified joint states fall back to vertex 0 for every agent. Keys are
-    joint state tuples (canonicalized), values are vertex-index tuples.
+    joint state tuples, values are vertex-index tuples. In quotient mode a
+    key must be its state, sorted, since the indices align with it: an
+    unsorted key is refused rather than read with its indices out of order.
     """
     product = view.product
     fixed = np.zeros(product.size, dtype=np.int64)
     if selection is not None:
         for joint, tup in selection.items():
             i = product.index_of(tuple(joint))
+            key = tuple(map(int, joint))
+            if product.mode == "quotient" and key != tuple(sorted(key)):
+                raise ValueError(f"selection key {key} of state {product.label(i)} is not sorted: in quotient "
+                                 f"mode the key is {tuple(sorted(key))}, and the indices align with it")
             fixed[i] = view.flat_choice(i, tuple(tup))
     return fixed
 

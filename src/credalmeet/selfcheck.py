@@ -97,25 +97,20 @@ def check_joint_kernel():
 def check_matrix_free_evaluation():
     model = _five_state()
     view = JointChoices(model, build_product_space(model.space, 2, "quotient"))
+    targets = view.product.target_mask()
     visited = []
-    evaluate = solver._evaluate_selection
-
-    def record(v, finite, choice, *rest):
-        visited.append((v, finite, choice.copy()))
-        return evaluate(v, finite, choice, *rest)
-
-    solver._evaluate_selection = record  # the solver looks it up at call time
-    try:
-        for sense in ("upper", "lower"):
-            solver.solve_view_policy(view, view.product.target_mask(), sense, 1e-10, 1_000)
-    finally:
-        solver._evaluate_selection = evaluate
+    for sense in ("upper", "lower"):
+        # a solve cut after j sweeps selects what sweep j + 1 evaluates
+        for j in range(solver.solve_view_policy(view, targets, sense, 1e-10, 1_000).iterations):
+            cut = solver.solve_view_policy(view, targets, sense, 1e-10, j)
+            finite = np.array(sorted(cut.classification.finite), dtype=int)
+            visited.append((finite, cut.selection[finite]))
     worst = 0.0
-    for v, finite, choice in visited:
-        h, residual, products = solver._gmres(solver._selection_operator(v, finite, choice), finite.size)
+    for finite, choice in visited:
+        h, residual, products = solver._gmres(solver._selection_operator(view, finite, choice), finite.size)
         if not solver._meets_bound(h, residual):
             return False, f"GMRES missed its bound on {finite.size} unknowns in {products} products"
-        dense = solver._dense_solve(v, finite, choice)
+        dense = solver._dense_solve(view, finite, choice)
         worst = max(worst, float(np.max(np.abs(h - dense) / dense)))
     return worst <= 1e-12, f"{len(visited)} selections, largest relative gap {worst:.1e}"
 

@@ -87,7 +87,6 @@ class HittingResult:
     residual: float
     converged: bool
     method: str
-    sweep_values: tuple[np.ndarray, ...] = ()
 
 
 def _require_budget(tol, max_iter) -> None:
@@ -373,7 +372,9 @@ def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray, need: int 
 def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_iter: int) -> HittingResult:
     """Policy iteration on a choice view; see :func:`policy_iteration`. The
     dense-solve bytes are counted once, and the last greedy pass gives the
-    final residual unless the values changed after it."""
+    final residual unless the values changed after it. Only the current
+    values are held: a solve cut at ``max_iter=k`` returns sweep ``k``'s
+    values and, as its selection, the one that sweep ``k + 1`` evaluates."""
     cls, witness = classify_view(view, targets, sense)
     n = view.n
 
@@ -392,41 +393,37 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
             "choice puts mass on the inf states; the classification pass is inconsistent"
         )
 
-    f = np.zeros(n)  # the values with the inf states zeroed
-    infinite = np.where(cls.infinite_mask(n), math.inf, 0.0)  # f + infinite: the values
+    f = np.zeros(n)  # the values, with the inf states zeroed until the end
     need = _dense_bytes(view, finite)  # the finite states are fixed from here on
     sweeps = 0
     converged = finite.size == 0  # nothing to evaluate
-    prev = residual = None  # residual: of f, once a greedy pass has read it
-    trace = []
+    residual = None  # of f, once a greedy pass has read it
     while not converged and sweeps < max_iter:
         sol = _evaluate_selection(view, finite, choice, need)
+        converged = sweeps > 0 and bool(np.max(np.abs(sol - f[finite])) <= tol)  # against the f it replaces
         f[finite], residual = sol, None
-        trace.append(f + infinite)
         sweeps += 1
-        if prev is not None and np.max(np.abs(sol - prev)) <= tol:
-            converged = True
+        if converged:
             break
         new_choice, residual = _finish(evaluate, bounds, f, finite, sense)
         if np.array_equal(new_choice, choice):
             converged = True
             break
         choice = new_choice
-        prev = sol
 
     selection = np.zeros(n, dtype=np.int64)
     selection[finite] = choice
     if residual is None:  # no greedy pass read the last f
         residual = _finish(evaluate, bounds, f, finite, sense)[1]
+    f[list(cls.infinite)] = math.inf
     return HittingResult(
-        values=f + infinite,
+        values=f,
         selection=selection,
         classification=cls,
         iterations=sweeps,
         residual=residual,
         converged=converged,
         method="policy-iteration",
-        sweep_values=tuple(trace),
     )
 
 

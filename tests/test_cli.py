@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from credalmeet import cli
 from credalmeet.cli import main
 from credalmeet.selfcheck import CHECKS
 
@@ -263,6 +264,47 @@ def test_meet_selection_file(model_file, tmp_path):
 
 def test_meet_bad_epsilon_is_usage_error(model_file):
     assert main(["meet", model_file, "--belief", "mixture", "--epsilon", "2"]) == 3
+
+
+def test_meet_refuses_an_unsorted_quotient_key(model_file, tmp_path, capsys):
+    sel = tmp_path / "sel.yaml"
+    sel.write_text('"b,a": [0, 1]\n')
+    assert main(["meet", model_file, "--belief", "degenerate", "--selection", str(sel)]) == 3
+    assert "selection key (1, 0) of state (a,b) is not sorted" in capsys.readouterr().err
+    assert main(["meet", model_file, "--belief", "degenerate", "--mode", "full",
+                 "--selection", str(sel)]) == 0
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--epsilon", "0.5"], "--epsilon"),
+    (["--belief", "vacuous", "--epsilon", "0.5"], "--epsilon"),
+    (["--belief", "degenerate", "--epsilon", "0.5"], "--epsilon"),
+    (["--belief", "vacuous", "--selection", "SEL"], "--selection"),
+])
+def test_meet_refuses_an_option_its_belief_does_not_read(model_file, tmp_path, capsys, argv, option):
+    sel = tmp_path / "sel.yaml"
+    sel.write_text('"a,b": [1, 0]\n')
+    argv = [str(sel) if a == "SEL" else a for a in argv]
+    assert main(["meet", model_file, *argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} applies only to --belief")
+    # a later --belief and --epsilon win: mixture reads both options
+    assert main(["meet", model_file, *argv, "--belief", "mixture", "--epsilon", "0.5"]) == 0
+
+
+def test_the_parser_is_built_once(monkeypatch, capsys):
+    assert main(["validate", "builtin:five-state"]) == 0
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert main(["validate", "builtin:five-state"]) == 0
+    assert main(["validate", "nonexistent.yaml", "--bogus"]) == 3
+    assert built == []
 
 
 def test_simulate_deterministic_and_reproducible(precise_file, tmp_path, capsys):

@@ -330,6 +330,34 @@ def test_selection_entries_must_be_integers(entry):
     assert np.array_equal(got, want)
 
 
+def three_state():
+    return CredalMatrix.from_rows(
+        ["a", "b", "c"],
+        [[[0.6, 0.4, 0], [0, 0.3, 0.7]], [[0.2, 0.3, 0.5], [0.5, 0.5, 0]], [[0, 0, 1], [0.1, 0.1, 0.8]]],
+    )
+
+
+@pytest.mark.parametrize("belief", ["degenerate", "mixture"])
+def test_quotient_mode_refuses_an_unsorted_selection_key(belief):
+    """A quotient key is the sorted state and the indices align with it, so
+    (1, 0) is refused rather than read as (0, 1) with its indices in the given
+    order; full mode takes it, and the sorted key is the symmetric full walk."""
+    m, eps = three_state(), 0.5 if belief == "mixture" else None
+    for sel in ({(1, 0): (0, 1)}, {(0, 1): (1, 0), (1, 0): (0, 1)}):
+        with pytest.raises(ValueError, match=r"selection key \(1, 0\) of state \(a,b\) is not sorted"):
+            meet(m, 2, belief, "upper", selection=sel, epsilon=eps)
+    quot = meet(m, 2, belief, "upper", selection={(0, 1): (1, 0)}, epsilon=eps)
+    full = meet(m, 2, belief, "upper", "full", selection={(0, 1): (1, 0), (1, 0): (0, 1)}, epsilon=eps)
+    assert full.value_at((1, 0)) == pytest.approx(quot.value_at((0, 1)), rel=1e-12)
+    assert full.value_at((0, 1)) == pytest.approx(quot.value_at((0, 1)), rel=1e-12)
+    with pytest.raises(ValueError, match=r"key \(0, 2, 1\) of state \(a,b,c\) is not sorted"):
+        meet(m, 3, belief, "upper", selection={(0, 2, 1): (0, 0, 1)}, epsilon=eps)
+    with pytest.raises(ValueError, match="is not sorted"):
+        quotient_consistency_check(m, 2, belief, selection={(1, 0): (0, 1)}, epsilon=eps)
+    with pytest.raises(KeyError, match="not in the product space"):
+        meet(m, 2, belief, "upper", selection={(1, 0.7): (0, 1)}, epsilon=eps)
+
+
 def test_joint_indices_that_are_not_integers_are_refused():
     """Joint states and agent counts are not truncated: (0, 1.7) is no state
     (0, 1) and 2.5 agents are not two. Each is refused with the error of an

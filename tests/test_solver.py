@@ -18,6 +18,7 @@ from credalmeet import (
     meet,
     policy_iteration,
     selection_matrix,
+    selfcheck,
     solver,
     value_iteration,
 )
@@ -152,7 +153,10 @@ def test_policy_sweeps_are_monotone():
         targets = random_targets(rng, m.size)
         for sense, slack in (("upper", -1e-9), ("lower", 1e-9)):
             r = policy_iteration(m, targets, sense)
-            for a, b in zip(r.sweep_values, r.sweep_values[1:]):
+            # a solve cut after k sweeps returns sweep k's values
+            sweeps = [policy_iteration(m, targets, sense, max_iter=k).values
+                      for k in range(1, r.iterations + 1)]
+            for a, b in zip(sweeps, sweeps[1:]):
                 finite = np.isfinite(a) & np.isfinite(b)
                 step = b[finite] - a[finite]
                 if sense == "upper":
@@ -584,6 +588,55 @@ def test_policy_iteration_starts_from_the_classification_witness(agents, n, monk
         start = witness[sorted(cls.finite)]
         np.testing.assert_array_equal(starts[0], start)
         assert start.any() == moved
+
+
+@pytest.mark.parametrize("agents, n", [(1, 12), (1, 300), (2, 9), (3, 5)])
+@pytest.mark.parametrize("sense", ["upper", "lower"])
+def test_a_cut_solve_replays_its_sweeps(agents, n, sense, monkeypatch):
+    # a solve cut at max_iter=j selects the choice that sweep j + 1 evaluates,
+    # and one cut at j + 1 returns that sweep's values, bit for bit
+    sweeps = []
+    evaluate = solver._evaluate_selection
+
+    def recorded(view, finite, choice, *rest):
+        sol = evaluate(view, finite, choice, *rest)
+        sweeps.append((choice.copy(), sol.copy()))
+        return sol
+
+    monkeypatch.setattr(solver, "_evaluate_selection", recorded)
+    model = random_credal_matrix(np.random.default_rng(n), n=n, max_vertices=3, dense_prob=0.9)
+    view, targets = _view(model, agents)
+    res = solver.solve_view_policy(view, targets, sense, 1e-10, 1000)
+    recorded_sweeps = list(sweeps)
+    cls = res.classification
+    finite = np.array(sorted(cls.finite), dtype=np.int64)
+    assert len(recorded_sweeps) == res.iterations >= 2
+    assert (finite.size >= solver.MATRIX_FREE_UNKNOWNS) == (n == 300)
+    for j, (choice, sol) in enumerate(recorded_sweeps):
+        cut = solver.solve_view_policy(view, targets, sense, 1e-10, j)
+        assert cut.selection[finite].tobytes() == choice.tobytes()
+        want = np.zeros(view.n)
+        want[finite] = sol
+        want[cls.infinite_mask(view.n)] = math.inf
+        assert solver.solve_view_policy(view, targets, sense, 1e-10, j + 1).values.tobytes() == want.tobytes()
+
+
+def test_the_matrix_free_self_check_patches_no_solver_name(monkeypatch):
+    # the check reads its selections from cut solves; the solver's own
+    # evaluation stays the one a caller installed
+    calls = []
+    evaluate = solver._evaluate_selection
+
+    def recorder(*args):
+        assert solver._evaluate_selection is recorder
+        calls.append(args[2].copy())
+        return evaluate(*args)
+
+    monkeypatch.setattr(solver, "_evaluate_selection", recorder)
+    ok, detail = selfcheck.check_matrix_free_evaluation()
+    assert ok, detail
+    assert calls and detail.startswith("2 selections")
+    assert solver._evaluate_selection is recorder
 
 
 def test_a_start_with_mass_on_the_inf_states_is_an_inconsistent_classification(monkeypatch):
