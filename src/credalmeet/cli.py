@@ -188,7 +188,7 @@ def _cmd_hit(args) -> int:
         "parameters": {
             "target": sorted(labels[i] for i in targets),
             "sense": args.sense, "method": args.method,
-            "tol": args.tol, "max_iter": args.max_iter,
+            "tol": encode_value(args.tol), "max_iter": args.max_iter,
         },
         "model": _model_info(args.model, model),
         "values": {lab: encode_value(result.values[i]) for i, lab in enumerate(labels)},
@@ -264,7 +264,7 @@ def _cmd_meet(args) -> int:
         "parameters": {
             "agents": args.agents, "belief": args.belief,
             "sense": result.sense, "mode": args.mode,
-            "epsilon": result.epsilon, "tol": args.tol, "max_iter": args.max_iter,
+            "epsilon": result.epsilon, "tol": encode_value(args.tol), "max_iter": args.max_iter,
         },
         "model": _model_info(args.model, model),
         "values": {lab: encode_value(v) for lab, v in zip(joint_labels, result.values)},

@@ -191,8 +191,9 @@ def _lower_closure(view, targets: np.ndarray) -> np.ndarray:
     return _grow(view, targets, np.flatnonzero(~targets), "all")[0]
 
 
-def _almost_sure_closure(view, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States from which some selection reaches ``targets`` with probability one.
+def _almost_sure_closure(view, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """States from which some selection reaches ``targets`` with probability
+    one, their witnesses, and the states that reach ``targets`` at all.
 
     Greatest fixed point over a candidate set ``kept``: repeatedly keep only
     the states that can make guaranteed-safe progress, meaning some choice
@@ -201,15 +202,17 @@ def _almost_sure_closure(view, targets: np.ndarray) -> tuple[np.ndarray, np.ndar
     non-target state, the lowest such choice in the round the state joined;
     each witness leads one breadth-first level closer to the target, so
     selecting them yields a single selection that hits the target almost
-    surely from everywhere in the returned set.
+    surely from everywhere in the returned set. The first round starts from
+    every state kept, so every choice is eligible and it grows the best-case
+    reachable set (:func:`_upper_closure` of the targets), returned third.
     """
-    kept = np.ones(view.n, dtype=bool)
-    while True:
+    reachable, witness = _grow(view, targets, np.flatnonzero(~targets), "any")
+    kept, progressing = np.ones(view.n, dtype=bool), reachable
+    while not (progressing == kept).all():
+        kept = progressing
         cand = np.flatnonzero(kept & ~targets)
         progressing, witness = _grow(view, targets, cand, "any", ~view.touches(cand, ~kept))
-        if (progressing == kept).all():
-            return kept, witness
-        kept = progressing
+    return kept, witness, reachable
 
 
 @dataclass(frozen=True)
@@ -247,9 +250,11 @@ def classify_view(view, targets: np.ndarray, sense: str) -> tuple[Classification
 
     Lower sense: ``absorbing`` holds the states with no best-case path to the
     target at all, and ``unsafe`` the states that can reach the target but
-    not almost surely under any selection. The witnesses, one choice index
-    per state, back a selection that is proper on the finite region (all
-    zero in the upper sense).
+    not almost surely under any selection. Both come from one
+    :func:`_almost_sure_closure`, whose first round is the best-case
+    reachable set. The witnesses, one choice index per state, back a
+    selection that is proper on the finite region (all zero in the upper
+    sense).
     """
     _require_sense(sense)
     n = view.n
@@ -262,9 +267,8 @@ def classify_view(view, targets: np.ndarray, sense: str) -> tuple[Classification
         else:
             unsafe = np.zeros(n, dtype=bool)
     else:
-        reachable = _upper_closure(view, targets)
+        sure, witness, reachable = _almost_sure_closure(view, targets)
         absorbing = ~reachable & ~targets
-        sure, witness = _almost_sure_closure(view, targets)
         unsafe = ~sure & ~absorbing & ~targets
     finite = ~targets & ~absorbing & ~unsafe
     cls = Classification(

@@ -34,7 +34,8 @@ is formed. A dense solve reads the selection's ``(k, k)`` block of the
 finite states from the view in one call.
 
 Both methods first classify the states and pin the hopeless ones to inf, so
-the iteration itself only ever runs on the finite region.
+the iteration itself only ever runs on the finite region; both end in one
+assembly of the result (:func:`_result`), which writes those inf values.
 """
 
 from __future__ import annotations
@@ -137,6 +138,18 @@ def _finite_region(view, cls: Classification):
     return finite, bounds, hopeless, evaluate
 
 
+def _result(cls: Classification, finite: np.ndarray, f: np.ndarray, choice: np.ndarray,
+            iterations: int, residual: float, converged: bool, method: str) -> HittingResult:
+    """The result of a solve that ends with the values ``f`` (zero on the inf
+    states) and ``choice`` per finite state: the selection is ``choice`` on
+    the finite states and zero elsewhere, and ``f`` gets inf at the inf
+    states in place."""
+    selection = np.zeros(f.size, dtype=np.int64)
+    selection[finite] = choice
+    f[list(cls.infinite)] = math.inf
+    return HittingResult(f, selection, cls, iterations, residual, converged, method)
+
+
 def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter: int) -> HittingResult:
     """Value iteration on a choice view; see :func:`value_iteration`. Each
     sweep applies :func:`_finite_region`'s evaluator to the current values and
@@ -162,18 +175,8 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
         if delta <= tol:
             converged = True
             break
-    selection = np.zeros(view.n, dtype=np.int64)
-    selection[finite], residual = _finish(evaluate, bounds, f, finite, sense)
-    f[list(cls.infinite)] = math.inf
-    return HittingResult(
-        values=f,
-        selection=selection,
-        classification=cls,
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-        method="value-iteration",
-    )
+    choice, residual = _finish(evaluate, bounds, f, finite, sense)
+    return _result(cls, finite, f, choice, iterations, residual, converged, "value-iteration")
 
 
 def _residual_bound(k: int, hmax: float) -> float:
@@ -376,7 +379,6 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     values are held: a solve cut at ``max_iter=k`` returns sweep ``k``'s
     values and, as its selection, the one that sweep ``k + 1`` evaluates."""
     cls, witness = classify_view(view, targets, sense)
-    n = view.n
 
     # Start from the classification's witness, proper on the finite region,
     # so that every evaluated system is non-singular: an arbitrary vertex may
@@ -393,7 +395,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
             "choice puts mass on the inf states; the classification pass is inconsistent"
         )
 
-    f = np.zeros(n)  # the values, with the inf states zeroed until the end
+    f = np.zeros(view.n)  # the values, with the inf states zeroed until the end
     need = _dense_bytes(view, finite)  # the finite states are fixed from here on
     sweeps = 0
     converged = finite.size == 0  # nothing to evaluate
@@ -411,20 +413,9 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
             break
         choice = new_choice
 
-    selection = np.zeros(n, dtype=np.int64)
-    selection[finite] = choice
     if residual is None:  # no greedy pass read the last f
         residual = _finish(evaluate, bounds, f, finite, sense)[1]
-    f[list(cls.infinite)] = math.inf
-    return HittingResult(
-        values=f,
-        selection=selection,
-        classification=cls,
-        iterations=sweeps,
-        residual=residual,
-        converged=converged,
-        method="policy-iteration",
-    )
+    return _result(cls, finite, f, choice, sweeps, residual, converged, "policy-iteration")
 
 
 def value_iteration(

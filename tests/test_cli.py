@@ -206,6 +206,20 @@ def test_a_nan_or_negative_budget_is_a_usage_error(argv, name, capsys):
     assert f"error: {name} must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["hit", "--target", "b", "--sense", "upper", "--method", "policy"], id="hit-policy"),
+    pytest.param(["hit", "--target", "b", "--sense", "upper", "--method", "value"], id="hit-value"),
+    pytest.param(["meet"], id="meet"),
+])
+@pytest.mark.parametrize("tol", ["inf", "1e400"])
+def test_an_infinite_tol_is_written_by_the_inf_rule(argv, tol, model_file, tmp_path, capsys):
+    # argparse reads 1e400 as inf too; the library accepts an infinite tol,
+    # and the result file writes it as the schema's "inf"
+    out = tmp_path / "r.json"
+    assert main([argv[0], model_file, *argv[1:], "--tol", tol, "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["parameters"]["tol"] == "inf"
+
+
 def test_classify_five_state_pairs(capsys):
     assert main(["classify", "builtin:five-state", "--agents", "2", "--sense", "upper"]) == 0
     out = capsys.readouterr().out

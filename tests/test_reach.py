@@ -3,10 +3,16 @@ import pytest
 
 from credalmeet import (
     CredalMatrix,
+    build_product_space,
     classify,
     lower_reach_set,
+    reach,
+    selfcheck,
     upper_reach_set,
 )
+from credalmeet.core import target_mask
+from credalmeet.meeting import JointChoices
+from credalmeet.reach import CredalChoices
 
 from generators import random_credal_matrix, random_targets
 
@@ -158,3 +164,45 @@ def test_classify_lower_reduces_to_simple_swap_without_risky_routes():
     c = classify(m, [1], "lower")
     assert c.absorbing == frozenset() and c.unsafe == frozenset()
     assert c.finite == frozenset({0})
+
+
+def _views(model):
+    """The base view and the 2-agent quotient view of ``model``, each with its
+    target mask (the last state, and the diagonal)."""
+    joint = JointChoices(model, build_product_space(model.space, 2, "quotient"))
+    return [(CredalChoices(model), target_mask(model.size, [model.size - 1])),
+            (joint, joint.product.target_mask())]
+
+
+@pytest.mark.parametrize("model", [selfcheck._five_state(), selfcheck._hold_or_mix(),
+                                   selfcheck._two_state_pickers()],
+                         ids=["five_state", "hold_or_mix", "two_state_pickers"])
+def test_a_lower_classification_grows_reachability_once(model, monkeypatch):
+    # the lower sense reads the reachable set off the almost-sure closure's
+    # first round, so these models, every state of which reaches the target,
+    # settle in one _grow call; the upper sense makes a second one only when
+    # it has absorbing states to close over
+    calls = []
+    grow = reach._grow
+    monkeypatch.setattr(reach, "_grow", lambda *args: calls.append(1) or grow(*args))
+    for view, targets in _views(model):
+        for sense in ("upper", "lower"):
+            calls.clear()
+            cls, _ = reach.classify_view(view, targets, sense)
+            assert len(calls) == (1 + bool(cls.absorbing) if sense == "upper" else 1)
+
+
+def test_the_almost_sure_closure_starts_from_the_reachable_set():
+    # sparse rows with at most two vertices, so that some states cannot reach
+    # the target and some closures take more than one round
+    rng = np.random.default_rng(53)
+    partial = rounds = 0
+    for _ in range(30):
+        model = random_credal_matrix(rng, n=int(rng.integers(2, 6)), max_vertices=2, dense_prob=0.0)
+        for view, targets in _views(model):
+            sure, _, reachable = reach._almost_sure_closure(view, targets)
+            np.testing.assert_array_equal(reachable, reach._upper_closure(view, targets))
+            assert not (sure & ~reachable).any()
+            partial += not reachable.all()
+            rounds += (sure != reachable).any()
+    assert partial and rounds

@@ -100,20 +100,52 @@ def test_policy_iteration_reports_non_convergence():
     assert not r.converged
 
 
+def _assert_result_layout(r):
+    """Values infinite exactly on the classified hopeless states and zero on
+    the target; the selection zero off the finite states."""
+    cls = r.classification
+    assert frozenset(np.flatnonzero(np.isinf(r.values)).tolist()) == cls.infinite
+    assert all(r.values[t] == 0.0 for t in cls.target)
+    off = np.ones(r.values.size, dtype=bool)
+    off[sorted(cls.finite)] = False
+    assert not r.selection[off].any()
+
+
 def test_results_satisfy_fixed_point():
+    # the default budget reaches the fixed point; every budget, a cut solve's
+    # included, gives the layout of _assert_result_layout, in both solvers
+    # and on joint views
     rng = np.random.default_rng(29)
+    # a stays put, so it never reaches c, and of the pairs only (b, c) can meet
+    stuck = CredalMatrix.from_rows(
+        ["a", "b", "c"], [[[1, 0, 0]], [[0, 1, 0], [0, 0.5, 0.5]], [[0, 0.5, 0.5]]]
+    )
+    cases = []
     for _ in range(25):
         m = random_credal_matrix(rng)
-        targets = random_targets(rng, m.size)
+        cases.append((m, random_targets(rng, m.size)))
+    mixed = set()  # agents of the results with both finite and infinite states
+    for m, targets in [*cases, (stuck, [2])]:
         for sense in ("upper", "lower"):
             r = policy_iteration(m, targets, sense)
             assert r.converged
             assert r.residual <= 1e-9
-            # values are infinite exactly on the classified hopeless states
-            assert frozenset(np.flatnonzero(np.isinf(r.values)).tolist()) == (
-                r.classification.infinite
-            )
-            assert all(r.values[t] == 0.0 for t in r.classification.target)
+            _assert_result_layout(r)
+            for solve, max_iter in itertools.product((policy_iteration, value_iteration), (0, 1)):
+                _assert_result_layout(solve(m, targets, sense, max_iter=max_iter))
+            _assert_result_layout(value_iteration(m, targets, sense))
+            if r.classification.infinite and r.classification.finite:
+                mixed.add(1)
+    models = [random_credal_matrix(np.random.default_rng(seed), n=4, max_vertices=3, dense_prob=0.4)
+              for seed in range(8)]
+    for model in [*models, stuck]:
+        view, targets = _view(model, 2)
+        for sense, max_iter in itertools.product(("upper", "lower"), (0, 1, 1000)):
+            r = solver.solve_view_policy(view, targets, sense, 1e-10, max_iter)
+            _assert_result_layout(r)
+            if r.classification.infinite and r.classification.finite:
+                mixed.add(2)
+    assert mixed == {1, 2}
 
 
 def test_selection_reproduces_values():
