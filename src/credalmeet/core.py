@@ -14,11 +14,11 @@ identical bits on one machine; :func:`ext_dot` stays the left-to-right
 reference. A value vector is contracted by an ``einsum`` row-dot, which
 gives a vertex row the same bits in any subset of rows; the joint walk's
 value tensor, always contracted whole, by one BLAS product per agent axis.
-The public operators take values with infinite entries through
-:func:`choice_values`, which zeroes them, contracts once more against the inf
-mask and sets the choices with mass on them to inf. A choice view's
-``values`` reads that mass from the exact 0/1 support pattern instead, and
-the solvers, which know the inf states once per solve, call the view's
+Values with infinite entries go through one rule, in the public operators
+and every choice view's ``values``: a contraction of the values with their
+infs zeroed, and inf on each row that an exact support test finds with mass
+on an inf entry; for stored rows it reads their entries in the inf columns
+alone. The solvers, which know the inf states once per solve, call a view's
 finite contraction on zeroed values directly.
 """
 
@@ -273,15 +273,20 @@ def contract(vertices: np.ndarray, values: np.ndarray, out: np.ndarray | None = 
     return out
 
 
-def choice_values(vertices: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """:func:`contract` for values that may hold inf, with 0 * inf = 0: a
-    second contraction, against the inf mask, sets to inf every choice with
-    positive mass on an infinite entry. The public operators take this path."""
+def _touching(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Whether each stored row has an entry above zero in a column of
+    ``mask``, read from those columns alone: exact however small the entry."""
+    return (rows[:, mask] > 0.0).any(axis=1)
+
+
+def _ext_values(values: np.ndarray, finite, touching) -> np.ndarray:
+    """The 0 * inf = 0 rule: ``finite`` of the values with their infs zeroed,
+    and inf on each row that the exact ``touching(mask)`` finds on them."""
     inf = np.isinf(values)
     if not inf.any():
-        return contract(vertices, values)
-    out = contract(vertices, np.where(inf, 0.0, values))
-    out[contract(vertices, inf.astype(float)) > 0.0] = math.inf
+        return finite(values)
+    out = finite(np.where(inf, 0.0, values))
+    out[touching(inf)] = math.inf
     return out
 
 
@@ -301,7 +306,8 @@ def ext_matvec(matrix, values) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     if (m < 0).any():
         raise ValueError("matrix entries must be non-negative")
-    return choice_values(m, _check_values(values, m.shape[1]))
+    f = _check_values(values, m.shape[1])
+    return _ext_values(f, functools.partial(contract, m), functools.partial(_touching, m))
 
 
 def segment_bounds(counts) -> np.ndarray:
@@ -378,7 +384,9 @@ def _check_values(values, n: int) -> np.ndarray:
 
 
 def _optimize(model: CredalMatrix, values, sense: str):
-    return segment_optimum(choice_values(model.stack, _check_values(values, model.size)), model.offsets, sense)
+    rows, f = model.stack, _check_values(values, model.size)
+    vals = _ext_values(f, functools.partial(contract, rows), functools.partial(_touching, rows))
+    return segment_optimum(vals, model.offsets, sense)
 
 
 def apply_upper(model: CredalMatrix, values) -> np.ndarray:
@@ -400,8 +408,8 @@ def greedy_selection(model: CredalMatrix, values, sense: str) -> np.ndarray:
 
     Assembling the selected vertices with :func:`selection_matrix` and applying
     :func:`ext_matvec` reproduces the output of :func:`apply_upper` (or
-    :func:`apply_lower`) exactly: both paths evaluate every vertex through
-    :func:`choice_values`, and identical inputs give identical bits on one
+    :func:`apply_lower`) exactly: both paths evaluate every vertex by one
+    0 * inf = 0 rule, and identical inputs give identical bits on one
     machine; :func:`ext_dot` stays the left-to-right reference.
     """
     _require_sense(sense)

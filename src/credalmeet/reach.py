@@ -9,22 +9,20 @@ transitions have positive probability. Every closure grows its set in
 frontier rounds, one per breadth-first level: a round asks a view's
 ``touches`` which choices put mass on the states added in the previous
 round, and reduces the answers per state with :func:`segment_optimum`. The
-answers are read from the 0/1 support pattern of the stored vertices, so
-they are exact however small the probabilities are; a view's ``values`` sets
-inf where the same test finds mass on an infinite entry.
+answers test which entries are above zero, never how large, so they are
+exact however small; ``values`` sets inf where they find an infinite entry.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, _require_sense, contract, segment_bounds
-from .core import segment_optimum, segment_rows, target_mask
+from .core import CredalMatrix, _ext_values, _require_sense, _touching, contract
+from .core import segment_bounds, segment_optimum, segment_rows, target_mask
 
 
 class ChoiceView:
@@ -35,9 +33,10 @@ class ChoiceView:
 
     A subclass gives ``n``, the finite contraction of all its rows,
     ``finite_values(f, out)`` (into a buffer the caller owns when given),
-    and their exact support test, ``_touches(mask)``. :meth:`values` builds
-    the 0 * inf = 0 rule from those two; it and :meth:`touches` gather a few
-    states' segments (:meth:`choice_rows`) from the whole evaluation.
+    and their exact support test, ``_touches(mask)``. :meth:`values`
+    applies the public operators' 0 * inf = 0 rule to those two; it and
+    :meth:`touches` gather a few states' segments (:meth:`choice_rows`)
+    from the whole evaluation.
     ``block(states, choice)`` is the transition matrix on ``states`` of the
     selection of ``choice[i]`` at ``states[i]``, and ``block_bytes(states)``
     bounds the bytes that building it takes.
@@ -80,13 +79,7 @@ class ChoiceView:
         index array; None for every choice the view holds), flat and in state
         order, with the 0 * inf = 0 rule: inf wherever the support test finds
         mass on an inf entry, however small."""
-        f = np.asarray(f, dtype=float)
-        inf = np.isinf(f)
-        if inf.any():
-            out = self.finite_values(np.where(inf, 0.0, f))
-            out[self._touches(inf)] = math.inf
-        else:
-            out = self.finite_values(f)
+        out = _ext_values(np.asarray(f, dtype=float), self.finite_values, self._touches)
         return out if states is None else out[self.choice_rows(states)]
 
     def touches(self, states, mask: np.ndarray) -> np.ndarray:
@@ -99,23 +92,22 @@ class ChoiceView:
 class CredalChoices(ChoiceView):
     """Choice view of a credal model: one candidate row per vertex.
 
-    The reachability and solver passes only ever see the :class:`ChoiceView`
-    interface: ``n``, batched choice values (``values``, ``finite_values``)
-    and support tests (``touches``), their per-state offsets
-    (``choice_offsets``) and positions (``choice_rows``), pinned selections
-    (``restrict``) and a selection's dense ``block``. That lets the same
-    passes run on joint product models without those models ever being
-    expanded into explicit vertex lists. The row arrays are the model's
-    stacked vertices and their 0/1 support pattern.
+    The reachability and solver passes see only the :class:`ChoiceView`
+    interface, so the same passes run on joint product models without
+    expanding them into explicit vertex lists. Its one row array is the
+    model's stacked vertices: the contraction reads it, and so does the
+    support test, in the mask's columns alone, as the public operators do.
+    So building the view allocates nothing of the stack's size, and a pinned
+    view copies only the rows a product reads.
     """
 
-    _row_arrays = ("_stack", "_pattern")
+    _row_arrays = ("_stack",)
 
     def __init__(self, model: CredalMatrix):
         self.model = model
         self.n = model.size
         self._starts, self._counts = model.offsets[:-1], np.diff(model.offsets)
-        self._stack, self._pattern = model.stack, model.stack > 0.0
+        self._stack = model.stack
 
     def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Expectation of the finite ``f`` under every choice, laid out as
@@ -124,8 +116,7 @@ class CredalChoices(ChoiceView):
         return contract(self._stack, f, out)
 
     def _touches(self, mask: np.ndarray) -> np.ndarray:
-        # reads only the mask's columns of the pattern
-        return self._pattern[:, mask].any(axis=1)
+        return _touching(self._stack, mask)
 
     def block(self, states: np.ndarray, choice: np.ndarray) -> np.ndarray:
         return self._stack[(self._starts[states] + choice)[:, None], states]

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credalmeet import CredalMatrix, build_product_space, ext_dot, meet
-from credalmeet.core import choice_values
+from credalmeet import CredalMatrix, build_product_space, ext_dot, ext_matvec, meet
+from credalmeet.core import contract
 from credalmeet.meeting import (
     MAX_TABLE_ENTRIES,
     JointChoices,
@@ -106,23 +106,20 @@ def test_values_are_inf_exactly_where_a_choice_touches_an_inf_state(agents, mode
             assert np.isinf(view.values(start, f)[0])
 
 
-def test_rank_one_choice_values_is_the_einsum_row_dot():
+def test_rank_one_contract_is_the_einsum_row_dot():
     rng = np.random.default_rng(5)
     for _ in range(200):
         k, n = rng.integers(1, 40, size=2)
         vertices = rng.random((k, n))
         f = rng.uniform(0, 100, n)
-        assert np.array_equal(choice_values(vertices, f), np.einsum("ij,j->i", vertices, f))
+        want = np.einsum("ij,j->i", vertices, f)
+        assert np.array_equal(contract(vertices, f), want)
+        assert np.array_equal(ext_matvec(vertices, f), want)
 
 
-def _einsum_choice_values(vertices, values):
+def _einsum_contract(vertices, values):
     """The contraction with two-operand ``einsum`` on every axis, as it was
     before tensors went through BLAS: the reference for the tests below."""
-    inf = np.isinf(values)
-    if inf.any():
-        out = _einsum_choice_values(vertices, np.where(inf, 0.0, values))
-        out[_einsum_choice_values(vertices, inf.astype(float)) > 0.0] = math.inf
-        return out
     for _ in range(values.ndim):
         values = np.einsum("ij,...j->i...", vertices, values)
     return values
@@ -145,24 +142,23 @@ def tensor_contractions(draw, vertex_entry, value_entry):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tensor_contractions(REAL, st.one_of(REAL, st.just(math.inf))))
-def test_tensor_choice_values_match_the_einsum_loop(data):
+@given(tensor_contractions(REAL, REAL))
+def test_tensor_contract_matches_the_einsum_loop(data):
     vertices, values = data
-    got = choice_values(vertices, values)
-    want = _einsum_choice_values(vertices, values)
+    got = contract(vertices, values)
+    want = _einsum_contract(vertices, values)
     assert got.shape == want.shape == (vertices.shape[0],) * values.ndim
-    assert np.array_equal(np.isinf(got), np.isinf(want))
-    fin = np.isfinite(want)
-    assert (np.abs(got[fin] - want[fin]) <= 1e-13 * want[fin]).all()
+    assert (np.abs(got - want) <= 1e-13 * want).all()
     # identical inputs, in fresh arrays, give identical bits
-    assert np.array_equal(choice_values(vertices.copy(), values.copy()), got)
+    assert np.array_equal(contract(vertices.copy(), values.copy()), got)
 
 
 @settings(max_examples=100, deadline=None)
 @given(tensor_contractions(ZERO_ONE, ZERO_ONE))
-def test_tensor_choice_values_count_zero_one_products_exactly(data):
+def test_tensor_contract_counts_zero_one_products_exactly(data):
+    """The joint view's support table: 0/1 rows contracted with a 0/1 mask."""
     vertices, values = data
-    assert np.array_equal(choice_values(vertices, values), _einsum_choice_values(vertices, values))
+    assert np.array_equal(contract(vertices, values), _einsum_contract(vertices, values))
 
 
 def _lowest_swap(joint, choice):

@@ -74,6 +74,12 @@ def test_kernel_matches_ext_dot_with_infinite_entries(data):
     up, lo = apply_upper(m, f), apply_lower(m, f)
     assert np.array_equal(np.isinf(up), [np.isinf(r).any() for r in ref])
     assert np.array_equal(np.isinf(lo), [np.isinf(r).all() for r in ref])
+    # the public operators apply the view's rule to the same rows, bit for bit
+    whole = view.values(None, f)
+    for sense, applied in (("upper", up), ("lower", lo)):
+        best, pick = segment_optimum(whole, m.offsets, sense)
+        assert np.array_equal(applied, best)
+        assert np.array_equal(greedy_selection(m, f, sense), pick)
 
 
 def _scalar_scan(vals, bounds, sense):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credalmeet import (
     CredalMatrix,
@@ -32,6 +34,44 @@ def test_upper_reach_chain_graph():
     assert upper_reach_set(m, [0]) == frozenset({0})
     # strict: state a reaches {0}? no outgoing edge into the closure of {0}
     assert upper_reach_set(m, [0], strict=True) == frozenset()
+
+
+def test_strict_upper_reach_keeps_the_targets_that_return():
+    # target a returns through c, whose one vertex reaches a with the least
+    # positive mass; target b only leads to the trap d
+    rows = [[[0, 0, 1, 0]], [[0, 0, 0, 1]], [[5e-324, 0, 0, 1], [0, 0, 1, 0]], [[0, 0, 0, 1]]]
+    m = CredalMatrix.from_rows(["a", "b", "c", "d"], rows)
+    assert m.stack[2, 0] == 5e-324
+    assert upper_reach_set(m, [0, 1]) == frozenset({0, 1, 2})
+    assert upper_reach_set(m, [0, 1], strict=True) == frozenset({0, 2})
+
+
+def _path_into(model, targets):
+    """States with a path of one step or more into ``targets`` along edges
+    that some vertex gives positive mass, by a search from each state."""
+    succ = [set(np.flatnonzero((model.vertices(i) > 0).any(axis=0)).tolist()) for i in range(model.size)]
+    found = set()
+    for x in range(model.size):
+        seen, todo = set(), list(succ[x])
+        while todo:
+            y = todo.pop()
+            if y not in seen:
+                seen.add(y)
+                todo.extend(succ[y])
+        if seen & set(targets):
+            found.add(x)
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+def test_upper_reach_sets_match_a_path_search(seed, n):
+    rng = np.random.default_rng(seed)
+    m = random_credal_matrix(rng, n=n)
+    targets = random_targets(rng, n)
+    strict = _path_into(m, targets)
+    assert upper_reach_set(m, targets, strict=True) == strict
+    assert upper_reach_set(m, targets) == strict | set(targets)
 
 
 def test_upper_reach_uses_any_vertex():
@@ -123,6 +163,20 @@ def test_classify_partition_property():
             assert sum(len(s) for s in sets) == m.size
             assert c.absorbing <= set(range(m.size)) - c.target
             assert c.unsafe <= set(range(m.size)) - c.target - c.absorbing
+
+
+def test_default_random_models_mix_finite_and_infinite_states():
+    # the generator's default draws put finite and infinite states side by
+    # side in both senses, so the tests that draw from it see both
+    rng = np.random.default_rng(29)
+    mixed = {"upper": 0, "lower": 0}
+    for _ in range(500):
+        m = random_credal_matrix(rng)
+        targets = random_targets(rng, m.size)
+        for sense in mixed:
+            c = classify(m, targets, sense)
+            mixed[sense] += bool(c.finite) and bool(c.infinite)
+    assert mixed["upper"] >= 20 and mixed["lower"] >= 20, mixed
 
 
 def test_classify_empty_target_rejected():
