@@ -270,10 +270,13 @@ class JointChoices(ChoiceView):
 
     def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Expectation of the finite ``f`` under every choice, laid out as
-        ``values(None, f)``, into ``out`` when given."""
+        ``values(f)``, into ``out`` when given."""
         return self._contract(self.model.stack, f, out)
 
-    def _touches(self, mask: np.ndarray) -> np.ndarray:
+    def touches(self, mask: np.ndarray) -> np.ndarray:
+        """Whether each choice, laid out as ``values(f)``, puts positive mass
+        on ``mask``: the entry at its key of the table that the 0/1 mask
+        makes with the 0/1 pattern."""
         # the pattern's entries are 0 or 1, so a table entry counts destination
         # tuples and no product of small masses can underflow
         return self._contract(self._pattern, np.asarray(mask, dtype=float)) > 0.0

@@ -7,10 +7,11 @@ hopeless when no selection reaches the target almost surely. Both patterns
 are fixed points over the per-state choice sets and depend only on which
 transitions have positive probability. Every closure grows its set in
 frontier rounds, one per breadth-first level: a round asks a view's
-``touches`` which choices put mass on the states added in the previous
-round, and reduces the answers per state with :func:`segment_optimum`. The
-answers test which entries are above zero, never how large, so they are
-exact however small; ``values`` sets inf where they find an infinite entry.
+``touches`` which of its choices, every choice of the view, put mass on the
+states added in the previous round, and reduces the answers over every
+state's segment with :func:`segment_optimum`. The answers test which entries
+are above zero, never how large, so they are exact however small; ``values``
+sets inf where they find an infinite entry.
 """
 
 from __future__ import annotations
@@ -31,28 +32,25 @@ class ChoiceView:
     named in ``_row_arrays``, one once :meth:`restrict` has pinned ``i`` to
     a choice, none once it has left ``i`` out.
 
-    A subclass gives ``n``, the finite contraction of all its rows,
-    ``finite_values(f, out)`` (into a buffer the caller owns when given),
-    and their exact support test, ``_touches(mask)``. :meth:`values`
-    applies the public operators' 0 * inf = 0 rule to those two; it and
-    :meth:`touches` gather a few states' segments (:meth:`choice_rows`)
-    from the whole evaluation.
-    ``block(states, choice)`` is the transition matrix on ``states`` of the
-    selection of ``choice[i]`` at ``states[i]``, and ``block_bytes(states)``
-    bounds the bytes that building it takes.
+    A subclass gives ``n`` and the protocol: ``finite_values(f, out)``, the
+    finite contraction of all its rows (into a buffer the caller owns when
+    given); ``touches(mask)``, their exact support test;
+    ``block(states, choice)``, the transition matrix on ``states`` of the
+    selection of ``choice[i]`` at ``states[i]``; and
+    ``block_bytes(states)``, a bound on the bytes that building it takes.
+    :meth:`values` applies the public operators' 0 * inf = 0 rule to the
+    first two. Those three answer for every choice the view holds; a caller
+    that wants some states' choices gathers them with :meth:`choice_rows`.
     """
 
-    def nchoices(self, state: int) -> int:
-        return int(self._counts[state])
-
     def choice_offsets(self, states) -> np.ndarray:
-        """Bounds of each state's segment in the output of :meth:`values`."""
+        """Bounds of each state's segment among the choices of ``states``."""
         return segment_bounds(self._counts[states])
 
     def choice_rows(self, states):
         """Positions of the choices of ``states`` (an index or an index array)
-        in the output of ``values(None, f)``, in state order; a slice when
-        they are consecutive."""
+        in the output of ``values(f)``, in state order; a slice when they
+        are consecutive."""
         states = np.atleast_1d(states)
         return segment_rows(self._starts[states], self._counts[states])
 
@@ -74,19 +72,11 @@ class ChoiceView:
         view._counts[states] = 1
         return view
 
-    def values(self, states, f) -> np.ndarray:
-        """Expectation of ``f`` under every choice of ``states`` (an index or an
-        index array; None for every choice the view holds), flat and in state
-        order, with the 0 * inf = 0 rule: inf wherever the support test finds
-        mass on an inf entry, however small."""
-        out = _ext_values(np.asarray(f, dtype=float), self.finite_values, self._touches)
-        return out if states is None else out[self.choice_rows(states)]
-
-    def touches(self, states, mask: np.ndarray) -> np.ndarray:
-        """Whether each choice of ``states`` puts positive mass on ``mask``,
-        laid out as :meth:`values`."""
-        out = self._touches(mask)
-        return out if states is None else out[self.choice_rows(states)]
+    def values(self, f) -> np.ndarray:
+        """Expectation of ``f`` under every choice the view holds, flat and in
+        state order, with the 0 * inf = 0 rule: inf wherever the support test
+        finds mass on an inf entry, however small."""
+        return _ext_values(np.asarray(f, dtype=float), self.finite_values, self.touches)
 
 
 class CredalChoices(ChoiceView):
@@ -111,11 +101,13 @@ class CredalChoices(ChoiceView):
 
     def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Expectation of the finite ``f`` under every choice, laid out as
-        ``values(None, f)``, into ``out`` when given: one :func:`contract` of
-        the view's rows, the whole stack when unpinned."""
+        ``values(f)``, into ``out`` when given: one :func:`contract` of the
+        view's rows, the whole stack when unpinned."""
         return contract(self._stack, f, out)
 
-    def _touches(self, mask: np.ndarray) -> np.ndarray:
+    def touches(self, mask: np.ndarray) -> np.ndarray:
+        """Whether each choice, laid out as ``values(f)``, puts positive mass
+        on ``mask``: its vertex row's entries in the mask's columns alone."""
         return _touching(self._stack, mask)
 
     def block(self, states: np.ndarray, choice: np.ndarray) -> np.ndarray:
@@ -128,36 +120,30 @@ class CredalChoices(ChoiceView):
         return 8 * (k * k + 4 * k)
 
 
-def _grow(view, seeds: np.ndarray, candidates: np.ndarray, join: str, eligible=None):
-    """Grow ``seeds`` by the ``candidates`` (an index array), in frontier rounds.
+def _grow(view, seeds: np.ndarray, outside: np.ndarray, join: str, eligible=True):
+    """Grow ``seeds`` by the states of the mask ``outside``, in frontier rounds.
 
-    A candidate joins when some choice (``join="any"``, restricted to the
-    ``eligible`` ones when given, flat over the candidates' choices) or every
-    choice (``join="all"``) puts mass on the grown set. Each round asks only
-    about the previous round's additions and keeps, per remaining choice,
-    whether it has touched the grown set yet, read from one whole-view
-    support test per round. Returns the grown mask and, per
-    state that joined under "any", the lowest choice that let it join.
+    A state joins when some choice (``join="any"``, restricted to the
+    ``eligible`` ones when given, flat over every choice of the view) or
+    every choice (``join="all"``) puts mass on the grown set. One per-choice
+    array keeps whether each choice has touched the grown set yet: a round
+    adds the whole view's support test of the previous round's additions
+    and reduces it over every state's segment, and the states still outside
+    that it finds join. Returns the grown mask and, per state that joined
+    under "any", the lowest choice that let it join.
     """
-    grown = seeds.copy()
+    grown, outside = seeds.copy(), outside.copy()
     witness = np.zeros(view.n, dtype=np.int64)
-    frontier, cand = seeds, candidates
-    hit = np.zeros(view.choice_offsets(cand)[-1], dtype=bool)
-    if eligible is None:
-        eligible = np.ones_like(hit)
-    while cand.size and frontier.any():
-        bounds = view.choice_offsets(cand)
-        hit |= view.touches(cand, frontier)
-        best, first = segment_optimum((hit & eligible).astype(float), bounds,
-                                      "upper" if join == "any" else "lower")
-        joined = best > 0.0
-        added = cand[joined]
-        grown[added] = True
-        witness[added] = first[joined]
-        frontier = np.zeros(view.n, dtype=bool)
-        frontier[added] = True
-        stay = np.repeat(~joined, np.diff(bounds))
-        hit, eligible, cand = hit[stay], eligible[stay], cand[~joined]
+    bounds = view.choice_offsets(np.arange(view.n))
+    hit = np.zeros(bounds[-1], dtype=bool)
+    frontier = seeds
+    while outside.any() and frontier.any():
+        hit |= view.touches(frontier)
+        best, first = segment_optimum(hit & eligible, bounds, "upper" if join == "any" else "lower")
+        frontier = outside & best
+        grown |= frontier
+        witness[frontier] = first[frontier]
+        outside &= ~frontier
     return grown, witness
 
 
@@ -169,7 +155,7 @@ def _upper_closure(view, seeds: np.ndarray, allowed: np.ndarray | None = None) -
     connecting paths stay inside the allowed region (seeds are always kept).
     """
     outside = ~seeds if allowed is None else ~seeds & allowed
-    return _grow(view, seeds, np.flatnonzero(outside), "any")[0]
+    return _grow(view, seeds, outside, "any")[0]
 
 
 def _lower_closure(view, targets: np.ndarray) -> np.ndarray:
@@ -179,7 +165,7 @@ def _lower_closure(view, targets: np.ndarray) -> np.ndarray:
     current set; under any selection the walk then has positive probability
     of entering the target region.
     """
-    return _grow(view, targets, np.flatnonzero(~targets), "all")[0]
+    return _grow(view, targets, ~targets, "all")[0]
 
 
 def _almost_sure_closure(view, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,12 +183,11 @@ def _almost_sure_closure(view, targets: np.ndarray) -> tuple[np.ndarray, np.ndar
     every state kept, so every choice is eligible and it grows the best-case
     reachable set (:func:`_upper_closure` of the targets), returned third.
     """
-    reachable, witness = _grow(view, targets, np.flatnonzero(~targets), "any")
+    reachable, witness = _grow(view, targets, ~targets, "any")
     kept, progressing = np.ones(view.n, dtype=bool), reachable
     while not (progressing == kept).all():
         kept = progressing
-        cand = np.flatnonzero(kept & ~targets)
-        progressing, witness = _grow(view, targets, cand, "any", ~view.touches(cand, ~kept))
+        progressing, witness = _grow(view, targets, kept & ~targets, "any", ~view.touches(~kept))
     return kept, witness, reachable
 
 
@@ -283,9 +268,7 @@ def upper_reach_set(model: CredalMatrix, targets: Iterable[int], strict: bool = 
     reach = _upper_closure(view, target_mask(view.n, targets))
     if not strict:
         return frozenset(np.flatnonzero(reach).tolist())
-    everyone = np.arange(view.n)
-    hit = view.touches(everyone, reach).astype(float)
-    strict_mask = segment_optimum(hit, view.choice_offsets(everyone), "upper")[0] > 0.0
+    strict_mask = segment_optimum(view.touches(reach), view.choice_offsets(np.arange(view.n)), "upper")[0]
     return frozenset(np.flatnonzero(strict_mask).tolist())
 
 

@@ -76,7 +76,7 @@ def check_greedy():
 def check_choice_kernel():
     model = _five_state()
     f = np.array([math.inf, 1.0, 2.0, 3.0, 4.0])  # two vertices put mass on the inf
-    got = CredalChoices(model).values(np.arange(model.size), f)
+    got = CredalChoices(model).values(f)
     want = np.array([ext_dot(v, f) for i in range(model.size) for v in model.vertices(i)])
     return np.allclose(got, want, rtol=1e-12, atol=0.0), f"{got.tolist()} vs {want.tolist()}"
 
@@ -87,7 +87,7 @@ def check_joint_kernel():
     view = JointChoices(model, prod)
     f = 1.0 + np.arange(prod.size)
     f[prod.index_of((0, 1, 4))] = math.inf  # reached from (0, 1, 3) by one of two choices
-    got = view.values(np.arange(prod.size), f)
+    got = view.values(f)
     want = [ext_dot([joint_transition_weight(model, prod, s, t, d) for d in prod.states], f)
             for i, s in enumerate(prod.states) for t in view.choice_tuples(i)]
     ok = np.allclose(got, want, rtol=1e-12, atol=0.0)  # infs must coincide

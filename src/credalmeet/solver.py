@@ -122,7 +122,7 @@ def _finite_region(view, cls: Classification):
     finite = np.array(sorted(cls.finite), dtype=int)
     rows = view.choice_rows(finite)
     bounds = view.choice_offsets(finite)
-    hopeless = np.flatnonzero(view.touches(None, cls.infinite_mask(view.n))[rows])
+    hopeless = np.flatnonzero(view.touches(cls.infinite_mask(view.n))[rows])
     everything = np.empty(view.choice_offsets(np.arange(view.n))[-1])
     gather = not isinstance(rows, slice)  # else the finite states' choices are a view
     vals = np.empty(bounds[-1]) if gather else everything[rows]
@@ -325,13 +325,17 @@ def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "", ne
     np.subtract(0.0, system, out=system)  # I - P in place, bit for bit
     system.flat[:: k + 1] += 1.0
     try:
-        return np.linalg.solve(system, np.ones(k))
+        sol = np.linalg.solve(system, np.ones(k))
     except np.linalg.LinAlgError:
+        sol = None
+    # a solution with inf or NaN entries is as unbounded as a singular LU
+    if sol is None or not np.isfinite(sol).all():
         raise RuntimeError(
             f"policy evaluation of size {k} is singular in double precision, so its "
             "residual and largest value are unbounded: the selection's escape "
             "probabilities round to zero and its hitting times are too large to represent"
-        ) from None
+        )
+    return sol
 
 
 def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray, need: int | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -221,10 +222,12 @@ def test_an_infinite_tol_is_written_by_the_inf_rule(argv, tol, model_file, tmp_p
 
 
 def test_classify_five_state_pairs(capsys):
-    assert main(["classify", "builtin:five-state", "--agents", "2", "--sense", "upper"]) == 0
-    out = capsys.readouterr().out
-    assert "absorbing: (1,2)" in out
-    assert "(2,3)" in out.split("unsafe:")[1].split("\n")[0]
+    # the output is the README's, line for line: the five lines under the command
+    command = "$ credalmeet classify builtin:five-state --agents 2 --sense upper"
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    shown = readme[readme.index(command) + 1 :][:5]
+    assert main(command.split()[2:]) == 0
+    assert capsys.readouterr().out.splitlines() == shown
 
 
 def test_classify_target_and_agents_conflict(capsys):

@@ -40,7 +40,8 @@ def joint_views(draw):
     entry = st.one_of(st.floats(0, 10), st.just(math.inf))
     f = np.array(draw(st.lists(entry, min_size=view.n, max_size=view.n)))
     mask = np.array(draw(st.lists(st.booleans(), min_size=view.n, max_size=view.n)))
-    pick = [draw(st.integers(0, view.nchoices(i) - 1)) for i in range(view.n)]
+    counts = np.diff(view.choice_offsets(np.arange(view.n)))
+    pick = [draw(st.integers(0, c - 1)) for c in counts.tolist()]
     return view, f, mask, pick
 
 
@@ -69,16 +70,16 @@ def _assert_close(got, want):
 def test_joint_values_match_transition_weight_reference(data):
     view, f, mask, pick = data
     states = np.arange(view.n)
-    got = view.values(states, f)
+    got = view.values(f)
     want, want_hit = _reference(view, f, mask)
     _assert_close(got, want)
-    assert np.array_equal(view.touches(states, mask), want_hit)
+    assert np.array_equal(view.touches(mask), want_hit)
     # the pinned view reads the same table entries as the full one
     chosen = view.choice_offsets(states)[:-1] + pick
     pinned = view.restrict(states, pick)
-    _assert_close(pinned.values(states, f), want[chosen])
-    assert np.array_equal(pinned.values(states, f), got[chosen])
-    assert np.array_equal(pinned.touches(states, mask), want_hit[chosen])
+    _assert_close(pinned.values(f), want[chosen])
+    assert np.array_equal(pinned.values(f), got[chosen])
+    assert np.array_equal(pinned.touches(mask), want_hit[chosen])
 
 
 @pytest.mark.parametrize("agents", [2, 3])
@@ -99,11 +100,11 @@ def test_values_are_inf_exactly_where_a_choice_touches_an_inf_state(agents, mode
         f = np.arange(1.0, view.n + 1)
         f[hopeless] = math.inf
         inf = np.isinf(f)
-        got, hit = view.values(None, f), view.touches(None, inf)
+        got, hit = view.values(f), view.touches(inf)
         assert np.array_equal(np.isinf(got), hit)
         assert np.array_equal(got[~hit], view.finite_values(np.where(inf, 0.0, f))[~hit])
         if hopeless == [stuck]:
-            assert np.isinf(view.values(start, f)[0])
+            assert np.isinf(got[view.choice_rows(start)][0])
 
 
 def test_rank_one_contract_is_the_einsum_row_dot():
@@ -172,9 +173,10 @@ def test_quotient_swaps_tie_exactly_and_select_the_lower_tuple():
         m = random_credal_matrix(rng, n=5, max_vertices=3)
         res = meet(m, 3, "vacuous", "upper", "quotient")
         view = JointChoices(m, res.product)
+        vals = view.values(res.values)
         for i, joint in enumerate(res.product.states):
             seen = {}
-            for choice, value in zip(view.choice_tuples(i), view.values(i, res.values)):
+            for choice, value in zip(view.choice_tuples(i), vals[view.choice_rows(i)]):
                 key = _lowest_swap(joint, choice)
                 assert seen.setdefault(key, value) == value, (joint, choice)
             if res.selections[i] is not None:

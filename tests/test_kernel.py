@@ -59,25 +59,24 @@ def _reference(m, f):
 def test_kernel_matches_ext_dot_with_infinite_entries(data):
     m, f = data
     view = CredalChoices(m)
-    got = view.values(np.arange(m.size), f)
+    got = view.values(f)
     want = _reference(m, f)
     assert np.array_equal(np.isinf(got), np.isinf(want))
     assert np.isinf(want).any() and np.isfinite(want).any()
     fin = np.isfinite(want)
     # the kernel sums in another order; a few ulp per term at most
     assert np.allclose(got[fin], want[fin], rtol=1e-13, atol=0.0)
-    # one state at a time gives the same bits as the batch
+    # one state's choices, gathered by choice_rows, are its segment of the batch
     bounds = view.choice_offsets(np.arange(m.size))
     for i in range(m.size):
-        assert np.array_equal(view.values(i, f), got[bounds[i] : bounds[i + 1]])
+        assert np.array_equal(got[view.choice_rows(i)], got[bounds[i] : bounds[i + 1]])
     ref = [want[bounds[i] : bounds[i + 1]] for i in range(m.size)]
     up, lo = apply_upper(m, f), apply_lower(m, f)
     assert np.array_equal(np.isinf(up), [np.isinf(r).any() for r in ref])
     assert np.array_equal(np.isinf(lo), [np.isinf(r).all() for r in ref])
     # the public operators apply the view's rule to the same rows, bit for bit
-    whole = view.values(None, f)
     for sense, applied in (("upper", up), ("lower", lo)):
-        best, pick = segment_optimum(whole, m.offsets, sense)
+        best, pick = segment_optimum(got, m.offsets, sense)
         assert np.array_equal(applied, best)
         assert np.array_equal(greedy_selection(m, f, sense), pick)
 
@@ -133,10 +132,10 @@ def test_base_touches_reads_the_vertex_supports():
     for _ in range(20):
         mask = rng.random(m.size) < 0.3
         want = [(m.vertices(i) > 0)[:, mask].any(axis=1) for i in states]
-        got = view.touches(states, mask)
+        got = view.touches(mask)
         assert np.array_equal(got, np.concatenate(want))
         for i in states:
-            assert np.array_equal(view.touches(i, mask), got[bounds[i] : bounds[i + 1]])
+            assert np.array_equal(got[view.choice_rows(i)], got[bounds[i] : bounds[i + 1]])
 
 
 def test_from_rows_vertices_are_views_of_one_array():
@@ -158,14 +157,14 @@ def test_joint_batch_and_pinned_view_match_rows(mode):
     f = rng.uniform(0, 5, view.n)
     f[rng.random(view.n) < 0.3] = math.inf
     states = np.arange(view.n)
-    batch = view.values(states, f)
+    batch = view.values(f)
     bounds = view.choice_offsets(states)
     for i in states:
-        assert np.array_equal(view.values(i, f), batch[bounds[i] : bounds[i + 1]])
-    fixed = {i: int(rng.integers(view.nchoices(i))) for i in states}
+        assert np.array_equal(batch[view.choice_rows(i)], batch[bounds[i] : bounds[i + 1]])
+    fixed = {i: int(rng.integers(bounds[i + 1] - bounds[i])) for i in states}
     pinned = view.restrict(states, [fixed[i] for i in states])
     assert np.array_equal(pinned.choice_offsets(states), np.arange(view.n + 1))
-    got = pinned.values(states, f)
+    got = pinned.values(f)
     inf = np.isinf(f)
     for i in states:
         tup = view.choice_tuples(i)[fixed[i]]

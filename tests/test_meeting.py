@@ -112,8 +112,9 @@ def test_joint_weights_sum_to_one():
         prod = build_product_space(m.space, 2, mode)
         view = JointChoices(m, prod)
         everyone = np.arange(prod.size)
-        for c in range(max(map(view.nchoices, everyone))):
-            choice = np.array([c % view.nchoices(i) for i in everyone])
+        counts = np.diff(view.choice_offsets(everyone))
+        for c in range(counts.max()):
+            choice = c % counts
             block = view.block(everyone, choice)
             assert np.allclose(block.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
             for i in everyone:
@@ -130,9 +131,11 @@ def test_joint_values_match_rows_with_infinities():
         view = JointChoices(m, prod)
         f = rng.uniform(0, 5, prod.size)
         f[rng.random(prod.size) < 0.3] = math.inf
-        for i in range(prod.size):
-            vals = view.values(i, f)
-            for c in range(view.nchoices(i)):
+        everyone = np.arange(prod.size)
+        whole, bounds = view.values(f), view.choice_offsets(everyone)
+        for i in everyone:
+            vals = whole[view.choice_rows(i)]
+            for c in range(bounds[i + 1] - bounds[i]):
                 row = joint_row(m, prod, view, i, c)
                 inf_mask = np.isinf(f)
                 expect = (

@@ -230,7 +230,7 @@ def test_results_read_the_index(agents, mode, sense):
     # selections against the per-state choice tuples, for the result's and
     # for random flat choices
     view = JointChoices(model, res.product)
-    flat = np.array([rng.integers(view.nchoices(i)) for i in range(view.n)])
+    flat = np.array([rng.integers(c) for c in np.diff(view.choice_offsets(np.arange(view.n))).tolist()])
     assert _selection_tuples(view, flat) == tuple(
         None if i in res.product.diagonal else view.choice_tuples(i)[c]
         for i, c in enumerate(flat.tolist())

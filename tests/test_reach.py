@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,10 @@ from credalmeet import (
     selfcheck,
     upper_reach_set,
 )
+from credalmeet.chain import hitting_support
 from credalmeet.core import target_mask
-from credalmeet.meeting import JointChoices
-from credalmeet.reach import CredalChoices
+from credalmeet.meeting import JointChoices, joint_transition_weight
+from credalmeet.reach import Classification, CredalChoices
 
 from generators import random_credal_matrix, random_targets
 
@@ -260,3 +263,98 @@ def test_the_almost_sure_closure_starts_from_the_reachable_set():
             partial += not reachable.all()
             rounds += (sure != reachable).any()
     assert partial and rounds
+
+
+# ------------------------------------------- classification against an oracle
+
+def _oracle_rows(model, product=None):
+    """Per state, every choice's transition row over the states, in the
+    views' choice order: a base state's vertices, or a joint state's vertex
+    tuples in lexicographic order with :func:`joint_transition_weight` rows."""
+    if product is None:
+        return [list(model.vertices(i)) for i in range(model.size)]
+    return [[[joint_transition_weight(model, product, origin, choice, d) for d in product.states]
+             for choice in itertools.product(*[range(model.vertex_count(z)) for z in origin])]
+            for origin in product.states]
+
+
+def _least_fixpoint(seeds, candidates, joins):
+    """``seeds`` grown by every candidate ``s`` with ``joins(s, grown)``, until
+    no candidate joins."""
+    grown = set(seeds)
+    while True:
+        new = {s for s in candidates - grown if joins(s, grown)}
+        if not new:
+            return grown
+        grown |= new
+
+
+def _oracle_classification(supports, targets, sense):
+    """The target, absorbing, unsafe and finite states from each choice's
+    support, a set of states, by fixpoints over plain sets."""
+    states, targets = set(range(len(supports))), set(targets)
+
+    def reaches(s, grown, inside=states):
+        return any(c & grown and c <= inside for c in supports[s])
+
+    if sense == "upper":
+        # guaranteed progress: every choice puts mass on the grown set
+        guaranteed = _least_fixpoint(targets, states, lambda s, g: all(c & g for c in supports[s]))
+        absorbing = states - guaranteed
+        unsafe = _least_fixpoint(absorbing, states - targets, reaches) - absorbing
+    else:
+        reachable = _least_fixpoint(targets, states, reaches)
+        kept = states
+        while True:  # greatest fixpoint: progress by choices that stay inside kept
+            sure = _least_fixpoint(targets, kept, lambda s, g: reaches(s, g, kept))
+            if sure == kept:
+                break
+            kept = sure
+        absorbing = states - reachable
+        unsafe = states - kept - absorbing
+    finite = states - targets - absorbing - unsafe
+    return targets, absorbing, unsafe, finite
+
+
+@st.composite
+def oracle_views(draw):
+    """A base view of at most 7 states with random targets, or a 2-agent
+    (full or quotient) or 3-agent quotient view of at most 4 base states
+    with the meeting target, on a seeded model whose states are traps now
+    and then and otherwise have sparse vertices with entries in small
+    integer ratios, so that no joint weight underflows."""
+    agents, mode = draw(st.sampled_from([(1, None), (2, "full"), (2, "quotient"), (3, "quotient")]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(2, 8 if agents == 1 else 5))
+    rows = []
+    for i in range(n):
+        if i > 1 and rng.random() < 0.3:
+            rows.append([np.eye(n)[i]])
+            continue
+        # mass on the state below, on others below now and then, and rarely above
+        below = rng.choice([0, 1, 3], size=(rng.integers(1, 4 if agents < 3 else 3), n))
+        weights = np.where(np.arange(n) <= i, below, rng.random(n) < 0.2)
+        weights[:, max(i - 1, 0)] += 1
+        rows.append(list({tuple(w / w.sum()): None for w in weights}))
+    m = CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows)
+    if agents == 1:
+        return CredalChoices(m), target_mask(n, random_targets(rng, n)), _oracle_rows(m)
+    product = build_product_space(m.space, agents, mode)
+    return JointChoices(m, product), product.target_mask(), _oracle_rows(m, product)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_views(), st.sampled_from(["upper", "lower"]))
+def test_classification_matches_a_set_oracle(data, sense):
+    view, targets, rows = data
+    supports = [[{j for j, w in enumerate(row) if w > 0} for row in choices] for choices in rows]
+    want = _oracle_classification(supports, np.flatnonzero(targets).tolist(), sense)
+    cls, witness = reach.classify_view(view, targets, sense)
+    assert cls == Classification(sense, *map(frozenset, want))
+    if sense == "lower":
+        # the witness selection, read from the oracle's rows, is a precise
+        # chain that reaches the target almost surely from every finite state
+        entries = np.eye(view.n)
+        for s in cls.finite:
+            entries[s] = rows[s][witness[s]]
+        assert hitting_support(entries, targets)[sorted(cls.finite)].all()

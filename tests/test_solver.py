@@ -298,7 +298,7 @@ def _admissible(view, targets):
     choices that put no mass on its inf states; every such selection is proper."""
     cls, _ = classify_view(view, targets, "upper")
     finite = np.array(sorted(cls.finite), dtype=np.int64)
-    ok = ~view.touches(finite, cls.infinite_mask(view.n))
+    ok = ~view.touches(cls.infinite_mask(view.n))[view.choice_rows(finite)]
     bounds = view.choice_offsets(finite)
     return finite, [np.flatnonzero(ok[a:b]).tolist() for a, b in zip(bounds, bounds[1:])]
 
@@ -346,7 +346,8 @@ def selection_systems(draw):
         rows.append(list({tuple(x / sum(w) for x in w): None for w in drawn}))
     view, targets = _view(CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows), agents, mode)
     if agents > 1 and draw(st.booleans()):
-        pick = [draw(st.integers(0, view.nchoices(i) - 1)) for i in range(view.n)]
+        counts = np.diff(view.choice_offsets(np.arange(view.n)))
+        pick = [draw(st.integers(0, c - 1)) for c in counts.tolist()]
         view = view.restrict(np.arange(view.n), pick)
     finite, options = _admissible(view, targets)
     assume(finite.size)
@@ -383,6 +384,21 @@ def test_unrepresentable_hitting_time_is_reported_as_a_scale_problem():
         with pytest.raises(RuntimeError, match="singular in double precision") as err:
             policy_iteration(m, [1], sense)
         assert "size 1" in str(err.value) and "classification" not in str(err.value)
+
+
+def test_dense_solution_with_non_finite_entries_is_reported_as_singular():
+    # with the subnormal mass of c's last vertex, LU factors the 3-agent
+    # system of the 30 finite states without complaint, but its solution has
+    # inf or NaN entries, from which no residual may be computed
+    rows = [[[1, 0, 0, 0, 0]],
+            [[0, .1147565518237446, .7481878119180301, 0, .13705563625822537], [0, 0, 1, 0, 0]],
+            [[0, .34957554081045583, .2188281088064088, 0, .4315963503831355],
+             [0, .5228783063230051, .2533389625309439, 0, .22378273114605102], [0, 1, 0, 0, 1e-310]],
+            [[1, 0, 0, 0, 0], [.1802279204165756, 0, 0, .8197720795834245, 0]],
+            [[0, .8541763986010591, .14582360139894096, 0, 0], [0, .15926628368399282, 0, 0, .8407337163160071]]]
+    m = CredalMatrix.from_rows(["a", "b", "c", "d", "e"], rows)
+    with pytest.raises(RuntimeError, match="size 30 is singular in double precision"):
+        meet(m, 3, "vacuous", "upper", "full")
 
 
 def test_inaccurate_evaluation_names_its_residual(monkeypatch):
