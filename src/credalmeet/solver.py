@@ -20,10 +20,15 @@ solve (:func:`_finite_region`): one contraction of the values with their inf
 entries zeroed (:meth:`~credalmeet.reach.ChoiceView.finite_values`) into a
 buffer of its own, a read of the finite states' choices (a view of it when
 they are consecutive, one gather into a second buffer otherwise) and inf at
-the choices with mass on the inf states. A greedy pass gives the improvement
-step and the final selection; a sweep takes the per-state optimum, step and
-its largest entry into buffers of its own, two of which hold the current and
-the next iterate in turn. Policy iteration starts from the classification's
+the choices with mass on the inf states, which one support test finds when
+some state is infinite. A greedy pass gives the improvement step and the
+final selection. Value iteration runs its sweeps in blocks of up to
+``VALUE_BLOCK``, over a history of ``VALUE_BLOCK + 1`` rows of ``n`` floats,
+zero off the finite states: a sweep contracts the row before it in place and
+writes its per-state optimum, plus one, into the finite entries of the next
+row. One stop test per block takes every sweep's sup-norm step at once and
+keeps the first sweep within ``tol``, so at most ``VALUE_BLOCK - 1`` sweeps
+are discarded per solve. Policy iteration starts from the classification's
 witness, a selection proper on the finite region. A GMRES evaluation pins
 the view to the selected choice of each finite state
 (:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a product on a base
@@ -46,7 +51,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, _require_sense, is_integer, is_real, segment_optimum, target_mask
+from .core import CredalMatrix, _require_sense, is_integer, is_real, segment_optimum, segment_rows, target_mask
 from .reach import Classification, CredalChoices, classify_view
 
 #: Unknowns from which a policy evaluation runs matrix-free (restarted GMRES)
@@ -65,6 +70,11 @@ MAX_DENSE_BYTES = 2**30
 #: Allowance in ``_dense_bytes`` for the buffers numpy's iterators take in a
 #: broadcast or a gather, about 130 KB each.
 ITERATOR_BUFFER_BYTES = 2**18
+
+#: Most sweeps in one block of value iteration, whose stop test reads all of
+#: a block's steps at once: up to ``VALUE_BLOCK - 1`` sweeps past the one a
+#: solve keeps are discarded.
+VALUE_BLOCK = 16
 
 _EPS = float(np.finfo(float).eps)
 
@@ -118,11 +128,14 @@ def _finite_region(view, cls: Classification):
     choices, the positions there of the choices with mass on the inf states,
     and ``evaluate(f)``, the values of those choices for ``f`` zero on the
     inf states, inf at those positions, in one buffer that every call
-    overwrites and returns."""
+    overwrites and returns. With no inf state no choice has mass on one, and
+    the support test is skipped."""
     finite = np.array(sorted(cls.finite), dtype=int)
     rows = view.choice_rows(finite)
     bounds = view.choice_offsets(finite)
-    hopeless = np.flatnonzero(view.touches(cls.infinite_mask(view.n))[rows])
+    hopeless = np.empty(0, dtype=np.intp)
+    if cls.infinite:
+        hopeless = np.flatnonzero(view.touches(cls.infinite_mask(view.n))[rows])
     everything = np.empty(view.choice_offsets(np.arange(view.n))[-1])
     gather = not isinstance(rows, slice)  # else the finite states' choices are a view
     vals = np.empty(bounds[-1]) if gather else everything[rows]
@@ -151,30 +164,47 @@ def _result(cls: Classification, finite: np.ndarray, f: np.ndarray, choice: np.n
 
 
 def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter: int) -> HittingResult:
-    """Value iteration on a choice view; see :func:`value_iteration`. Each
-    sweep applies :func:`_finite_region`'s evaluator to the current values and
-    writes every other step into a buffer of its own. With no finite state
-    the solve is converged before any sweep."""
+    """Value iteration on a choice view; see :func:`value_iteration`.
+
+    The sweeps run in blocks of 1, 2, 4, ... up to ``VALUE_BLOCK`` sweeps,
+    none past ``max_iter``. Sweep ``j`` of a block applies
+    :func:`_finite_region`'s evaluator to row ``j - 1`` of a history of
+    iterates, in place, and writes its iterate into row ``j``; row 0 holds
+    the values the block starts from, and every row is zero off the finite
+    states. After a block one vectorised pass takes every sweep's sup-norm
+    step, and the solve keeps the first sweep whose step is within ``tol``
+    and discards the rest of the block. With no finite state the solve is
+    converged before any sweep."""
     cls, _ = classify_view(view, targets, sense)
     finite, bounds, _, evaluate = _finite_region(view, cls)
-    f = np.zeros(view.n)
-    cur, new, step = np.zeros(finite.size), np.empty(finite.size), np.empty(finite.size)
+    cols = segment_rows(finite, np.ones(finite.size, dtype=np.int64))  # a slice when consecutive
+    history = np.zeros((VALUE_BLOCK + 1, view.n))
+    iterates = list(history)  # one view per row, made once
+    scatter = not isinstance(cols, slice)
+    # where sweep j writes its optimum: the finite columns of row j, or a
+    # buffer scattered into them
+    outs = [np.empty(finite.size)] * len(iterates) if scatter else [row[cols] for row in iterates]
     starts = bounds[:-1]
     best_of = (np.maximum if sense == "upper" else np.minimum).reduceat
-    iterations = 0
+    iterations, size, last = 0, 1, 0  # sweeps kept, block length, row of the current values
     converged = finite.size == 0  # nothing to iterate
     while not converged and iterations < max_iter:
-        # one synchronous sweep: every update reads the previous vector
-        best_of(evaluate(f), starts, out=new)
-        new += 1.0
-        np.subtract(new, cur, out=step)
-        delta = float(np.maximum.reduce(np.abs(step, out=step), initial=0.0))
-        f[finite] = new
-        cur, new = new, cur
-        iterations += 1
-        if delta <= tol:
-            converged = True
-            break
+        history[0] = history[last]
+        size = min(size, max_iter - iterations)
+        for j in range(1, size + 1):
+            # one synchronous sweep: every update reads the previous iterate
+            new = best_of(evaluate(iterates[j - 1]), starts, out=outs[j])
+            new += 1.0
+            if scatter:
+                history[j, cols] = new
+        block = history[: size + 1, cols]
+        steps = np.subtract(block[1:], block[:-1])  # np.diff's subtraction, row by row
+        within = (np.maximum.reduce(np.abs(steps, out=steps), axis=1) <= tol).nonzero()[0]
+        converged = within.size > 0
+        last = int(within[0]) + 1 if converged else size
+        iterations += last
+        size = min(2 * size, VALUE_BLOCK)
+    f = history[last].copy()
     choice, residual = _finish(evaluate, bounds, f, finite, sense)
     return _result(cls, finite, f, choice, iterations, residual, converged, "value-iteration")
 

@@ -248,7 +248,9 @@ def value_problems(draw):
     avoid them are infinite and fall between finite ones, so the finite
     states' choices are often not a slice, and in lower sense finite states
     have choices into them; a target set of every state, or of states nothing
-    reaches, leaves no finite state."""
+    reaches, leaves no finite state. The budgets cut the sweeps at the first
+    and the last sweep of value iteration's blocks of up to ``VALUE_BLOCK``
+    sweeps."""
     sense = draw(st.sampled_from(["upper", "lower"]))
     n = draw(st.integers(2, 8))
     traps = np.flatnonzero([draw(st.booleans()) and draw(st.booleans()) for _ in range(n)])
@@ -265,7 +267,8 @@ def value_problems(draw):
     model = CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows)
     targets = target_mask(n, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     tol = draw(st.sampled_from([0.0, 1e-12, 1e-3, math.inf]))
-    max_iter = draw(st.sampled_from([0, 1, 3, 500]))
+    cap = solver.VALUE_BLOCK
+    max_iter = draw(st.sampled_from(sorted({0, 1, 2, 3, 7, 15, cap - 1, cap, cap + 1, 2 * cap - 1, 2 * cap + 1, 500})))
     return model, targets, sense, tol, max_iter
 
 
@@ -283,7 +286,8 @@ def test_a_value_iteration_sweep_makes_one_finite_contraction(monkeypatch):
     choices with mass on the inf states are found once, by a support test.
     In lower sense the third vertex of ``a`` leads to the trap ``c`` and is
     never chosen; the bound at ``a`` is 100, approached by a factor 0.99 per
-    sweep, so neither budget converges at ``tol = 0``."""
+    sweep, so neither budget converges at ``tol = 0``. A solve that converges
+    discards fewer than ``VALUE_BLOCK`` sweeps of its last block."""
     model = CredalMatrix.from_rows(
         ["a", "b", "c"],
         [[[0.99, 0.01, 0.0], [0.995, 0.005, 0.0], [0.5, 0.0, 0.5]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]],
@@ -306,6 +310,9 @@ def test_a_value_iteration_sweep_makes_one_finite_contraction(monkeypatch):
         assert calls["contract"] == max_iter + 1  # one per sweep, one for the residual
         kernel.append(calls["kernel"])
     assert kernel == [0, 0]
+    calls.update(contract=0)
+    res = value_iteration(model, [1], "lower", 1e-6, 10_000)
+    assert res.converged and calls["contract"] <= res.iterations + solver.VALUE_BLOCK + 1
 
 
 @pytest.mark.parametrize("agents", [2, 3])

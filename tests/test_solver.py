@@ -527,6 +527,30 @@ def test_policy_iteration_makes_one_greedy_pass_per_sweep(agents, n, sense, tol,
     assert calls == {"_finish": max(res.iterations, 1), "_dense_bytes": 1}
 
 
+@pytest.mark.parametrize("solve", [solver.solve_view_value, solver.solve_view_policy])
+@pytest.mark.parametrize("sense", ["upper", "lower"])
+@pytest.mark.parametrize("agents, trap", [(1, False), (2, False), (1, True)])
+def test_a_solve_tests_support_on_the_inf_states_only_when_there_are_some(solve, sense, agents, trap, monkeypatch):
+    # on top of the classification's support tests, a solve makes one on the
+    # inf states when some state is infinite and none when none is: an
+    # all-false mask touches no choice. Dense vertices reach every state, so
+    # no state is infinite without the trap, a state that never leaves itself
+    model = random_credal_matrix(np.random.default_rng(7), n=6, max_vertices=2, dense_prob=1.0)
+    if trap:
+        rows = [[np.eye(6)[0]]] + [list(model.vertices(i)) for i in range(1, 6)]
+        model = CredalMatrix.from_rows(model.space.labels, rows)
+    view, targets = _view(model, agents)
+    calls = []
+    touches = type(view).touches
+    monkeypatch.setattr(type(view), "touches", lambda self, mask: calls.append(mask) or touches(self, mask))
+    cls, _ = classify_view(view, targets, sense)
+    classified = len(calls)
+    res = solve(view, targets, sense, 1e-10, 1000)
+    assert res.classification == cls and bool(cls.infinite) == trap
+    assert len(calls) == 2 * classified + trap
+    assert all(mask.any() for mask in calls[2 * classified:])
+
+
 @pytest.mark.parametrize("dense_allowed", [True, False])
 def test_policy_iteration_on_a_long_chain(monkeypatch, dense_allowed):
     # h_i = i; without a dense solve to fall back on, GMRES must run to convergence
