@@ -47,14 +47,16 @@ _BELIEFS = ("degenerate", "vacuous", "mixture")
 class ProductSpace:
     """Indexed joint state space of ``agents`` walkers on a shared base space.
 
-    Its states, ordered tuples (full mode) or sorted tuples standing for
-    multisets (quotient mode), are enumerated once, on first use, by array
-    arithmetic as ``state_array``; ``labels``, :meth:`label`, the joint view
-    and ``states`` (tuples, read by no solve) derive from it. The one map
-    from ordered agent tuples to product states is ``ordered_index``, read
-    by :meth:`index_of`, the diagonal (the meeting target) and the joint
-    view. Its quotient form sorts every ordered tuple by a compare-exchange
-    network over the agents' rows (:func:`_sorted_rows`), not per tuple.
+    One map defines which ordered agent tuples are one state: :meth:`code`,
+    the flat position of each tuple's least equivalent tuple (the tuple
+    itself in full mode, the tuple sorted by a compare-exchange network over
+    the agents' rows, :func:`_sorted_rows`, in quotient mode). Both indexed
+    forms derive from it, built together by array arithmetic on first use:
+    ``state_array``, the tuples that are their own code in lexicographic
+    order (read by ``labels``, :meth:`label`, the joint view and ``states``,
+    tuples read by no solve), and ``ordered_index``, the state of every
+    ordered tuple (read by :meth:`index_of`, the diagonal, which is the
+    meeting target, and the joint view, whose choice keys are codes too).
     """
 
     base: StateSpace
@@ -66,21 +68,43 @@ class ProductSpace:
         n, m = self.base.size, self.agents
         return n**m if self.mode == "full" else math.comb(n + m - 1, m)
 
+    def code(self, tuples, radix: int) -> np.ndarray:
+        """The flat position, among the ``radix**agents`` tuples in
+        lexicographic order, of the least tuple equivalent to each of
+        ``tuples`` (one array per agent): the tuple itself in full mode, the
+        tuple sorted by :func:`_sorted_rows` in quotient mode."""
+        rows = _sorted_rows(tuples) if self.mode == "quotient" else tuples
+        return np.ravel_multi_index(rows, (radix,) * self.agents)
+
     @functools.cached_property
     def state_array(self) -> np.ndarray:
-        """The states as a ``(size, agents)`` array, by array arithmetic."""
+        """The states as a ``(size, agents)`` array: the ordered tuples that
+        are their own :meth:`code`, in lexicographic order. Built together
+        with ``ordered_index``, on first use of either."""
         n, m = self.base.size, self.agents
-        if self.mode == "full":
-            return np.indices((n,) * m).reshape(m, -1).T.copy()
-        rows = np.arange(n)[:, None]  # the sorted tuples of one agent, then of more
-        for _ in range(m - 1):
-            # put each a in front of the rows from the first whose lead is a on;
-            # in lexicographic order those are exactly the rows with lead >= a
-            starts = np.searchsorted(rows[:, 0], np.arange(n))
-            counts = len(rows) - starts
-            take = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - starts, counts)
-            rows = np.column_stack([np.repeat(np.arange(n), counts), rows[take]])
-        return rows
+        if n**m > MAX_TABLE_ENTRIES:
+            raise ValueError(f"the ordered-tuple index would have {n**m} entries "
+                             f"({n} states, {m} agents), above the {MAX_TABLE_ENTRIES} limit")
+        # every ordered tuple in the smallest type that holds a state; the
+        # peak stays at three index-sized arrays, at the final gather
+        tuples = np.indices((n,) * m, dtype=np.min_scalar_type(n - 1)).reshape(m, -1)
+        codes = self.code(tuples, n)
+        own = codes == np.arange(codes.size)
+        states, rank = np.compress(own, tuples, axis=1), own.astype(np.int64)
+        del tuples, own
+        np.cumsum(rank, out=rank)
+        rank -= 1
+        self.__dict__["ordered_index"] = rank[codes]
+        del rank, codes  # before the states widen to int64
+        return np.ascontiguousarray(states.T, dtype=np.int64)
+
+    @functools.cached_property
+    def ordered_index(self) -> np.ndarray:
+        """Product index of every ordered tuple, ``n**agents`` entries in
+        lexicographic order: the rank of the tuple's :meth:`code` among the
+        states. Built together with ``state_array``, on first use of either."""
+        self.state_array
+        return self.__dict__["ordered_index"]
 
     @functools.cached_property
     def states(self) -> tuple[tuple[int, ...], ...]:
@@ -92,27 +116,6 @@ class ProductSpace:
         """Every state's :meth:`label`, in index order."""
         names = np.array(self.base.labels, dtype=object)[self.state_array.T].tolist()
         return tuple(map(("(" + ",".join(["{}"] * self.agents) + ")").format, *names))
-
-    @functools.cached_property
-    def ordered_index(self) -> np.ndarray:
-        """Product index of every ordered tuple, ``n**agents`` entries in
-        lexicographic order: the identity in full mode, the index of the
-        tuple's multiset in quotient mode. Built on first use."""
-        if self.mode == "full":
-            return np.arange(self.size)
-        n, m = self.base.size, self.agents
-        if n**m > MAX_TABLE_ENTRIES:
-            raise ValueError(f"the ordered-tuple index would have {n**m} entries "
-                             f"({n} states, {m} agents), above the {MAX_TABLE_ENTRIES} limit")
-        shape = (n,) * m
-        lookup = np.empty(n**m, dtype=np.int64)
-        lookup[np.ravel_multi_index(self.state_array.T, shape)] = np.arange(self.size)
-        # the sorted tuples in the smallest type that holds a state, dropped
-        # before the gather: the peak stays at three index-sized arrays
-        ordered = _sorted_rows(np.indices(shape, dtype=np.min_scalar_type(n - 1)).reshape(m, -1))
-        flat = np.ravel_multi_index(ordered, shape)
-        del ordered
-        return lookup[flat]
 
     @functools.cached_property
     def diagonal(self) -> frozenset[int]:
@@ -188,12 +191,11 @@ class JointChoices(ChoiceView):
     to the lowest tuple.
 
     A choice's cell is its agents' rows in the model's stacked vertex array,
-    and its key the cell's position in the table of all cells; cells and
-    keys are the view's row arrays. Each evaluation contracts the value
-    tensor with that array once per agent
+    and its key the cell's :meth:`ProductSpace.code` in the table of all
+    cells; cells and keys are the view's row arrays. Each evaluation
+    contracts the value tensor with that array once per agent
     (:func:`~credalmeet.core.contract`); every choice reads the table entry
-    of its key, the sorted cell's in quotient mode (sorted by the network of
-    :func:`_sorted_rows` over the agents' columns), where values are
+    of its key, the sorted cell's in quotient mode, where values are
     symmetric in the cell, so that choices that only swap co-located agents'
     vertices tie exactly. Support tests (:meth:`touches`) contract the 0/1
     mask with the 0/1 pattern of the stacked array in place of the array
@@ -201,7 +203,7 @@ class JointChoices(ChoiceView):
     precise joint walk) holds its own cells and keys and reads the same table.
     Values are spread over, and rows summed back from, ordered tuples by
     ``product.ordered_index``, built only after the table size passed its
-    guard (the identity in full mode).
+    guard.
     """
 
     _row_arrays = ("_cells", "_keys")
@@ -232,8 +234,7 @@ class JointChoices(ChoiceView):
         for j in reversed(range(m)):
             rank, pick = np.divmod(rank, np.repeat(agent_counts[:, j], self._counts))
             cells[:, j] += pick
-        keys = _sorted_rows(cells.T) if product.mode == "quotient" else cells.T
-        self._cells, self._keys = cells, np.ravel_multi_index(keys, (k,) * m)
+        self._cells, self._keys = cells, product.code(cells.T, k)
 
     def choice_tuples(self, state: int) -> list[tuple[int, ...]]:
         start = self._starts[state]
@@ -405,9 +406,9 @@ def _normalize_selection(
         for joint, tup in selection.items():
             i = product.index_of(tuple(joint))
             key = tuple(map(int, joint))
-            if product.mode == "quotient" and key != tuple(sorted(key)):
+            if product.canonical(key) != key:
                 raise ValueError(f"selection key {key} of state {product.label(i)} is not sorted: in quotient "
-                                 f"mode the key is {tuple(sorted(key))}, and the indices align with it")
+                                 f"mode the key is {product.canonical(key)}, and the indices align with it")
             fixed[i] = view.flat_choice(i, tuple(tup))
     return fixed
 

@@ -20,8 +20,9 @@ solve (:func:`_finite_region`): one contraction of the values with their inf
 entries zeroed (:meth:`~credalmeet.reach.ChoiceView.finite_values`) into a
 buffer of its own, a read of the finite states' choices (a view of it when
 they are consecutive, one gather into a second buffer otherwise) and inf at
-the choices with mass on the inf states, which one support test finds when
-some state is infinite. A greedy pass gives the improvement step and the
+the choices with mass on the inf states, which one support test finds in
+the lower sense when some state is infinite (in the upper sense no finite
+state has one). A greedy pass gives the improvement step and the
 final selection. Value iteration runs its sweeps in blocks of up to
 ``VALUE_BLOCK``, over a history of ``VALUE_BLOCK + 1`` rows of ``n`` floats,
 zero off the finite states: a sweep contracts the row before it in place and
@@ -128,13 +129,15 @@ def _finite_region(view, cls: Classification):
     choices, the positions there of the choices with mass on the inf states,
     and ``evaluate(f)``, the values of those choices for ``f`` zero on the
     inf states, inf at those positions, in one buffer that every call
-    overwrites and returns. With no inf state no choice has mass on one, and
-    the support test is skipped."""
+    overwrites and returns. The support test runs only in the lower sense
+    with some inf state: with none no choice has mass on one, and in the
+    upper sense no finite state has such a choice, which would make it
+    unsafe."""
     finite = np.array(sorted(cls.finite), dtype=int)
     rows = view.choice_rows(finite)
     bounds = view.choice_offsets(finite)
     hopeless = np.empty(0, dtype=np.intp)
-    if cls.infinite:
+    if cls.infinite and cls.sense == "lower":
         hopeless = np.flatnonzero(view.touches(cls.infinite_mask(view.n))[rows])
     everything = np.empty(view.choice_offsets(np.arange(view.n))[-1])
     gather = not isinstance(rows, slice)  # else the finite states' choices are a view

@@ -17,7 +17,7 @@ from credalmeet.meeting import _selection_tuples
 
 from generators import random_credal_matrix
 
-CASES = [(2, "full"), (2, "quotient"), (3, "full"), (3, "quotient")]
+CASES = [(2, "full"), (2, "quotient"), (3, "full"), (3, "quotient"), (4, "full"), (4, "quotient"), (5, "quotient")]
 
 
 def _space(agents):
@@ -140,20 +140,21 @@ def test_ordered_index_sorts_every_tuple(n, agents):
 
 
 def test_ordered_index_peak_memory():
-    # 2.56 M ordered tuples: the index, its lookup table and the tuples'
-    # flat positions are 8 bytes an entry each; the tuples themselves, one
-    # byte per agent, are gone before the final gather
-    n, agents = 40, 4
-    product = build_product_space(StateSpace(tuple(f"s{i}" for i in range(n))), agents, "quotient")
-    product.state_array  # cached before measuring
-    tracemalloc.start()
-    try:
-        index = product.ordered_index
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert index.size == n**agents
-    assert peak <= 32 * n**agents
+    # both arrays built cold, together. On 2.56 M ordered 4-tuples: the
+    # tuples' codes, their ranks and the index are 8 bytes an entry each;
+    # the tuples themselves, one byte per agent, are gone before the final
+    # gather. On 90 000 ordered pairs, every one a state: the same three,
+    # and at the end the index beside the states, two int64 a pair
+    for n, agents, mode, per_tuple in [(40, 4, "quotient", 32), (300, 2, "full", 5 * 8)]:
+        product = build_product_space(StateSpace(tuple(f"s{i}" for i in range(n))), agents, mode)
+        tracemalloc.start()
+        try:
+            index, states = product.ordered_index, product.state_array
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index.size == n**agents and len(states) == product.size
+        assert peak <= per_tuple * n**agents
 
 
 def _unequal_model(n, agents):
@@ -208,8 +209,10 @@ def test_index_of_rejects_tuples_outside_the_space(agents, mode):
 def test_ordered_index_refused_above_the_table_limit():
     product = build_product_space(StateSpace(("a", "b")), 24, "quotient")
     assert product.size == 25 and 2**24 > MAX_TABLE_ENTRIES
-    with pytest.raises(ValueError, match="ordered-tuple index"):
-        product.index_of((0,) * 24)
+    for read in (lambda: product.index_of((0,) * 24), lambda: product.state_array, lambda: product.labels):
+        with pytest.raises(ValueError, match="the ordered-tuple index would have 16777216 entries "
+                                             r"\(2 states, 24 agents\), above the 16000000 limit"):
+            read()
 
 
 @pytest.mark.parametrize("agents,mode", CASES)

@@ -529,15 +529,22 @@ def test_policy_iteration_makes_one_greedy_pass_per_sweep(agents, n, sense, tol,
 
 @pytest.mark.parametrize("solve", [solver.solve_view_value, solver.solve_view_policy])
 @pytest.mark.parametrize("sense", ["upper", "lower"])
-@pytest.mark.parametrize("agents, trap", [(1, False), (2, False), (1, True)])
+@pytest.mark.parametrize("agents, trap", [(1, False), (2, False), (1, True), (2, True)])
 def test_a_solve_tests_support_on_the_inf_states_only_when_there_are_some(solve, sense, agents, trap, monkeypatch):
     # on top of the classification's support tests, a solve makes one on the
-    # inf states when some state is infinite and none when none is: an
-    # all-false mask touches no choice. Dense vertices reach every state, so
-    # no state is infinite without the trap, a state that never leaves itself
+    # inf states in the lower sense when some state is infinite, and none
+    # when none is (an all-false mask touches no choice) or in the upper
+    # sense, where no finite state has a choice with mass on an inf state (it
+    # would be unsafe). Dense vertices reach every state, so no state is
+    # infinite without the trap: a state that never leaves itself, entered
+    # only by the first vertex of state 1, whose second vertex and the later
+    # states enter neither, so that some states stay finite in both senses
+    # and a lower-sense choice of a finite state has mass on an inf state
     model = random_credal_matrix(np.random.default_rng(7), n=6, max_vertices=2, dense_prob=1.0)
     if trap:
-        rows = [[np.eye(6)[0]]] + [list(model.vertices(i)) for i in range(1, 6)]
+        keep = lambda v, lo: v * (np.arange(6) >= lo) / v[lo:].sum()
+        rows = [[np.eye(6)[0]], [model.vertices(1)[0], keep(model.vertices(1)[1], 1)]]
+        rows += [[keep(v, 2) for v in model.vertices(i)] for i in range(2, 6)]
         model = CredalMatrix.from_rows(model.space.labels, rows)
     view, targets = _view(model, agents)
     calls = []
@@ -546,9 +553,13 @@ def test_a_solve_tests_support_on_the_inf_states_only_when_there_are_some(solve,
     cls, _ = classify_view(view, targets, sense)
     classified = len(calls)
     res = solve(view, targets, sense, 1e-10, 1000)
-    assert res.classification == cls and bool(cls.infinite) == trap
-    assert len(calls) == 2 * classified + trap
+    assert res.classification == cls and bool(cls.infinite) == trap and cls.finite
+    assert len(calls) == 2 * classified + (trap and sense == "lower")
     assert all(mask.any() for mask in calls[2 * classified:])
+    # the test's answer: all false where it is skipped, some true otherwise
+    finite = np.array(sorted(cls.finite), dtype=np.int64)
+    hopeless = touches(view, cls.infinite_mask(view.n))[view.choice_rows(finite)]
+    assert hopeless.any() == (trap and sense == "lower")
 
 
 @pytest.mark.parametrize("dense_allowed", [True, False])
