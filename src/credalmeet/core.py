@@ -11,9 +11,10 @@ expectation. All dot products follow the convention that a zero-probability
 entry contributes nothing even when paired with an infinite value. They all
 go through one finite contraction, :func:`contract`, so identical inputs give
 identical bits on one machine; :func:`ext_dot` stays the left-to-right
-reference. A value vector is contracted by an ``einsum`` row-dot, which
-gives a vertex row the same bits in any subset of rows; the joint walk's
-value tensor, always contracted whole, by one BLAS product per agent axis.
+reference. A value vector is contracted by ``np.vecdot``, one dot per
+vertex row, which gives a row the same bits in any subset of rows; the joint
+walk's value tensor, always contracted whole, by one BLAS product per agent
+axis.
 Values with infinite entries go through one rule, in the public operators
 and every choice view's ``values``: a contraction of the values with their
 infs zeroed, and inf on each row that an exact support test finds with mass
@@ -254,16 +255,18 @@ def contract(vertices: np.ndarray, values: np.ndarray, out: np.ndarray | None = 
     rows: entry ``[a, b, ...]`` of the result is the joint choice of row ``a``
     for the first agent, row ``b`` for the second, and so on.
 
-    A vector is contracted by two-operand ``einsum``, which, unlike BLAS,
-    gives a row the same bits whichever other rows are evaluated with it, so
-    any subset of a model's vertex rows reproduces the whole stack's entries;
-    ``out`` takes the same bits. A tensor is contracted by one BLAS product
-    per axis: its callers always contract the whole tensor with the whole
-    stack and gather entries from that one table, so identical inputs still
-    give identical bits.
+    A vector is contracted by ``np.vecdot``, one gufunc call that runs
+    numpy's dot loop on each row: unlike a BLAS matrix-vector product, it
+    gives a row the same bits whichever other rows are evaluated with it and
+    wherever the row sits in memory, so any subset of a model's vertex rows
+    reproduces the whole stack's entries; ``out`` takes the same bits. Like
+    any ufunc it warns on a product past the float range. A tensor is
+    contracted by one BLAS product per axis: its callers always contract the
+    whole tensor with the whole stack and gather entries from that one table,
+    so identical inputs still give identical bits.
     """
     if values.ndim == 1:
-        return np.einsum("ij,...j->i...", vertices, values, out=out)
+        return np.vecdot(vertices, values, out=out)
     for _ in range(values.ndim):  # last axis first, the new row axis in front
         rest = values.shape[:-1]
         values = (vertices @ values.reshape(-1, values.shape[-1]).T).reshape(-1, *rest)
@@ -297,7 +300,8 @@ def ext_matvec(matrix, values) -> np.ndarray:
 
     The matrix must be 2-D with finite, non-negative entries, and the values
     a vector of its column count with non-negative entries, ``inf`` allowed
-    and NaN not. Anything else raises ValueError.
+    and NaN not. Anything else raises ValueError. A row whose products pass
+    the float range is ``inf``, with no warning, as in ``ext_dot``.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -307,7 +311,8 @@ def ext_matvec(matrix, values) -> np.ndarray:
     if (m < 0).any():
         raise ValueError("matrix entries must be non-negative")
     f = _check_values(values, m.shape[1])
-    return _ext_values(f, functools.partial(contract, m), functools.partial(_touching, m))
+    with np.errstate(over="ignore"):  # a row past the float range is inf, as in ext_dot
+        return _ext_values(f, functools.partial(contract, m), functools.partial(_touching, m))
 
 
 def segment_bounds(counts) -> np.ndarray:

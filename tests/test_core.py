@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,14 @@ def test_ext_matvec_matches_ext_dot_row_by_row_with_inf_values():
         want = [ext_dot(row, values) for row in matrix]
         assert np.allclose(got, want, rtol=1e-12, atol=0) and np.array_equal(np.isinf(got), np.isinf(want))
     assert ext_matvec([[0.5, 0.5], [0, 1]], [math.inf, 1]).tolist() == [math.inf, 1.0]
+
+
+def test_ext_matvec_overflows_to_inf_without_a_warning_like_ext_dot():
+    matrix, values = [[2.0, 2.0], [0.25, 0.25]], [1e308, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ext_matvec(matrix, values)
+    assert got.tolist() == [ext_dot(row, values) for row in matrix] == [math.inf, 5e307]
 
 
 # --------------------------------------------------------------- properties

@@ -1,13 +1,14 @@
 """The joint choice values and support tests, read from one contraction table,
-against references built from ``joint_transition_weight`` and ``ext_dot``, and
-the tensor contraction against the two-operand ``einsum`` loop it replaced."""
+against references built from ``joint_transition_weight`` and ``ext_dot``; the
+vector contraction as one dot per row, and the tensor contraction against the
+two-operand ``einsum`` loop it replaced."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credalmeet import CredalMatrix, build_product_space, ext_dot, ext_matvec, meet
@@ -107,15 +108,32 @@ def test_values_are_inf_exactly_where_a_choice_touches_an_inf_state(agents, mode
             assert np.isinf(got[view.choice_rows(start)][0])
 
 
-def test_rank_one_contract_is_the_einsum_row_dot():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        k, n = rng.integers(1, 40, size=2)
-        vertices = rng.random((k, n))
-        f = rng.uniform(0, 100, n)
-        want = np.einsum("ij,j->i", vertices, f)
-        assert np.array_equal(contract(vertices, f), want)
-        assert np.array_equal(ext_matvec(vertices, f), want)
+def _offset_copy(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` whose buffer starts one float past an allocation."""
+    copy = np.empty(a.size + 1)[1:].reshape(a.shape)
+    copy[...] = a
+    return copy
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@example(1000, 500, 0)
+def test_rank_one_contract_is_one_dot_per_row(k, n, seed):
+    """Each row of a vector contraction has the bits of that row contracted
+    alone, in any copied subset of the rows and from a buffer shifted by one
+    float; ``ext_matvec`` on finite values is the same contraction."""
+    rng = np.random.default_rng(seed)
+    vertices = rng.random((k, n)) * (rng.random((k, n)) < 0.7)
+    f = rng.uniform(0, 100, n)
+    got = contract(vertices, f)
+    alone = [contract(vertices[i][None].copy(), f)[0] for i in range(k)]
+    assert np.array_equal(got, alone)
+    rows = rng.permutation(k)[: rng.integers(1, k + 1)]
+    assert np.array_equal(contract(vertices[rows], f), got[rows])
+    assert np.array_equal(contract(_offset_copy(vertices), _offset_copy(f)), got)
+    out = np.empty(k)
+    assert contract(vertices, f, out=out) is out and np.array_equal(out, got)
+    assert np.array_equal(ext_matvec(vertices, f), got)
 
 
 def _einsum_contract(vertices, values):
