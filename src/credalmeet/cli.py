@@ -179,9 +179,9 @@ def _cmd_hit(args) -> int:
     result = solve(model, targets, args.sense, tol=args.tol, max_iter=args.max_iter)
     labels = model.space.labels
     print(f"{args.sense} expected hitting times of {{{', '.join(labels[i] for i in targets)}}}")
-    print(f"{'state':<12}{'value':>16}  vertex")
-    for i, lab in enumerate(labels):
-        print(f"{lab:<12}{_fmt(result.values[i]):>16}  {int(result.selection[i])}")
+    print("\n".join([f"{'state':<12}{'value':>16}  vertex"] + [
+        f"{lab:<12}{_fmt(v):>16}  {c}"
+        for lab, v, c in zip(labels, result.values.tolist(), result.selection.tolist())]))
     print(f"method {result.method}, {result.iterations} iterations, "
           f"residual {result.residual:.3e}, converged {result.converged}")
     _report(args, lambda: {
@@ -251,13 +251,11 @@ def _cmd_meet(args) -> int:
         cells = [[_fmt(v) for v in row] for row in result.matrix()]
         width = 2 + max(len(s) for s in [*labels, *itertools.chain(*cells)])
         left = 2 + max(len(s) for s in labels)
-        print(" " * left + "".join(f"{s:>{width}}" for s in labels))
-        for x, lab in enumerate(labels):
-            print(f"{lab:<{left}}" + "".join(f"{c:>{width}}" for c in cells[x]))
+        print("\n".join([" " * left + "".join(f"{s:>{width}}" for s in labels)] + [
+            f"{lab:<{left}}" + "".join(f"{c:>{width}}" for c in row) for lab, row in zip(labels, cells)]))
     else:
-        print(f"{'state':<20}{'value':>16}")
-        for lab, value in zip(joint_labels, result.values):
-            print(f"{lab:<20}{_fmt(value):>16}")
+        print("\n".join([f"{'state':<20}{'value':>16}"] + [
+            f"{lab:<20}{_fmt(value):>16}" for lab, value in zip(joint_labels, result.values.tolist())]))
     print(f"{result.iterations} iterations, residual {result.residual:.3e}, "
           f"converged {result.converged}")
     _report(args, lambda: {

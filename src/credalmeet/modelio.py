@@ -225,7 +225,7 @@ def model_digest(model: CredalMatrix) -> str:
     payload = {
         "states": list(model.space.labels),
         "rows": [
-            [[repr(float(x)) for x in v] for v in model.vertices(i)]
+            [list(map(repr, v)) for v in model.vertices(i).tolist()]
             for i in range(model.size)
         ],
     }

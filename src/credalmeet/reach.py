@@ -43,6 +43,10 @@ class ChoiceView:
     that wants some states' choices gathers them with :meth:`choice_rows`.
     """
 
+    #: The view and the states that :meth:`restrict` pinned to make this view
+    #: when it copied their rows, so that it can refill them in place.
+    _pin_of = (None, None)
+
     def choice_offsets(self, states) -> np.ndarray:
         """Bounds of each state's segment among the choices of ``states``."""
         return segment_bounds(self._counts[states])
@@ -54,22 +58,36 @@ class ChoiceView:
         states = np.atleast_1d(states)
         return segment_rows(self._starts[states], self._counts[states])
 
-    def restrict(self, states, choice):
+    def restrict(self, states, choice, into=None):
         """A shallow copy of this view that pins each of ``states`` (distinct
         indices) to its choice ``choice[i]`` and holds no other choice: one
         selection, a precise chain on those states. It keeps the class and
         owns its rows: a slice of each of this view's row arrays when the
-        choices are consecutive, a copy otherwise."""
+        choices are consecutive, a copy otherwise.
+
+        ``into`` is an earlier pin of this view: when it pinned the same
+        ``states`` and copied its rows, and the new choices are not
+        consecutive, its row arrays are refilled in place for the new
+        selection and ``into`` itself is returned, so a solve that pins one
+        selection after another on the same states copies into the same
+        buffers. Otherwise the view pins afresh and ``into`` is untouched."""
         states = np.atleast_1d(states)
         rows = self._starts[states] + np.asarray(choice, dtype=np.int64)
         if rows.size and (rows[1:] - rows[:-1] == 1).all():
             rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        elif into is not None and into._pin_of[0] is self and np.array_equal(into._pin_of[1], states):
+            for name in self._row_arrays:
+                # the rows are in range, and mode="clip" gathers straight into
+                # ``out``, where the default mode gathers into a buffer first
+                np.take(getattr(self, name), rows, axis=0, out=getattr(into, name), mode="clip")
+            return into
         view = copy.copy(self)
         for name in self._row_arrays:
             setattr(view, name, getattr(self, name)[rows])
         view._starts, view._counts = np.zeros((2, self.n), dtype=np.int64)
         view._starts[states] = np.arange(states.size)
         view._counts[states] = 1
+        view._pin_of = (None, None) if isinstance(rows, slice) else (self, states.copy())
         return view
 
     def values(self, f) -> np.ndarray:

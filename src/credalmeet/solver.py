@@ -36,8 +36,10 @@ the view to the selected choice of each finite state
 model contracts only the ``k`` selected rows; a product is one
 :meth:`~credalmeet.reach.ChoiceView.finite_values` call into a buffer of its
 own, and the least-squares coefficients are solved for only when an iterate
-is formed. A dense solve reads the selection's ``(k, k)`` block of the
-finite states from the view in one call.
+is formed. A solve pins once: each later sweep refills that pin's row
+arrays in place for its selection, on the same finite states, rather than
+copying the selected rows into fresh arrays. A dense solve reads the
+selection's ``(k, k)`` block of the finite states from the view in one call.
 
 Both methods first classify the states and pin the hopeless ones to inf, so
 the iteration itself only ever runs on the finite region; both end in one
@@ -224,12 +226,13 @@ def _meets_bound(h: np.ndarray, residual: float) -> bool:
     return residual <= _residual_bound(h.size, float(np.max(np.abs(h))))
 
 
-def _selection_operator(view, finite: np.ndarray, choice: np.ndarray):
+def _selection_operator(view, finite: np.ndarray, choice: np.ndarray, pinned=None):
     """The product ``x -> (I - P) x`` of one selection on the finite states,
-    one :meth:`finite_values` call each on the view pinned to the selection
-    (the padded ``x`` is finite), into a buffer of the operator's own that
-    holds the result until the next product."""
-    sel = view.restrict(finite, choice)
+    one :meth:`finite_values` call each on ``pinned``, the view pinned to the
+    selection, or on a pin of its own when not given (the padded ``x`` is
+    finite), into a buffer of the operator's own that holds the result until
+    the next product."""
+    sel = view.restrict(finite, choice) if pinned is None else pinned
     padded = np.zeros(view.n)  # admissible choices put no mass outside the finite states
     out = np.empty(finite.size)
 
@@ -371,7 +374,8 @@ def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "", ne
     return sol
 
 
-def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray, need: int | None = None) -> np.ndarray:
+def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray, need: int | None = None,
+                        pinned=None) -> np.ndarray:
     """Solve ``(I - P) h = 1`` for one selection restricted to the finite states.
 
     From ``MATRIX_FREE_UNKNOWNS`` unknowns on, restarted GMRES runs on the
@@ -379,11 +383,12 @@ def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray, need: int 
     or when GMRES misses the backward-error bound (it gives up early while
     the dense solve is allowed), the system is assembled and solved densely.
     Either way the residual must meet the bound. ``need`` is
-    ``_dense_bytes(view, finite)`` when the caller has it.
+    ``_dense_bytes(view, finite)`` and ``pinned`` the view pinned to the
+    selection when the caller has them.
     """
     k = finite.size
     need = _dense_bytes(view, finite) if need is None else need
-    apply = _selection_operator(view, finite, choice)
+    apply = _selection_operator(view, finite, choice, pinned)
     sol = None
     why = ""
     if k >= MATRIX_FREE_UNKNOWNS:
@@ -414,7 +419,10 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     dense-solve bytes are counted once, and the last greedy pass gives the
     final residual unless the values changed after it. Only the current
     values are held: a solve cut at ``max_iter=k`` returns sweep ``k``'s
-    values and, as its selection, the one that sweep ``k + 1`` evaluates."""
+    values and, as its selection, the one that sweep ``k + 1`` evaluates.
+    The first sweep pins the view to its selection and every later sweep
+    refills that pin in place (:meth:`~credalmeet.reach.ChoiceView.restrict`
+    with ``into``)."""
     cls, witness = classify_view(view, targets, sense)
 
     # Start from the classification's witness, proper on the finite region,
@@ -437,8 +445,10 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     sweeps = 0
     converged = finite.size == 0  # nothing to evaluate
     residual = None  # of f, once a greedy pass has read it
+    pinned = None
     while not converged and sweeps < max_iter:
-        sol = _evaluate_selection(view, finite, choice, need)
+        pinned = view.restrict(finite, choice, pinned)
+        sol = _evaluate_selection(view, finite, choice, need, pinned)
         converged = sweeps > 0 and bool(np.max(np.abs(sol - f[finite])) <= tol)  # against the f it replaces
         f[finite], residual = sol, None
         sweeps += 1

@@ -383,3 +383,22 @@ def test_meet_rejects_a_selection_entry_that_is_not_an_integer(model_file, tmp_p
     assert main(["meet", model_file, "--belief", "degenerate", "--selection", str(sel)]) == 3
     err = capsys.readouterr().err
     assert f"selection for 'a,b': entry 0 is not an integer ({shown})" in err
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+GOLDEN_RUNS = {
+    "meet-agents2-upper": ["meet", "builtin:five-state", "--agents", "2"],
+    "meet-agents2-lower": ["meet", "builtin:five-state", "--agents", "2", "--sense", "lower"],
+    "meet-agents3-lower": ["meet", "builtin:five-state", "--agents", "3", "--sense", "lower"],
+    "hit-upper": ["hit", "builtin:five-state", "--target", "5", "--sense", "upper"],
+    "hit-lower": ["hit", "builtin:five-state", "--target", "5", "--sense", "lower"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_tables_print_the_golden_bytes(name, capsys):
+    # the 2-agent matrix, the m-agent list and the hitting table, byte for
+    # byte as they were printed one row per call
+    assert main(GOLDEN_RUNS[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()

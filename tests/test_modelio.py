@@ -16,6 +16,7 @@ from credalmeet import (
     parse_model,
 )
 from credalmeet.modelio import MAX_INTERVAL_STATES, decode_value, encode_value, write_result
+from credalmeet.selfcheck import bundled_model_path
 
 VERTEX_DOC = """
 name: demo
@@ -251,6 +252,12 @@ def test_digest_tracks_content():
     a = parse_model(VERTEX_DOC)
     b = parse_model(VERTEX_DOC.replace("[0.9, 0.1]", "[0.8, 0.2]"))
     assert model_digest(a) != model_digest(b)
+
+
+def test_digest_of_the_bundled_model_is_pinned():
+    # the digest names a model in every JSON result; its bytes must not drift
+    model = load_model(bundled_model_path("five-state"))
+    assert model_digest(model) == "62aa03fe35ad90e5dcfac5b3368386986405dc0daf2e5b885d77726c64491747"
 
 
 def test_load_model_from_disk(tmp_path):

@@ -92,6 +92,83 @@ def test_restricted_view_reads_the_full_views_entries(data):
 
 
 @st.composite
+def repinned_views(draw):
+    """A base view or a 2- or 3-agent joint view (full or quotient) on a model
+    with 1 to 3 vertices per state, a random subset of its states in state
+    order, and several random selections of one choice per state of the
+    subset, pinned one after another."""
+    agents = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(2, {1: 8, 2: 4, 3: 3}[agents]))
+    m = random_credal_matrix(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n=n,
+                             max_vertices=3, dense_prob=0.5)
+    if agents == 1:
+        view = CredalChoices(m)
+    else:
+        view = JointChoices(m, build_product_space(m.space, agents, draw(st.sampled_from(["full", "quotient"]))))
+    states = np.flatnonzero(draw(st.lists(st.booleans(), min_size=view.n, max_size=view.n)))
+    counts = np.diff(view.choice_offsets(states)).tolist()
+    selection = st.tuples(*[st.integers(0, c - 1) for c in counts]).map(lambda c: np.array(c, dtype=np.int64))
+    return view, states, draw(st.lists(selection, min_size=2, max_size=6))
+
+
+def _row_arrays(view):
+    return [getattr(view, name) for name in view._row_arrays]
+
+
+@settings(max_examples=150, deadline=None)
+@given(repinned_views())
+def test_a_refilled_pin_is_a_fresh_pin(data):
+    """Each pin after the first refills the one before it in place when that
+    one copied its rows and the new rows are not consecutive: its row arrays
+    and its values are then those of a fresh pin, bit for bit. The unpinned
+    view's row arrays, read-only here, are never written."""
+    view, states, choices = data
+    for a in _row_arrays(view):
+        a.flags.writeable = False
+    f = np.random.default_rng(states.size).random(view.n)
+    starts = view.choice_offsets(np.arange(view.n))[states]
+    pinned = None
+    for choice in choices:
+        rows = starts + choice
+        consecutive = rows.size > 0 and (np.diff(rows) == 1).all()
+        owned = pinned is not None and not any(np.shares_memory(a, b) for a, b in
+                                               zip(_row_arrays(pinned), _row_arrays(view)))
+        got = view.restrict(states, choice, pinned)
+        want = view.restrict(states, choice)
+        assert (got is pinned) == (owned and not consecutive)
+        for a, b in zip(_row_arrays(got), _row_arrays(want)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.array_equal(got._starts, want._starts) and np.array_equal(got._counts, want._counts)
+        assert got.finite_values(f).tobytes() == want.finite_values(f).tobytes()
+        pinned = got
+
+
+def test_a_pin_is_not_refilled_for_other_states_or_when_it_is_a_slice():
+    """A pin of other states, of another view, or that is a slice of the
+    view's rows (consecutive choices) is left as it was, and the view pins
+    afresh; a refill of a slice would write the view's own rows."""
+    rows = [[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], [[0.2, 0.3, 0.5]]]
+    model = CredalMatrix.from_rows(["a", "b", "c"], rows)
+    view, other = CredalChoices(model), CredalChoices(model)
+    stack = model.stack.copy()
+    states = np.array([0, 1])
+
+    sliced = view.restrict(states, [1, 0])  # rows 1 and 2: a slice of the stack
+    assert np.shares_memory(sliced._stack, model.stack)
+    got = view.restrict(states, [0, 1], sliced)  # rows 0 and 3
+    assert got is not sliced and np.array_equal(sliced._stack, stack[1:3])
+
+    copied = view.restrict(states, [0, 1])
+    for into in (view.restrict(np.array([0, 2]), [0, 0]), other.restrict(states, [0, 1])):
+        before = into._stack.copy()
+        got = view.restrict(states, [1, 1], into)  # rows 1 and 3
+        assert got is not into and np.array_equal(into._stack, before)
+        assert np.array_equal(got._stack, stack[[1, 3]])
+    assert view.restrict(states, [1, 1], copied) is copied
+    assert np.array_equal(copied._stack, stack[[1, 3]]) and np.array_equal(model.stack, stack)
+
+
+@st.composite
 def trapped_views(draw):
     """A base view with target ``{0}``, or a 2- or 3-agent joint view (full or
     quotient) with the meeting target, on a model whose states from 2 on are
@@ -176,9 +253,10 @@ def _reference_value(view, targets, sense, tol, max_iter):
     return HittingResult(h, selection, cls, iterations, residual, converged, "value-iteration")
 
 
-def _reference_selection_operator(view, finite, choice):
+def _reference_selection_operator(view, finite, choice, pinned=None):
     """The selection product through the full view: every choice of the
-    finite states evaluated, the selected ones picked."""
+    finite states evaluated, the selected ones picked; the solver's pinned
+    view is ignored."""
     pick = view.choice_offsets(finite)[:-1] + choice
     padded = np.zeros(view.n)
 
@@ -369,6 +447,29 @@ def test_base_selection_product_contracts_the_selected_rows(monkeypatch):
     res = policy_iteration(model, [0], "upper")
     assert len(res.classification.finite) == k >= MATRIX_FREE_UNKNOWNS
     assert contracted and set(contracted) == {k}
+
+
+def test_a_policy_iteration_pins_once_and_refills_the_pin(monkeypatch):
+    """A 3-sweep solve at n=500 pins its first selection afresh, and the later
+    sweeps refill that pin in place."""
+    rng = np.random.default_rng(0)
+    n = 500
+    model = CredalMatrix.from_rows(
+        [f"s{i}" for i in range(n)],
+        [[0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n for _ in range(2)] for _ in range(n)],
+    )
+    pins = []
+    restrict = reach.ChoiceView.restrict
+
+    def recorded(self, states, choice, into=None):
+        got = restrict(self, states, choice, into)
+        pins.append(got is not into)
+        return got
+
+    monkeypatch.setattr(reach.ChoiceView, "restrict", recorded)
+    res = policy_iteration(model, [0], "upper")
+    assert res.iterations == 3 and len(res.classification.finite) == n - 1
+    assert pins == [True, False, False]
 
 
 # ------------------------------------------------------- memory of a solve
