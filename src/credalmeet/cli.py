@@ -226,13 +226,15 @@ def _cmd_meet(args) -> int:
         raise ValueError(f"--epsilon applies only to --belief mixture, not {args.belief}")
     if args.selection is not None and args.belief == "vacuous":
         raise ValueError("--selection applies only to --belief degenerate or mixture, not vacuous")
+    if args.sense is not None and args.belief == "degenerate":
+        raise ValueError("--sense applies only to --belief vacuous or mixture, not degenerate")
     model = _load(args.model)
     selection = _read_selection(model, args.selection)
     result = meeting.meet(
         model,
         agents=args.agents,
         belief=args.belief,
-        sense=args.sense,
+        sense=args.sense or "upper",
         mode=args.mode,
         selection=selection,
         epsilon=args.epsilon,
@@ -349,7 +351,8 @@ def _build_parser() -> _Parser:
     p = add("meet", "bound the expected meeting time of several agents", _cmd_meet)
     p.add_argument("--agents", type=int, default=2)
     p.add_argument("--belief", choices=("degenerate", "vacuous", "mixture"), default="vacuous")
-    p.add_argument("--sense", choices=("upper", "lower"), default="upper")
+    p.add_argument("--sense", choices=("upper", "lower"), default=None,
+                   help="bound of vacuous and mixture beliefs (default upper)")
     p.add_argument("--epsilon", type=float, default=None, help="mixture weight in [0, 1]")
     p.add_argument("--selection", metavar="FILE",
                    help="YAML map of joint states ('a,b') to vertex index lists")

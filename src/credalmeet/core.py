@@ -14,7 +14,7 @@ identical bits on one machine; :func:`ext_dot` stays the left-to-right
 reference. A value vector is contracted by ``np.vecdot``, one dot per
 vertex row, which gives a row the same bits in any subset of rows; the joint
 walk's value tensor, always contracted whole, by one BLAS product per agent
-axis.
+axis, the last one straight into a table its caller owns.
 Values with infinite entries go through one rule, in the public operators
 and every choice view's ``values``: a contraction of the values with their
 infs zeroed, and inf on each row that an exact support test finds with mass
@@ -263,16 +263,24 @@ def contract(vertices: np.ndarray, values: np.ndarray, out: np.ndarray | None = 
     any ufunc it warns on a product past the float range. A tensor is
     contracted by one BLAS product per axis: its callers always contract the
     whole tensor with the whole stack and gather entries from that one table,
-    so identical inputs still give identical bits.
+    so identical inputs still give identical bits. With ``out``, a tensor's
+    last product is written in place when ``out`` is C-contiguous, so that
+    no table is allocated; any other ``out`` of the result's shape gets the
+    same bits by a copy, and one of another shape raises ValueError.
     """
     if values.ndim == 1:
         return np.vecdot(vertices, values, out=out)
-    for _ in range(values.ndim):  # last axis first, the new row axis in front
-        rest = values.shape[:-1]
-        values = (vertices @ values.reshape(-1, values.shape[-1]).T).reshape(-1, *rest)
+    for _ in range(values.ndim - 1):  # last axis first, the new row axis in front
+        values = (vertices @ values.reshape(-1, values.shape[-1]).T).reshape(-1, *values.shape[:-1])
+    shape, last = (len(vertices), *values.shape[:-1]), values.reshape(-1, values.shape[-1]).T
     if out is None:
-        return values
-    out[...] = values
+        return (vertices @ last).reshape(shape)
+    if out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    if out.flags.c_contiguous:  # a reshape views it: the product lands in place
+        np.matmul(vertices, last, out=out.reshape(len(vertices), -1))
+    else:
+        out[...] = (vertices @ last).reshape(shape)
     return out
 
 

@@ -36,7 +36,7 @@ from .chain import TransitionMatrix, hitting_times
 MAX_PRODUCT_STATES = 1_000_000
 
 #: Refusal threshold for the entries of a joint view's choice-value table,
-#: ``K**agents`` for ``K`` stacked vertices: the largest array it allocates.
+#: ``K**agents`` for ``K`` stacked vertices: held while the view lives.
 MAX_TABLE_ENTRIES = 16_000_000
 
 _MODES = ("full", "quotient")
@@ -204,6 +204,11 @@ class JointChoices(ChoiceView):
     Values are spread over, and rows summed back from, ordered tuples by
     ``product.ordered_index``, built only after the table size passed its
     guard.
+
+    The view allocates its table once, after the guard, and every
+    contraction writes into it; its pins share it through their shallow
+    copy. So a contraction on a view and one on its pins must not
+    interleave: each reads its entries out before the next one starts.
     """
 
     _row_arrays = ("_cells", "_keys")
@@ -220,6 +225,7 @@ class JointChoices(ChoiceView):
                 f"the joint choice-value table would have {k**m} entries ({k} "
                 f"vertices, {m} agents), above the {MAX_TABLE_ENTRIES} limit"
             )
+        self._table = np.empty((k,) * m)
         self._tensor_shape = (model.size,) * m
         self._agg = product.ordered_index
         joint = product.state_array
@@ -264,10 +270,11 @@ class JointChoices(ChoiceView):
 
     def _contract(self, rows: np.ndarray, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per choice, into ``out`` when given, the entry at its key of the
-        table that :func:`contract` makes of ``rows`` (the stack or its 0/1
-        pattern) and ``f`` spread over the ordered tuples."""
-        table = contract(rows, f[self._agg].reshape(self._tensor_shape))
-        return np.take(table.ravel(), self._keys, out=out)
+        view's table, into which :func:`contract` writes ``rows`` (the stack
+        or its 0/1 pattern) contracted with ``f`` spread over the ordered
+        tuples."""
+        contract(rows, f[self._agg].reshape(self._tensor_shape), out=self._table)
+        return np.take(self._table.ravel(), self._keys, out=out)
 
     def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Expectation of the finite ``f`` under every choice, laid out as

@@ -297,6 +297,8 @@ def test_meet_refuses_an_unsorted_quotient_key(model_file, tmp_path, capsys):
     (["--belief", "vacuous", "--epsilon", "0.5"], "--epsilon"),
     (["--belief", "degenerate", "--epsilon", "0.5"], "--epsilon"),
     (["--belief", "vacuous", "--selection", "SEL"], "--selection"),
+    (["--belief", "degenerate", "--sense", "lower"], "--sense"),
+    (["--belief", "degenerate", "--sense", "upper"], "--sense"),
 ])
 def test_meet_refuses_an_option_its_belief_does_not_read(model_file, tmp_path, capsys, argv, option):
     sel = tmp_path / "sel.yaml"

@@ -5,6 +5,7 @@ two-operand ``einsum`` loop it replaced."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,46 @@ def test_tensor_contract_counts_zero_one_products_exactly(data):
     """The joint view's support table: 0/1 rows contracted with a 0/1 mask."""
     vertices, values = data
     assert np.array_equal(contract(vertices, values), _einsum_contract(vertices, values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tensor_contractions(REAL, REAL))
+def test_tensor_contract_into_out_has_the_bits_of_a_fresh_table(data):
+    """A tensor contracted into ``out`` returns ``out`` with the bits of the
+    fresh table, also when ``out`` is a transposed array that no reshape can
+    view; an ``out`` of another shape is refused."""
+    vertices, values = data
+    want = contract(vertices, values)
+    buf = np.full(want.shape, np.nan)
+    assert contract(vertices, values, out=buf) is buf
+    assert np.array_equal(buf, want)
+    transposed = np.full(want.shape[::-1], np.nan).T
+    assert contract(vertices, values, out=transposed) is transposed
+    assert np.array_equal(transposed, want)
+    with pytest.raises(ValueError, match="out has shape"):
+        contract(vertices, values, out=np.empty(want.size + 1))
+
+
+def test_joint_contractions_write_into_the_views_table():
+    """A warm 3-agent contraction, pinned or not, traces less than its view's
+    ``K**3`` table: the table is the view's own, shared by its pins, and no
+    contraction allocates another."""
+    rng = np.random.default_rng(0)
+    m = random_credal_matrix(rng, n=15)
+    view = JointChoices(m, build_product_space(m.space, 3, "quotient"))
+    pin = view.restrict(np.arange(view.n), np.zeros(view.n, dtype=np.int64))
+    assert pin._table is view._table
+    table_bytes = 8 * m.stack.shape[0] ** 3
+    f, out = rng.random(view.n), np.empty(view.n)
+    for call in (lambda: pin.finite_values(f, out), lambda: pin.touches(f > 0.5)):
+        call()  # warm-up
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes
 
 
 def _lowest_swap(joint, choice):
