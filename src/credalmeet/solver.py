@@ -11,8 +11,9 @@ independent oracles are :func:`~credalmeet.chain.hitting_times`,
 :func:`~credalmeet.chain.meeting_times` and
 :func:`~credalmeet.meeting.exhaustive_meeting_times`. An evaluation solves
 the selection's linear system matrix-free by restarted GMRES on the choice
-kernel's product from ``MATRIX_FREE_UNKNOWNS`` unknowns on, and densely
-below that; every solution must meet a backward-error bound.
+kernel's product at every size, and densely, by LU, only when GMRES gives up
+or its answer does not meet a backward-error bound below 1; every solution
+must meet that bound.
 
 Every value iteration sweep, greedy pass of policy iteration and final
 residual reads one evaluation of the finite states' choices, set up once per
@@ -56,10 +57,6 @@ import numpy as np
 
 from .core import CredalMatrix, _require_sense, is_integer, is_real, segment_optimum, segment_rows, target_mask
 from .reach import Classification, CredalChoices, classify_view
-
-#: Unknowns from which a policy evaluation runs matrix-free (restarted GMRES)
-#: instead of a dense LU solve; the two paths cross near this size.
-MATRIX_FREE_UNKNOWNS = 256
 
 #: Krylov basis size per GMRES cycle.
 GMRES_RESTART = 30
@@ -222,8 +219,11 @@ def _residual_bound(k: int, hmax: float) -> float:
 
 
 def _meets_bound(h: np.ndarray, residual: float) -> bool:
-    """Whether a solution with true residual ``residual`` meets :func:`_residual_bound`."""
-    return residual <= _residual_bound(h.size, float(np.max(np.abs(h))))
+    """Whether a GMRES solution with true residual ``residual`` meets
+    :func:`_residual_bound`, and that bound is below 1: from 1 on it passes
+    the zero vector, whose residual is 1, so an iterate it passes may be no
+    solution at all."""
+    return residual <= _residual_bound(h.size, float(np.max(np.abs(h)))) < 1.0
 
 
 def _selection_operator(view, finite: np.ndarray, choice: np.ndarray, pinned=None):
@@ -332,8 +332,8 @@ def _gmres(apply, k: int, give_up: bool = False):
         if residual <= bound:
             break
         last, norm = norm, math.sqrt(r @ r)
-        # cycles still needed to bring the 2-norm to the bound at the last cycle's rate
-        if give_up and not (norm < last and cycle + math.log(bound / norm) / math.log(norm / last) <= cycles):
+        # the 2-norm, cut at the last cycle's rate in each cycle left, must reach the bound
+        if give_up and not (norm < last and norm * (norm / last) ** (cycles - cycle) <= bound):
             break
     return h, residual, products
 
@@ -378,28 +378,23 @@ def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray, need: int 
                         pinned=None) -> np.ndarray:
     """Solve ``(I - P) h = 1`` for one selection restricted to the finite states.
 
-    From ``MATRIX_FREE_UNKNOWNS`` unknowns on, restarted GMRES runs on the
-    product ``h -> h - P h``, one :meth:`finite_values` call each; below that,
-    or when GMRES misses the backward-error bound (it gives up early while
-    the dense solve is allowed), the system is assembled and solved densely.
-    Either way the residual must meet the bound. ``need`` is
-    ``_dense_bytes(view, finite)`` and ``pinned`` the view pinned to the
-    selection when the caller has them.
+    Restarted GMRES runs first, on the product ``h -> h - P h``, one
+    :meth:`finite_values` call each. When its answer fails :func:`_meets_bound`
+    (it gives up early while the dense solve is allowed, runs to its cap, or
+    stops on a bound of 1 or more) the system is assembled and solved densely,
+    by LU, which is backward stable at any scale. Either way the residual must
+    meet the backward-error bound. ``need`` is ``_dense_bytes(view, finite)``
+    and ``pinned`` the view pinned to the selection when the caller has them.
     """
     k = finite.size
     need = _dense_bytes(view, finite) if need is None else need
     apply = _selection_operator(view, finite, choice, pinned)
-    sol = None
-    why = ""
-    if k >= MATRIX_FREE_UNKNOWNS:
-        sol, residual, products = _gmres(apply, k, give_up=need <= MAX_DENSE_BYTES)
-        if not _meets_bound(sol, residual):
-            why = (
-                f"GMRES missed the backward-error bound within {products} products "
-                f"(last residual {residual:.3e}), and "
-            )
-            sol = None
-    if sol is None:
+    sol, residual, products = _gmres(apply, k, give_up=need <= MAX_DENSE_BYTES)
+    if not _meets_bound(sol, residual):
+        why = (
+            f"GMRES missed the backward-error bound within {products} products "
+            f"(last residual {residual:.3e}), and "
+        )
         sol = _dense_solve(view, finite, choice, why, need)
         residual = float(np.max(np.abs(1.0 - apply(sol))))
     hmax = float(np.max(np.abs(sol)))

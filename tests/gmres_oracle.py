@@ -49,7 +49,7 @@ def lstsq_gmres(apply, k: int, give_up: bool = False):
         if residual <= bound:
             break
         last, norm = norm, float(np.linalg.norm(r))
-        # cycles still needed to bring the 2-norm to the bound at the last cycle's rate
-        if give_up and not (norm < last and cycle + math.log(bound / norm) / math.log(norm / last) <= cycles):
+        # the 2-norm, cut at the last cycle's rate in each cycle left, must reach the bound
+        if give_up and not (norm < last and norm * (norm / last) ** (cycles - cycle) <= bound):
             break
     return h, residual, products

@@ -323,6 +323,21 @@ def _chain(n, lazy=0.0, walk=False):
     return CredalMatrix.precise([f"s{i}" for i in range(n)], rows)
 
 
+def _credal_walk(n):
+    """A walk towards absorbing state n - 1, reflected at 0, whose states each
+    step fairly (vertex 1), lazily by a half (vertex 2) or by a quarter
+    (vertex 0): the fastest vertex wins in the lower sense and the slowest in
+    the upper, and every selection mixes too slowly for restarted GMRES."""
+    rows = []
+    for i in range(n - 1):
+        step = np.zeros(n)
+        step[max(i - 1, 0)] += 0.5
+        step[i + 1] += 0.5
+        rows.append([0.75 * step + 0.25 * np.eye(n)[i], step, 0.5 * step + 0.5 * np.eye(n)[i]])
+    rows.append([np.eye(n)[n - 1]])
+    return CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows)
+
+
 def _chain_system(n, **kw):
     view = CredalChoices(_chain(n, **kw))
     finite = np.arange(1, n)
@@ -435,9 +450,8 @@ def test_matrix_free_evaluation_gives_up_early_when_a_dense_solve_is_allowed():
 @st.composite
 def large_selection_systems(draw):
     """A base view or a 2- or 3-agent joint view on a seeded random model with
-    at least ``MATRIX_FREE_UNKNOWNS`` finite states under the upper
-    classification, one random admissible choice per finite state, and
-    whether GMRES may give up."""
+    a few hundred states, its finite states under the upper classification, one
+    random admissible choice per finite state, and whether GMRES may give up."""
     agents, mode, n = draw(st.sampled_from([
         (1, None, 257), (1, None, 330), (2, "quotient", 24), (2, "quotient", 28),
         (2, "full", 17), (3, "quotient", 12), (3, "quotient", 13),
@@ -446,7 +460,7 @@ def large_selection_systems(draw):
     model = random_credal_matrix(rng, n=n, max_vertices=3, dense_prob=draw(st.sampled_from([0.7, 0.9, 1.0])))
     view, targets = _view(model, agents, mode)
     finite, options = _admissible(view, targets)
-    assume(finite.size >= solver.MATRIX_FREE_UNKNOWNS)
+    assume(finite.size)
     choice = np.array([o[rng.integers(len(o))] for o in options])
     return view, finite, choice, draw(st.booleans())
 
@@ -574,6 +588,20 @@ def test_policy_iteration_on_a_long_chain(monkeypatch, dense_allowed):
         assert res.converged and np.allclose(res.values, np.arange(n), rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [100, 257, 300])
+@pytest.mark.parametrize("sense", ["upper", "lower"])
+def test_policy_iteration_on_a_lazy_chain_matches_the_oracle(n, sense):
+    # a step down in about 1e12: hitting times near 1e12 * i, where the
+    # backward-error bound reaches 1 and so would pass the zero vector; a
+    # GMRES iterate passed by such a bound is no answer, and LU must solve it
+    model = _chain(n, lazy=1.0 - 1e-12)
+    res = policy_iteration(model, [0], sense)
+    want = hitting_times(TransitionMatrix(model.space, model.stack), [0])
+    assert res.converged
+    np.testing.assert_allclose(res.values, want, rtol=1e-12, atol=0.0)
+    assert res.residual == 0.0 or res.residual <= solver._residual_bound(n - 1, want.max())
+
+
 def test_refusal_after_gmres_misses_its_bound_names_both_causes(monkeypatch):
     monkeypatch.setattr(solver, "MAX_DENSE_BYTES", 0)
     products = solver._gmres_cycles(299) * solver.GMRES_RESTART
@@ -631,18 +659,24 @@ def test_no_solve_contracts_into_a_fresh_array(sense, monkeypatch):
     # every choice evaluation of a solve writes into a buffer the solve owns:
     # the sweeps and greedy passes into _finite_region's, a GMRES product
     # into its operator's
-    passed = []
+    passed, paths = [], []
     for view_class in (CredalChoices, JointChoices):
         def recorded(self, f, out=None, fn=view_class.finite_values):
             passed.append(out is not None)
             return fn(self, f, out)
         monkeypatch.setattr(view_class, "finite_values", recorded)
+    for name in ("_gmres", "_dense_solve"):
+        def traced(*args, fn=getattr(solver, name), name=name, **kw):
+            paths.append(name)
+            return fn(*args, **kw)
+        monkeypatch.setattr(solver, name, traced)
     for n in (12, 300):
         model = random_credal_matrix(np.random.default_rng(n), n=n, max_vertices=3, dense_prob=0.9)
         value_iteration(model, [n - 1], sense, max_iter=50)
+        paths.clear()
         res = policy_iteration(model, [n - 1], sense)
         assert res.converged and len(res.classification.finite) == n - 1
-    assert n - 1 >= solver.MATRIX_FREE_UNKNOWNS  # the last solve took the GMRES path
+        assert paths and set(paths) == {"_gmres"}  # every evaluation took the GMRES path
     model = random_credal_matrix(np.random.default_rng(0), n=5, max_vertices=3, dense_prob=0.4)
     for belief in ("vacuous", "degenerate", "mixture"):
         meet(model, 2, belief, sense, epsilon=0.5 if belief == "mixture" else None)
@@ -673,13 +707,15 @@ def test_policy_iteration_starts_from_the_classification_witness(agents, n, monk
         assert start.any() == moved
 
 
-@pytest.mark.parametrize("agents, n", [(1, 12), (1, 300), (2, 9), (3, 5)])
+@pytest.mark.parametrize("agents, n, walk", [(1, 12, False), (1, 300, False), (2, 9, False), (3, 5, False),
+                                            (1, 100, True)], ids=["1-12", "1-300", "2-9", "3-5", "walk-100"])
 @pytest.mark.parametrize("sense", ["upper", "lower"])
-def test_a_cut_solve_replays_its_sweeps(agents, n, sense, monkeypatch):
+def test_a_cut_solve_replays_its_sweeps(agents, n, walk, sense, monkeypatch):
     # a solve cut at max_iter=j selects the choice that sweep j + 1 evaluates,
-    # and one cut at j + 1 returns that sweep's values, bit for bit
-    sweeps = []
-    evaluate = solver._evaluate_selection
+    # and one cut at j + 1 returns that sweep's values, bit for bit, whether
+    # GMRES solves every sweep or, on a slowly mixing walk, gives up to LU
+    sweeps, dense = [], []
+    evaluate, dense_solve = solver._evaluate_selection, solver._dense_solve
 
     def recorded(view, finite, choice, *rest):
         sol = evaluate(view, finite, choice, *rest)
@@ -687,14 +723,18 @@ def test_a_cut_solve_replays_its_sweeps(agents, n, sense, monkeypatch):
         return sol
 
     monkeypatch.setattr(solver, "_evaluate_selection", recorded)
-    model = random_credal_matrix(np.random.default_rng(n), n=n, max_vertices=3, dense_prob=0.9)
+    monkeypatch.setattr(solver, "_dense_solve", lambda *args: dense.append(1) or dense_solve(*args))
+    if walk:
+        model = _credal_walk(n)
+    else:
+        model = random_credal_matrix(np.random.default_rng(n), n=n, max_vertices=3, dense_prob=0.9)
     view, targets = _view(model, agents)
     res = solver.solve_view_policy(view, targets, sense, 1e-10, 1000)
     recorded_sweeps = list(sweeps)
     cls = res.classification
     finite = np.array(sorted(cls.finite), dtype=np.int64)
     assert len(recorded_sweeps) == res.iterations >= 2
-    assert (finite.size >= solver.MATRIX_FREE_UNKNOWNS) == (n == 300)
+    assert len(dense) == (res.iterations if walk else 0)  # LU only where GMRES gives up
     for j, (choice, sol) in enumerate(recorded_sweeps):
         cut = solver.solve_view_policy(view, targets, sense, 1e-10, j)
         assert cut.selection[finite].tobytes() == choice.tobytes()
