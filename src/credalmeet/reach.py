@@ -157,10 +157,13 @@ def _grow(view, seeds: np.ndarray, outside: np.ndarray, join: str, eligible=True
     frontier = seeds
     while outside.any() and frontier.any():
         hit |= view.touches(frontier)
-        best, first = segment_optimum(hit & eligible, bounds, "upper" if join == "any" else "lower")
-        frontier = outside & best
+        if join == "any":
+            best, first = segment_optimum(hit & eligible, bounds, "upper")
+            frontier = outside & best
+            witness[frontier] = first[frontier]
+        else:  # no witness to find: one reduction per segment
+            frontier = outside & np.logical_and.reduceat(hit, bounds[:-1])
         grown |= frontier
-        witness[frontier] = first[frontier]
         outside &= ~frontier
     return grown, witness
 

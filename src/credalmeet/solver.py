@@ -12,8 +12,8 @@ independent oracles are :func:`~credalmeet.chain.hitting_times`,
 :func:`~credalmeet.meeting.exhaustive_meeting_times`. An evaluation solves
 the selection's linear system matrix-free by restarted GMRES on the choice
 kernel's product at every size, and densely, by LU, only when GMRES gives up
-or its answer does not meet a backward-error bound below 1; every solution
-must meet that bound.
+or misses its bound, a backward-error bound capped at ``sqrt(eps)``; every
+solution must meet the backward-error bound.
 
 Every value iteration sweep, greedy pass of policy iteration and final
 residual reads one evaluation of the finite states' choices, set up once per
@@ -218,12 +218,21 @@ def _residual_bound(k: int, hmax: float) -> float:
     return BACKWARD_ERROR_FACTOR * _EPS * math.sqrt(k) * (1.0 + 2.0 * hmax)
 
 
+def _gmres_bound(k: int, hmax: float) -> float:
+    """The bound on ``|1 - (I - P) h|_inf`` that a GMRES iterate must meet:
+    :func:`_residual_bound`, but at most ``sqrt(eps)``. The inverse of
+    ``I - P``, an M-matrix, is non-negative with sup-norm ``|h*|_inf``, so a
+    residual ``r`` leaves ``h`` within ``r |h*|_inf`` of the solution ``h*``.
+    GMRES stops as soon as it meets its bound, so its answer may be that far
+    off: the cap keeps it within ``sqrt(eps)`` of ``h*``, relatively, where
+    the backward-error bound, which grows with ``|h|_inf``, would let it be
+    off by tens of percent, and from 1 on pass the zero vector."""
+    return min(_residual_bound(k, hmax), math.sqrt(_EPS))
+
+
 def _meets_bound(h: np.ndarray, residual: float) -> bool:
-    """Whether a GMRES solution with true residual ``residual`` meets
-    :func:`_residual_bound`, and that bound is below 1: from 1 on it passes
-    the zero vector, whose residual is 1, so an iterate it passes may be no
-    solution at all."""
-    return residual <= _residual_bound(h.size, float(np.max(np.abs(h)))) < 1.0
+    """Whether a GMRES solution with true residual ``residual`` meets :func:`_gmres_bound`."""
+    return residual <= _gmres_bound(h.size, float(np.max(np.abs(h))))
 
 
 def _selection_operator(view, finite: np.ndarray, choice: np.ndarray, pinned=None):
@@ -235,9 +244,10 @@ def _selection_operator(view, finite: np.ndarray, choice: np.ndarray, pinned=Non
     sel = view.restrict(finite, choice) if pinned is None else pinned
     padded = np.zeros(view.n)  # admissible choices put no mass outside the finite states
     out = np.empty(finite.size)
+    cols = segment_rows(finite, np.ones(finite.size, dtype=np.int64))  # a slice when consecutive
 
     def apply(x):
-        padded[finite] = x
+        padded[cols] = x
         return np.subtract(x, sel.finite_values(padded, out), out=out)
 
     return apply
@@ -261,14 +271,14 @@ def _gmres(apply, k: int, give_up: bool = False):
     side then holds the least-squares misfit, the 2-norm of the residual,
     which bounds its sup-norm. The iterate ``h + y @ basis`` is formed, with
     ``y`` from one triangular solve, only when the misfit could meet
-    :func:`_residual_bound` at its size, and at the end of a cycle: the basis
+    :func:`_gmres_bound` at its size, and at the end of a cycle: the basis
     rows are orthonormal, so ``|h|_inf + |y|_2`` bounds its sup-norm, and
     ``|y|_2`` is read from the inverse of the rotated triangle, which gains
     one column per product. A cycle ends on that bound, on a breakdown or
     after ``GMRES_RESTART`` products. The basis, the triangle and the
     Gram-Schmidt coefficients live in buffers allocated once per call.
 
-    It stops once the true residual meets :func:`_residual_bound`, after
+    It stops once the true residual meets :func:`_gmres_bound`, after
     :func:`_gmres_cycles` cycles, or, with ``give_up``, as soon as the last
     cycle's reduction of the residual's 2-norm, kept up, would not meet the
     bound within that cap.
@@ -294,11 +304,10 @@ def _gmres(apply, k: int, give_up: bool = False):
             w = apply(basis[j])
             products += 1
             done, c, total = basis[: j + 1], part[: j + 1], coef[: j + 1]
-            total[:] = 0.0
-            for _ in range(2):  # Gram-Schmidt twice keeps the basis orthogonal
-                np.matmul(done, w, out=c)
-                w -= np.matmul(c, done, out=proj)
-                total += c
+            # Gram-Schmidt twice keeps the basis orthogonal
+            w -= np.dot(np.dot(done, w, out=total), done, out=proj)
+            w -= np.dot(np.dot(done, w, out=c), done, out=proj)
+            total += c
             beta = math.sqrt(w @ w)
             col = total.tolist()  # the new column, rotated as Python floats
             for i, (cs, sn) in enumerate(turns):
@@ -317,9 +326,9 @@ def _gmres(apply, k: int, give_up: bool = False):
             size, new = j + 1, None
             misfit = abs(rhs[size])
             y = inv[:size, :size] @ rhs[:size]  # the least-squares solution, for its norm
-            if beta == 0.0 or misfit <= _residual_bound(k, hmax + math.sqrt(y @ y)):
+            if beta == 0.0 or misfit <= _gmres_bound(k, hmax + math.sqrt(y @ y)):
                 new = h + np.linalg.solve(tri[:size, :size], rhs[:size]) @ basis[:size]
-                if beta == 0.0 or misfit <= _residual_bound(k, np.max(np.abs(new))):
+                if beta == 0.0 or misfit <= _gmres_bound(k, np.max(np.abs(new))):
                     break
             np.divide(w, beta, out=basis[j + 1])
         if new is None:
@@ -328,7 +337,7 @@ def _gmres(apply, k: int, give_up: bool = False):
         hmax = float(np.max(np.abs(h)))
         r = 1.0 - apply(h)
         residual = float(np.max(np.abs(r)))
-        bound = _residual_bound(k, hmax)
+        bound = _gmres_bound(k, hmax)
         if residual <= bound:
             break
         last, norm = norm, math.sqrt(r @ r)
@@ -380,11 +389,11 @@ def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray, need: int 
 
     Restarted GMRES runs first, on the product ``h -> h - P h``, one
     :meth:`finite_values` call each. When its answer fails :func:`_meets_bound`
-    (it gives up early while the dense solve is allowed, runs to its cap, or
-    stops on a bound of 1 or more) the system is assembled and solved densely,
-    by LU, which is backward stable at any scale. Either way the residual must
-    meet the backward-error bound. ``need`` is ``_dense_bytes(view, finite)``
-    and ``pinned`` the view pinned to the selection when the caller has them.
+    (it gives up early while the dense solve is allowed or runs to its cap)
+    the system is assembled and solved densely, by LU, which is backward
+    stable at any scale. Either way the residual must meet the backward-error
+    bound. ``need`` is ``_dense_bytes(view, finite)`` and ``pinned`` the view
+    pinned to the selection when the caller has them.
     """
     k = finite.size
     need = _dense_bytes(view, finite) if need is None else need

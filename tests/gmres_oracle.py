@@ -3,7 +3,7 @@ after every product, kept as an oracle for ``solver._gmres``.
 
 It is the loop the solver ran before its Givens rotations: one
 ``np.linalg.lstsq`` call and one new iterate per product. The stop rules
-are the solver's own (``_residual_bound``, ``_gmres_cycles``, ``give_up``),
+are the solver's own (``_gmres_bound``, ``_gmres_cycles``, ``give_up``),
 so the two must take the same number of products and agree to rounding.
 """
 
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from credalmeet.solver import GMRES_RESTART, _gmres_cycles, _residual_bound
+from credalmeet.solver import GMRES_RESTART, _gmres_bound, _gmres_cycles
 
 
 def lstsq_gmres(apply, k: int, give_up: bool = False):
@@ -39,13 +39,13 @@ def lstsq_gmres(apply, k: int, give_up: bool = False):
             step = y @ basis[: j + 1]
             # the least-squares misfit is the residual's 2-norm, which bounds its sup-norm
             misfit = np.linalg.norm(hess[: j + 2, : j + 1] @ y - rhs[: j + 2])
-            if hess[j + 1, j] == 0.0 or misfit <= _residual_bound(k, np.max(np.abs(h + step))):
+            if hess[j + 1, j] == 0.0 or misfit <= _gmres_bound(k, np.max(np.abs(h + step))):
                 break
             basis[j + 1] = w / hess[j + 1, j]
         h = h + step
         r = 1.0 - apply(h)
         residual = float(np.max(np.abs(r)))
-        bound = _residual_bound(k, np.max(np.abs(h)))
+        bound = _gmres_bound(k, np.max(np.abs(h)))
         if residual <= bound:
             break
         last, norm = norm, float(np.linalg.norm(r))

@@ -588,13 +588,17 @@ def test_policy_iteration_on_a_long_chain(monkeypatch, dense_allowed):
         assert res.converged and np.allclose(res.values, np.arange(n), rtol=1e-9, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [100, 257, 300])
+@pytest.mark.parametrize("n, step", [
+    (100, 1e-12), (257, 1e-12), (300, 1e-12), (100, 5e-12), (100, 1e-11),
+    (300, 2e-11), (300, 5e-11), (30, 1e-11), (30, 1e-9),
+])
 @pytest.mark.parametrize("sense", ["upper", "lower"])
-def test_policy_iteration_on_a_lazy_chain_matches_the_oracle(n, sense):
-    # a step down in about 1e12: hitting times near 1e12 * i, where the
-    # backward-error bound reaches 1 and so would pass the zero vector; a
-    # GMRES iterate passed by such a bound is no answer, and LU must solve it
-    model = _chain(n, lazy=1.0 - 1e-12)
+def test_policy_iteration_on_a_lazy_chain_matches_the_oracle(n, step, sense):
+    # a step down in about 1 / step: hitting times near i / step, where the
+    # backward-error bound is about 1e-3 to 40; a GMRES iterate that stops as
+    # it meets such a bound may be off by its relative size (70% at n = 100,
+    # step 1e-12, 1e-4 at n = 30, step 1e-11), and LU must solve it
+    model = _chain(n, lazy=1.0 - step)
     res = policy_iteration(model, [0], sense)
     want = hitting_times(TransitionMatrix(model.space, model.stack), [0])
     assert res.converged
@@ -610,6 +614,28 @@ def test_refusal_after_gmres_misses_its_bound_names_both_causes(monkeypatch):
         r"\(last residual \d.*\), and a dense policy evaluation of size 299 would allocate"
     )):
         policy_iteration(_chain(300, walk=True), [0], "upper")
+
+
+def test_gmres_alone_answers_within_sqrt_eps_of_the_oracle(monkeypatch):
+    # the lazy chain's 29 unknowns have a backward-error bound of 1.1e-6 with
+    # a step down in 1e6; with no dense solve to fall back on, GMRES meets its
+    # bound, capped at sqrt(eps), and so lies within sqrt(eps) of the oracle
+    monkeypatch.setattr(solver, "MAX_DENSE_BYTES", 0)
+    model = _chain(30, lazy=1.0 - 1e-6)
+    res = policy_iteration(model, [0], "upper")
+    want = hitting_times(TransitionMatrix(model.space, model.stack), [0])
+    assert res.converged
+    np.testing.assert_allclose(res.values, want, rtol=np.sqrt(np.finfo(float).eps), atol=0.0)
+
+
+def test_gmres_alone_refuses_an_answer_its_capped_bound_cannot_vouch_for(monkeypatch):
+    # with a step down in 1e9 the backward-error bound is 1.1e-3, which a
+    # GMRES iterate meets 1.7e-6 below the oracle; capped at sqrt(eps) the
+    # bound is below the residual's rounding, and with no dense solve to fall
+    # back on the evaluation is refused
+    monkeypatch.setattr(solver, "MAX_DENSE_BYTES", 0)
+    with pytest.raises(ValueError, match=r"GMRES missed the backward-error bound within \d+ products"):
+        policy_iteration(_chain(30, lazy=1.0 - 1e-9), [0], "upper")
 
 
 def test_dense_fallback_refuses_an_oversize_system(monkeypatch):
