@@ -191,27 +191,25 @@ class JointChoices(ChoiceView):
     to the lowest tuple.
 
     A choice's cell is its agents' rows in the model's stacked vertex array,
-    and its key the cell's :meth:`ProductSpace.code` in the table of all
-    cells; cells and keys are the view's row arrays. Each evaluation
-    contracts the value tensor with that array once per agent
-    (:func:`~credalmeet.core.contract`); every choice reads the table entry
-    of its key, the sorted cell's in quotient mode, where values are
-    symmetric in the cell, so that choices that only swap co-located agents'
-    vertices tie exactly. Support tests (:meth:`touches`) contract the 0/1
-    mask with the 0/1 pattern of the stacked array in place of the array
-    itself. A pinned view from :meth:`restrict` (one choice per state: a
-    precise joint walk) holds its own cells and keys and reads the same table.
-    Values are spread over, and rows summed back from, ordered tuples by
-    ``product.ordered_index``, built only after the table size passed its
-    guard.
+    and its key, held in ``_rows``, the cell's :meth:`ProductSpace.code` in
+    the table of all cells: the sorted cell's in quotient mode, where values
+    are symmetric in the cell. A choice is its key. Each evaluation contracts
+    the value tensor with the stacked array once per agent
+    (:func:`~credalmeet.core.contract`) and reads the table at the keys,
+    :meth:`touches` does the same with the 0/1 mask and pattern, and
+    :meth:`block` decodes the keys to cells; so choices that only swap
+    co-located agents' vertices tie exactly in all three, on the view and on
+    its pins from :meth:`restrict` (one choice per state: a precise joint
+    walk). Only the result's selections read ``_cells``, the cells in agent
+    order, and only on the unpinned view. Values are spread over, and rows
+    summed back from, ordered tuples by ``product.ordered_index``, built
+    only after the table size passed its guard.
 
     The view allocates its table once, after the guard, and every
     contraction writes into it; its pins share it through their shallow
     copy. So a contraction on a view and one on its pins must not
     interleave: each reads its entries out before the next one starts.
     """
-
-    _row_arrays = ("_cells", "_keys")
 
     def __init__(self, model: CredalMatrix, product: ProductSpace):
         self.model = model
@@ -240,12 +238,12 @@ class JointChoices(ChoiceView):
         for j in reversed(range(m)):
             rank, pick = np.divmod(rank, np.repeat(agent_counts[:, j], self._counts))
             cells[:, j] += pick
-        self._cells, self._keys = cells, product.code(cells.T, k)
+        self._cells, self._rows = cells, product.code(cells.T, k)
 
     def choice_tuples(self, state: int) -> list[tuple[int, ...]]:
-        start = self._starts[state]
-        cells = self._cells[start : start + self._counts[state]]
-        return list(map(tuple, (cells - self.model.offsets[self.product.state_array[state]]).tolist()))
+        """Every choice of ``state`` as a vertex tuple, inverse to :meth:`flat_choice`."""
+        joint = self.product.state_array[state].tolist()
+        return list(itertools.product(*(range(self.model.vertex_count(z)) for z in joint)))
 
     def flat_choice(self, state: int, choice_tuple: tuple[int, ...]) -> int:
         joint = self.product.state_array[state].tolist()
@@ -274,7 +272,7 @@ class JointChoices(ChoiceView):
         or its 0/1 pattern) contracted with ``f`` spread over the ordered
         tuples."""
         contract(rows, f[self._agg].reshape(self._tensor_shape), out=self._table)
-        return np.take(self._table.ravel(), self._keys, out=out)
+        return np.take(self._table.ravel(), self._rows, out=out)
 
     def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Expectation of the finite ``f`` under every choice, laid out as
@@ -298,21 +296,23 @@ class JointChoices(ChoiceView):
         return base, max(1, k * k // max(1, 4 * base.size**m))
 
     def block(self, states: np.ndarray, choice: np.ndarray) -> np.ndarray:
-        """Per chunk of the selected cells (:meth:`_block_plan`), the outer
-        product of their agents' vertex rows over the ordered tuples of the
-        base states in ``states``, summed into the columns ``states`` (and a
-        dropped last column for the other tuples) by one ``bincount``."""
+        """Per chunk of the selected cells (:meth:`_block_plan`), decoded from
+        their keys, the outer product of their agents' vertex rows over the
+        ordered tuples of the base states in ``states``, summed into the
+        columns ``states`` (and a dropped last column for the other tuples)
+        by one ``bincount``."""
         k, m, n = states.size, self.product.agents, self.model.size
         base, step = self._block_plan(states)
         tuples = np.ravel_multi_index(np.ix_(*[base] * m), (n,) * m).ravel()
         column = np.full(self.n, k)
         column[states] = np.arange(k)
         index = ((np.arange(step) * (k + 1))[:, None] + column[self._agg[tuples]]).ravel()
-        rows, cells = self.model.stack[:, base], self._cells[self._starts[states] + choice]
+        rows = self.model.stack[:, base]
+        cells = np.unravel_index(self._rows[self._starts[states] + choice], (rows.shape[0],) * m)
         out = np.empty((k, k))
         for lo in range(0, k, step):
             flat = functools.reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1),
-                                    rows[cells[lo : lo + step].T])
+                                    [rows[c[lo : lo + step]] for c in cells])
             out[lo : lo + len(flat)] = np.bincount(
                 index[: flat.size], flat.ravel(), len(flat) * (k + 1)).reshape(-1, k + 1)[:, :k]
             del flat  # before the next chunk's products are allocated

@@ -92,11 +92,11 @@ def interval_vertices(lower, upper) -> np.ndarray:
     return np.array([found[k] for k in sorted(found)])
 
 
-def _numeric(where: str, entries: list, problems: list[str]) -> bool:
-    """Whether every entry is a number a float can hold; reports each one that is not."""
+def _numeric(where: str, entries: list, problems: list[str], nan_ok: bool = True) -> bool:
+    """Whether every entry is a number a float can hold, NaN only if ``nan_ok``; reports the rest."""
     bad = []
     for k, x in enumerate(entries):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not (nan_ok or x == x):
             bad.append(f"{where} entry {k} is not a number ({x!r})")
             continue
         try:
@@ -132,7 +132,9 @@ def _row_from_spec(label: str, spec, n: int, problems: list[str]):
     if not (isinstance(lo, list) and isinstance(hi, list) and len(lo) == n and len(hi) == n):
         problems.append(f"row {label!r}: lower and upper must be lists of {n} numbers")
         return None
-    numeric = [_numeric(f"row {label!r}: {key}", spec[key], problems) for key in ("lower", "upper")]
+    # a NaN bound would reach the vertices, named against entries never written
+    numeric = [_numeric(f"row {label!r}: {key}", spec[key], problems, nan_ok=False)
+               for key in ("lower", "upper")]
     if not all(numeric):
         return None
     if n > MAX_INTERVAL_STATES:
@@ -214,7 +216,7 @@ def dump_model(model: CredalMatrix, name: str | None = None, description: str | 
         doc["description"] = description
     doc["states"] = list(model.space.labels)
     doc["rows"] = {
-        label: {"vertices": [[float(x) for x in v] for v in model.vertices(i)]}
+        label: {"vertices": (model.vertices(i) + 0.0).tolist()}  # + 0.0 writes -0.0 as 0.0
         for i, label in enumerate(model.space.labels)
     }
     return yaml.safe_dump(doc, sort_keys=False)
@@ -225,7 +227,7 @@ def model_digest(model: CredalMatrix) -> str:
     payload = {
         "states": list(model.space.labels),
         "rows": [
-            [list(map(repr, v)) for v in model.vertices(i).tolist()]
+            [list(map(repr, v)) for v in (model.vertices(i) + 0.0).tolist()]  # + 0.0: -0.0 is 0.0
             for i in range(model.size)
         ],
     }

@@ -28,9 +28,10 @@ from .core import segment_bounds, segment_optimum, segment_rows, target_mask
 
 class ChoiceView:
     """Choices of a view laid out state by state: state ``i`` owns the
-    ``_counts[i]`` consecutive rows from ``_starts[i]`` of the row arrays
-    named in ``_row_arrays``, one once :meth:`restrict` has pinned ``i`` to
-    a choice, none once it has left ``i`` out.
+    ``_counts[i]`` consecutive rows from ``_starts[i]`` of ``_rows``, all
+    that the protocol reads of a choice (a vertex row on a base model, a
+    table key on a joint walk): one once :meth:`restrict` has pinned ``i``
+    to a choice, none once it has left ``i`` out.
 
     A subclass gives ``n`` and the protocol: ``finite_values(f, out)``, the
     finite contraction of all its rows (into a buffer the caller owns when
@@ -62,12 +63,12 @@ class ChoiceView:
         """A shallow copy of this view that pins each of ``states`` (distinct
         indices) to its choice ``choice[i]`` and holds no other choice: one
         selection, a precise chain on those states. It keeps the class and
-        owns its rows: a slice of each of this view's row arrays when the
-        choices are consecutive, a copy otherwise.
+        owns its rows: a slice of this view's ``_rows`` when the choices are
+        consecutive, a copy otherwise.
 
         ``into`` is an earlier pin of this view: when it pinned the same
         ``states`` and copied its rows, and the new choices are not
-        consecutive, its row arrays are refilled in place for the new
+        consecutive, its ``_rows`` are refilled in place for the new
         selection and ``into`` itself is returned, so a solve that pins one
         selection after another on the same states copies into the same
         buffers. Otherwise the view pins afresh and ``into`` is untouched."""
@@ -76,14 +77,12 @@ class ChoiceView:
         if rows.size and (rows[1:] - rows[:-1] == 1).all():
             rows = slice(int(rows[0]), int(rows[-1]) + 1)
         elif into is not None and into._pin_of[0] is self and np.array_equal(into._pin_of[1], states):
-            for name in self._row_arrays:
-                # the rows are in range, and mode="clip" gathers straight into
-                # ``out``, where the default mode gathers into a buffer first
-                np.take(getattr(self, name), rows, axis=0, out=getattr(into, name), mode="clip")
+            # the rows are in range, and mode="clip" gathers straight into
+            # ``out``, where the default mode gathers into a buffer first
+            np.take(self._rows, rows, axis=0, out=into._rows, mode="clip")
             return into
         view = copy.copy(self)
-        for name in self._row_arrays:
-            setattr(view, name, getattr(self, name)[rows])
+        view._rows = self._rows[rows]
         view._starts, view._counts = np.zeros((2, self.n), dtype=np.int64)
         view._starts[states] = np.arange(states.size)
         view._counts[states] = 1
@@ -102,34 +101,32 @@ class CredalChoices(ChoiceView):
 
     The reachability and solver passes see only the :class:`ChoiceView`
     interface, so the same passes run on joint product models without
-    expanding them into explicit vertex lists. Its one row array is the
-    model's stacked vertices: the contraction reads it, and so does the
+    expanding them into explicit vertex lists. Its ``_rows`` are the
+    model's stacked vertices: the contraction reads them, and so does the
     support test, in the mask's columns alone, as the public operators do.
     So building the view allocates nothing of the stack's size, and a pinned
     view copies only the rows a product reads.
     """
 
-    _row_arrays = ("_stack",)
-
     def __init__(self, model: CredalMatrix):
         self.model = model
         self.n = model.size
         self._starts, self._counts = model.offsets[:-1], np.diff(model.offsets)
-        self._stack = model.stack
+        self._rows = model.stack
 
     def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Expectation of the finite ``f`` under every choice, laid out as
         ``values(f)``, into ``out`` when given: one :func:`contract` of the
         view's rows, the whole stack when unpinned."""
-        return contract(self._stack, f, out)
+        return contract(self._rows, f, out)
 
     def touches(self, mask: np.ndarray) -> np.ndarray:
         """Whether each choice, laid out as ``values(f)``, puts positive mass
         on ``mask``: its vertex row's entries in the mask's columns alone."""
-        return _touching(self._stack, mask)
+        return _touching(self._rows, mask)
 
     def block(self, states: np.ndarray, choice: np.ndarray) -> np.ndarray:
-        return self._stack[(self._starts[states] + choice)[:, None], states]
+        return self._rows[(self._starts[states] + choice)[:, None], states]
 
     def block_bytes(self, states: np.ndarray) -> int:
         """Bytes that :meth:`block` on ``states`` holds at its peak, at most:

@@ -239,6 +239,19 @@ def test_non_numeric_entries_are_format_errors_naming_their_place():
     ]
 
 
+def test_a_nan_interval_bound_is_named_as_the_user_wrote_it():
+    doc = "states: [a, b]\nrows:\n  a: {lower: [.nan, 0.0], upper: [1.0, .nan]}\n  b: {vertices: [[.nan, 1.0]]}\n"
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(doc)
+    assert str(err.value).splitlines()[1:] == [
+        "  - row 'a': lower entry 0 is not a number (nan)",
+        "  - row 'a': upper entry 1 is not a number (nan)",
+    ]
+    # a NaN vertex entry is left to the model's validation, as before
+    with pytest.raises(ModelValidationError, match=r"row 'b' vertex 0: entry 0 is not a number$"):
+        parse_model(doc.replace("{lower: [.nan, 0.0], upper: [1.0, .nan]}", "{vertices: [[1.0, 0.0]]}"))
+
+
 def test_dump_then_parse_round_trip():
     m = parse_model(VERTEX_DOC)
     again = parse_model(dump_model(m, name="demo"))
@@ -252,6 +265,14 @@ def test_digest_tracks_content():
     a = parse_model(VERTEX_DOC)
     b = parse_model(VERTEX_DOC.replace("[0.9, 0.1]", "[0.8, 0.2]"))
     assert model_digest(a) != model_digest(b)
+
+
+def test_a_negative_zero_entry_is_written_and_digested_as_zero():
+    a = CredalMatrix.from_rows(["a", "b"], [[[1.0, -0.0]], [[0.5, 0.5]]])
+    b = CredalMatrix.from_rows(["a", "b"], [[[1.0, 0.0]], [[0.5, 0.5]]])
+    assert math.copysign(1.0, a.vertices(0)[0, 1]) == -1.0
+    assert model_digest(a) == model_digest(b)
+    assert dump_model(a) == dump_model(b) and "-0.0" not in dump_model(a)
 
 
 def test_digest_of_the_bundled_model_is_pinned():

@@ -187,7 +187,7 @@ def test_joint_indices_match_the_tuple_enumeration(agents, n, mode):
     choices = [list(itertools.product(*(range(model.vertex_count(z)) for z in s))) for s in states]
     cells = [[offsets[z] + c for z, c in zip(s, tup)] for s, options in zip(states, choices) for tup in options]
     keys = [int(np.ravel_multi_index(sorted(c) if mode == "quotient" else c, (k,) * agents)) for c in cells]
-    assert view._cells.tolist() == cells and view._keys.tolist() == keys
+    assert view._cells.tolist() == cells and view._rows.tolist() == keys
     assert [view.choice_tuples(i) for i in range(product.size)] == choices
     flat = np.random.default_rng(n).integers(0, [len(c) for c in choices])
     want = tuple(None if i in product.diagonal else options[f]

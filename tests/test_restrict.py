@@ -3,6 +3,7 @@ selection evaluate exactly the entries of the whole view, the solvers
 give the same bits as the reference sweep loop and selection product, and a
 selection product on a base model contracts only the selected rows."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credalmeet import CredalMatrix, build_product_space, joint_transition_weight, meet
-from credalmeet import policy_iteration, reach, selection_matrix, solver, value_iteration
+from credalmeet import CredalMatrix, TransitionMatrix, build_product_space, joint_transition_weight, meet
+from credalmeet import meeting_times, policy_iteration, reach, selection_matrix, solver, value_iteration
 from credalmeet.core import segment_optimum, target_mask
 from credalmeet.meeting import JointChoices
 from credalmeet.reach import CredalChoices, classify_view
@@ -111,33 +112,26 @@ def repinned_views(draw):
     return view, states, draw(st.lists(selection, min_size=2, max_size=6))
 
 
-def _row_arrays(view):
-    return [getattr(view, name) for name in view._row_arrays]
-
-
 @settings(max_examples=150, deadline=None)
 @given(repinned_views())
 def test_a_refilled_pin_is_a_fresh_pin(data):
     """Each pin after the first refills the one before it in place when that
-    one copied its rows and the new rows are not consecutive: its row arrays
+    one copied its rows and the new rows are not consecutive: its ``_rows``
     and its values are then those of a fresh pin, bit for bit. The unpinned
-    view's row arrays, read-only here, are never written."""
+    view's ``_rows``, read-only here, are never written."""
     view, states, choices = data
-    for a in _row_arrays(view):
-        a.flags.writeable = False
+    view._rows.flags.writeable = False
     f = np.random.default_rng(states.size).random(view.n)
     starts = view.choice_offsets(np.arange(view.n))[states]
     pinned = None
     for choice in choices:
         rows = starts + choice
         consecutive = rows.size > 0 and (np.diff(rows) == 1).all()
-        owned = pinned is not None and not any(np.shares_memory(a, b) for a, b in
-                                               zip(_row_arrays(pinned), _row_arrays(view)))
+        owned = pinned is not None and not np.shares_memory(pinned._rows, view._rows)
         got = view.restrict(states, choice, pinned)
         want = view.restrict(states, choice)
         assert (got is pinned) == (owned and not consecutive)
-        for a, b in zip(_row_arrays(got), _row_arrays(want)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got._rows.dtype == want._rows.dtype and got._rows.tobytes() == want._rows.tobytes()
         assert np.array_equal(got._starts, want._starts) and np.array_equal(got._counts, want._counts)
         assert got.finite_values(f).tobytes() == want.finite_values(f).tobytes()
         pinned = got
@@ -154,18 +148,18 @@ def test_a_pin_is_not_refilled_for_other_states_or_when_it_is_a_slice():
     states = np.array([0, 1])
 
     sliced = view.restrict(states, [1, 0])  # rows 1 and 2: a slice of the stack
-    assert np.shares_memory(sliced._stack, model.stack)
+    assert np.shares_memory(sliced._rows, model.stack)
     got = view.restrict(states, [0, 1], sliced)  # rows 0 and 3
-    assert got is not sliced and np.array_equal(sliced._stack, stack[1:3])
+    assert got is not sliced and np.array_equal(sliced._rows, stack[1:3])
 
     copied = view.restrict(states, [0, 1])
     for into in (view.restrict(np.array([0, 2]), [0, 0]), other.restrict(states, [0, 1])):
-        before = into._stack.copy()
+        before = into._rows.copy()
         got = view.restrict(states, [1, 1], into)  # rows 1 and 3
-        assert got is not into and np.array_equal(into._stack, before)
-        assert np.array_equal(got._stack, stack[[1, 3]])
+        assert got is not into and np.array_equal(into._rows, before)
+        assert np.array_equal(got._rows, stack[[1, 3]])
     assert view.restrict(states, [1, 1], copied) is copied
-    assert np.array_equal(copied._stack, stack[[1, 3]]) and np.array_equal(model.stack, stack)
+    assert np.array_equal(copied._rows, stack[[1, 3]]) and np.array_equal(model.stack, stack)
 
 
 @st.composite
@@ -472,6 +466,57 @@ def test_a_policy_iteration_pins_once_and_refills_the_pin(monkeypatch):
     res = policy_iteration(model, [0], "upper")
     assert res.iterations == 3 and len(res.classification.finite) == n - 1
     assert pins == [True, False, False]
+
+
+# ------------------------------------------------------------ dense blocks
+
+@pytest.mark.parametrize("seed", range(4))
+def test_swapped_co_located_choices_give_identical_block_rows(seed):
+    """With 3 agents in quotient mode, two choices of a state that only swap
+    co-located agents' vertices have one key, so ``block`` builds their rows
+    from one cell, bit for bit, as the table product and the support test
+    read one entry."""
+    m = random_credal_matrix(np.random.default_rng(seed), n=4, max_vertices=3, dense_prob=1.0)
+    view = JointChoices(m, build_product_space(m.space, 3, "quotient"))
+    everyone = np.arange(view.n)
+    swaps = 0
+    for i, joint in enumerate(view.product.states):
+        tuples = view.choice_tuples(i)
+        rows = []
+        for c in range(len(tuples)):
+            choice = np.zeros(view.n, dtype=np.int64)
+            choice[i] = c
+            rows.append(view.block(everyone, choice)[i])
+        for a, b in itertools.combinations(range(len(tuples)), 2):
+            if sorted(zip(joint, tuples[a])) == sorted(zip(joint, tuples[b])):
+                swaps += 1
+                assert rows[a].tobytes() == rows[b].tobytes(), (joint, tuples[a], tuples[b])
+    assert swaps > 0
+
+
+@pytest.mark.parametrize("mode", ["full", "quotient"])
+@pytest.mark.parametrize("seed", [0, 12, 14, 24])  # 12, 14, 24: some pairs never meet
+def test_a_whole_view_pin_solves_densely_as_the_pair_oracle(monkeypatch, mode, seed):
+    """A degenerate meeting whose agents each pick a vertex by their own state
+    alone is two independent walks on one selection's chain. Forced onto the
+    dense fallback, its block is built on the whole-view pin and the values
+    match :func:`chain.meeting_times` on that chain: the same inf pattern and
+    finite values within 1e-14 relative."""
+    rng = np.random.default_rng(seed)
+    m = random_credal_matrix(rng, n=6, max_vertices=3)
+    v = rng.integers(0, np.diff(m.offsets))
+    product = build_product_space(m.space, 2, mode)
+    selection = {s: tuple(int(v[z]) for z in s) for s in product.states}
+    dense = []
+    dense_solve = solver._dense_solve
+    monkeypatch.setattr(solver, "_gmres", lambda apply, k, give_up: (np.zeros(k), 1.0, 0))
+    monkeypatch.setattr(solver, "_dense_solve", lambda *args: dense.append(1) or dense_solve(*args))
+    got = meet(m, 2, "degenerate", mode=mode, selection=selection).matrix()
+    T = TransitionMatrix(m.space, selection_matrix(m, v))
+    want = meeting_times(T, T)
+    assert dense and np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=0.0)
 
 
 # ------------------------------------------------------- memory of a solve
