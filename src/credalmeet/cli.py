@@ -191,7 +191,7 @@ def _cmd_hit(args) -> int:
             "tol": encode_value(args.tol), "max_iter": args.max_iter,
         },
         "model": _model_info(args.model, model),
-        "values": {lab: encode_value(result.values[i]) for i, lab in enumerate(labels)},
+        "values": {lab: encode_value(v) for lab, v in zip(labels, result.values.tolist())},
         "selection": {lab: int(result.selection[i]) for i, lab in enumerate(labels)},
         "classification": _classification_labels(labels, result.classification),
         "diagnostics": _diagnostics(result, method=result.method),
@@ -267,7 +267,7 @@ def _cmd_meet(args) -> int:
             "epsilon": result.epsilon, "tol": encode_value(args.tol), "max_iter": args.max_iter,
         },
         "model": _model_info(args.model, model),
-        "values": {lab: encode_value(v) for lab, v in zip(joint_labels, result.values)},
+        "values": {lab: encode_value(v) for lab, v in zip(joint_labels, result.values.tolist())},
         "selections": {
             lab: list(tup) for lab, tup in zip(joint_labels, result.selections) if tup is not None
         },

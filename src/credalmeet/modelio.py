@@ -16,20 +16,25 @@ A model file is a single YAML document::
 
 Every row needs either ``vertices`` or both ``lower`` and ``upper``.
 Vertex entries must be non-negative and sum to one within ``SUM_TOL``
-(they are rescaled to sum to one exactly after validation). Interval rows
-are accepted for at most eight states; beyond that the vertex count of the
-interval polytope explodes and explicit vertices must be provided.
+(they are rescaled to sum to one exactly after validation). Interval bounds
+must lie in [0, 1]. Interval rows are accepted for at most eight states;
+beyond that the vertex count of the interval polytope explodes and explicit
+vertices must be provided.
 
 Result files are JSON with a ``schema_version`` field; infinite values are
-serialized as the string ``"inf"`` since JSON has no infinity literal.
+serialized as the string ``"inf"`` since JSON has no infinity literal. Their
+bytes are those of ``json.dumps(payload, indent=2, allow_nan=False)`` and a
+newline.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -43,8 +48,34 @@ RESULT_SCHEMA_VERSION = 1
 #: Interval rows are expanded by enumerating bound patterns, 2**n of them.
 MAX_INTERVAL_STATES = 8
 
-#: The libyaml parser where PyYAML was built with it, else the pure-Python one.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+
+#: Last characters of float text that cannot spell ``inf``, ``infinity`` or ``nan``.
+_DECIMAL_ENDS = frozenset("0123456789.")
+
+
+class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader, on the libyaml parser where PyYAML was built
+    with it, that reads the float entries of a list with one ``float`` call.
+
+    PyYAML's ``construct_yaml_float`` drops underscores and one leading sign
+    and calls ``float`` on the rest, except on the ``inf`` and ``nan``
+    spellings and on base-60 text. So where the text ends in a digit or a
+    point and ``float`` reads it, ``float`` gives PyYAML's value. Every other
+    entry goes through ``construct_object``.
+    """
+
+    def construct_sequence(self, node, deep=False):
+        items = []
+        for child in node.value:
+            if child.tag == _FLOAT_TAG and child.value[-1:] in _DECIMAL_ENDS:
+                try:
+                    items.append(float(child.value))
+                    continue
+                except ValueError:  # say "1:30" or "- 1", which PyYAML reads
+                    pass
+            items.append(self.construct_object(child, deep=deep))
+        return items
 
 
 class ModelFormatError(ValueError):
@@ -92,17 +123,21 @@ def interval_vertices(lower, upper) -> np.ndarray:
     return np.array([found[k] for k in sorted(found)])
 
 
-def _numeric(where: str, entries: list, problems: list[str], nan_ok: bool = True) -> bool:
-    """Whether every entry is a number a float can hold, NaN only if ``nan_ok``; reports the rest."""
+def _numeric(where: str, entries: list, problems: list[str], bound: bool = False) -> bool:
+    """Whether every entry is a number a float can hold, and a probability in
+    [0, 1] if it is a ``bound`` (NaN is then no number); reports the rest."""
     bad = []
     for k, x in enumerate(entries):
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not (nan_ok or x == x):
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or (bound and x != x):
             bad.append(f"{where} entry {k} is not a number ({x!r})")
             continue
         try:
             float(x)
         except OverflowError:
             bad.append(f"{where} entry {k} is too large for a float")
+            continue
+        if bound and not 0 <= x <= 1:
+            bad.append(f"{where} entry {k} is outside [0, 1] ({x!r})")
     problems.extend(bad)
     return not bad
 
@@ -132,8 +167,9 @@ def _row_from_spec(label: str, spec, n: int, problems: list[str]):
     if not (isinstance(lo, list) and isinstance(hi, list) and len(lo) == n and len(hi) == n):
         problems.append(f"row {label!r}: lower and upper must be lists of {n} numbers")
         return None
-    # a NaN bound would reach the vertices, named against entries never written
-    numeric = [_numeric(f"row {label!r}: {key}", spec[key], problems, nan_ok=False)
+    # a NaN bound or one outside [0, 1] would reach the vertices, named
+    # against entries never written, or pass unseen
+    numeric = [_numeric(f"row {label!r}: {key}", spec[key], problems, bound=True)
                for key in ("lower", "upper")]
     if not all(numeric):
         return None
@@ -247,7 +283,60 @@ def decode_value(value) -> float:
     return float(value)
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat_encode(depth: int):
+    """``encode`` of a stdlib encoder, C where the stdlib has it, for a
+    container of scalars whose members sit ``depth`` levels deep: the newline
+    and indentation of ``indent=2`` ride on its item separator."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
+
+
+def _indented(obj, depth: int, open_ids: set) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` of the dict, list or
+    tuple ``obj`` nested ``depth`` levels deep, with ``depth`` levels of
+    indentation after each newline. ``open_ids`` holds the containers that
+    enclose ``obj``, for the circular-reference check."""
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    members = obj.values() if is_dict else obj
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + ("}" if is_dict else "]")
+    if not any(isinstance(x, _CONTAINERS) for x in members):
+        text = _flat_encode(depth + 1)(obj)
+        return text[0] + inner + text[1:-1] + close
+    if is_dict and not all(isinstance(key, str) for key in obj):
+        raise TypeError("keys other than str are left to json.dumps")
+    if id(obj) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(obj))
+    encode = _flat_encode(depth + 1)
+    deeper = inner + "  "
+    parts = []
+    for x in members:
+        if type(x) is list and x and all(type(k) is int for k in x):  # say a joint selection
+            parts.append("[" + deeper + ("," + deeper).join(map(int.__repr__, x)) + inner + "]")
+        elif isinstance(x, _CONTAINERS):
+            parts.append(_indented(x, depth + 1, open_ids))
+        else:
+            parts.append(encode(x))
+    open_ids.remove(id(obj))
+    if is_dict:
+        parts = [encode_basestring_ascii(key) + ": " + part for key, part in zip(obj, parts)]
+    return ("{" if is_dict else "[") + inner + ("," + inner).join(parts) + close
+
+
 def write_result(path, payload: dict) -> None:
-    """Write a result payload as stable, indented JSON."""
+    """Write a result payload as stable, indented JSON: the bytes of
+    ``json.dumps(payload, indent=2, allow_nan=False)`` and a newline."""
     payload = {"schema_version": RESULT_SCHEMA_VERSION, **payload}
-    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    try:
+        text = _indented(payload, 0, set())
+    except (TypeError, ValueError):
+        # json.dumps writes what the fast path leaves, or raises its own
+        # error: the C encoder's message for a NaN omits the value
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")

@@ -1,11 +1,12 @@
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from credalmeet import cli
+from credalmeet import cli, solver
 from credalmeet.cli import main
 from credalmeet.selfcheck import CHECKS
 
@@ -398,9 +399,34 @@ GOLDEN_RUNS = {
 }
 
 
+RESIDUAL = re.compile(r"residual [^,]*,")
+
+
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
-def test_tables_print_the_golden_bytes(name, capsys):
+def test_tables_print_the_golden_bytes(name, capsys, tmp_path):
     # the 2-agent matrix, the m-agent list and the hitting table, byte for
-    # byte as they were printed one row per call
-    assert main(GOLDEN_RUNS[name]) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+    # byte as they were printed one row per call; the residual's last bits
+    # come from the BLAS kernel, so it is held to the backward-error bound
+    out = tmp_path / "result.json"
+    assert main([*GOLDEN_RUNS[name], "--json", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert RESIDUAL.sub("residual R,", printed) == RESIDUAL.sub(
+        "residual R,", (GOLDEN / f"{name}.txt").read_text())
+    payload = json.loads(out.read_text())
+    residual = payload["diagnostics"]["residual"]
+    assert f"residual {residual:.3e}," in printed
+    finite = payload["classification"]["finite"]
+    hmax = max((payload["values"][lab] for lab in finite), default=0.0)
+    assert 0.0 <= residual <= solver._residual_bound(len(finite), hmax)
+
+
+@pytest.mark.parametrize("argv", [
+    ["meet", "builtin:five-state", "--agents", "3"],
+    ["meet", "builtin:five-state", "--agents", "2", "--mode", "full"],
+    ["hit", "builtin:five-state", "--target", "5", "--sense", "upper"],
+], ids=["meet-agents3", "meet-agents2-full", "hit"])
+def test_json_files_hold_the_bytes_of_json_dumps(argv, tmp_path, capsys):
+    out = tmp_path / "result.json"
+    assert main([*argv, "--json", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"

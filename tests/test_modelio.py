@@ -1,8 +1,13 @@
 import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from credalmeet import (
@@ -15,6 +20,7 @@ from credalmeet import (
     model_digest,
     parse_model,
 )
+from credalmeet import modelio
 from credalmeet.modelio import MAX_INTERVAL_STATES, decode_value, encode_value, write_result
 from credalmeet.selfcheck import bundled_model_path
 
@@ -123,15 +129,37 @@ def test_interval_bound_sums_print_plain_floats():
     doc = """
 states: [a, b]
 rows:
-  a: {lower: [0.5, .inf], upper: [1, .inf]}
+  a: {lower: [0.7, 0.7], upper: [1, 1]}
   b: {lower: [0, 0], upper: [0.25, 0.5]}
 """
     with pytest.raises(ModelFormatError) as err:
         parse_model(doc)
     assert err.value.violations == [
-        "row 'a': lower bounds sum to inf > 1, infeasible",
+        "row 'a': lower bounds sum to 1.4 > 1, infeasible",
         "row 'b': upper bounds sum to 0.75 < 1, infeasible",
     ]
+
+
+@pytest.mark.parametrize("row, violations", [
+    # once accepted, with the vertices of lower [0, 0]
+    ("{lower: [-0.5, 0.0], upper: [1.0, 1.0]}",
+     ["row 'a': lower entry 0 is outside [0, 1] (-0.5)"]),
+    # once accepted, with the vertices of upper [1, 1]
+    ("{lower: [0.0, 0.0], upper: [.inf, .inf]}",
+     ["row 'a': upper entry 0 is outside [0, 1] (inf)",
+      "row 'a': upper entry 1 is outside [0, 1] (inf)"]),
+    # once reported against the vertices [-0.5, 1.5] and [1.5, -0.5]
+    ("{lower: [-0.5, -0.5], upper: [2.0, 2.0]}",
+     ["row 'a': lower entry 0 is outside [0, 1] (-0.5)",
+      "row 'a': lower entry 1 is outside [0, 1] (-0.5)",
+      "row 'a': upper entry 0 is outside [0, 1] (2.0)",
+      "row 'a': upper entry 1 is outside [0, 1] (2.0)"]),
+], ids=["negative-lower", "infinite-upper", "both-outside"])
+def test_an_interval_bound_outside_the_unit_interval_is_named(row, violations):
+    doc = f"states: [a, b]\nrows:\n  a: {row}\n  b: {{vertices: [[0, 1]]}}\n"
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(doc)
+    assert err.value.violations == violations
 
 
 def test_integers_too_large_for_a_float_are_format_errors():
@@ -304,3 +332,154 @@ def test_from_rows_reports_all_violations_at_once():
         CredalMatrix.from_rows(["a", "b"], [[[0.5, 0.6], [-0.1, 1.1]], []])
     joined = "\n".join(err.value.violations)
     assert "sum" in joined and "negative" in joined and "no vertices" in joined
+
+
+# -------------------------------------------------------------- result files
+
+# strings with non-ASCII, quote, backslash and control characters, and the
+# numbers at the edges of what JSON writes
+_LEAVES = st.one_of(
+    st.text(), st.sampled_from(["é☃𝄞", '"', "\\", "\x00\x1f\n\t\x7f", ""]),
+    st.booleans(), st.none(), st.integers(), st.integers(2**63, 2**90),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_KEYS = st.one_of(st.text(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                  st.booleans(), st.none())
+_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.lists(st.integers(), max_size=4), st.lists(st.booleans(), max_size=3),
+    st.dictionaries(st.text(), kids, max_size=4), st.dictionaries(_KEYS, kids, max_size=4),
+), max_leaves=30)
+
+
+def _stdlib_text(payload: dict) -> str:
+    return json.dumps({"schema_version": 1, **payload}, indent=2, allow_nan=False) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _TREES, max_size=5) | st.dictionaries(_KEYS, _TREES, max_size=5))
+def test_result_files_hold_the_bytes_of_json_dumps(tmp_path_factory, payload):
+    out = tmp_path_factory.mktemp("write") / "r.json"
+    write_result(out, payload)
+    assert out.read_bytes() == _stdlib_text(payload).encode()
+
+
+@pytest.mark.parametrize("payload", [
+    {"values": [1.0, math.nan]},
+    {"values": {"a": 1.0, "b": -math.inf}},
+    {"nested": {"a": [{"b": [0, 1]}, {"c": math.inf}]}},
+    {"keys": {math.nan: 1}},
+    {"keys": {"a": [1], math.inf: [2]}},
+    {"other": [1, object()]},
+    {"other": {(1, 2): 3}},
+])
+def test_a_refused_payload_raises_what_json_dumps_raises(tmp_path, payload):
+    out = tmp_path / "r.json"
+    with pytest.raises((ValueError, TypeError)) as want:
+        _stdlib_text(payload)
+    with pytest.raises(want.type) as got:
+        write_result(out, payload)
+    assert str(got.value) == str(want.value)
+    assert not out.exists()
+
+
+def test_a_nan_is_named_in_the_message(tmp_path):
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant: nan$"):
+        write_result(tmp_path / "r.json", {"values": {"a": 1.0, "b": math.nan}})
+
+
+def test_a_circular_payload_is_refused_as_json_dumps_refuses_it(tmp_path):
+    loop = {"a": [1]}
+    loop["a"].append({"b": loop})
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        write_result(tmp_path / "r.json", {"loop": loop})
+
+
+# --------------------------------------------------------------- the loader
+
+def _torus_doc(rng, rows: int, cols: int) -> str:
+    """A uniform and a lazy 5-point step per cell of a torus, dumped as YAML."""
+    labels = [f"c{r}_{c}" for r in range(rows) for c in range(cols)]
+    doc = {"states": labels, "rows": {}}
+    for r in range(rows):
+        for c in range(cols):
+            here = r * cols + c
+            hood = [((r + dr) % rows) * cols + (c + dc) % cols
+                    for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+            uniform, lazy = np.zeros(len(labels)), np.zeros(len(labels))
+            uniform[[here, *hood]] = 0.2
+            stay = rng.uniform(0.4, 0.8)
+            lazy[here], lazy[hood] = stay, (1 - stay) / 4
+            doc["rows"][labels[here]] = {"vertices": [uniform.tolist(), lazy.tolist()]}
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+def _spelled(*vertices: str) -> str:
+    """A 3-state model whose row ``a`` has the given vertex lists."""
+    return (f"states: [a, b, c]\nrows:\n  a: {{vertices: [{', '.join(vertices)}]}}\n"
+            "  b: {vertices: [[0, 1, 0]]}\n  c:\n    vertices:\n    - - 0.0\n      - 0.0\n      - 1.0\n")
+
+
+SPELLED = {
+    "signed-and-bare": _spelled("[+0.5, .5, -0.0]"),
+    "exponent": _spelled("[1.5E+3, 0, 0]"),
+    "small-exponent-and-tag": _spelled("[2.5e-1, 7.5E-1, 0.0]", '[!!float "0.5", 0.5, 0.0]'),
+    "underscore": _spelled("[1_000.5e-3, 0, 0]"),
+    "anchor-and-alias": _spelled("[&h 0.5, *h, 0.0]", "[*h, 0.25, 0.25]"),
+    "inf": _spelled("[.inf, 0, 0]"),
+    "minus-INF": _spelled("[-.INF, 1, 1]"),
+    "NaN": _spelled("[.NaN, 1, 0]", '[!!float "-nan", 0, 1]'),
+    "tagged-base-60": _spelled("[!!float 1:30, 0, 0]"),
+}
+REFUSED = {"exponent", "tagged-base-60", "underscore", "inf", "minus-INF", "NaN"}
+
+
+def _parsed(text: str, loader, monkeypatch):
+    """What ``parse_model`` makes of ``text`` when it reads with ``loader``:
+    the labels and the bytes of the stack and offsets, or the error."""
+    monkeypatch.setattr(modelio, "_LOADER", loader)
+    try:
+        m = parse_model(text)
+    except (ModelFormatError, ModelValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    return m.space.labels, m.stack.tobytes(), m.offsets.tobytes()
+
+
+def _bits(node):
+    """The loaded document with every float replaced by its bytes."""
+    if isinstance(node, float):
+        return struct.pack("<d", node)
+    if isinstance(node, list):
+        return [_bits(x) for x in node]
+    if isinstance(node, dict):
+        return {k: _bits(v) for k, v in node.items()}
+    return node
+
+
+@pytest.mark.parametrize("name", ["five-state", "torus", *SPELLED])
+def test_the_loader_reads_what_the_pure_python_safe_loader_reads(name, monkeypatch):
+    if name == "five-state":
+        text = Path(bundled_model_path("five-state")).read_text()
+    elif name == "torus":
+        text = _torus_doc(np.random.default_rng(0), 4, 5)
+    else:
+        text = SPELLED[name]
+    assert _bits(yaml.load(text, Loader=modelio._LOADER)) == _bits(yaml.load(text, Loader=yaml.SafeLoader))
+    got = _parsed(text, modelio._LOADER, monkeypatch)
+    assert got == _parsed(text, yaml.SafeLoader, monkeypatch)
+    assert (got[0] == "ModelValidationError") == (name in REFUSED), got
+
+
+def test_the_spelled_floats_are_read_as_written(monkeypatch):
+    rows = yaml.load(SPELLED["signed-and-bare"], Loader=modelio._LOADER)["rows"]
+    assert _bits(rows["a"]["vertices"]) == _bits([[0.5, 0.5, -0.0]])
+    assert _parsed(SPELLED["inf"], modelio._LOADER, monkeypatch)[1].splitlines()[1:] == [
+        "  - row 'a' vertex 0: entry 0 exceeds 1 (inf)",
+        "  - row 'a' vertex 0: entries sum to inf, not 1",
+    ]
+    assert _parsed(SPELLED["NaN"], modelio._LOADER, monkeypatch)[1].splitlines()[1:] == [
+        "  - row 'a' vertex 0: entry 0 is not a number",
+        "  - row 'a' vertex 1: entry 0 is not a number",
+    ]
+    assert "entry 0 exceeds 1 (90.0)" in _parsed(SPELLED["tagged-base-60"], modelio._LOADER, monkeypatch)[1]
