@@ -347,9 +347,9 @@ def segment_optimum(vals: np.ndarray, bounds: np.ndarray, sense: str):
     """
     starts = bounds[:-1]
     best = (np.maximum if sense == "upper" else np.minimum).reduceat(vals, starts)
-    hit = vals == np.repeat(best, bounds[1:] - starts)
-    first = np.minimum.reduceat(np.where(hit, np.arange(vals.size), vals.size), starts)
-    return best, first - starts
+    hits = np.flatnonzero(vals == np.repeat(best, bounds[1:] - starts))
+    # every segment attains its optimum, so its first hit is the first at or after its start
+    return best, hits[np.searchsorted(hits, starts)] - starts
 
 
 def is_integer(value) -> bool:

@@ -9,9 +9,10 @@ transitions have positive probability. Every closure grows its set in
 frontier rounds, one per breadth-first level: a round asks a view's
 ``touches`` which of its choices, every choice of the view, put mass on the
 states added in the previous round, and reduces the answers over every
-state's segment with :func:`segment_optimum`. The answers test which entries
-are above zero, never how large, so they are exact however small; ``values``
-sets inf where they find an infinite entry.
+state's segment: one logical ``reduceat``, or :func:`segment_optimum` where
+the lowest choice that joins is wanted as a witness. The answers test which
+entries are above zero, never how large, so they are exact however small;
+``values`` sets inf where they find an infinite entry.
 """
 
 from __future__ import annotations
@@ -138,14 +139,15 @@ class CredalChoices(ChoiceView):
 def _grow(view, seeds: np.ndarray, outside: np.ndarray, join: str, eligible=True):
     """Grow ``seeds`` by the states of the mask ``outside``, in frontier rounds.
 
-    A state joins when some choice (``join="any"``, restricted to the
-    ``eligible`` ones when given, flat over every choice of the view) or
-    every choice (``join="all"``) puts mass on the grown set. One per-choice
-    array keeps whether each choice has touched the grown set yet: a round
-    adds the whole view's support test of the previous round's additions
-    and reduces it over every state's segment, and the states still outside
-    that it finds join. Returns the grown mask and, per state that joined
-    under "any", the lowest choice that let it join.
+    A state joins when some choice (``join="any"``, or ``join="witness"``,
+    restricted to the ``eligible`` ones when given, flat over every choice
+    of the view) or every choice (``join="all"``) puts mass on the grown
+    set. One per-choice array keeps whether each choice has touched the
+    grown set yet: a round adds the whole view's support test of the
+    previous round's additions and reduces it over every state's segment,
+    and the states still outside that it finds join. Returns the grown mask
+    and, per state that joined under "witness", the lowest choice that let
+    it join.
     """
     grown, outside = seeds.copy(), outside.copy()
     witness = np.zeros(view.n, dtype=np.int64)
@@ -154,12 +156,12 @@ def _grow(view, seeds: np.ndarray, outside: np.ndarray, join: str, eligible=True
     frontier = seeds
     while outside.any() and frontier.any():
         hit |= view.touches(frontier)
-        if join == "any":
+        if join == "witness":
             best, first = segment_optimum(hit & eligible, bounds, "upper")
             frontier = outside & best
             witness[frontier] = first[frontier]
         else:  # no witness to find: one reduction per segment
-            frontier = outside & np.logical_and.reduceat(hit, bounds[:-1])
+            frontier = outside & (np.logical_or if join == "any" else np.logical_and).reduceat(hit, bounds[:-1])
         grown |= frontier
         outside &= ~frontier
     return grown, witness
@@ -201,11 +203,11 @@ def _almost_sure_closure(view, targets: np.ndarray) -> tuple[np.ndarray, np.ndar
     every state kept, so every choice is eligible and it grows the best-case
     reachable set (:func:`_upper_closure` of the targets), returned third.
     """
-    reachable, witness = _grow(view, targets, ~targets, "any")
+    reachable, witness = _grow(view, targets, ~targets, "witness")
     kept, progressing = np.ones(view.n, dtype=bool), reachable
     while not (progressing == kept).all():
         kept = progressing
-        progressing, witness = _grow(view, targets, kept & ~targets, "any", ~view.touches(~kept))
+        progressing, witness = _grow(view, targets, kept & ~targets, "witness", ~view.touches(~kept))
     return kept, witness, reachable
 
 

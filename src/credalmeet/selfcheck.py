@@ -107,7 +107,9 @@ def check_matrix_free_evaluation():
             visited.append((finite, cut.selection[finite]))
     worst = 0.0
     for finite, choice in visited:
-        h, residual, products = solver._gmres(solver._selection_operator(view, finite, choice), finite.size)
+        evaluator = solver._Evaluator(view, finite)
+        evaluator.pin(choice)
+        h, residual, products, _ = solver._gmres(evaluator.product, evaluator.work)
         if not solver._meets_bound(h, residual):
             return False, f"GMRES missed its bound on {finite.size} unknowns in {products} products"
         dense = solver._dense_solve(view, finite, choice)

@@ -2,11 +2,13 @@
 
 Two methods are provided. Monotone value iteration from zero climbs to the
 minimal non-negative fixed point of the one-step operator on the
-finitely-valued states. Policy iteration alternates exact evaluation of one
+finitely-valued states. Policy iteration alternates evaluation of one
 selection with a greedy switch to better vertices, and terminates after
 finitely many sweeps because there are finitely many selections and no
-strict improvement can repeat. Both share the classification and the choice
-kernel, so they cross-check each other's iteration, not those; the
+strict improvement can repeat once the evaluations are exact; the
+evaluations before that are loose, stopped at a slack that shrinks with the
+greedy defect (:func:`solve_view_policy`). Both share the classification and
+the choice kernel, so they cross-check each other's iteration, not those; the
 independent oracles are :func:`~credalmeet.chain.hitting_times`,
 :func:`~credalmeet.chain.meeting_times` and
 :func:`~credalmeet.meeting.exhaustive_meeting_times`. An evaluation solves
@@ -31,16 +33,18 @@ writes its per-state optimum, plus one, into the finite entries of the next
 row. One stop test per block takes every sweep's sup-norm step at once and
 keeps the first sweep within ``tol``, so at most ``VALUE_BLOCK - 1`` sweeps
 are discarded per solve. Policy iteration starts from the classification's
-witness, a selection proper on the finite region. A GMRES evaluation pins
-the view to the selected choice of each finite state
+witness, a selection proper on the finite region. Its evaluations share one
+:class:`_Evaluator`, made once per solve. A GMRES evaluation pins the view to
+the selected choice of each finite state
 (:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a product on a base
 model contracts only the ``k`` selected rows; a product is one
-:meth:`~credalmeet.reach.ChoiceView.finite_values` call into a buffer of its
-own, and the least-squares coefficients are solved for only when an iterate
-is formed. A solve pins once: each later sweep refills that pin's row
-arrays in place for its selection, on the same finite states, rather than
-copying the selected rows into fresh arrays. A dense solve reads the
-selection's ``(k, k)`` block of the finite states from the view in one call.
+:meth:`~credalmeet.reach.ChoiceView.finite_values` call into a buffer of the
+evaluator's, and the least-squares coefficients are solved for only when an
+iterate is formed, in GMRES buffers allocated once per solve. A solve pins
+once: each later sweep refills that pin's row arrays in place for its
+selection, on the same finite states, rather than copying the selected rows
+into fresh arrays. A dense solve reads the selection's ``(k, k)`` block of
+the finite states from the view in one call.
 
 Both methods first classify the states and pin the hopeless ones to inf, so
 the iteration itself only ever runs on the finite region; both end in one
@@ -70,6 +74,15 @@ MAX_DENSE_BYTES = 2**30
 #: Allowance in ``_dense_bytes`` for the buffers numpy's iterators take in a
 #: broadcast or a gather, about 130 KB each.
 ITERATOR_BUFFER_BYTES = 2**18
+
+#: Forcing factor of policy iteration's loose evaluations: the slack of each
+#: one is at most this times the defect of the greedy pass before it.
+FORCING = 0.1
+
+#: Smallest slack of a loose evaluation; below it the evaluation is exact. A
+#: slack that small saves few GMRES products on an exact solve, while a
+#: selection that loose values pick again costs one exact evaluation more.
+SLACK_FLOOR = 1e-3
 
 #: Most sweeps in one block of value iteration, whose stop test reads all of
 #: a block's steps at once: up to ``VALUE_BLOCK - 1`` sweeps past the one a
@@ -235,24 +248,6 @@ def _meets_bound(h: np.ndarray, residual: float) -> bool:
     return residual <= _gmres_bound(h.size, float(np.max(np.abs(h))))
 
 
-def _selection_operator(view, finite: np.ndarray, choice: np.ndarray, pinned=None):
-    """The product ``x -> (I - P) x`` of one selection on the finite states,
-    one :meth:`finite_values` call each on ``pinned``, the view pinned to the
-    selection, or on a pin of its own when not given (the padded ``x`` is
-    finite), into a buffer of the operator's own that holds the result until
-    the next product."""
-    sel = view.restrict(finite, choice) if pinned is None else pinned
-    padded = np.zeros(view.n)  # admissible choices put no mass outside the finite states
-    out = np.empty(finite.size)
-    cols = segment_rows(finite, np.ones(finite.size, dtype=np.int64))  # a slice when consecutive
-
-    def apply(x):
-        padded[cols] = x
-        return np.subtract(x, sel.finite_values(padded, out), out=out)
-
-    return apply
-
-
 def _gmres_cycles(k: int) -> int:
     """The cap on GMRES cycles for ``k`` unknowns: the ``k`` products in which
     full GMRES terminates in exact arithmetic, and one cycle more for rounding.
@@ -261,43 +256,55 @@ def _gmres_cycles(k: int) -> int:
     return -(-k // GMRES_RESTART) + 1
 
 
-def _gmres(apply, k: int, give_up: bool = False):
-    """Restarted GMRES from zero for ``apply(h) = 1``: the last iterate, the
-    sup-norm of its true residual and the number of products.
+def _workspace(k: int):
+    """GMRES's buffers for ``k`` unknowns: the basis, the rotated Hessenberg
+    matrix and the inverse of its leading triangle (only their upper
+    triangles are ever written, so they serve every cycle and every call),
+    and the Gram-Schmidt coefficients, their correction and projection."""
+    square = (GMRES_RESTART, GMRES_RESTART)
+    return (np.empty((GMRES_RESTART + 1, k)), np.zeros(square), np.zeros(square),
+            np.empty(GMRES_RESTART), np.empty(GMRES_RESTART), np.empty(k))
+
+
+def _gmres(apply, work, give_up: bool = False, slack: float = 0.0):
+    """Restarted GMRES from zero for ``apply(h) = 1`` in the buffers ``work``
+    (:func:`_workspace`): the last iterate, the sup-norm of its true
+    residual, the number of products and whether ``slack`` changed a stop
+    decision, so that the iterate is not the one GMRES gives without it.
 
     Each product adds a column to the Hessenberg matrix, orthogonalised by
     Gram-Schmidt twice, which the Givens rotations of the earlier columns and
     one new rotation bring to upper triangular form; the rotated right-hand
-    side then holds the least-squares misfit, the 2-norm of the residual,
-    which bounds its sup-norm. The iterate ``h + y @ basis`` is formed, with
-    ``y`` from one triangular solve, only when the misfit could meet
-    :func:`_gmres_bound` at its size, and at the end of a cycle: the basis
-    rows are orthonormal, so ``|h|_inf + |y|_2`` bounds its sup-norm, and
-    ``|y|_2`` is read from the inverse of the rotated triangle, which gains
-    one column per product. A cycle ends on that bound, on a breakdown or
-    after ``GMRES_RESTART`` products. The basis, the triangle and the
-    Gram-Schmidt coefficients live in buffers allocated once per call.
+    side, kept as Python floats, then holds the least-squares misfit, the
+    2-norm of the residual, which bounds its sup-norm. A stop test compares
+    with the target ``max(bound, slack)``, ``bound`` being
+    :func:`_gmres_bound`. The iterate ``h + y @ basis`` is formed, with ``y``
+    from one triangular solve, only when the misfit could meet the target at
+    its size, and at the end of a cycle: the basis rows are orthonormal, so
+    ``|h|_inf + |y|_2`` bounds its sup-norm, and ``|y|_2`` is read from the
+    inverse of the rotated triangle, which gains one column per product and
+    is applied only once the misfit is within ``max(sqrt(eps), slack)``,
+    above which no iterate can pass. A cycle ends on that test, on a
+    breakdown or after ``GMRES_RESTART`` products. The basis, the triangle
+    and the Gram-Schmidt coefficients live in buffers allocated once per
+    solve (:class:`_Evaluator`).
 
-    It stops once the true residual meets :func:`_gmres_bound`, after
+    It stops once the true residual meets the target, after
     :func:`_gmres_cycles` cycles, or, with ``give_up``, as soon as the last
     cycle's reduction of the residual's 2-norm, kept up, would not meet the
-    bound within that cap.
+    target within that cap.
     """
+    basis, tri, inv, coef, part, proj = work
+    k = basis.shape[1]
     h, hmax = np.zeros(k), 0.0
     r = np.ones(k)
     norm = math.sqrt(k)
-    products = 0
+    products, loose = 0, False
     cycles = _gmres_cycles(k)
-    basis = np.empty((GMRES_RESTART + 1, k))
-    # the rotated Hessenberg matrix and the inverse of its leading triangle;
-    # only their upper triangles are ever written, so they serve every cycle
-    tri = np.zeros((GMRES_RESTART, GMRES_RESTART))
-    inv = np.zeros((GMRES_RESTART, GMRES_RESTART))
-    rhs = np.empty(GMRES_RESTART + 1)  # the rotated right-hand side
-    coef, part, proj = np.empty(GMRES_RESTART), np.empty(GMRES_RESTART), np.empty(k)
+    cap = max(math.sqrt(_EPS), slack)  # no iterate with a larger misfit passes
     for cycle in range(1, cycles + 1):
         np.divide(r, norm, out=basis[0])
-        rhs[0] = norm
+        rhs = [norm]  # the rotated right-hand side
         turns = []  # (cos, sin) per rotation
         size, new = 0, None  # columns of the triangle; the iterate, once formed
         for j in range(GMRES_RESTART):
@@ -321,15 +328,21 @@ def _gmres(apply, k: int, give_up: bool = False):
             tri[: j + 1, j] = col
             inv[:j, j] = inv[:j, :j] @ tri[:j, j] / -rho
             inv[j, j] = 1.0 / rho
-            rhs[j + 1] = -sn * rhs[j]
+            rhs.append(-sn * rhs[j])
             rhs[j] *= cs
             size, new = j + 1, None
             misfit = abs(rhs[size])
-            y = inv[:size, :size] @ rhs[:size]  # the least-squares solution, for its norm
-            if beta == 0.0 or misfit <= _gmres_bound(k, hmax + math.sqrt(y @ y)):
+            if beta == 0.0:
                 new = h + np.linalg.solve(tri[:size, :size], rhs[:size]) @ basis[:size]
-                if beta == 0.0 or misfit <= _gmres_bound(k, np.max(np.abs(new))):
-                    break
+                break
+            if misfit <= cap:
+                y = inv[:size, :size] @ rhs[:size]  # the least-squares solution, for its norm
+                if misfit <= max(_gmres_bound(k, hmax + math.sqrt(y @ y)), slack):
+                    new = h + np.linalg.solve(tri[:size, :size], rhs[:size]) @ basis[:size]
+                    bound = _gmres_bound(k, np.max(np.abs(new)))
+                    if misfit <= max(bound, slack):
+                        loose = loose or misfit > bound
+                        break
             np.divide(w, beta, out=basis[j + 1])
         if new is None:
             new = h + np.linalg.solve(tri[:size, :size], rhs[:size]) @ basis[:size]
@@ -338,13 +351,17 @@ def _gmres(apply, k: int, give_up: bool = False):
         r = 1.0 - apply(h)
         residual = float(np.max(np.abs(r)))
         bound = _gmres_bound(k, hmax)
-        if residual <= bound:
+        if residual <= max(bound, slack):
+            loose = loose or residual > bound
             break
         last, norm = norm, math.sqrt(r @ r)
-        # the 2-norm, cut at the last cycle's rate in each cycle left, must reach the bound
-        if give_up and not (norm < last and norm * (norm / last) ** (cycles - cycle) <= bound):
-            break
-    return h, residual, products
+        # the 2-norm, cut at the last cycle's rate in each cycle left, must reach the target
+        if give_up:
+            reach = norm * (norm / last) ** (cycles - cycle) if norm < last else math.inf
+            if reach > max(bound, slack):
+                break
+            loose = loose or reach > bound  # without the slack GMRES would give up here
+    return h, residual, products, loose
 
 
 def _dense_bytes(view, states: np.ndarray) -> int:
@@ -383,50 +400,113 @@ def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "", ne
     return sol
 
 
-def _evaluate_selection(view, finite: np.ndarray, choice: np.ndarray, need: int | None = None,
-                        pinned=None) -> np.ndarray:
-    """Solve ``(I - P) h = 1`` for one selection restricted to the finite states.
+@dataclass(frozen=True)
+class _Evaluation:
+    """One policy evaluation: the solution on the finite states, the sup-norm
+    of its true residual, the path that gave it (``"gmres"`` or ``"lu"``), the
+    GMRES products it took and whether it is loose, a GMRES iterate that a
+    slack stopped or steered, not the evaluation's exact answer."""
 
-    Restarted GMRES runs first, on the product ``h -> h - P h``, one
-    :meth:`finite_values` call each. When its answer fails :func:`_meets_bound`
-    (it gives up early while the dense solve is allowed or runs to its cap)
-    the system is assembled and solved densely, by LU, which is backward
-    stable at any scale. Either way the residual must meet the backward-error
-    bound. ``need`` is ``_dense_bytes(view, finite)`` and ``pinned`` the view
-    pinned to the selection when the caller has them.
-    """
-    k = finite.size
-    need = _dense_bytes(view, finite) if need is None else need
-    apply = _selection_operator(view, finite, choice, pinned)
-    sol, residual, products = _gmres(apply, k, give_up=need <= MAX_DENSE_BYTES)
-    if not _meets_bound(sol, residual):
-        why = (
-            f"GMRES missed the backward-error bound within {products} products "
-            f"(last residual {residual:.3e}), and "
-        )
-        sol = _dense_solve(view, finite, choice, why, need)
-        residual = float(np.max(np.abs(1.0 - apply(sol))))
-    hmax = float(np.max(np.abs(sol)))
-    bound = _residual_bound(k, hmax)
-    if not (math.isfinite(hmax) and residual <= bound and (sol > 0).all()):
-        raise RuntimeError(
-            f"policy evaluation of size {k} is not accurate in double precision: "
-            f"residual {residual:.3e} against the backward-error bound {bound:.3e}, "
-            f"values from {sol.min():.3e} to {hmax:.3e}; hitting times of this size "
-            "are beyond a double-precision solve"
-        )
-    return sol
+    sol: np.ndarray
+    residual: float
+    path: str
+    products: int
+    loose: bool
+
+    def misses(self, slack: float) -> bool:
+        """Whether a loose evaluation misses ``slack`` or gives a value that is
+        not positive, so that its selection may be improper."""
+        return self.loose and not (self.residual <= slack and (self.sol > 0).all())
+
+
+class _Evaluator:
+    """Evaluations of one solve's selections on its finite states, with the
+    state they share, set up once per solve: the view pinned to the current
+    selection, refilled per selection
+    (:meth:`~credalmeet.reach.ChoiceView.restrict` with ``into``), the padded
+    vector and the output of the product, GMRES's buffers
+    (:func:`_workspace`) and the bytes of a dense solve (:func:`_dense_bytes`)."""
+
+    def __init__(self, view, finite: np.ndarray):
+        k = finite.size
+        self.view, self.finite = view, finite
+        self.need = _dense_bytes(view, finite)
+        self.pinned = None
+        self.padded = np.zeros(view.n)  # admissible choices put no mass outside the finite states
+        self.out = np.empty(k)
+        self.cols = segment_rows(finite, np.ones(k, dtype=np.int64))  # a slice when consecutive
+        self.work = _workspace(k)
+
+    def pin(self, choice: np.ndarray) -> None:
+        """Pin the view to ``choice``, the selected choice per finite state."""
+        self.pinned = self.view.restrict(self.finite, choice, self.pinned)
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """``x - P x`` for the pinned selection, one :meth:`finite_values` call
+        (the padded ``x`` is finite), in a buffer that holds it until the next
+        product."""
+        self.padded[self.cols] = x
+        return np.subtract(x, self.pinned.finite_values(self.padded, self.out), out=self.out)
+
+    def evaluate(self, choice: np.ndarray, slack: float = 0.0) -> _Evaluation:
+        """Solve ``(I - P) h = 1`` for the selection ``choice``.
+
+        Restarted GMRES runs first, on :meth:`product`, and stops at
+        ``slack`` when that is above its bound. An iterate the slack stopped
+        or steered is returned as it is, loose, and so is one that misses
+        the bound under a slack: its selection may be improper, and the
+        caller decides. Otherwise, when GMRES's answer fails
+        :func:`_meets_bound` (it gives up early while the dense solve is
+        allowed or runs to its cap) the system is assembled and solved
+        densely, by LU, which is backward stable at any scale. Either way an
+        exact answer must meet the backward-error bound.
+        """
+        k = self.finite.size
+        self.pin(choice)
+        sol, residual, products, loose = _gmres(self.product, self.work, self.need <= MAX_DENSE_BYTES, slack)
+        meets = _meets_bound(sol, residual)
+        if loose or (slack > 0.0 and not meets):
+            return _Evaluation(sol, residual, "gmres", products, True)
+        if not meets:
+            why = (
+                f"GMRES missed the backward-error bound within {products} products "
+                f"(last residual {residual:.3e}), and "
+            )
+            sol = _dense_solve(self.view, self.finite, choice, why, self.need)
+            residual = float(np.max(np.abs(1.0 - self.product(sol))))
+        hmax = float(np.max(np.abs(sol)))
+        bound = _residual_bound(k, hmax)
+        if not (math.isfinite(hmax) and residual <= bound and (sol > 0).all()):
+            raise RuntimeError(
+                f"policy evaluation of size {k} is not accurate in double precision: "
+                f"residual {residual:.3e} against the backward-error bound {bound:.3e}, "
+                f"values from {sol.min():.3e} to {hmax:.3e}; hitting times of this size "
+                "are beyond a double-precision solve"
+            )
+        return _Evaluation(sol, residual, "gmres" if meets else "lu", products, False)
 
 
 def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_iter: int) -> HittingResult:
-    """Policy iteration on a choice view; see :func:`policy_iteration`. The
-    dense-solve bytes are counted once, and the last greedy pass gives the
-    final residual unless the values changed after it. Only the current
-    values are held: a solve cut at ``max_iter=k`` returns sweep ``k``'s
-    values and, as its selection, the one that sweep ``k + 1`` evaluates.
-    The first sweep pins the view to its selection and every later sweep
-    refills that pin in place (:meth:`~credalmeet.reach.ChoiceView.restrict`
-    with ``into``)."""
+    """Policy iteration on a choice view; see :func:`policy_iteration`.
+
+    One :class:`_Evaluator` serves the solve's evaluations. The evaluations
+    are loose at first: GMRES stops once its true residual is within the
+    slack, ``FORCING`` times the defect of the previous greedy pass and at
+    most half the previous slack; the first slack is ``FORCING``, the defect
+    of zero values. The first evaluation that comes out exact ends the loose
+    ones: a selection that is stable under loose values is evaluated once
+    more, exactly, and so is every selection after an exact evaluation, the
+    first one when each finite state has one choice, and one whose slack
+    would fall below ``SLACK_FLOOR``. A loose evaluation that misses its
+    slack or gives a value that is not positive is dropped, not counted as
+    a sweep, and the solve goes on exactly from the selection before it,
+    whose loose values picked it (from the start selection when it is the
+    first). Only two consecutive exact evaluations
+    take part in the ``tol`` stop, and the last greedy pass gives the final
+    residual unless the values changed after it. Only the current values
+    are held: a solve cut at ``max_iter=k`` returns sweep ``k``'s values,
+    loose or not, and, as its selection, the greedy one of those values,
+    which sweep ``k + 1`` evaluates unless it is dropped."""
     cls, witness = classify_view(view, targets, sense)
 
     # Start from the classification's witness, proper on the finite region,
@@ -445,24 +525,33 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         )
 
     f = np.zeros(view.n)  # the values, with the inf states zeroed until the end
-    need = _dense_bytes(view, finite)  # the finite states are fixed from here on
+    evaluator = _Evaluator(view, finite)  # the finite states are fixed from here on
     sweeps = 0
     converged = finite.size == 0  # nothing to evaluate
     residual = None  # of f, once a greedy pass has read it
-    pinned = None
+    exact = False  # whether f is an exact evaluation
+    slack = FORCING if bounds[-1] > finite.size else 0.0  # no choice to steer: exact from the start
+    previous = choice  # the selection whose values picked choice
     while not converged and sweeps < max_iter:
-        pinned = view.restrict(finite, choice, pinned)
-        sol = _evaluate_selection(view, finite, choice, need, pinned)
-        converged = sweeps > 0 and bool(np.max(np.abs(sol - f[finite])) <= tol)  # against the f it replaces
-        f[finite], residual = sol, None
+        run = evaluator.evaluate(choice, slack)
+        if run.misses(slack):
+            choice = previous  # dropped: back to a proper selection, exactly
+            run = evaluator.evaluate(choice)
+        # an exact evaluation against the exact f it replaces
+        converged = exact and not run.loose and bool(np.max(np.abs(run.sol - f[finite])) <= tol)
+        f[finite], residual, exact = run.sol, None, not run.loose
         sweeps += 1
         if converged:
             break
         new_choice, residual = _finish(evaluate, bounds, f, finite, sense)
-        if np.array_equal(new_choice, choice):
+        settled = np.array_equal(new_choice, choice)
+        if settled and exact:
             converged = True
             break
-        choice = new_choice
+        slack = 0.0 if exact or settled else min(FORCING * residual, slack / 2.0)
+        if slack < SLACK_FLOOR:
+            slack = 0.0
+        previous, choice = choice, new_choice
 
     if residual is None:  # no greedy pass read the last f
         residual = _finish(evaluate, bounds, f, finite, sense)[1]
@@ -502,10 +591,13 @@ def policy_iteration(
 
     Each sweep solves the precise hitting system of the current selection on
     the finite states and then switches every row to its greedy vertex under
-    the solved values (ties keep the lowest index). Stops when the selection
-    repeats or consecutive value vectors agree within ``tol``. In upper mode
-    the value vectors are componentwise non-decreasing across sweeps, in
-    lower mode non-increasing.
+    the solved values (ties keep the lowest index). The sweeps before the
+    selection settles solve it loosely, to a slack that shrinks with the
+    greedy defect; the later ones exactly, and ``iterations`` counts both.
+    Stops when the selection repeats under exact values or consecutive exact
+    value vectors agree within ``tol``. In upper mode the value vectors are
+    componentwise non-decreasing across exact sweeps, in lower mode
+    non-increasing.
     """
     _require_sense(sense)
     _require_budget(tol, max_iter)

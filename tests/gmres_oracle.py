@@ -3,8 +3,10 @@ after every product, kept as an oracle for ``solver._gmres``.
 
 It is the loop the solver ran before its Givens rotations: one
 ``np.linalg.lstsq`` call and one new iterate per product. The stop rules
-are the solver's own (``_gmres_bound``, ``_gmres_cycles``, ``give_up``),
-so the two must take the same number of products and agree to rounding.
+are the solver's own (``_gmres_bound``, ``_gmres_cycles``, ``give_up``,
+and a ``slack`` that raises every stop test's target to ``max(bound,
+slack)``), so the two must take the same number of products and agree to
+rounding.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 from credalmeet.solver import GMRES_RESTART, _gmres_bound, _gmres_cycles
 
 
-def lstsq_gmres(apply, k: int, give_up: bool = False):
+def lstsq_gmres(apply, k: int, give_up: bool = False, slack: float = 0.0):
     """Restarted GMRES from zero for ``apply(h) = 1``: the last iterate, the
     sup-norm of its true residual and the number of products."""
     h = np.zeros(k)
@@ -39,17 +41,17 @@ def lstsq_gmres(apply, k: int, give_up: bool = False):
             step = y @ basis[: j + 1]
             # the least-squares misfit is the residual's 2-norm, which bounds its sup-norm
             misfit = np.linalg.norm(hess[: j + 2, : j + 1] @ y - rhs[: j + 2])
-            if hess[j + 1, j] == 0.0 or misfit <= _gmres_bound(k, np.max(np.abs(h + step))):
+            if hess[j + 1, j] == 0.0 or misfit <= max(_gmres_bound(k, np.max(np.abs(h + step))), slack):
                 break
             basis[j + 1] = w / hess[j + 1, j]
         h = h + step
         r = 1.0 - apply(h)
         residual = float(np.max(np.abs(r)))
-        bound = _gmres_bound(k, np.max(np.abs(h)))
-        if residual <= bound:
+        target = max(_gmres_bound(k, np.max(np.abs(h))), slack)
+        if residual <= target:
             break
         last, norm = norm, float(np.linalg.norm(r))
-        # the 2-norm, cut at the last cycle's rate in each cycle left, must reach the bound
-        if give_up and not (norm < last and norm * (norm / last) ** (cycles - cycle) <= bound):
+        # the 2-norm, cut at the last cycle's rate in each cycle left, must reach the target
+        if give_up and not (norm < last and norm * (norm / last) ** (cycles - cycle) <= target):
             break
     return h, residual, products

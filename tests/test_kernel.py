@@ -109,6 +109,27 @@ def test_segment_optimum_takes_lowest_index_on_ties(segments):
         assert best.tolist() == [opt(seg) for seg in segments]
 
 
+@pytest.mark.parametrize("kind", ["float", "bool"])
+def test_segment_optimum_matches_a_per_segment_reference_on_ragged_segments(kind):
+    # hundreds of ragged segments drawn from a few values, so that most of
+    # them tie, in float (with inf) and bool alike: each segment's optimum,
+    # of the input's dtype, and its lowest position, as Python finds them
+    rng = np.random.default_rng(len(kind))
+    for _ in range(40):
+        counts = rng.integers(1, 8, size=int(rng.integers(1, 400)))
+        bounds = segment_bounds(counts)
+        if kind == "bool":
+            vals = rng.random(bounds[-1]) < rng.random()
+        else:
+            vals = rng.choice([0.0, 0.5, 2.0, math.inf], size=bounds[-1])
+        for sense, opt in (("upper", max), ("lower", min)):
+            best, pick = segment_optimum(vals, bounds, sense)
+            assert best.dtype == vals.dtype
+            for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                seg = vals[a:b].tolist()
+                assert best[s] == opt(seg) and pick[s] == seg.index(opt(seg))
+
+
 def test_greedy_selection_ties_under_constant_values():
     # dyadic weights and integer values make every dot product exact, so
     # constant values tie all vertices of a row and the ties are real

@@ -247,18 +247,18 @@ def _reference_value(view, targets, sense, tol, max_iter):
     return HittingResult(h, selection, cls, iterations, residual, converged, "value-iteration")
 
 
-def _reference_selection_operator(view, finite, choice, pinned=None):
-    """The selection product through the full view: every choice of the
-    finite states evaluated, the selected ones picked; the solver's pinned
-    view is ignored."""
-    pick = view.choice_offsets(finite)[:-1] + choice
-    padded = np.zeros(view.n)
+class _ReferenceEvaluator(solver._Evaluator):
+    """The solver's evaluator with the selection product through the full
+    view: every choice of the finite states evaluated, the selected ones
+    picked; the view is never pinned."""
 
-    def apply(x):
-        padded[finite] = x
-        return x - view.values(padded)[view.choice_rows(finite)][pick]
+    def pin(self, choice):
+        self.pick = self.view.choice_offsets(self.finite)[:-1] + choice
 
-    return apply
+    def product(self, x):
+        padded = np.zeros(self.view.n)
+        padded[self.finite] = x
+        return x - self.view.values(padded)[self.view.choice_rows(self.finite)][self.pick]
 
 
 def _same(a, b):
@@ -308,7 +308,7 @@ def test_solvers_match_the_reference_bit_for_bit(n, sense, monkeypatch):
     monkeypatch.setattr(solver, "_dense_solve", lambda *args: dense.append(1) or dense_solve(*args))
     pi = policy_iteration(model, [target], sense)
     assert not dense  # GMRES solved every evaluation, on the selection product under test
-    monkeypatch.setattr(solver, "_selection_operator", _reference_selection_operator)
+    monkeypatch.setattr(solver, "_Evaluator", _ReferenceEvaluator)
     _same(pi, policy_iteration(model, [target], sense))
 
 
@@ -405,7 +405,7 @@ def test_meet_matches_the_reference_selection_product(agents, mode, belief, monk
     for sense in ("upper", "lower"):
         got = meet(model, agents, belief, sense, mode, **kw)
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_selection_operator", _reference_selection_operator)
+            patch.setattr(solver, "_Evaluator", _ReferenceEvaluator)
             want = meet(model, agents, belief, sense, mode, **kw)
         assert np.array_equal(got.values, want.values) and np.isinf(got.values).any()
         assert got.selections == want.selections and got.classification == want.classification
@@ -446,8 +446,8 @@ def test_base_selection_product_contracts_the_selected_rows(monkeypatch):
 
 
 def test_a_policy_iteration_pins_once_and_refills_the_pin(monkeypatch):
-    """A 3-sweep solve at n=500 pins its first selection afresh, and the later
-    sweeps refill that pin in place."""
+    """A 4-sweep solve at n=500 (three loose sweeps and an exact one) pins its
+    first selection afresh, and the later sweeps refill that pin in place."""
     rng = np.random.default_rng(0)
     n = 500
     model = CredalMatrix.from_rows(
@@ -464,8 +464,8 @@ def test_a_policy_iteration_pins_once_and_refills_the_pin(monkeypatch):
 
     monkeypatch.setattr(reach.ChoiceView, "restrict", recorded)
     res = policy_iteration(model, [0], "upper")
-    assert res.iterations == 3 and len(res.classification.finite) == n - 1
-    assert pins == [True, False, False]
+    assert res.iterations == 4 and len(res.classification.finite) == n - 1
+    assert pins == [True, False, False, False]
 
 
 # ------------------------------------------------------------ dense blocks
@@ -509,7 +509,8 @@ def test_a_whole_view_pin_solves_densely_as_the_pair_oracle(monkeypatch, mode, s
     selection = {s: tuple(int(v[z]) for z in s) for s in product.states}
     dense = []
     dense_solve = solver._dense_solve
-    monkeypatch.setattr(solver, "_gmres", lambda apply, k, give_up: (np.zeros(k), 1.0, 0))
+    monkeypatch.setattr(solver, "_gmres",
+                        lambda apply, work, give_up, slack: (np.zeros(work[0].shape[1]), 1.0, 0, False))
     monkeypatch.setattr(solver, "_dense_solve", lambda *args: dense.append(1) or dense_solve(*args))
     got = meet(m, 2, "degenerate", mode=mode, selection=selection).matrix()
     T = TransitionMatrix(m.space, selection_matrix(m, v))

@@ -178,23 +178,56 @@ def test_sandwich_property():
             assert not (np.isinf(lo) & np.isfinite(h)).any()
 
 
-def test_policy_sweeps_are_monotone():
+def _record_evaluations(monkeypatch):
+    """Record every evaluation of the solves that follow, as ``(choice,
+    slack, evaluation)`` per call of the solver's own evaluator."""
+    calls = []
+    evaluate = solver._Evaluator.evaluate
+
+    def recorded(self, choice, slack=0.0):
+        run = evaluate(self, choice, slack)
+        calls.append((choice.copy(), slack, run))
+        return run
+
+    monkeypatch.setattr(solver._Evaluator, "evaluate", recorded)
+    return calls
+
+
+def test_policy_sweeps_are_monotone(monkeypatch):
+    # consecutive exact sweeps are monotone; a loose sweep lies within its
+    # slack of its selection's exact values, relatively: I - P is an
+    # M-matrix, so a residual r leaves h within |r|_inf h* of h*
+    calls = _record_evaluations(monkeypatch)
     rng = np.random.default_rng(43)
+    loose = 0
     for _ in range(20):
-        m = random_credal_matrix(rng)
+        m = random_credal_matrix(rng, n=int(rng.integers(2, 60)))
         targets = random_targets(rng, m.size)
         for sense, slack in (("upper", -1e-9), ("lower", 1e-9)):
+            calls.clear()
             r = policy_iteration(m, targets, sense)
+            kept = [call for call in calls if not call[2].misses(call[1])]
+            assert len(kept) == r.iterations
+            finite = np.array(sorted(r.classification.finite), dtype=np.int64)
             # a solve cut after k sweeps returns sweep k's values
             sweeps = [policy_iteration(m, targets, sense, max_iter=k).values
                       for k in range(1, r.iterations + 1)]
-            for a, b in zip(sweeps, sweeps[1:]):
+            for (choice, forcing, run), values in zip(kept, sweeps):
+                assert values[finite].tobytes() == run.sol.tobytes()
+                if run.loose:
+                    loose += 1
+                    exact = solver._dense_solve(CredalChoices(m), finite, choice)
+                    assert (np.abs(run.sol - exact) <= forcing * exact + 1e-9 * exact).all()
+            for (a, b), (before, after) in zip(zip(sweeps, sweeps[1:]), zip(kept, kept[1:])):
+                if before[2].loose or after[2].loose:
+                    continue
                 finite = np.isfinite(a) & np.isfinite(b)
                 step = b[finite] - a[finite]
                 if sense == "upper":
                     assert (step >= slack).all()
                 else:
                     assert (step <= slack).all()
+    assert loose
 
 
 def test_policy_and_value_agree():
@@ -303,8 +336,21 @@ def _admissible(view, targets):
     return finite, [np.flatnonzero(ok[a:b]).tolist() for a, b in zip(bounds, bounds[1:])]
 
 
+def _operator(view, finite, choice):
+    """The product ``x -> x - P x`` of one selection on the finite states,
+    through a solve's evaluator pinned to it."""
+    evaluator = solver._Evaluator(view, finite)
+    evaluator.pin(choice)
+    return evaluator.product
+
+
+def _gmres(apply, k, give_up=False, slack=0.0):
+    """GMRES for ``k`` unknowns in buffers of its own."""
+    return solver._gmres(apply, solver._workspace(k), give_up, slack)
+
+
 def _both_solves(view, finite, choice):
-    h, residual, _ = solver._gmres(solver._selection_operator(view, finite, choice), finite.size)
+    h, residual, _, _ = _gmres(_operator(view, finite, choice), finite.size)
     assert solver._meets_bound(h, residual)
     return h, solver._dense_solve(view, finite, choice)
 
@@ -342,7 +388,7 @@ def _chain_system(n, **kw):
     view = CredalChoices(_chain(n, **kw))
     finite = np.arange(1, n)
     choice = np.zeros(n - 1, dtype=np.int64)
-    return view, finite, choice, solver._selection_operator(view, finite, choice)
+    return view, finite, choice, _operator(view, finite, choice)
 
 
 @st.composite
@@ -429,7 +475,7 @@ def test_matrix_free_evaluation_restarts_along_a_long_chain(n, lazy):
     # each GMRES cycle settles at most GMRES_RESTART more levels of the chain,
     # so the k = n - 1 unknowns take k products, restarted every GMRES_RESTART
     view, finite, choice, apply = _chain_system(n, lazy=lazy)
-    h, residual, products = solver._gmres(apply, n - 1)
+    h, residual, products, _ = _gmres(apply, n - 1)
     assert solver._meets_bound(h, residual) and products >= n - 1
     assert np.allclose(h, solver._dense_solve(view, finite, choice), rtol=1e-9, atol=0.0)
     assert np.allclose(h, finite / (1.0 - lazy), rtol=1e-9, atol=0.0)
@@ -441,17 +487,19 @@ def test_matrix_free_evaluation_gives_up_early_when_a_dense_solve_is_allowed():
     view, finite, choice, apply = _chain_system(300, walk=True)
     for give_up, products in [(True, solver.GMRES_RESTART),
                               (False, solver._gmres_cycles(299) * solver.GMRES_RESTART)]:
-        h, residual, used = solver._gmres(apply, 299, give_up)
+        h, residual, used, _ = _gmres(apply, 299, give_up)
         assert used == products and not solver._meets_bound(h, residual)
     dense = solver._dense_solve(view, finite, choice)
-    assert np.array_equal(solver._evaluate_selection(view, finite, choice), dense)
+    run = solver._Evaluator(view, finite).evaluate(choice)
+    assert np.array_equal(run.sol, dense) and (run.path, run.products, run.loose) == ("lu", solver.GMRES_RESTART, False)
 
 
 @st.composite
 def large_selection_systems(draw):
     """A base view or a 2- or 3-agent joint view on a seeded random model with
     a few hundred states, its finite states under the upper classification, one
-    random admissible choice per finite state, and whether GMRES may give up."""
+    random admissible choice per finite state, whether GMRES may give up and
+    its slack."""
     agents, mode, n = draw(st.sampled_from([
         (1, None, 257), (1, None, 330), (2, "quotient", 24), (2, "quotient", 28),
         (2, "full", 17), (3, "quotient", 12), (3, "quotient", 13),
@@ -462,7 +510,7 @@ def large_selection_systems(draw):
     finite, options = _admissible(view, targets)
     assume(finite.size)
     choice = np.array([o[rng.integers(len(o))] for o in options])
-    return view, finite, choice, draw(st.booleans())
+    return view, finite, choice, draw(st.booleans()), draw(st.sampled_from([0.0, 1e-6, solver.FORCING]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -470,10 +518,10 @@ def large_selection_systems(draw):
 def test_gmres_matches_its_least_squares_oracle(system):
     # the Givens loop takes the oracle's stop decisions, so its product count,
     # and agrees with its iterate to rounding
-    view, finite, choice, give_up = system
-    apply = solver._selection_operator(view, finite, choice)
-    h, residual, products = solver._gmres(apply, finite.size, give_up)
-    want, _, want_products = lstsq_gmres(apply, finite.size, give_up)
+    view, finite, choice, give_up, slack = system
+    apply = _operator(view, finite, choice)
+    h, residual, products, _ = _gmres(apply, finite.size, give_up, slack)
+    want, _, want_products = lstsq_gmres(apply, finite.size, give_up, slack)
     assert products == want_products
     assert np.allclose(h, want, rtol=1e-12, atol=0.0)
 
@@ -496,12 +544,16 @@ def test_policy_evaluation_never_calls_lstsq(monkeypatch):
 ])
 def test_gmres_restarts_and_gives_up_like_its_oracle(n, chain, give_up):
     # many cycles, or a give-up after one: the same products as the oracle,
-    # and the same verdict on the bound
+    # and the same verdict on the bound, with no slack and with one; a slack
+    # marks the answer loose exactly when it stopped or steered the solve
     *_, apply = _chain_system(n, **chain)
-    h, residual, products = solver._gmres(apply, n - 1, give_up)
-    want, want_residual, want_products = lstsq_gmres(apply, n - 1, give_up)
-    assert products == want_products
-    assert solver._meets_bound(h, residual) == solver._meets_bound(want, want_residual)
+    exact = _gmres(apply, n - 1, give_up)
+    for slack in (0.0, 1e-6, 1e-3, solver.FORCING):
+        h, residual, products, loose = _gmres(apply, n - 1, give_up, slack)
+        want, want_residual, want_products = lstsq_gmres(apply, n - 1, give_up, slack)
+        assert products == want_products
+        assert solver._meets_bound(h, residual) == solver._meets_bound(want, want_residual)
+        assert loose == (h.tobytes() != exact[0].tobytes())
 
 
 @pytest.mark.parametrize("n, chain, give_up", [
@@ -515,7 +567,7 @@ def test_gmres_solves_its_triangle_once_per_iterate(n, chain, give_up, monkeypat
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
     *_, apply = _chain_system(n, **chain)
-    _, _, products = solver._gmres(lambda x: calls.append(1) or apply(x), n - 1, give_up)
+    _, _, products, _ = _gmres(lambda x: calls.append(1) or apply(x), n - 1, give_up)
     cycles = len(calls) - products  # each cycle ends on one product with its iterate
     assert len(solves) == cycles == -(-products // solver.GMRES_RESTART)
 
@@ -651,7 +703,7 @@ def test_dense_fallback_refuses_an_oversize_system(monkeypatch):
     def fail(self, states):
         raise AssertionError("a dense block was built before the size guard")
 
-    monkeypatch.setattr(solver, "_gmres", lambda apply, k, give_up: (np.zeros(k), 1.0, 600))
+    monkeypatch.setattr(solver, "_gmres", lambda apply, work, give_up, slack: (np.zeros(k), 1.0, 600, False))
     monkeypatch.setattr(JointChoices, "block", fail)
     with pytest.raises(ValueError, match=f"600 products .* size {k} would allocate about {need} bytes"):
         meet(m, 2, "vacuous", "upper", "quotient")
@@ -714,22 +766,15 @@ def test_policy_iteration_starts_from_the_classification_witness(agents, n, monk
     # in both senses the first evaluated selection is classify_view's witness
     # on the finite states: vertex 0 in the upper sense, and in the lower
     # sense, on this model, some other vertex at one state at least
-    starts = []
-    evaluate = solver._evaluate_selection
-
-    def recorded(view, finite, choice, *rest):
-        starts.append(choice.copy())
-        return evaluate(view, finite, choice, *rest)
-
-    monkeypatch.setattr(solver, "_evaluate_selection", recorded)
+    calls = _record_evaluations(monkeypatch)
     model = random_credal_matrix(np.random.default_rng(0), n=n, max_vertices=3, dense_prob=0.4)
     view, targets = _view(model, agents)
     for sense, moved in (("upper", False), ("lower", True)):
-        starts.clear()
+        calls.clear()
         solver.solve_view_policy(view, targets, sense, 1e-10, 1000)
         cls, witness = classify_view(view, targets, sense)
         start = witness[sorted(cls.finite)]
-        np.testing.assert_array_equal(starts[0], start)
+        np.testing.assert_array_equal(calls[0][0], start)
         assert start.any() == moved
 
 
@@ -737,18 +782,13 @@ def test_policy_iteration_starts_from_the_classification_witness(agents, n, monk
                                             (1, 100, True)], ids=["1-12", "1-300", "2-9", "3-5", "walk-100"])
 @pytest.mark.parametrize("sense", ["upper", "lower"])
 def test_a_cut_solve_replays_its_sweeps(agents, n, walk, sense, monkeypatch):
-    # a solve cut at max_iter=j selects the choice that sweep j + 1 evaluates,
-    # and one cut at j + 1 returns that sweep's values, bit for bit, whether
-    # GMRES solves every sweep or, on a slowly mixing walk, gives up to LU
-    sweeps, dense = [], []
-    evaluate, dense_solve = solver._evaluate_selection, solver._dense_solve
-
-    def recorded(view, finite, choice, *rest):
-        sol = evaluate(view, finite, choice, *rest)
-        sweeps.append((choice.copy(), sol.copy()))
-        return sol
-
-    monkeypatch.setattr(solver, "_evaluate_selection", recorded)
+    # a solve cut at max_iter=j selects the choice that the evaluation after
+    # sweep j evaluates, sweep j + 1's unless the solve drops it, and one cut
+    # at j + 1 returns that sweep's values, loose or exact, bit for bit,
+    # whether GMRES solves every exact sweep or, on a slowly mixing walk,
+    # gives up to LU
+    dense, dense_solve = [], solver._dense_solve
+    calls = _record_evaluations(monkeypatch)
     monkeypatch.setattr(solver, "_dense_solve", lambda *args: dense.append(1) or dense_solve(*args))
     if walk:
         model = _credal_walk(n)
@@ -756,16 +796,20 @@ def test_a_cut_solve_replays_its_sweeps(agents, n, walk, sense, monkeypatch):
         model = random_credal_matrix(np.random.default_rng(n), n=n, max_vertices=3, dense_prob=0.9)
     view, targets = _view(model, agents)
     res = solver.solve_view_policy(view, targets, sense, 1e-10, 1000)
-    recorded_sweeps = list(sweeps)
+    recorded = list(calls)
     cls = res.classification
     finite = np.array(sorted(cls.finite), dtype=np.int64)
-    assert len(recorded_sweeps) == res.iterations >= 2
-    assert len(dense) == (res.iterations if walk else 0)  # LU only where GMRES gives up
-    for j, (choice, sol) in enumerate(recorded_sweeps):
+    kept = [i for i, (_, slack, run) in enumerate(recorded) if not run.misses(slack)]
+    assert len(kept) == res.iterations >= 2
+    # LU only where GMRES gives up, on exact evaluations alone
+    assert len(dense) == sum(run.path == "lu" for *_, run in recorded)
+    assert len(dense) == (sum(not run.loose for *_, run in recorded) if walk else 0)
+    for j, i in enumerate(kept):
+        after = kept[j - 1] + 1 if j else 0  # the first evaluation after sweep j
         cut = solver.solve_view_policy(view, targets, sense, 1e-10, j)
-        assert cut.selection[finite].tobytes() == choice.tobytes()
+        assert cut.selection[finite].tobytes() == recorded[after][0].tobytes()
         want = np.zeros(view.n)
-        want[finite] = sol
+        want[finite] = recorded[i][2].sol
         want[cls.infinite_mask(view.n)] = math.inf
         assert solver.solve_view_policy(view, targets, sense, 1e-10, j + 1).values.tobytes() == want.tobytes()
 
@@ -774,18 +818,84 @@ def test_the_matrix_free_self_check_patches_no_solver_name(monkeypatch):
     # the check reads its selections from cut solves; the solver's own
     # evaluation stays the one a caller installed
     calls = []
-    evaluate = solver._evaluate_selection
+    evaluate = solver._Evaluator.evaluate
 
-    def recorder(*args):
-        assert solver._evaluate_selection is recorder
-        calls.append(args[2].copy())
-        return evaluate(*args)
+    def recorder(self, choice, slack=0.0):
+        assert solver._Evaluator.evaluate is recorder
+        calls.append(choice.copy())
+        return evaluate(self, choice, slack)
 
-    monkeypatch.setattr(solver, "_evaluate_selection", recorder)
+    monkeypatch.setattr(solver._Evaluator, "evaluate", recorder)
     ok, detail = selfcheck.check_matrix_free_evaluation()
     assert ok, detail
     assert calls and detail.startswith("2 selections")
-    assert solver._evaluate_selection is recorder
+    assert solver._Evaluator.evaluate is recorder
+
+
+def test_a_loose_greedy_pass_that_picks_a_trap_goes_back_exactly(monkeypatch):
+    # x and y can trap each other (vertex 0 of each steps to the other), and
+    # both can step to z, which reaches the target t at rate 1/4. A loose
+    # evaluation with a residual below 1 proves its selection proper, and the
+    # greedy pass on its values picks a proper one too: a closed class of
+    # that selection would need the residual's mean on it, under its
+    # stationary law, to be at least 1. So the forcing factor is raised to
+    # 1.5, where the first loose evaluation stops after one product on
+    # constant values, which tie the trap with the way out; the lowest-index
+    # tie-break picks the trap. Its loose evaluation misses its slack of
+    # 0.75, and the solve evaluates the witness again, exactly, and ends on
+    # the answer of a solve that never picked the trap, bit for bit.
+    model = CredalMatrix.from_rows(["t", "x", "y", "z"], [
+        [[1, 0, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]], [[0, 1, 0, 0], [0, 0, 0, 1]], [[0.25, 0, 0, 0.75]],
+    ])
+    want = policy_iteration(model, [0], "lower")
+    assert want.iterations == 1 and want.selection.tolist() == [0, 1, 1, 0]
+    calls = _record_evaluations(monkeypatch)
+    monkeypatch.setattr(solver, "FORCING", 1.5)
+    got = policy_iteration(model, [0], "lower")
+    assert [(choice.tolist(), slack) for choice, slack, _ in calls] == [([1, 1, 0], 1.5), ([0, 0, 0], 0.75),
+                                                                        ([1, 1, 0], 0.0)]
+    first, trap, exact = (run for *_, run in calls)
+    assert first.loose and not first.misses(1.5) and first.residual == 1.0
+    assert trap.misses(0.75) and not exact.loose
+    assert got.iterations == 2 and got.converged
+    assert got.values.tobytes() == want.values.tobytes() and got.selection.tolist() == [0, 1, 1, 0]
+    assert got.residual == want.residual
+
+
+@pytest.mark.parametrize("belief", ["vacuous", "degenerate", "mixture"])
+def test_one_evaluator_per_solve_loose_only_where_there_is_a_choice(belief, monkeypatch):
+    # a solve sets up GMRES's buffers once, in its evaluator; a solve whose
+    # finite states have one choice each (a degenerate belief, and the
+    # degenerate half of a mixture, solved first) evaluates exactly from its
+    # first sweep, and a vacuous one starts loose, at the forcing factor
+    made = []
+    workspace = solver._workspace
+    monkeypatch.setattr(solver, "_workspace", lambda k: made.append(k) or workspace(k))
+    calls = _record_evaluations(monkeypatch)
+    model = random_credal_matrix(np.random.default_rng(3), n=9, max_vertices=3, dense_prob=0.9)
+    res = meet(model, 2, belief, "upper", epsilon=0.5 if belief == "mixture" else None)
+    assert res.converged and len(made) == (2 if belief == "mixture" else 1)
+    slacks = [slack for _, slack, _ in calls]
+    if belief == "degenerate":
+        assert res.iterations == 1 and slacks == [0.0]
+    else:
+        start = slacks.index(solver.FORCING)
+        assert start == (1 if belief == "mixture" else 0) and not any(slacks[:start])
+
+
+@pytest.mark.parametrize("sense", ["upper", "lower"])
+def test_the_tol_stop_reads_exact_sweeps_only(sense, monkeypatch):
+    # at a tol of 1e3 any two sweeps of this model are within tol, yet loose
+    # sweeps take no part in the stop: the solve sweeps loose until the
+    # selection settles and stops at its first or second exact sweep
+    calls = _record_evaluations(monkeypatch)
+    model = random_credal_matrix(np.random.default_rng(300), n=300, max_vertices=3, dense_prob=0.9)
+    res = policy_iteration(model, [0], sense, tol=1e3)
+    loose = [run.loose for _, slack, run in calls if not run.misses(slack)]
+    assert res.converged and len(loose) == res.iterations
+    exact = loose.count(False)
+    assert loose == [True] * (res.iterations - exact) + [False] * exact and exact in (1, 2)
+    assert res.iterations - exact >= 2
 
 
 def test_a_start_with_mass_on_the_inf_states_is_an_inconsistent_classification(monkeypatch):
