@@ -18,6 +18,7 @@ nothing is lost.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -208,7 +209,10 @@ class JointChoices(ChoiceView):
     The view allocates its table once, after the guard, and every
     contraction writes into it; its pins share it through their shallow
     copy. So a contraction on a view and one on its pins must not
-    interleave: each reads its entries out before the next one starts.
+    interleave: each reads its entries out before the next one starts. A
+    :meth:`region` of some states' choices contracts only the vertex rows
+    and base states they read, into a smaller table of its own that its
+    pins share in turn.
     """
 
     def __init__(self, model: CredalMatrix, product: ProductSpace):
@@ -216,6 +220,7 @@ class JointChoices(ChoiceView):
         self.product = product
         self.n = product.size
         m = product.agents
+        self._stack = model.stack
         self._pattern = (model.stack > 0.0).astype(float)
         k = model.stack.shape[0]
         if k**m > MAX_TABLE_ENTRIES:
@@ -224,7 +229,7 @@ class JointChoices(ChoiceView):
                 f"vertices, {m} agents), above the {MAX_TABLE_ENTRIES} limit"
             )
         self._table = np.empty((k,) * m)
-        self._tensor_shape = (model.size,) * m
+        self._vertex = np.arange(k)
         self._agg = product.ordered_index
         joint = product.state_array
         agent_counts = np.diff(model.offsets)[joint]
@@ -239,6 +244,51 @@ class JointChoices(ChoiceView):
             rank, pick = np.divmod(rank, np.repeat(agent_counts[:, j], self._counts))
             cells[:, j] += pick
         self._cells, self._rows = cells, product.code(cells.T, k)
+
+    def region(self, states):
+        """The choices of ``states`` (:meth:`ChoiceView.region`), contracted
+        over only what they read: the vertex rows that their keys' cells
+        hold, over the base states that those rows reach. Its keys are the
+        cells' codes among those rows, whose order it keeps, so a sorted cell
+        stays sorted; its stack and 0/1 pattern are those rows' entries in
+        those columns, its ``_agg`` is the ordered tuples of those base
+        states, and its table, ``R**agents`` entries for ``R`` rows, is
+        allocated here, once, and shared by its pins. A row puts no mass
+        outside the columns kept, so the region's values are the view's up
+        to the rounding that a contraction over fewer rows or columns moves,
+        and its support tests, which count destination tuples, are exact.
+        :meth:`block` decodes its keys to the model's rows, so its blocks are
+        the view's, bit for bit. A region that reads every row and every
+        base state contracts the view's own table and allocates none."""
+        region = super().region(states)
+        keys, (k, *_), m = region._rows, self._stack.shape, self._table.ndim
+        if len(self._rows) == len(self._cells):
+            # this view holds every choice of the walk, so the region holds
+            # every vertex row of its states' base states
+            held = np.zeros(self.model.size, dtype=bool)
+            held[self.product.state_array[states]] = True
+            used = np.repeat(held, np.diff(self.model.offsets))[self._vertex]
+        else:
+            used = np.zeros(k, dtype=bool)
+            for j in range(m):  # one agent's digits of the keys at a time
+                used[keys // k**j % k] = True
+        rows = np.flatnonzero(used)
+        base = np.flatnonzero(self._pattern[rows].any(axis=0))
+        if not rows.size or (rows.size == k and base.size == self._stack.shape[1]):
+            return region
+        if region is self:  # a pin of these states alone: a copy to hold the region
+            region = copy.copy(self)
+            region._pin_of = (None, None)
+        rank = np.cumsum(used) - 1
+        region._rows = np.zeros_like(keys)
+        for j in range(m):
+            region._rows += rank[keys // k**j % k] * rows.size**j
+        region._stack = self._stack[np.ix_(rows, base)]
+        region._pattern = self._pattern[np.ix_(rows, base)]
+        region._vertex = self._vertex[rows]
+        region._agg = self._agg.reshape((self._stack.shape[1],) * m)[np.ix_(*[base] * m)].ravel()
+        region._table = np.empty((rows.size,) * m)
+        return region
 
     def choice_tuples(self, state: int) -> list[tuple[int, ...]]:
         """Every choice of ``state`` as a vertex tuple, inverse to :meth:`flat_choice`."""
@@ -270,14 +320,15 @@ class JointChoices(ChoiceView):
         """Per choice, into ``out`` when given, the entry at its key of the
         view's table, into which :func:`contract` writes ``rows`` (the stack
         or its 0/1 pattern) contracted with ``f`` spread over the ordered
-        tuples."""
-        contract(rows, f[self._agg].reshape(self._tensor_shape), out=self._table)
+        tuples of the base states in their columns."""
+        tensor = f[self._agg].reshape((rows.shape[1],) * self._table.ndim)
+        contract(rows, tensor, out=self._table)
         return np.take(self._table.ravel(), self._rows, out=out)
 
     def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Expectation of the finite ``f`` under every choice, laid out as
         ``values(f)``, into ``out`` when given."""
-        return self._contract(self.model.stack, f, out)
+        return self._contract(self._stack, f, out)
 
     def touches(self, mask: np.ndarray) -> np.ndarray:
         """Whether each choice, laid out as ``values(f)``, puts positive mass
@@ -306,9 +357,10 @@ class JointChoices(ChoiceView):
         tuples = np.ravel_multi_index(np.ix_(*[base] * m), (n,) * m).ravel()
         column = np.full(self.n, k)
         column[states] = np.arange(k)
-        index = ((np.arange(step) * (k + 1))[:, None] + column[self._agg[tuples]]).ravel()
+        index = ((np.arange(step) * (k + 1))[:, None] + column[self.product.ordered_index[tuples]]).ravel()
         rows = self.model.stack[:, base]
-        cells = np.unravel_index(self._rows[self._starts[states] + choice], (rows.shape[0],) * m)
+        keys = self._rows[self._starts[states] + choice]
+        cells = [self._vertex[c] for c in np.unravel_index(keys, self._table.shape)]
         out = np.empty((k, k))
         for lo in range(0, k, step):
             flat = functools.reduce(lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1),
@@ -445,7 +497,11 @@ def _wrap_result(view, belief, sense, epsilon, res: HittingResult) -> MeetingRes
 
 
 def _solve_degenerate(view: JointChoices, fixed: np.ndarray, tol, max_iter) -> HittingResult:
-    pinned = view.restrict(np.arange(view.n), fixed)
+    """The selection ``fixed``, one choice per state, classified and solved
+    on the region of its pin, which contracts only the vertex rows it
+    selects over the base states they reach."""
+    everyone = np.arange(view.n)
+    pinned = view.restrict(everyone, fixed).region(everyone)
     res = solve_view_policy(pinned, view.product.target_mask(), "upper", tol, max_iter)
     res.selection = fixed
     return res

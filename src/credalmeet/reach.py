@@ -32,7 +32,7 @@ class ChoiceView:
     ``_counts[i]`` consecutive rows from ``_starts[i]`` of ``_rows``, all
     that the protocol reads of a choice (a vertex row on a base model, a
     table key on a joint walk): one once :meth:`restrict` has pinned ``i``
-    to a choice, none once it has left ``i`` out.
+    to a choice, none once it or :meth:`region` has left ``i`` out.
 
     A subclass gives ``n`` and the protocol: ``finite_values(f, out)``, the
     finite contraction of all its rows (into a buffer the caller owns when
@@ -42,7 +42,8 @@ class ChoiceView:
     ``block_bytes(states)``, a bound on the bytes that building it takes.
     :meth:`values` applies the public operators' 0 * inf = 0 rule to the
     first two. Those three answer for every choice the view holds; a caller
-    that wants some states' choices gathers them with :meth:`choice_rows`.
+    that wants some states' choices gathers them with :meth:`choice_rows`,
+    or contracts only them on their :meth:`region`.
     """
 
     #: The view and the states that :meth:`restrict` pinned to make this view
@@ -59,6 +60,19 @@ class ChoiceView:
         are consecutive."""
         states = np.atleast_1d(states)
         return segment_rows(self._starts[states], self._counts[states])
+
+    def _hold(self, states: np.ndarray, rows, counts: np.ndarray):
+        """A shallow copy of this view in which each of ``states`` holds its
+        ``counts`` choices, read from ``rows`` of this view's ``_rows`` (a
+        slice of them when ``rows`` is a slice, a copy otherwise), in state
+        order, and no other state holds any."""
+        view = copy.copy(self)
+        view._rows = self._rows[rows]
+        view._starts, view._counts = np.zeros((2, self.n), dtype=np.int64)
+        view._starts[states] = segment_bounds(counts)[:-1]
+        view._counts[states] = counts
+        view._pin_of = (None, None)
+        return view
 
     def restrict(self, states, choice, into=None):
         """A shallow copy of this view that pins each of ``states`` (distinct
@@ -82,13 +96,28 @@ class ChoiceView:
             # ``out``, where the default mode gathers into a buffer first
             np.take(self._rows, rows, axis=0, out=into._rows, mode="clip")
             return into
-        view = copy.copy(self)
-        view._rows = self._rows[rows]
-        view._starts, view._counts = np.zeros((2, self.n), dtype=np.int64)
-        view._starts[states] = np.arange(states.size)
-        view._counts[states] = 1
-        view._pin_of = (None, None) if isinstance(rows, slice) else (self, states.copy())
+        view = self._hold(states, rows, np.ones(states.size, dtype=np.int64))
+        if not isinstance(rows, slice):
+            view._pin_of = (self, states.copy())
         return view
+
+    def region(self, states):
+        """A view that holds every choice of ``states`` (distinct indices in
+        increasing order), for a solve that reads theirs alone: a caller
+        reads them at its ``choice_rows(states)``, and each has the bits it
+        has here, up to the rounding that a joint region moves by
+        contracting less (:meth:`~credalmeet.meeting.JointChoices.region`).
+        This view itself when it holds those choices alone; otherwise a
+        shallow copy that holds them alone, a slice of this view's ``_rows``
+        when they are consecutive and a copy otherwise."""
+        states = np.atleast_1d(states)
+        return self._region(states, self.choice_rows(states))
+
+    def _region(self, states: np.ndarray, rows):
+        """:meth:`region` of ``states``, whose choices are ``rows`` here."""
+        if isinstance(rows, slice) and rows.stop - rows.start == len(self._rows):
+            return self
+        return self._hold(states, rows, self._counts[states])
 
     def values(self, f) -> np.ndarray:
         """Expectation of ``f`` under every choice the view holds, flat and in
@@ -125,6 +154,16 @@ class CredalChoices(ChoiceView):
         """Whether each choice, laid out as ``values(f)``, puts positive mass
         on ``mask``: its vertex row's entries in the mask's columns alone."""
         return _touching(self._rows, mask)
+
+    def region(self, states):
+        """The choices of ``states`` as :meth:`ChoiceView.region` gives them
+        when they are consecutive rows: a slice of the stack, which copies
+        nothing. Otherwise this view itself, whose contraction gives every
+        row the same bits, in a solve as much as a gathered copy of the rows
+        would, and costs no copy of their bytes."""
+        states = np.atleast_1d(states)
+        rows = self.choice_rows(states)
+        return self._region(states, rows) if isinstance(rows, slice) else self
 
     def block(self, states: np.ndarray, choice: np.ndarray) -> np.ndarray:
         return self._rows[(self._starts[states] + choice)[:, None], states]

@@ -19,11 +19,14 @@ solution must meet the backward-error bound.
 
 Every value iteration sweep, greedy pass of policy iteration and final
 residual reads one evaluation of the finite states' choices, set up once per
-solve (:func:`_finite_region`): one contraction of the values with their inf
-entries zeroed (:meth:`~credalmeet.reach.ChoiceView.finite_values`) into a
-buffer of its own, a read of the finite states' choices (a view of it when
-they are consecutive, one gather into a second buffer otherwise) and inf at
-the choices with mass on the inf states, which one support test finds in
+solve (:func:`_finite_region`) on their region
+(:meth:`~credalmeet.reach.ChoiceView.region`), a view of their choices
+alone, which on a joint walk contracts only the vertex rows and base states
+they read: one contraction of the values with their inf entries zeroed
+(:meth:`~credalmeet.reach.ChoiceView.finite_values`) straight into a buffer
+of its own (on a base view whose finite states' rows are not consecutive,
+the whole stack's contraction, gathered into it) and inf at the choices
+with mass on the inf states, which one support test on the region finds in
 the lower sense when some state is infinite (in the upper sense no finite
 state has one). A greedy pass gives the improvement step and the
 final selection. Value iteration runs its sweeps in blocks of up to
@@ -34,17 +37,18 @@ row. One stop test per block takes every sweep's sup-norm step at once and
 keeps the first sweep within ``tol``, so at most ``VALUE_BLOCK - 1`` sweeps
 are discarded per solve. Policy iteration starts from the classification's
 witness, a selection proper on the finite region. Its evaluations share one
-:class:`_Evaluator`, made once per solve. A GMRES evaluation pins the view to
-the selected choice of each finite state
+:class:`_Evaluator`, made once per solve on the region. A GMRES evaluation
+pins the region to the selected choice of each finite state
 (:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a product on a base
-model contracts only the ``k`` selected rows; a product is one
+model contracts only the ``k`` selected rows, and one on a joint walk the
+region's own table, which the greedy passes read too; a product is one
 :meth:`~credalmeet.reach.ChoiceView.finite_values` call into a buffer of the
 evaluator's, and the least-squares coefficients are solved for only when an
 iterate is formed, in GMRES buffers allocated once per solve. A solve pins
 once: each later sweep refills that pin's row arrays in place for its
 selection, on the same finite states, rather than copying the selected rows
 into fresh arrays. A dense solve reads the selection's ``(k, k)`` block of
-the finite states from the view in one call.
+the finite states from the region in one call.
 
 Both methods first classify the states and pin the hopeless ones to inf, so
 the iteration itself only ever runs on the finite region; both end in one
@@ -137,33 +141,38 @@ def _finish(evaluate, bounds: np.ndarray, f: np.ndarray, finite: np.ndarray, sen
 
 
 def _finite_region(view, cls: Classification):
-    """The finite states, the bounds of each state's segment among their
-    choices, the positions there of the choices with mass on the inf states,
-    and ``evaluate(f)``, the values of those choices for ``f`` zero on the
-    inf states, inf at those positions, in one buffer that every call
-    overwrites and returns. The support test runs only in the lower sense
-    with some inf state: with none no choice has mass on one, and in the
-    upper sense no finite state has such a choice, which would make it
-    unsafe."""
+    """The finite states, their :meth:`~credalmeet.reach.ChoiceView.region`,
+    the bounds of each state's segment among their choices, the positions
+    there of the choices with mass on the inf states, and ``evaluate(f)``,
+    the values of those choices for ``f`` zero on the inf states, inf at
+    those positions, in one buffer that every call overwrites and returns:
+    the region's contraction, straight into it unless the region is a base
+    view whose finite states' rows are not consecutive, whose contraction
+    is gathered into it. The support test runs only in the lower sense
+    with some inf state, on the region: with none no choice has mass on
+    one, and in the upper sense no finite state has such a choice, which
+    would make it unsafe."""
     finite = np.array(sorted(cls.finite), dtype=int)
-    rows = view.choice_rows(finite)
-    bounds = view.choice_offsets(finite)
+    region = view.region(finite)
+    bounds = region.choice_offsets(finite)
+    # a region holds the finite states' choices alone unless it is the view
+    rows = view.choice_rows(finite) if region is view else slice(0, bounds[-1])
     hopeless = np.empty(0, dtype=np.intp)
     if cls.infinite and cls.sense == "lower":
-        hopeless = np.flatnonzero(view.touches(cls.infinite_mask(view.n))[rows])
-    everything = np.empty(view.choice_offsets(np.arange(view.n))[-1])
+        hopeless = np.flatnonzero(region.touches(cls.infinite_mask(view.n))[rows])
     gather = not isinstance(rows, slice)  # else the finite states' choices are a view
-    vals = np.empty(bounds[-1]) if gather else everything[rows]
+    contracted = np.empty(view.choice_offsets(np.arange(view.n))[-1] if gather else bounds[-1])
+    vals = np.empty(bounds[-1]) if gather else contracted[rows]
 
     def evaluate(f):
-        view.finite_values(f, everything)
+        region.finite_values(f, contracted)
         if gather:
-            np.take(everything, rows, out=vals)
+            np.take(contracted, rows, out=vals)
         if hopeless.size:
             vals[hopeless] = math.inf
         return vals
 
-    return finite, bounds, hopeless, evaluate
+    return finite, region, bounds, hopeless, evaluate
 
 
 def _result(cls: Classification, finite: np.ndarray, f: np.ndarray, choice: np.ndarray,
@@ -191,7 +200,7 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     and discards the rest of the block. With no finite state the solve is
     converged before any sweep."""
     cls, _ = classify_view(view, targets, sense)
-    finite, bounds, _, evaluate = _finite_region(view, cls)
+    finite, _, bounds, _, evaluate = _finite_region(view, cls)
     cols = segment_rows(finite, np.ones(finite.size, dtype=np.int64))  # a slice when consecutive
     history = np.zeros((VALUE_BLOCK + 1, view.n))
     iterates = list(history)  # one view per row, made once
@@ -421,17 +430,21 @@ class _Evaluation:
 
 class _Evaluator:
     """Evaluations of one solve's selections on its finite states, with the
-    state they share, set up once per solve: the view pinned to the current
-    selection, refilled per selection
-    (:meth:`~credalmeet.reach.ChoiceView.restrict` with ``into``), the padded
-    vector and the output of the product, GMRES's buffers
-    (:func:`_workspace`) and the bytes of a dense solve (:func:`_dense_bytes`)."""
+    state they share, set up once per solve on the view that holds the
+    finite states' choices (the solve's region, :func:`_finite_region`):
+    that view pinned to the current selection, refilled per selection
+    (:meth:`~credalmeet.reach.ChoiceView.restrict` with ``into``), so that
+    its pins read the region's own table; the padded vector and the output
+    of the product, GMRES's buffers (:func:`_workspace`), the bytes of a
+    dense solve (:func:`_dense_bytes`) and the selection, if any, on which
+    the last evaluation's GMRES gave up under a slack."""
 
     def __init__(self, view, finite: np.ndarray):
         k = finite.size
         self.view, self.finite = view, finite
         self.need = _dense_bytes(view, finite)
         self.pinned = None
+        self.gave_up = None
         self.padded = np.zeros(view.n)  # admissible choices put no mass outside the finite states
         self.out = np.empty(k)
         self.cols = segment_rows(finite, np.ones(k, dtype=np.int64))  # a slice when consecutive
@@ -458,14 +471,24 @@ class _Evaluator:
         caller decides. Otherwise, when GMRES's answer fails
         :func:`_meets_bound` (it gives up early while the dense solve is
         allowed or runs to its cap) the system is assembled and solved
-        densely, by LU, which is backward stable at any scale. Either way an
-        exact answer must meet the backward-error bound.
+        densely, by LU, which is backward stable at any scale. An exact
+        evaluation of the selection on which the evaluation just before it
+        gave up, short of its slack with the dense solve allowed, goes
+        straight to LU: GMRES would replay the cycle it gave up on. Either
+        way an exact answer must meet the backward-error bound.
         """
         k = self.finite.size
         self.pin(choice)
-        sol, residual, products, loose = _gmres(self.product, self.work, self.need <= MAX_DENSE_BYTES, slack)
-        meets = _meets_bound(sol, residual)
+        replay = slack == 0.0 and self.gave_up is not None and np.array_equal(choice, self.gave_up)
+        self.gave_up = None
+        if replay:
+            sol, residual, products, loose, meets = None, math.inf, 0, False, False
+        else:
+            sol, residual, products, loose = _gmres(self.product, self.work, self.need <= MAX_DENSE_BYTES, slack)
+            meets = _meets_bound(sol, residual)
         if loose or (slack > 0.0 and not meets):
+            if residual > slack and self.need <= MAX_DENSE_BYTES:
+                self.gave_up = choice.copy()
             return _Evaluation(sol, residual, "gmres", products, True)
         if not meets:
             why = (
@@ -501,9 +524,9 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     slack or gives a value that is not positive is dropped, not counted as
     a sweep, and the solve goes on exactly from the selection before it,
     whose loose values picked it (from the start selection when it is the
-    first). Only two consecutive exact evaluations
-    take part in the ``tol`` stop, and the last greedy pass gives the final
-    residual unless the values changed after it. Only the current values
+    first, by LU when GMRES gave up on it). Only two consecutive exact
+    evaluations take part in the ``tol`` stop, and the last greedy pass
+    gives the final residual unless the values changed after it. Only the current values
     are held: a solve cut at ``max_iter=k`` returns sweep ``k``'s values,
     loose or not, and, as its selection, the greedy one of those values,
     which sweep ``k + 1`` evaluates unless it is dropped."""
@@ -515,7 +538,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     # proper there, since a finite state with mass on the inf states would be
     # unsafe itself; in the lower sense the greedy pass gives the choices
     # with mass on them inf, which never wins.
-    finite, bounds, hopeless, evaluate = _finite_region(view, cls)
+    finite, region, bounds, hopeless, evaluate = _finite_region(view, cls)
     choice = witness[finite]
     off = np.isin(bounds[:-1] + choice, hopeless)
     if off.any():
@@ -525,7 +548,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         )
 
     f = np.zeros(view.n)  # the values, with the inf states zeroed until the end
-    evaluator = _Evaluator(view, finite)  # the finite states are fixed from here on
+    evaluator = _Evaluator(region, finite)  # the finite states are fixed from here on
     sweeps = 0
     converged = finite.size == 0  # nothing to evaluate
     residual = None  # of f, once a greedy pass has read it

@@ -82,3 +82,47 @@ def random_selection(rng, model):
     return np.array(
         [int(rng.integers(0, model.vertex_count(i))) for i in range(model.size)]
     )
+
+
+def two_torus_walk(rng, rough=(2, 3), smooth=(3, 3), lazy=True):
+    """A credal walk on a rough and a smooth torus.
+
+    A rough cell offers a deterministic drift to a neighbour and a step that
+    stays put with a random probability and otherwise leaks to the smooth
+    cell of its position (the first one when the smooth torus has no such
+    cell), so walkers on the rough torus can dodge each other forever. A
+    smooth cell offers a uniform step over itself and its four neighbours,
+    and with ``lazy`` a lazy step on the same cells, so walkers there meet
+    almost surely and never leave. Upper meeting times are finite exactly when every
+    walker is on the smooth torus, whose choices read the smooth cells' rows
+    and columns alone.
+    """
+    shapes = {"a": rough, "b": smooth}
+    labels = [f"{t}{r}_{c}" for t, (rows, cols) in shapes.items() for r in range(rows) for c in range(cols)]
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+
+    def row(pairs):
+        v = np.zeros(n)
+        for i, w in pairs:
+            v[i] += w
+        return v / v.sum()
+
+    def around(t, r, c):
+        rows, cols = shapes[t]
+        return [index[f"{t}{(r + dr) % rows}_{(c + dc) % cols}"] for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+
+    vertices = []
+    for r in range(rough[0]):
+        for c in range(rough[1]):
+            own, stay = index[f"a{r}_{c}"], float(rng.uniform(0.2, 0.6))
+            leak = index.get(f"b{r}_{c}", index["b0_0"])
+            vertices.append([row([(around("a", r, c)[(r + c) % 4], 1.0)]), row([(leak, 1.0 - stay), (own, stay)])])
+    for r in range(smooth[0]):
+        for c in range(smooth[1]):
+            own, stay = index[f"b{r}_{c}"], float(rng.uniform(0.4, 0.8))
+            hood = [own, *around("b", r, c)]
+            vertices.append([row([(i, 1.0) for i in hood])])
+            if lazy:
+                vertices[-1].append(row([(own, stay)] + [(i, (1.0 - stay) / 4) for i in hood[1:]]))
+    return CredalMatrix.from_rows(labels, vertices)

@@ -862,6 +862,36 @@ def test_a_loose_greedy_pass_that_picks_a_trap_goes_back_exactly(monkeypatch):
     assert got.residual == want.residual
 
 
+@pytest.mark.parametrize("sense", ["upper", "lower"])
+def test_a_dropped_give_up_is_not_replayed(sense, monkeypatch):
+    # every selection of the slow credal walk mixes too slowly for GMRES: the
+    # first loose evaluation gives up after one cycle and is dropped, and the
+    # exact evaluation of the same start selection that follows goes
+    # straight to LU rather than replay that cycle. The solve takes one
+    # cycle fewer than one that replays it, and ends on its bits
+    model = _credal_walk(100)
+    calls = _record_evaluations(monkeypatch)
+    got = policy_iteration(model, [99], sense)
+    runs = [(slack, run.path, run.products, run.misses(slack)) for _, slack, run in calls]
+    assert runs[:2] == [(solver.FORCING, "gmres", solver.GMRES_RESTART, True), (0.0, "lu", 0, False)]
+    assert np.array_equal(calls[0][0], calls[1][0])
+    dense = solver._dense_solve(CredalChoices(model), np.arange(99), calls[1][0])
+    assert calls[1][2].sol.tobytes() == dense.tobytes()
+    products = sum(run.products for *_, run in calls)
+    evaluate = solver._Evaluator.evaluate
+
+    def replayed(self, choice, slack=0.0):
+        self.gave_up = None
+        return evaluate(self, choice, slack)
+
+    monkeypatch.setattr(solver._Evaluator, "evaluate", replayed)
+    calls.clear()
+    want = policy_iteration(model, [99], sense)
+    assert sum(run.products for *_, run in calls) == products + solver.GMRES_RESTART
+    assert got.values.tobytes() == want.values.tobytes() and np.array_equal(got.selection, want.selection)
+    assert (got.iterations, got.residual, got.converged) == (want.iterations, want.residual, True)
+
+
 @pytest.mark.parametrize("belief", ["vacuous", "degenerate", "mixture"])
 def test_one_evaluator_per_solve_loose_only_where_there_is_a_choice(belief, monkeypatch):
     # a solve sets up GMRES's buffers once, in its evaluator; a solve whose

@@ -1,0 +1,282 @@
+"""Run a fixed, seeded corpus of solves against one ``src/`` tree, and compare
+two such runs.
+
+The corpus covers base ``policy_iteration`` and ``value_iteration`` in both
+senses, at several sweep budgets, on random models with trap states, and
+``meet`` with 2 and 3 agents, full and quotient, under a vacuous belief in
+both senses, a degenerate one and a mixture, on random models and on credal
+walks over two tori whose upper meeting times are finite on the smooth torus
+alone; and policy iteration on a slowly mixing walk that GMRES gives up on.
+Every input is generated here from fixed seeds; nothing is read from the
+test suite or the benchmark. Per case the run records the values as float
+hex, their ``inf`` pattern, the selection, the classification, the
+iterations, the residual as float hex and ``converged``, or the error a
+solve raised::
+
+    python tools/differential.py --src src --out head.json
+    python tools/differential.py --src ../parent/src --out parent.json
+    python tools/differential.py --compare parent.json head.json
+
+``--src`` runs the corpus in a fresh Python process that imports the library
+from the given directory. ``--compare`` prints, per family of cases, how many
+are bit-identical, the largest relative move of a finite value and how many
+selections changed; it exits with status 1 when an ``inf`` pattern, a
+classification or an error differs, or the two runs hold different cases.
+"""
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+#: Seeds of the random base models and of the random joint models.
+BASE_SEEDS = range(40)
+JOINT_SEEDS = range(10)
+
+#: Seeds of the walks on two tori.
+TORUS_SEEDS = range(5)
+
+#: Sweep budgets of the base solves; ``None`` is the default budget.
+BUDGETS = (0, 1, 2, 16, None)
+
+_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+# ---------------------------------------------------------------- inputs
+
+def random_model(rng, n: int, traps: int):
+    """Labels and vertex lists of ``n`` states: ``traps`` of them, placed at
+    random, step to themselves alone; every other state has 1 to 3 vertices,
+    each on a random support of the states (all of them with probability
+    0.3), and now and then one with an entry of 1e-300."""
+    trapped = set(rng.choice(n, size=traps, replace=False).tolist())
+    rows = []
+    for i in range(n):
+        if i in trapped:
+            rows.append([np.eye(n)[i]])
+            continue
+        verts = []
+        for _ in range(int(rng.integers(1, 4))):
+            size = n if rng.random() < 0.3 else int(rng.integers(1, min(n, 4) + 1))
+            v = np.zeros(n)
+            v[rng.choice(n, size=size, replace=False)] = rng.dirichlet(np.ones(size)) + 0.05
+            v /= v.sum()
+            if rng.random() < 0.1:
+                v[int(rng.integers(n))] += 1e-300
+            if not any(np.array_equal(v, w) for w in verts):
+                verts.append(v)
+        rows.append(verts)
+    return [f"s{i}" for i in range(n)], rows
+
+
+def two_torus(rng, rough: tuple[int, int], smooth: tuple[int, int]):
+    """Labels and vertex lists of a credal walk on a rough and a smooth torus.
+
+    A rough cell offers a deterministic drift to a neighbour and a step to
+    the smooth cell of its position (or the first one) that stays put with a
+    random probability, so walkers there can dodge each other forever. A
+    smooth cell offers a uniform step over itself and its neighbours, and a
+    lazy or drifting one on the same cells, so walkers there meet almost
+    surely and never leave. Upper meeting times are finite exactly when
+    every walker is on the smooth torus."""
+    shapes = {"a": rough, "b": smooth}
+    labels = [f"{t}{r}_{c}" for t, (rows, cols) in shapes.items() for r in range(rows) for c in range(cols)]
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+
+    def hood(t, r, c):
+        rows, cols = shapes[t]
+        return [index[f"{t}{r}_{c}"]] + [index[f"{t}{(r + dr) % rows}_{(c + dc) % cols}"] for dr, dc in _MOVES]
+
+    def vec(pairs):
+        v = np.zeros(n)
+        for i, w in pairs:
+            v[i] += w
+        return v / v.sum()
+
+    vertices = []
+    for r in range(rough[0]):
+        for c in range(rough[1]):
+            own, *nbrs = hood("a", r, c)
+            stay = float(rng.uniform(0.2, 0.6))
+            leak = index.get(f"b{r}_{c}", index["b0_0"])
+            drift = vec([(nbrs[(r + c) % 4], 1.0)])
+            vertices.append([drift, vec([(leak, 1.0 - stay), (own, stay)])])
+    for r in range(smooth[0]):
+        for c in range(smooth[1]):
+            own, *nbrs = hood("b", r, c)
+            if (r + c) % 2:
+                lazy = float(rng.uniform(0.4, 0.8))
+                second = vec([(own, lazy)] + [(i, (1.0 - lazy) / 4) for i in nbrs])
+            else:
+                drift, d = float(rng.uniform(0.4, 0.7)), (r + 2 * c) % 4
+                second = vec([(own, (1.0 - drift) / 4)]
+                             + [(i, drift if j == d else (1.0 - drift) / 4) for j, i in enumerate(nbrs)])
+            uniform = vec([(i, 1.0) for i in [own, *nbrs]])
+            vertices.append([uniform] if np.array_equal(uniform, second) else [uniform, second])
+    return labels, vertices
+
+
+def slow_walk(n: int):
+    """Labels and vertex lists of a walk towards the absorbing state
+    ``n - 1``, reflected at 0, whose states each step by a quarter, fairly
+    or lazily by a half: every selection mixes too slowly for restarted
+    GMRES, so its evaluations fall back to LU."""
+    rows = []
+    for i in range(n - 1):
+        step = np.zeros(n)
+        step[max(i - 1, 0)] += 0.5
+        step[i + 1] += 0.5
+        rows.append([0.75 * step + 0.25 * np.eye(n)[i], step, 0.5 * step + 0.5 * np.eye(n)[i]])
+    rows.append([np.eye(n)[n - 1]])
+    return [f"s{i}" for i in range(n)], rows
+
+
+def _cases():
+    """``(family, name, thunk)`` for every case of the corpus, in a fixed order."""
+    from credalmeet import CredalMatrix, build_product_space, meet, policy_iteration, value_iteration
+
+    for seed in BASE_SEEDS:
+        rng = np.random.default_rng([seed, 1])
+        n = int(rng.integers(2, 41))
+        labels, rows = random_model(rng, n, int(rng.integers(0, max(1, n // 4) + 1)))
+        model = CredalMatrix.from_rows(labels, rows)
+        targets = sorted(rng.choice(n, size=int(rng.integers(1, max(2, n // 5) + 1)), replace=False).tolist())
+        for sense in ("upper", "lower"):
+            for budget in BUDGETS:
+                kw = {} if budget is None else {"max_iter": budget}
+                yield ("policy_iteration", f"seed{seed}-n{n}-{sense}-{budget}",
+                       lambda m=model, s=sense, kw=kw: policy_iteration(m, targets, s, **kw))
+                yield ("value_iteration", f"seed{seed}-n{n}-{sense}-{budget}",
+                       lambda m=model, s=sense, kw=kw: value_iteration(m, targets, s, tol=1e-9, **kw))
+
+    def meets(family, name, model, agents, mode, rng):
+        product = build_product_space(model.space, agents, mode)
+        counts = np.diff(model.offsets)
+        selection = {s: tuple(int(rng.integers(counts[z])) for z in s) for s in product.states}
+        for sense in ("upper", "lower"):
+            yield (f"{family} vacuous", f"{name}-{agents}-{mode}-{sense}",
+                   lambda s=sense: meet(model, agents, "vacuous", s, mode))
+            yield (f"{family} mixture", f"{name}-{agents}-{mode}-{sense}",
+                   lambda s=sense: meet(model, agents, "mixture", s, mode, selection=selection, epsilon=0.3))
+        yield (f"{family} degenerate", f"{name}-{agents}-{mode}",
+               lambda: meet(model, agents, "degenerate", mode=mode, selection=selection))
+
+    for seed in JOINT_SEEDS:
+        rng = np.random.default_rng([seed, 2])
+        for agents, mode in ((2, "full"), (2, "quotient"), (3, "full"), (3, "quotient")):
+            n = int(rng.integers(3, 7 if agents == 2 else 5))
+            model = CredalMatrix.from_rows(*random_model(rng, n, int(rng.integers(0, 2))))
+            yield from meets("meet", f"seed{seed}-n{n}", model, agents, mode, rng)
+    for seed in TORUS_SEEDS:
+        rng = np.random.default_rng([seed, 3])
+        for agents, mode, rough, smooth in ((2, "full", (2, 2), (2, 3)), (2, "quotient", (2, 3), (3, 3)),
+                                            (3, "quotient", (2, 3), (3, 3)), (3, "full", (1, 2), (2, 2))):
+            model = CredalMatrix.from_rows(*two_torus(rng, rough, smooth))
+            yield from meets("two-torus", f"seed{seed}-{rough[0]}x{rough[1]}+{smooth[0]}x{smooth[1]}",
+                             model, agents, mode, rng)
+    model = CredalMatrix.from_rows(*slow_walk(100))
+    for sense in ("upper", "lower"):
+        yield "slow walk", f"n100-{sense}", lambda s=sense: policy_iteration(model, [99], s)
+
+
+def _record(result) -> dict:
+    """The fields of a hitting or meeting result, floats as hex."""
+    values = np.asarray(result.values, dtype=float)
+    selection = getattr(result, "selections", None)
+    if selection is None:
+        selection = result.selection.tolist()
+    cls = result.classification
+    return {
+        "values": [float(x).hex() for x in values.tolist()],
+        "inf": "".join("1" if x else "0" for x in np.isinf(values).tolist()),
+        "selection": [None if s is None else list(s) if isinstance(s, tuple) else s for s in selection],
+        "classification": {k: sorted(getattr(cls, k)) for k in ("target", "absorbing", "unsafe", "finite")},
+        "iterations": result.iterations,
+        "residual": float(result.residual).hex(),
+        "converged": bool(result.converged),
+    }
+
+
+def run_corpus() -> dict:
+    """Every case of the corpus, solved by the library on ``sys.path``."""
+    out = []
+    for family, name, thunk in _cases():
+        try:
+            record = _record(thunk())
+        except Exception as err:  # a refusal is an output too
+            record = {"error": f"{type(err).__name__}: {err}"}
+        out.append({"family": family, "case": name, **record})
+    return {"cases": out}
+
+
+# ---------------------------------------------------------------- compare
+
+def compare(a: dict, b: dict) -> bool:
+    """Print the comparison of two runs per family; True when nothing fails."""
+    ok = True
+    left = {(c["family"], c["case"]): c for c in a["cases"]}
+    right = {(c["family"], c["case"]): c for c in b["cases"]}
+    if left.keys() != right.keys():
+        print(f"FAIL: the runs hold different cases ({len(left.keys() ^ right.keys())} differ)")
+        ok = False
+    families = {}
+    for key in sorted(left.keys() & right.keys(), key=list(left).index):
+        x, y = left[key], right[key]
+        stats = families.setdefault(key[0], {"cases": 0, "identical": 0, "move": 0.0, "flips": 0, "fail": []})
+        stats["cases"] += 1
+        if x == y:
+            stats["identical"] += 1
+            continue
+        if "error" in x or "error" in y:
+            stats["fail"].append(f"{key[1]}: error {x.get('error')!r} against {y.get('error')!r}")
+            continue
+        for field in ("inf", "classification"):
+            if x[field] != y[field]:
+                stats["fail"].append(f"{key[1]}: {field} differs")
+        if x["selection"] != y["selection"]:
+            stats["flips"] += 1
+        if x["inf"] == y["inf"]:
+            for u, v in zip(x["values"], y["values"]):
+                u, v = float.fromhex(u), float.fromhex(v)
+                if math.isfinite(u) and u != v:
+                    stats["move"] = max(stats["move"], abs(u - v) / max(abs(u), abs(v)))
+    for family, s in families.items():
+        print(f"{family:<22}{s['identical']:>5} of {s['cases']:>4} bit-identical, largest relative value "
+              f"move {s['move']:.1e}, {s['flips']} selection flips")
+        for line in s["fail"]:
+            print(f"  FAIL: {line}")
+        ok = ok and not s["fail"]
+    return ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, help="the src/ directory whose library to run")
+    parser.add_argument("--out", type=Path, help="where --src writes its run")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"), help="two runs to compare")
+    parser.add_argument("--run", action="store_true", help=argparse.SUPPRESS)  # the fresh process
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(p.read_text()) for p in args.compare)
+        return 0 if compare(a, b) else 1
+    if not (args.src and args.out):
+        parser.error("give --src and --out, or --compare A B")
+    if args.run:
+        import credalmeet
+        if not Path(credalmeet.__file__).resolve().is_relative_to(args.src.resolve()):
+            sys.exit(f"credalmeet was imported from {credalmeet.__file__}, not from {args.src}")
+        args.out.write_text(json.dumps(run_corpus()) + "\n")
+        return 0
+    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--run", "--src", str(args.src), "--out", str(args.out)]
+    return subprocess.run(cmd, env=env).returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())

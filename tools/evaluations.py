@@ -1,6 +1,8 @@
 """Print every policy evaluation of vacuous meetings on credal tori: per
 evaluation its slack, whether it came out loose or exact, the path that
-solved it and its GMRES products, read from the solver's evaluation records.
+solved it and its GMRES products, read from the solver's evaluation records;
+and per solve the size of its finite region next to the whole view's: finite
+states, vertex rows, base states and table entries.
 
 Each cell of an ``s x s`` torus offers two vertices with five nonzeros: a
 uniform step to itself and its four neighbours, and a lazy step that stays
@@ -56,25 +58,31 @@ def torus(size: int, kind: str) -> CredalMatrix:
 
 @contextlib.contextmanager
 def recorded_evaluations():
-    """Collect ``(slack, evaluation)`` for every evaluation made meanwhile."""
-    calls = []
-    evaluate = solver._Evaluator.evaluate
+    """Collect ``(slack, evaluation)`` for every evaluation made meanwhile, and
+    ``(view, finite states, region)`` for every solve."""
+    calls, regions = [], []
+    evaluate, finite_region = solver._Evaluator.evaluate, solver._finite_region
 
     def recorded(self, choice, slack=0.0):
         run = evaluate(self, choice, slack)
         calls.append((slack, run))
         return run
 
-    solver._Evaluator.evaluate = recorded
+    def recorded_region(view, cls):
+        out = finite_region(view, cls)
+        regions.append((view, out[0], out[1]))
+        return out
+
+    solver._Evaluator.evaluate, solver._finite_region = recorded, recorded_region
     try:
-        yield calls
+        yield calls, regions
     finally:
-        solver._Evaluator.evaluate = evaluate
+        solver._Evaluator.evaluate, solver._finite_region = evaluate, finite_region
 
 
 def report(size: int, agents: int, kind: str, sense: str) -> None:
     model = torus(size, kind)
-    with recorded_evaluations() as calls:
+    with recorded_evaluations() as (calls, regions):
         start = time.perf_counter()
         res = meet(model, agents, "vacuous", sense)
         took = time.perf_counter() - start
@@ -85,6 +93,10 @@ def report(size: int, agents: int, kind: str, sense: str) -> None:
     print(f"torus {size}x{size}, {agents} agents, {kind}, {sense}: {res.values.size} states, "
           f"{res.iterations} sweeps ({loose} loose, {exact} exact, {sum(dropped)} dropped), "
           f"{products} products, residual {res.residual:.1e}, converged {res.converged}, {took:.2f} s")
+    for view, finite, region in regions:
+        (rows, base), (k, n) = region._stack.shape, view._stack.shape
+        print(f"  region  {finite.size} of {view.n} finite states, {rows} of {k} vertex rows, "
+              f"{base} of {n} base states, {region._table.size} of {view._table.size} table entries")
     for (slack, run), out in zip(calls, dropped):
         state = "dropped" if out else "loose" if run.loose else "exact"
         print(f"  {state:<8}slack {slack:.1e}  {run.path:<6}{run.products:>5} products  residual {run.residual:.1e}")
