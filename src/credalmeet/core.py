@@ -340,13 +340,47 @@ def segment_rows(starts: np.ndarray, counts: np.ndarray):
     return np.repeat(starts - bounds[:-1], counts) + np.arange(bounds[-1])
 
 
-def segment_optimum(vals: np.ndarray, bounds: np.ndarray, sense: str):
+def _segment_slots(vals: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+    """The per-slot views of ``vals`` when every segment ``bounds[s]:bounds[s +
+    1]`` has the same length ``V``: view ``j``, ``vals[j::V]`` over the
+    segments, holds entry ``j`` of every segment. Empty when the lengths
+    differ or there is no segment. The views read ``vals`` itself, so a
+    caller that refills one buffer makes them once."""
+    counts = bounds[1:] - bounds[:-1]
+    if not counts.size or (counts != counts[0]).any():
+        return []
+    v = int(counts[0])
+    return [vals[bounds[0] + j : bounds[-1] : v] for j in range(v)]
+
+
+def segment_optimum(vals: np.ndarray, bounds: np.ndarray, sense: str, slots: list[np.ndarray] | None = None):
     """Per segment ``bounds[s]:bounds[s + 1]`` of ``vals``, the largest (upper)
     or smallest (lower) entry and the lowest position attaining it, counted
     from the segment start. Every segment must be non-empty.
+
+    When every segment has the same length ``V``, the optimum is ``V - 1``
+    binary ``np.maximum`` or ``np.minimum`` calls over the per-slot views
+    (for ``V = 1`` the slot against itself, which is the slot), and the
+    position one equality test and masked write per slot, from the last
+    slot down, so that the lowest slot that attains the optimum writes
+    last. ``slots``, when given, are those views of ``vals``
+    (:func:`_segment_slots`, empty for unequal lengths), made once by a
+    caller that refills ``vals`` in place. Otherwise one ``reduceat`` gives
+    the optimum and a search of its hits the position. Max, min and ``==``
+    are exact, so both ways give the same answer.
     """
+    opt = np.maximum if sense == "upper" else np.minimum
+    slots = _segment_slots(vals, bounds) if slots is None else slots
+    if slots:
+        best = opt(slots[0], slots[-1])
+        for slot in slots[1:-1]:
+            opt(best, slot, out=best)
+        pick = np.full(best.size, len(slots) - 1, dtype=np.int64)
+        for j in range(len(slots) - 2, -1, -1):
+            np.copyto(pick, j, where=slots[j] == best)
+        return best, pick
     starts = bounds[:-1]
-    best = (np.maximum if sense == "upper" else np.minimum).reduceat(vals, starts)
+    best = opt.reduceat(vals, starts)
     hits = np.flatnonzero(vals == np.repeat(best, bounds[1:] - starts))
     # every segment attains its optimum, so its first hit is the first at or after its start
     return best, hits[np.searchsorted(hits, starts)] - starts

@@ -10,9 +10,10 @@ frontier rounds, one per breadth-first level: a round asks a view's
 ``touches`` which of its choices, every choice of the view, put mass on the
 states added in the previous round, and reduces the answers over every
 state's segment: one logical ``reduceat``, or :func:`segment_optimum` where
-the lowest choice that joins is wanted as a witness. The answers test which
-entries are above zero, never how large, so they are exact however small;
-``values`` sets inf where they find an infinite entry.
+the lowest choice that joins is wanted as a witness (over per-slot views,
+made once per closure, when every state has as many choices). The answers
+test which entries are above zero, never how large, so they are exact
+however small; ``values`` sets inf where they find an infinite entry.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, _ext_values, _require_sense, _touching, contract
+from .core import CredalMatrix, _ext_values, _require_sense, _segment_slots, _touching, contract
 from .core import segment_bounds, segment_optimum, segment_rows, target_mask
 
 
@@ -41,9 +42,10 @@ class ChoiceView:
     selection of ``choice[i]`` at ``states[i]``; and
     ``block_bytes(states)``, a bound on the bytes that building it takes.
     :meth:`values` applies the public operators' 0 * inf = 0 rule to the
-    first two. Those three answer for every choice the view holds; a caller
-    that wants some states' choices gathers them with :meth:`choice_rows`,
-    or contracts only them on their :meth:`region`.
+    first two, and :meth:`_kernel` gives the first, into one buffer, as a
+    one-argument call. Those three answer for every choice the view holds;
+    a caller that wants some states' choices gathers them with
+    :meth:`choice_rows`, or contracts only them on their :meth:`region`.
     """
 
     #: The view and the states that :meth:`restrict` pinned to make this view
@@ -119,6 +121,11 @@ class ChoiceView:
             return self
         return self._hold(states, rows, self._counts[states])
 
+    def _kernel(self, out: np.ndarray):
+        """``f -> finite_values(f, out)``, the one call of a caller that
+        contracts the view into the same buffer many times."""
+        return lambda f: self.finite_values(f, out)
+
     def values(self, f) -> np.ndarray:
         """Expectation of ``f`` under every choice the view holds, flat and in
         state order, with the 0 * inf = 0 rule: inf wherever the support test
@@ -149,6 +156,13 @@ class CredalChoices(ChoiceView):
         ``values(f)``, into ``out`` when given: one :func:`contract` of the
         view's rows, the whole stack when unpinned."""
         return contract(self._rows, f, out)
+
+    def _kernel(self, out: np.ndarray):
+        """:meth:`ChoiceView._kernel`: :func:`contract`'s one ``np.vecdot``
+        call on the view's rows, in a lambda, the one frame around it (a
+        ``functools.partial`` with ``out`` bound takes longer to call)."""
+        rows = self._rows
+        return lambda f: np.vecdot(rows, f, out=out)
 
     def touches(self, mask: np.ndarray) -> np.ndarray:
         """Whether each choice, laid out as ``values(f)``, puts positive mass
@@ -184,19 +198,23 @@ def _grow(view, seeds: np.ndarray, outside: np.ndarray, join: str, eligible=True
     set. One per-choice array keeps whether each choice has touched the
     grown set yet: a round adds the whole view's support test of the
     previous round's additions and reduces it over every state's segment,
-    and the states still outside that it finds join. Returns the grown mask
-    and, per state that joined under "witness", the lowest choice that let
-    it join.
+    and the states still outside that it finds join. Under "witness" the
+    eligible choices that touched it go into one buffer, whose per-slot
+    views, made once per call, give the lowest of them per state in binary
+    calls when every state has as many choices. Returns the grown mask and,
+    per state that joined under "witness", the lowest choice that let it
+    join.
     """
     grown, outside = seeds.copy(), outside.copy()
     witness = np.zeros(view.n, dtype=np.int64)
     bounds = view.choice_offsets(np.arange(view.n))
-    hit = np.zeros(bounds[-1], dtype=bool)
+    hit, joins = np.zeros((2, bounds[-1]), dtype=bool)
+    slots = _segment_slots(joins, bounds)
     frontier = seeds
     while outside.any() and frontier.any():
         hit |= view.touches(frontier)
         if join == "witness":
-            best, first = segment_optimum(hit & eligible, bounds, "upper")
+            best, first = segment_optimum(np.logical_and(hit, eligible, out=joins), bounds, "upper", slots)
             frontier = outside & best
             witness[frontier] = first[frontier]
         else:  # no witness to find: one reduction per segment

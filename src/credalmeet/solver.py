@@ -29,7 +29,12 @@ the whole stack's contraction, gathered into it) and inf at the choices
 with mass on the inf states, which one support test on the region finds in
 the lower sense when some state is infinite (in the upper sense no finite
 state has one). A greedy pass gives the improvement step and the
-final selection. Value iteration runs its sweeps in blocks of up to
+final selection. When every finite state has the same number ``V`` of
+choices, as in every dense model, the per-state optimum of a sweep or a
+greedy pass reads per-slot views of that buffer, made once per solve:
+``V - 1`` binary ``np.maximum`` or ``np.minimum`` calls
+(:func:`~credalmeet.core.segment_optimum`), where unequal counts take one
+``reduceat``. Value iteration runs its sweeps in blocks of up to
 ``VALUE_BLOCK``, over a history of ``VALUE_BLOCK + 1`` rows of ``n`` floats,
 zero off the finite states: a sweep contracts the row before it in place and
 writes its per-state optimum, plus one, into the finite entries of the next
@@ -63,7 +68,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CredalMatrix, _require_sense, is_integer, is_real, segment_optimum, segment_rows, target_mask
+from .core import CredalMatrix, _require_sense, _segment_slots, is_integer, is_real
+from .core import segment_optimum, segment_rows, target_mask
 from .reach import Classification, CredalChoices, classify_view
 
 #: Krylov basis size per GMRES cycle.
@@ -131,27 +137,32 @@ def _require_budget(tol, max_iter) -> None:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
 
 
-def _finish(evaluate, bounds: np.ndarray, f: np.ndarray, finite: np.ndarray, sense: str):
+def _finish(evaluate, bounds: np.ndarray, slots: list, f: np.ndarray, finite: np.ndarray, sense: str):
     """Greedy choice per finite state (lowest index on ties) and the sup-norm
     defect of ``h = 1 + opt(T h)`` on the finite states, for the values ``h``
-    that are ``f`` off the inf states and inf on them; ``evaluate`` and
-    ``bounds`` are :func:`_finite_region`'s."""
-    best, pick = segment_optimum(evaluate(f), bounds, sense)
+    that are ``f`` off the inf states and inf on them; ``evaluate``,
+    ``bounds`` and ``slots`` are :func:`_finite_region`'s."""
+    best, pick = segment_optimum(evaluate(f), bounds, sense, slots)
     return pick, float(np.max(np.abs(f[finite] - (1.0 + best)), initial=0.0))
 
 
 def _finite_region(view, cls: Classification):
     """The finite states, their :meth:`~credalmeet.reach.ChoiceView.region`,
     the bounds of each state's segment among their choices, the positions
-    there of the choices with mass on the inf states, and ``evaluate(f)``,
-    the values of those choices for ``f`` zero on the inf states, inf at
-    those positions, in one buffer that every call overwrites and returns:
-    the region's contraction, straight into it unless the region is a base
-    view whose finite states' rows are not consecutive, whose contraction
-    is gathered into it. The support test runs only in the lower sense
-    with some inf state, on the region: with none no choice has mass on
-    one, and in the upper sense no finite state has such a choice, which
-    would make it unsafe."""
+    there of the choices with mass on the inf states, ``evaluate(f)``, the
+    values of those choices for ``f`` zero on the inf states, inf at those
+    positions, in one buffer that every call overwrites and returns, and the
+    per-slot views of that buffer (:func:`~credalmeet.core._segment_slots`,
+    empty unless every finite state has the same number of choices), which
+    give the per-state optimum in binary calls. The buffer is the region's
+    contraction, straight into it unless the region is a base view whose
+    finite states' rows are not consecutive, whose contraction is gathered
+    into it; with no gather and no inf position, ``evaluate`` is the
+    region's own :meth:`~credalmeet.reach.ChoiceView._kernel`, so that no
+    frame of the solver's sits around the contraction. The support test
+    runs only in the lower sense with some inf state, on the region: with
+    none no choice has mass on one, and in the upper sense no finite state
+    has such a choice, which would make it unsafe."""
     finite = np.array(sorted(cls.finite), dtype=int)
     region = view.region(finite)
     bounds = region.choice_offsets(finite)
@@ -164,15 +175,17 @@ def _finite_region(view, cls: Classification):
     contracted = np.empty(view.choice_offsets(np.arange(view.n))[-1] if gather else bounds[-1])
     vals = np.empty(bounds[-1]) if gather else contracted[rows]
 
-    def evaluate(f):
-        region.finite_values(f, contracted)
-        if gather:
-            np.take(contracted, rows, out=vals)
-        if hopeless.size:
-            vals[hopeless] = math.inf
-        return vals
-
-    return finite, region, bounds, hopeless, evaluate
+    if gather or hopeless.size:
+        def evaluate(f):
+            region.finite_values(f, contracted)
+            if gather:
+                np.take(contracted, rows, out=vals)
+            if hopeless.size:
+                vals[hopeless] = math.inf
+            return vals
+    else:  # the region's contraction alone, straight into the buffer
+        evaluate = region._kernel(vals)
+    return finite, region, bounds, hopeless, evaluate, _segment_slots(vals, bounds)
 
 
 def _result(cls: Classification, finite: np.ndarray, f: np.ndarray, choice: np.ndarray,
@@ -193,14 +206,17 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     The sweeps run in blocks of 1, 2, 4, ... up to ``VALUE_BLOCK`` sweeps,
     none past ``max_iter``. Sweep ``j`` of a block applies
     :func:`_finite_region`'s evaluator to row ``j - 1`` of a history of
-    iterates, in place, and writes its iterate into row ``j``; row 0 holds
-    the values the block starts from, and every row is zero off the finite
-    states. After a block one vectorised pass takes every sweep's sup-norm
-    step, and the solve keeps the first sweep whose step is within ``tol``
-    and discards the rest of the block. With no finite state the solve is
-    converged before any sweep."""
+    iterates, in place, and writes its iterate into row ``j``: with ``V``
+    choices at every finite state, ``V - 1`` binary optima of the per-slot
+    views of the evaluator's buffer into row ``j``'s finite entries (or the
+    buffer scattered into them) and an add of one; otherwise one
+    ``reduceat``. Row 0 holds the values the block starts from, and every
+    row is zero off the finite states. After a block one vectorised pass
+    takes every sweep's sup-norm step, and the solve keeps the first sweep
+    whose step is within ``tol`` and discards the rest of the block. With no
+    finite state the solve is converged before any sweep."""
     cls, _ = classify_view(view, targets, sense)
-    finite, _, bounds, _, evaluate = _finite_region(view, cls)
+    finite, _, bounds, _, evaluate, slots = _finite_region(view, cls)
     cols = segment_rows(finite, np.ones(finite.size, dtype=np.int64))  # a slice when consecutive
     history = np.zeros((VALUE_BLOCK + 1, view.n))
     iterates = list(history)  # one view per row, made once
@@ -208,8 +224,8 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     # where sweep j writes its optimum: the finite columns of row j, or a
     # buffer scattered into them
     outs = [np.empty(finite.size)] * len(iterates) if scatter else [row[cols] for row in iterates]
-    starts = bounds[:-1]
-    best_of = (np.maximum if sense == "upper" else np.minimum).reduceat
+    starts, opt = bounds[:-1], np.maximum if sense == "upper" else np.minimum
+    middle = slots[1:-1]
     iterations, size, last = 0, 1, 0  # sweeps kept, block length, row of the current values
     converged = finite.size == 0  # nothing to iterate
     while not converged and iterations < max_iter:
@@ -217,7 +233,13 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
         size = min(size, max_iter - iterations)
         for j in range(1, size + 1):
             # one synchronous sweep: every update reads the previous iterate
-            new = best_of(evaluate(iterates[j - 1]), starts, out=outs[j])
+            vals = evaluate(iterates[j - 1])
+            if slots:  # V - 1 binary optima, and for V = 1 the slot against itself
+                new = opt(slots[0], slots[-1], out=outs[j])
+                for slot in middle:
+                    opt(new, slot, out=new)
+            else:
+                new = opt.reduceat(vals, starts, out=outs[j])
             new += 1.0
             if scatter:
                 history[j, cols] = new
@@ -229,7 +251,7 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
         iterations += last
         size = min(2 * size, VALUE_BLOCK)
     f = history[last].copy()
-    choice, residual = _finish(evaluate, bounds, f, finite, sense)
+    choice, residual = _finish(evaluate, bounds, slots, f, finite, sense)
     return _result(cls, finite, f, choice, iterations, residual, converged, "value-iteration")
 
 
@@ -538,7 +560,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     # proper there, since a finite state with mass on the inf states would be
     # unsafe itself; in the lower sense the greedy pass gives the choices
     # with mass on them inf, which never wins.
-    finite, region, bounds, hopeless, evaluate = _finite_region(view, cls)
+    finite, region, bounds, hopeless, evaluate, slots = _finite_region(view, cls)
     choice = witness[finite]
     off = np.isin(bounds[:-1] + choice, hopeless)
     if off.any():
@@ -566,7 +588,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         sweeps += 1
         if converged:
             break
-        new_choice, residual = _finish(evaluate, bounds, f, finite, sense)
+        new_choice, residual = _finish(evaluate, bounds, slots, f, finite, sense)
         settled = np.array_equal(new_choice, choice)
         if settled and exact:
             converged = True
@@ -577,7 +599,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         previous, choice = choice, new_choice
 
     if residual is None:  # no greedy pass read the last f
-        residual = _finish(evaluate, bounds, f, finite, sense)[1]
+        residual = _finish(evaluate, bounds, slots, f, finite, sense)[1]
     return _result(cls, finite, f, choice, sweeps, residual, converged, "policy-iteration")
 
 

@@ -61,25 +61,40 @@ def _reference(view, f, mask):
     return np.array(vals), np.array(hits, dtype=bool)
 
 
-def _assert_close(got, want):
+def _assert_close(got, want, terms):
+    """Equal ``inf`` patterns, and finite values within a dot product's error
+    bound for ``terms`` summed products: a relative term, and an absolute one
+    of a few units of the smallest subnormal per product for the rounding
+    that underflow leaves, which the relative term misses on subnormal
+    values and which is far below it above them."""
     assert np.array_equal(np.isinf(got), np.isinf(want))
     fin = np.isfinite(want)
-    assert np.allclose(got[fin], want[fin], rtol=1e-12, atol=0.0)
+    tiny = 4 * terms * np.finfo(float).smallest_subnormal
+    assert np.allclose(got[fin], want[fin], rtol=1e-12, atol=tiny)
+
+
+def _subnormal_values():
+    """Subnormal values on a 2-agent full view, whose kernel and reference
+    round one unit of 2**-1074 apart: a relative gap of 6.7e-11."""
+    m = CredalMatrix.from_rows(["s0", "s1"], [[[0.0, 1.0]], [[0.5, 0.5], [2 / 3, 1 / 3]]])
+    view = JointChoices(m, build_product_space(m.space, 2, "full"))
+    return view, np.array([0.0, 0.0, 2.2e-313, 5e-324]), np.zeros(view.n, dtype=bool), [0, 1, 1, 3]
 
 
 @settings(max_examples=60, deadline=None)
 @given(joint_views())
+@example(_subnormal_values())
 def test_joint_values_match_transition_weight_reference(data):
     view, f, mask, pick = data
     states = np.arange(view.n)
     got = view.values(f)
     want, want_hit = _reference(view, f, mask)
-    _assert_close(got, want)
+    _assert_close(got, want, view.n)
     assert np.array_equal(view.touches(mask), want_hit)
     # the pinned view reads the same table entries as the full one
     chosen = view.choice_offsets(states)[:-1] + pick
     pinned = view.restrict(states, pick)
-    _assert_close(pinned.values(f), want[chosen])
+    _assert_close(pinned.values(f), want[chosen], view.n)
     assert np.array_equal(pinned.values(f), got[chosen])
     assert np.array_equal(pinned.touches(mask), want_hit[chosen])
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credalmeet import (
@@ -92,14 +92,20 @@ def _scalar_scan(vals, bounds, sense):
     return np.array(pick)
 
 
+_TIED = st.sampled_from([0.0, 1.0, 2.0, math.inf])
+
+
+@st.composite
+def _uniform_segments(draw):
+    """Segments that all have one length, 1 to 5, drawn from tied values."""
+    size = draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(_TIED, min_size=size, max_size=size), min_size=1, max_size=8))
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.sampled_from([0.0, 1.0, 2.0, math.inf]), min_size=1, max_size=5),
-        min_size=1,
-        max_size=8,
-    )
-)
+@given(st.one_of(st.lists(st.lists(_TIED, min_size=1, max_size=5), min_size=1, max_size=8), _uniform_segments()))
+@example([[1.0], [math.inf], [0.0]])
+@example([[2.0, 2.0, 2.0]] * 4)
 def test_segment_optimum_takes_lowest_index_on_ties(segments):
     vals = np.array([v for seg in segments for v in seg])
     bounds = segment_bounds([len(seg) for seg in segments])
@@ -111,12 +117,14 @@ def test_segment_optimum_takes_lowest_index_on_ties(segments):
 
 @pytest.mark.parametrize("kind", ["float", "bool"])
 def test_segment_optimum_matches_a_per_segment_reference_on_ragged_segments(kind):
-    # hundreds of ragged segments drawn from a few values, so that most of
-    # them tie, in float (with inf) and bool alike: each segment's optimum,
-    # of the input's dtype, and its lowest position, as Python finds them
+    # hundreds of segments drawn from a few values, so that most of them
+    # tie, in float (with inf) and bool alike, ragged in every other round and
+    # of one length, 1 to 7, in the rest: each segment's optimum, of the
+    # input's dtype, and its lowest position, as Python finds them
     rng = np.random.default_rng(len(kind))
-    for _ in range(40):
-        counts = rng.integers(1, 8, size=int(rng.integers(1, 400)))
+    for i in range(40):
+        segments = int(rng.integers(1, 400))
+        counts = rng.integers(1, 8, size=segments) if i % 2 else np.full(segments, i % 7 + 1)
         bounds = segment_bounds(counts)
         if kind == "bool":
             vals = rng.random(bounds[-1]) < rng.random()
@@ -125,6 +133,9 @@ def test_segment_optimum_matches_a_per_segment_reference_on_ragged_segments(kind
         for sense, opt in (("upper", max), ("lower", min)):
             best, pick = segment_optimum(vals, bounds, sense)
             assert best.dtype == vals.dtype
+            # no per-slot views: the reduceat path, the same answer
+            reduced = segment_optimum(vals, bounds, sense, [])
+            assert np.array_equal(reduced[0], best) and np.array_equal(reduced[1], pick)
             for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
                 seg = vals[a:b].tolist()
                 assert best[s] == opt(seg) and pick[s] == seg.index(opt(seg))

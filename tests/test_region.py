@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credalmeet import CredalMatrix, build_product_space, exhaustive_meeting_times, meet, solver
@@ -71,8 +71,20 @@ def test_a_region_reads_the_views_choices(data):
     assert pin.block(states, 0 * choice).tobytes() == view.block(states, choice).tobytes()
 
 
+def _unreached_base_state():
+    """Every state of a 2-agent full view on a model whose rows never reach
+    base state 2: its states hold every base state and read every row, but
+    its region drops the column that no row reaches."""
+    m = CredalMatrix.from_rows(["s0", "s1", "s2"], [[[0.5, 0.5, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                                   [[0.5, 0.5, 0.0]]])
+    view = JointChoices(m, build_product_space(m.space, 2, "full"))
+    states = np.arange(view.n)
+    return view, None, None, states, np.zeros(states.size, dtype=np.int64)
+
+
 @settings(max_examples=100, deadline=None)
 @given(regions())
+@example(_unreached_base_state())
 def test_a_region_contracts_only_the_rows_and_base_states_it_reads(data):
     view, _, _, states, choice = data
     region = view.region(states)

@@ -6,7 +6,10 @@ senses, at several sweep budgets, on random models with trap states, and
 ``meet`` with 2 and 3 agents, full and quotient, under a vacuous belief in
 both senses, a degenerate one and a mixture, on random models and on credal
 walks over two tori whose upper meeting times are finite on the smooth torus
-alone; and policy iteration on a slowly mixing walk that GMRES gives up on.
+alone; policy and value iteration at the same budgets and a 2-agent quotient
+``meet`` in both senses on models whose every state has two vertices, so
+that every segment of choices has one length; and policy iteration on a
+slowly mixing walk that GMRES gives up on.
 Every input is generated here from fixed seeds; nothing is read from the
 test suite or the benchmark. Per case the run records the values as float
 hex, their ``inf`` pattern, the selection, the classification, the
@@ -41,6 +44,9 @@ JOINT_SEEDS = range(10)
 #: Seeds of the walks on two tori.
 TORUS_SEEDS = range(5)
 
+#: State counts of the models with two vertices at every state.
+UNIFORM_SIZES = (20, 60)
+
 #: Sweep budgets of the base solves; ``None`` is the default budget.
 BUDGETS = (0, 1, 2, 16, None)
 
@@ -71,6 +77,21 @@ def random_model(rng, n: int, traps: int):
             if not any(np.array_equal(v, w) for w in verts):
                 verts.append(v)
         rows.append(verts)
+    return [f"s{i}" for i in range(n)], rows
+
+
+def uniform_model(rng, n: int, traps: int):
+    """Labels and vertex lists of ``n`` states with exactly two vertices each:
+    dense rows, every entry at least ``0.2 / n``, except on ``traps`` states,
+    placed at random, whose two rows keep the walk among those states, so
+    that some states are hopeless and some choices carry mass to them."""
+    trapped = rng.choice(n, size=traps, replace=False)
+    rows = []
+    for i in range(n):
+        if i in trapped:
+            rows.append([np.bincount(trapped, rng.dirichlet(np.ones(traps)), n) for _ in range(2)])
+        else:
+            rows.append([0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n for _ in range(2)])
     return [f"s{i}" for i in range(n)], rows
 
 
@@ -154,6 +175,21 @@ def _cases():
                        lambda m=model, s=sense, kw=kw: policy_iteration(m, targets, s, **kw))
                 yield ("value_iteration", f"seed{seed}-n{n}-{sense}-{budget}",
                        lambda m=model, s=sense, kw=kw: value_iteration(m, targets, s, tol=1e-9, **kw))
+
+    for n in UNIFORM_SIZES:
+        for traps in (0, 2):
+            rng = np.random.default_rng([n, traps, 4])
+            model = CredalMatrix.from_rows(*uniform_model(rng, n, traps))
+            targets = sorted(rng.choice(n, size=2, replace=False).tolist())
+            for sense in ("upper", "lower"):
+                for budget in BUDGETS:
+                    kw = {} if budget is None else {"max_iter": budget}
+                    yield ("uniform policy", f"n{n}-traps{traps}-{sense}-{budget}",
+                           lambda m=model, t=targets, s=sense, kw=kw: policy_iteration(m, t, s, **kw))
+                    yield ("uniform value", f"n{n}-traps{traps}-{sense}-{budget}",
+                           lambda m=model, t=targets, s=sense, kw=kw: value_iteration(m, t, s, tol=1e-9, **kw))
+                yield ("uniform meet", f"n{n}-traps{traps}-2-quotient-{sense}",
+                       lambda m=model, s=sense: meet(m, 2, "vacuous", s, "quotient"))
 
     def meets(family, name, model, agents, mode, rng):
         product = build_product_space(model.space, agents, mode)
