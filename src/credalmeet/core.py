@@ -14,7 +14,8 @@ identical bits on one machine; :func:`ext_dot` stays the left-to-right
 reference. A value vector is contracted by ``np.vecdot``, one dot per
 vertex row, which gives a row the same bits in any subset of rows; the joint
 walk's value tensor, always contracted whole, by one BLAS product per agent
-axis, the last one straight into a table its caller owns.
+axis with no transposed operand (:func:`contract_chain`), the last one
+straight into a table its caller owns.
 Values with infinite entries go through one rule, in the public operators
 and every choice view's ``values``: a contraction of the values with their
 infs zeroed, and inf on each row that an exact support test finds with mass
@@ -247,6 +248,43 @@ def ext_dot(weights, values) -> float:
     return total
 
 
+def chain_sizes(k: int, n: int, agents: int) -> tuple[int, int]:
+    """Entries of the two flat buffers of :func:`contract_chain` for ``k``
+    rows over ``n`` columns and ``agents`` tensor axes. Step ``i`` of the
+    chain writes ``n**(agents - i) * k**i`` entries, into the first buffer
+    when ``agents - i`` is even, so that the last step writes the
+    ``k**agents`` table in the first buffer's head; each buffer holds the
+    largest of its steps. When ``k >= n`` the steps grow, so the first
+    buffer is the table and the second, the scratch, has
+    ``n * k**(agents - 1)`` entries."""
+    steps = [n ** (agents - i) * k**i for i in range(1, agents + 1)]
+    return max(steps[agents - 1 :: -2]), max(steps[agents - 2 :: -2])
+
+
+def contract_chain(rows: np.ndarray, rows_t: np.ndarray, values: np.ndarray, buffers) -> np.ndarray:
+    """``values``, a tensor of ``m >= 2`` axes of ``n`` entries, contracted
+    on every axis with the ``(k, n)`` ``rows``, as the ``(k,) * m`` head of
+    ``buffers[0]``. ``rows_t`` is the rows' C-contiguous transpose, and
+    ``buffers`` are two flat float arrays at least as long as
+    :func:`chain_sizes` gives.
+
+    No product reads a transposed view and none allocates: one right
+    product ``values.reshape(-1, n) @ rows_t`` contracts the last axis, and
+    then, for ``j = 2..m``, one left product ``rows @ acc``, batched over
+    the ``n**(m - j)`` leading axes, contracts axis ``m - j``, its row axis
+    in front of those already made. The steps alternate between the two
+    buffers, so that none reads what it writes and the last one writes the
+    table."""
+    (k, n), m = rows.shape, values.ndim
+    size = n ** (m - 1) * k
+    acc = np.matmul(values.reshape(-1, n), rows_t, out=buffers[(m - 1) % 2][:size].reshape(-1, k))
+    for j in range(2, m + 1):
+        lead, done = n ** (m - j), k ** (j - 1)
+        out = buffers[(m - j) % 2][: lead * k * done].reshape(lead, k, done)
+        acc = np.matmul(rows, acc.reshape(lead, n, done), out=out)
+    return acc.reshape((k,) * m)
+
+
 def contract(vertices: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Expectation of the finite ``values`` under every row of ``vertices``,
     written into ``out`` when given.
@@ -261,26 +299,30 @@ def contract(vertices: np.ndarray, values: np.ndarray, out: np.ndarray | None = 
     wherever the row sits in memory, so any subset of a model's vertex rows
     reproduces the whole stack's entries; ``out`` takes the same bits. Like
     any ufunc it warns on a product past the float range. A tensor is
-    contracted by one BLAS product per axis: its callers always contract the
-    whole tensor with the whole stack and gather entries from that one table,
-    so identical inputs still give identical bits. With ``out``, a tensor's
-    last product is written in place when ``out`` is C-contiguous, so that
-    no table is allocated; any other ``out`` of the result's shape gets the
+    contracted by :func:`contract_chain`, one BLAS product per axis with no
+    transposed operand, here into buffers allocated for the one call (a
+    joint view holds its own): its callers always contract the whole tensor
+    with the whole stack and gather entries from that one table, so
+    identical inputs still give identical bits. With ``out``, the table is
+    written in place when ``out`` is C-contiguous and holds every step the
+    chain writes there (always for two axes; for more, when there are at
+    least as many rows as columns), so that no table is allocated; any
+    other ``out`` of the result's shape gets the
     same bits by a copy, and one of another shape raises ValueError.
     """
     if values.ndim == 1:
         return np.vecdot(vertices, values, out=out)
-    for _ in range(values.ndim - 1):  # last axis first, the new row axis in front
-        values = (vertices @ values.reshape(-1, values.shape[-1]).T).reshape(-1, *values.shape[:-1])
-    shape, last = (len(vertices), *values.shape[:-1]), values.reshape(-1, values.shape[-1]).T
+    (k, n), m = vertices.shape, values.ndim
+    if out is not None and out.shape != (k,) * m:
+        raise ValueError(f"out has shape {out.shape}, expected {(k,) * m}")
+    table, scratch = chain_sizes(k, n, m)
+    direct = out is not None and out.flags.c_contiguous and out.size == table
+    buffers = (out.reshape(-1) if direct else np.empty(table), np.empty(scratch))
+    got = contract_chain(vertices, np.ascontiguousarray(vertices.T), values, buffers)
     if out is None:
-        return (vertices @ last).reshape(shape)
-    if out.shape != shape:
-        raise ValueError(f"out has shape {out.shape}, expected {shape}")
-    if out.flags.c_contiguous:  # a reshape views it: the product lands in place
-        np.matmul(vertices, last, out=out.reshape(len(vertices), -1))
-    else:
-        out[...] = (vertices @ last).reshape(shape)
+        return got
+    if not direct:
+        out[...] = got
     return out
 
 

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import CredalMatrix, StateSpace, _require_sense, contract
+from .core import CredalMatrix, StateSpace, _require_sense, chain_sizes, contract_chain
 from .core import is_integer, is_real, segment_bounds, target_mask
 from .reach import ChoiceView, Classification
 from .solver import HittingResult, _require_budget, solve_view_policy
@@ -196,7 +196,9 @@ class JointChoices(ChoiceView):
     the table of all cells: the sorted cell's in quotient mode, where values
     are symmetric in the cell. A choice is its key. Each evaluation contracts
     the value tensor with the stacked array once per agent
-    (:func:`~credalmeet.core.contract`) and reads the table at the keys,
+    (:func:`~credalmeet.core.contract_chain`: one right product with the
+    transposed stack for the last agent, then one batched left product with
+    the stack per earlier agent) and reads the table at the keys,
     :meth:`touches` does the same with the 0/1 mask and pattern, and
     :meth:`block` decodes the keys to cells; so choices that only swap
     co-located agents' vertices tie exactly in all three, on the view and on
@@ -206,13 +208,18 @@ class JointChoices(ChoiceView):
     summed back from, ordered tuples by ``product.ordered_index``, built
     only after the table size passed its guard.
 
-    The view allocates its table once, after the guard, and every
-    contraction writes into it; its pins share it through their shallow
-    copy. So a contraction on a view and one on its pins must not
-    interleave: each reads its entries out before the next one starts. A
-    :meth:`region` of some states' choices contracts only the vertex rows
-    and base states they read, into a smaller table of its own that its
-    pins share in turn.
+    The view allocates what its contractions write once, after the guard:
+    for ``K`` vertex rows, ``n`` base states and ``m`` agents, the table of
+    ``K**m`` entries, the chain's scratch of at most ``n * K**(m - 1)``, the
+    value tensor of ``n**m`` and the C-contiguous transposes of the stack
+    and of the 0/1 pattern, ``K * n`` each. Every contraction writes into
+    them, and its pins share them through their shallow copy. So a
+    contraction on a view and one on its pins must not interleave: each
+    reads its entries out before the next one starts. The guard counts the
+    table's entries alone; since ``K >= n``, the scratch and the tensor are
+    no larger than the table. A :meth:`region` of some states' choices
+    contracts only the vertex rows and base states they read, into smaller
+    buffers of its own that its pins share in turn.
     """
 
     def __init__(self, model: CredalMatrix, product: ProductSpace):
@@ -231,9 +238,9 @@ class JointChoices(ChoiceView):
                 f"the joint choice-value table would have {k**m} entries ({k} "
                 f"vertices, {m} agents), above the {MAX_TABLE_ENTRIES} limit"
             )
-        self._table = np.empty((k,) * m)
         self._vertex = np.arange(k)
-        self._agg = product.ordered_index
+        self._agg = product.ordered_index.reshape((model.size,) * m)
+        self._hold_operands()
         joint = product.state_array
         agent_counts = np.diff(model.offsets)[joint]
         self._counts = functools.reduce(np.multiply, agent_counts.T)
@@ -256,7 +263,10 @@ class JointChoices(ChoiceView):
         stays sorted; its stack and 0/1 pattern are those rows' entries in
         those columns, its ``_agg`` is the ordered tuples of those base
         states, and its table, ``R**agents`` entries for ``R`` rows, is
-        allocated here, once, and shared by its pins. A row puts no mass
+        allocated here, once, with the rest of :meth:`_hold_operands`, and
+        shared by its pins. It may keep fewer rows than base states, so the
+        chain's buffers are sized for every step, and the first can be
+        larger than the table in its head. A row puts no mass
         outside the columns kept, so the region's values are the view's up
         to the rounding that a contraction over fewer rows or columns moves,
         and its support tests, which count destination tuples, are exact.
@@ -267,7 +277,7 @@ class JointChoices(ChoiceView):
         state (known once per view), a region whose states hold every base
         state is one, found without a scan of the rows or columns."""
         region = super().region(states)
-        keys, (k, *_), m = region._rows, self._stack.shape, self._table.ndim
+        keys, (k, *_), m = region._rows, self._stack.shape, self.product.agents
         if len(self._rows) == len(self._cells):
             # this view holds every choice of the walk, so the region holds
             # every vertex row of its states' base states
@@ -295,9 +305,22 @@ class JointChoices(ChoiceView):
         region._stack = self._stack[np.ix_(rows, base)]
         region._pattern = self._pattern[np.ix_(rows, base)]
         region._vertex = self._vertex[rows]
-        region._agg = self._agg.reshape((self._stack.shape[1],) * m)[np.ix_(*[base] * m)].ravel()
-        region._table = np.empty((rows.size,) * m)
+        region._agg = self._agg[np.ix_(*[base] * m)]
+        region._hold_operands()
         return region
+
+    def _hold_operands(self):
+        """Allocate what the contractions of this view's ``_stack`` and
+        ``_pattern`` read and write, once: their C-contiguous transposes,
+        the value tensor, ``n**agents`` entries for ``n`` base states, and
+        :func:`~credalmeet.core.contract_chain`'s two buffers, the first
+        holding ``_table`` in its head."""
+        (k, n), m = self._stack.shape, self.product.agents
+        self._stack_t = np.ascontiguousarray(self._stack.T)
+        self._pattern_t = np.ascontiguousarray(self._pattern.T)
+        self._tensor = np.empty((n,) * m)
+        self._buffers = tuple(map(np.empty, chain_sizes(k, n, m)))
+        self._table = self._buffers[0][: k**m].reshape((k,) * m)
 
     def choice_tuples(self, state: int) -> list[tuple[int, ...]]:
         """Every choice of ``state`` as a vertex tuple, inverse to :meth:`flat_choice`."""
@@ -325,19 +348,23 @@ class JointChoices(ChoiceView):
             flat = flat * count + int(c)
         return flat
 
-    def _contract(self, rows: np.ndarray, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _contract(self, rows: np.ndarray, rows_t: np.ndarray, f: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """Per choice, into ``out`` when given, the entry at its key of the
-        view's table, into which :func:`contract` writes ``rows`` (the stack
-        or its 0/1 pattern) contracted with ``f`` spread over the ordered
-        tuples of the base states in their columns."""
-        tensor = f[self._agg].reshape((rows.shape[1],) * self._table.ndim)
-        contract(rows, tensor, out=self._table)
-        return np.take(self._table.ravel(), self._rows, out=out)
+        view's table, into which :func:`~credalmeet.core.contract_chain`
+        writes ``rows`` (the stack or its 0/1 pattern, ``rows_t`` their
+        transpose) contracted with ``f`` spread over the ordered tuples of
+        the base states in their columns, gathered into the view's tensor."""
+        # the indices are in range, and mode="clip" gathers straight into
+        # ``out``, where the default mode gathers into a buffer first
+        np.take(f, self._agg, out=self._tensor, mode="clip")
+        contract_chain(rows, rows_t, self._tensor, self._buffers)
+        return np.take(self._buffers[0], self._rows, out=out, mode="clip")
 
     def finite_values(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Expectation of the finite ``f`` under every choice, laid out as
         ``values(f)``, into ``out`` when given."""
-        return self._contract(self._stack, f, out)
+        return self._contract(self._stack, self._stack_t, f, out)
 
     def touches(self, mask: np.ndarray) -> np.ndarray:
         """Whether each choice, laid out as ``values(f)``, puts positive mass
@@ -345,14 +372,15 @@ class JointChoices(ChoiceView):
         makes with the 0/1 pattern."""
         # the pattern's entries are 0 or 1, so a table entry counts destination
         # tuples and no product of small masses can underflow
-        return self._contract(self._pattern, np.asarray(mask, dtype=float)) > 0.0
+        return self._contract(self._pattern, self._pattern_t, np.asarray(mask, dtype=float)) > 0.0
 
     def _block_plan(self, states: np.ndarray):
         """The base states that ``states`` hold, and the pinned cells per chunk
         of :meth:`block`, chosen so that a chunk's products, bin indices and
         sums each take about a quarter of the block at most."""
         k, m = states.size, self.product.agents
-        base = np.flatnonzero(np.bincount(self.product.state_array[states].ravel(), minlength=self.model.size))
+        held = np.take(self.product.state_array, states, axis=0)
+        base = np.flatnonzero(np.bincount(held.ravel(), minlength=self.model.size))
         return base, max(1, k * k // max(1, 4 * base.size**m))
 
     def block(self, states: np.ndarray, choice: np.ndarray) -> np.ndarray:

@@ -167,10 +167,12 @@ ZERO_ONE = st.sampled_from([0.0, 1.0])
 
 @st.composite
 def tensor_contractions(draw, vertex_entry, value_entry):
-    """A ``(k, n)`` vertex array and an ``(n,) * agents`` tensor, 2 or 3 agents."""
-    agents = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 7 if agents == 2 else 5))
-    k = draw(st.integers(1, 9))
+    """A ``(k, n)`` vertex array and an ``(n,) * agents`` tensor, 2 to 5
+    agents; half the time fewer rows than columns, as a joint region may
+    have, so that a step of the chain outgrows the table."""
+    agents = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(1, {2: 7, 3: 5, 4: 4, 5: 3}[agents]))
+    k = draw(st.integers(1, max(1, n - 1)) if draw(st.booleans()) else st.integers(1, 9))
     vertices = draw(st.lists(vertex_entry, min_size=k * n, max_size=k * n))
     values = draw(st.lists(value_entry, min_size=n**agents, max_size=n**agents))
     return np.reshape(vertices, (k, n)), np.reshape(values, (n,) * agents)
@@ -212,6 +214,38 @@ def test_tensor_contract_into_out_has_the_bits_of_a_fresh_table(data):
     assert np.array_equal(transposed, want)
     with pytest.raises(ValueError, match="out has shape"):
         contract(vertices, values, out=np.empty(want.size + 1))
+
+
+@pytest.mark.parametrize("agents", [2, 3])
+def test_warm_joint_contractions_allocate_nothing(agents):
+    """A warm contraction of the stack or the 0/1 pattern, on a view, on a
+    region with fewer vertex rows than base states and on their pins,
+    traces a few KB at most: each writes the tensor, scratch and table that
+    its view or region allocated once, and a pin shares its view's."""
+    rng = np.random.default_rng(1)
+    m = random_credal_matrix(rng, n={2: 30, 3: 12}[agents], max_vertices=2, dense_prob=1.0)
+    view = JointChoices(m, build_product_space(m.space, agents, "quotient"))
+    low = np.flatnonzero((view.product.state_array < 2).all(axis=1))
+    region = view.region(low)
+    assert region._stack.shape[0] < region._stack.shape[1] == m.size
+    assert region._buffers is not view._buffers
+    f = rng.random(view.n)
+    mask = (f > 0.5).astype(float)
+    for v, states in ((view, np.arange(view.n)), (region, low)):
+        pin = v.restrict(states, np.zeros(states.size, dtype=np.int64))
+        for name in ("_buffers", "_tensor", "_table", "_stack_t", "_pattern_t"):
+            assert getattr(pin, name) is getattr(v, name)
+        for w in (v, pin):
+            out = np.empty(len(w._rows))
+            for rows, rows_t, g in ((w._stack, w._stack_t, f), (w._pattern, w._pattern_t, mask)):
+                w._contract(rows, rows_t, g, out)  # warm-up
+                tracemalloc.start()
+                try:
+                    w._contract(rows, rows_t, g, out)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 4096, (agents, peak)
 
 
 def test_joint_contractions_write_into_the_views_table():

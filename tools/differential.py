@@ -8,8 +8,11 @@ both senses, a degenerate one and a mixture, on random models and on credal
 walks over two tori whose upper meeting times are finite on the smooth torus
 alone; policy and value iteration at the same budgets and a 2-agent quotient
 ``meet`` in both senses on models whose every state has two vertices, so
-that every segment of choices has one length; and policy iteration on a
-slowly mixing walk that GMRES gives up on.
+that every segment of choices has one length; ``meet`` under a vacuous
+belief in both senses with 4 and 5 agents, quotient, and with 3 agents,
+full, on small random models, whose contractions take three to five
+products; and policy iteration on a slowly mixing walk that GMRES gives up
+on.
 Every input is generated here from fixed seeds; nothing is read from the
 test suite or the benchmark. Per case the run records the values as float
 hex, their ``inf`` pattern, the selection, the classification, the
@@ -43,6 +46,9 @@ JOINT_SEEDS = range(10)
 
 #: Seeds of the walks on two tori.
 TORUS_SEEDS = range(5)
+
+#: Seeds of the random models of the 3- to 5-agent meets.
+DEEP_SEEDS = range(5)
 
 #: State counts of the models with two vertices at every state.
 UNIFORM_SIZES = (20, 60)
@@ -216,6 +222,14 @@ def _cases():
             model = CredalMatrix.from_rows(*two_torus(rng, rough, smooth))
             yield from meets("two-torus", f"seed{seed}-{rough[0]}x{rough[1]}+{smooth[0]}x{smooth[1]}",
                              model, agents, mode, rng)
+    for seed in DEEP_SEEDS:
+        rng = np.random.default_rng([seed, 5])
+        for agents, mode, sizes in ((4, "quotient", (3, 5)), (5, "quotient", (3, 4)), (3, "full", (4, 6))):
+            n = int(rng.integers(*sizes))
+            model = CredalMatrix.from_rows(*random_model(rng, n, int(rng.integers(0, 2))))
+            for sense in ("upper", "lower"):
+                yield ("deep meet", f"seed{seed}-n{n}-{agents}-{mode}-{sense}",
+                       lambda m=model, a=agents, md=mode, s=sense: meet(m, a, "vacuous", s, md))
     model = CredalMatrix.from_rows(*slow_walk(100))
     for sense in ("upper", "lower"):
         yield "slow walk", f"n100-{sense}", lambda s=sense: policy_iteration(model, [99], s)
