@@ -250,7 +250,7 @@ def _cmd_meet(args) -> int:
     labels = model.space.labels
     joint_labels = result.product.labels
     if args.agents == 2:
-        cells = [[_fmt(v) for v in row] for row in result.matrix()]
+        cells = [[_fmt(v) for v in row] for row in result.matrix().tolist()]
         width = 2 + max(len(s) for s in [*labels, *itertools.chain(*cells)])
         left = 2 + max(len(s) for s in labels)
         print("\n".join([" " * left + "".join(f"{s:>{width}}" for s in labels)] + [

@@ -203,8 +203,8 @@ class JointChoices(ChoiceView):
     :meth:`block` decodes the keys to cells; so choices that only swap
     co-located agents' vertices tie exactly in all three, on the view and on
     its pins from :meth:`restrict` (one choice per state: a precise joint
-    walk). Only the result's selections read ``_cells``, the cells in agent
-    order, and only on the unpinned view. Values are spread over, and rows
+    walk). Only the result's vertex indices read ``_cells``, the cells in
+    agent order, and only on the unpinned view. Values are spread over, and rows
     summed back from, ordered tuples by ``product.ordered_index``, built
     only after the table size passed its guard.
 
@@ -366,6 +366,11 @@ class JointChoices(ChoiceView):
         ``values(f)``, into ``out`` when given."""
         return self._contract(self._stack, self._stack_t, f, out)
 
+    def _table_read(self, out: np.ndarray):
+        """:meth:`ChoiceView._table_read`: the gather of the table at the
+        view's keys that ends :meth:`_contract`, on its own."""
+        return functools.partial(np.take, self._buffers[0], self._rows, None, out, "clip")
+
     def touches(self, mask: np.ndarray) -> np.ndarray:
         """Whether each choice, laid out as ``values(f)``, puts positive mass
         on ``mask``: the entry at its key of the table that the 0/1 mask
@@ -458,7 +463,10 @@ class MeetingResult:
     ``values`` is indexed by the product space, zero on the diagonal.
     ``selections`` holds per joint state the chosen vertex tuple; it is None
     on the diagonal and a lowest-index placeholder on states whose value is
-    infinite, since no choice matters there. For a mixture belief the
+    infinite, since no choice matters there. It is not a field: the result
+    holds the chosen vertex indices as one ``(states, agents)`` array,
+    ``choices``, and builds the tuples from it on the first read of
+    ``selections``, which every later read returns. For a mixture belief the
     classification and selections describe the vacuous component, whose
     optimizers do not depend on the mixing weight.
     """
@@ -468,11 +476,19 @@ class MeetingResult:
     sense: str | None
     epsilon: float | None
     values: np.ndarray
-    selections: tuple[tuple[int, ...] | None, ...]
+    choices: np.ndarray
     classification: Classification
     iterations: int
     residual: float
     converged: bool
+
+    @functools.cached_property
+    def selections(self) -> tuple[tuple[int, ...] | None, ...]:
+        """The vertex tuple of every state's choice, None on the diagonal."""
+        tuples = list(zip(*self.choices.T.tolist()))
+        for i in self.product.diagonal:
+            tuples[i] = None
+        return tuple(tuples)
 
     def value_at(self, joint: tuple[int, ...]) -> float:
         return float(self.values[self.product.index_of(joint)])
@@ -509,13 +525,11 @@ def _normalize_selection(
     return fixed
 
 
-def _selection_tuples(view: JointChoices, flat: np.ndarray) -> tuple:
-    """The vertex tuple of every state's flat choice, None on the diagonal."""
-    cells = view._cells[view._starts + flat] - view.model.offsets[view.product.state_array]
-    tuples = list(zip(*cells.T.tolist()))
-    for i in view.product.diagonal:
-        tuples[i] = None
-    return tuple(tuples)
+def _vertex_choices(view: JointChoices, flat: np.ndarray) -> np.ndarray:
+    """The vertex indices of every state's flat choice, one row per state:
+    its cell, less each agent's first row, in one gather."""
+    cells = view._cells[view._starts + flat]
+    return np.subtract(cells, view.model.offsets[view.product.state_array], out=cells)
 
 
 def _wrap_result(view, belief, sense, epsilon, res: HittingResult) -> MeetingResult:
@@ -525,7 +539,7 @@ def _wrap_result(view, belief, sense, epsilon, res: HittingResult) -> MeetingRes
         sense=sense,
         epsilon=epsilon,
         values=res.values,
-        selections=_selection_tuples(view, res.selection),
+        choices=_vertex_choices(view, res.selection),
         classification=res.classification,
         iterations=res.iterations,
         residual=res.residual,

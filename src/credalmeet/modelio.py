@@ -294,6 +294,18 @@ def _flat_encode(depth: int):
     return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
 
 
+def _int_rows(members) -> int:
+    """The length of every one of ``members`` when they are all non-empty
+    lists of exact ints (not bools or other subclasses), all of one length;
+    otherwise 0. Each test runs over all of them in one C loop."""
+    if set(map(type, members)) != {list}:
+        return 0
+    widths = set(map(len, members))
+    if len(widths) != 1 or set(map(type, itertools.chain.from_iterable(members))) != {int}:
+        return 0
+    return widths.pop()
+
+
 def _indented(obj, depth: int, open_ids: set) -> str:
     """``json.dumps(obj, indent=2, allow_nan=False)`` of the dict, list or
     tuple ``obj`` nested ``depth`` levels deep, with ``depth`` levels of
@@ -314,15 +326,13 @@ def _indented(obj, depth: int, open_ids: set) -> str:
         raise ValueError("Circular reference detected")
     open_ids.add(id(obj))
     encode = _flat_encode(depth + 1)
-    deeper = inner + "  "
-    parts = []
-    for x in members:
-        if type(x) is list and x and all(type(k) is int for k in x):  # say a joint selection
-            parts.append("[" + deeper + ("," + deeper).join(map(int.__repr__, x)) + inner + "]")
-        elif isinstance(x, _CONTAINERS):
-            parts.append(_indented(x, depth + 1, open_ids))
-        else:
-            parts.append(encode(x))
+    width = _int_rows(members)
+    if width:  # say a joint selections map: one "%d" template for every member
+        deeper = inner + "  "
+        row = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
+        parts = list(map(row.__mod__, map(tuple, members)))
+    else:
+        parts = [_indented(x, depth + 1, open_ids) if isinstance(x, _CONTAINERS) else encode(x) for x in members]
     open_ids.remove(id(obj))
     if is_dict:
         parts = [encode_basestring_ascii(key) + ": " + part for key, part in zip(obj, parts)]

@@ -19,7 +19,7 @@ however small; ``values`` sets inf where they find an infinite entry.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -125,6 +125,14 @@ class ChoiceView:
         """``f -> finite_values(f, out)``, the one call of a caller that
         contracts the view into the same buffer many times."""
         return lambda f: self.finite_values(f, out)
+
+    def _table_read(self, out: np.ndarray):
+        """A call that writes into ``out`` and returns what
+        ``finite_values(f, out)`` gives, with no contraction, for the ``f``
+        of the last contraction of the table this view keeps, by the view
+        or by a view that shares the table; None for a view that keeps no
+        table, as here."""
+        return None
 
     def values(self, f) -> np.ndarray:
         """Expectation of ``f`` under every choice the view holds, flat and in
@@ -275,6 +283,10 @@ class Classification:
     ``target``, ``absorbing``, ``unsafe`` and ``finite`` are pairwise
     disjoint and cover every state. The bound is zero on ``target``,
     infinite exactly on ``absorbing`` and ``unsafe``, and finite elsewhere.
+    ``_finite_states`` holds ``finite`` as a sorted index array, which the
+    solvers read: :func:`classify_view` passes the one it has, and one built
+    from the frozensets alone sorts ``finite`` once. It takes no part in
+    equality, hashing or the repr.
     """
 
     sense: str
@@ -282,6 +294,11 @@ class Classification:
     absorbing: frozenset[int]
     unsafe: frozenset[int]
     finite: frozenset[int]
+    _finite_states: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._finite_states is None:
+            object.__setattr__(self, "_finite_states", np.array(sorted(self.finite), dtype=np.int64))
 
     @property
     def infinite(self) -> frozenset[int]:
@@ -323,13 +340,14 @@ def classify_view(view, targets: np.ndarray, sense: str) -> tuple[Classification
         sure, witness, reachable = _almost_sure_closure(view, targets)
         absorbing = ~reachable & ~targets
         unsafe = ~sure & ~absorbing & ~targets
-    finite = ~targets & ~absorbing & ~unsafe
+    finite = np.flatnonzero(~targets & ~absorbing & ~unsafe)
     cls = Classification(
         sense=sense,
         target=frozenset(np.flatnonzero(targets).tolist()),
         absorbing=frozenset(np.flatnonzero(absorbing).tolist()),
         unsafe=frozenset(np.flatnonzero(unsafe).tolist()),
-        finite=frozenset(np.flatnonzero(finite).tolist()),
+        finite=frozenset(finite.tolist()),
+        _finite_states=finite,
     )
     return cls, witness
 

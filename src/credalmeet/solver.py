@@ -29,7 +29,15 @@ the whole stack's contraction, gathered into it) and inf at the choices
 with mass on the inf states, which one support test on the region finds in
 the lower sense when some state is infinite (in the upper sense no finite
 state has one). A greedy pass gives the improvement step and the
-final selection. When every finite state has the same number ``V`` of
+final selection. In policy iteration on a joint walk, a greedy pass, and
+the final residual when no greedy pass read the last values, contract
+nothing: the evaluation just before it ended with a product on its
+solution, which left the region's contraction of those values in the
+region's table, so the pass gathers the region's keys from that table
+into the buffer and sets inf at the choices with mass on the inf states
+(:class:`_Evaluator`). Base views, which keep no table, value iteration
+and a region that is the whole view contract as above. When every finite
+state has the same number ``V`` of
 choices, as in every dense model, the per-state optimum of a sweep or a
 greedy pass reads per-slot views of that buffer, made once per solve:
 ``V - 1`` binary ``np.maximum`` or ``np.minimum`` calls
@@ -45,8 +53,8 @@ witness, a selection proper on the finite region. Its evaluations share one
 :class:`_Evaluator`, made once per solve on the region. A GMRES evaluation
 pins the region to the selected choice of each finite state
 (:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a product on a base
-model contracts only the ``k`` selected rows, and one on a joint walk the
-region's own table, which the greedy passes read too; a product is one
+model contracts only the ``k`` selected rows, and one on a joint walk into
+the region's own table, which the greedy passes read; a product is one
 :meth:`~credalmeet.reach.ChoiceView.finite_values` call into a buffer of the
 evaluator's, and the least-squares coefficients are solved for only when an
 iterate is formed, in GMRES buffers allocated once per solve. A solve pins
@@ -151,19 +159,25 @@ def _finite_region(view, cls: Classification):
     the bounds of each state's segment among their choices, the positions
     there of the choices with mass on the inf states, ``evaluate(f)``, the
     values of those choices for ``f`` zero on the inf states, inf at those
-    positions, in one buffer that every call overwrites and returns, and the
-    per-slot views of that buffer (:func:`~credalmeet.core._segment_slots`,
-    empty unless every finite state has the same number of choices), which
-    give the per-state optimum in binary calls. The buffer is the region's
+    positions, in one buffer that every call overwrites and returns,
+    ``read(f)``, the same for the ``f`` that the region's table was last
+    contracted with, read from that table, or None, and the per-slot views
+    of that buffer (:func:`~credalmeet.core._segment_slots`, empty unless
+    every finite state has the same number of choices), which give the
+    per-state optimum in binary calls. The buffer is the region's
     contraction, straight into it unless the region is a base view whose
     finite states' rows are not consecutive, whose contraction is gathered
     into it; with no gather and no inf position, ``evaluate`` is the
     region's own :meth:`~credalmeet.reach.ChoiceView._kernel`, so that no
-    frame of the solver's sits around the contraction. The support test
-    runs only in the lower sense with some inf state, on the region: with
-    none no choice has mass on one, and in the upper sense no finite state
-    has such a choice, which would make it unsafe."""
-    finite = np.array(sorted(cls.finite), dtype=int)
+    frame of the solver's sits around the contraction. ``read`` exists when
+    the region is a joint view's region other than the view itself: it
+    gathers the region's keys from its table into the buffer
+    (:meth:`~credalmeet.reach.ChoiceView._table_read`) and sets the inf
+    positions. The support test runs only in the lower sense with some inf
+    state, on the region: with none no choice has mass on one, and in the
+    upper sense no finite state has such a choice, which would make it
+    unsafe."""
+    finite = cls._finite_states
     region = view.region(finite)
     bounds = region.choice_offsets(finite)
     # a region holds the finite states' choices alone unless it is the view
@@ -185,7 +199,15 @@ def _finite_region(view, cls: Classification):
             return vals
     else:  # the region's contraction alone, straight into the buffer
         evaluate = region._kernel(vals)
-    return finite, region, bounds, hopeless, evaluate, _segment_slots(vals, bounds)
+    table = None if gather or region is view else region._table_read(vals)
+    read = None
+    if table is not None:
+        def read(f):
+            table()
+            if hopeless.size:
+                vals[hopeless] = math.inf
+            return vals
+    return finite, region, bounds, hopeless, evaluate, read, _segment_slots(vals, bounds)
 
 
 def _result(cls: Classification, finite: np.ndarray, f: np.ndarray, choice: np.ndarray,
@@ -216,7 +238,7 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     whose step is within ``tol`` and discards the rest of the block. With no
     finite state the solve is converged before any sweep."""
     cls, _ = classify_view(view, targets, sense)
-    finite, _, bounds, _, evaluate, slots = _finite_region(view, cls)
+    finite, _, bounds, _, evaluate, _, slots = _finite_region(view, cls)
     cols = segment_rows(finite, np.ones(finite.size, dtype=np.int64))  # a slice when consecutive
     history = np.zeros((VALUE_BLOCK + 1, view.n))
     iterates = list(history)  # one view per row, made once
@@ -459,7 +481,17 @@ class _Evaluator:
     its pins read the region's own table; the padded vector and the output
     of the product, GMRES's buffers (:func:`_workspace`), the bytes of a
     dense solve (:func:`_dense_bytes`) and the selection, if any, on which
-    the last evaluation's GMRES gave up under a slack."""
+    the last evaluation's GMRES gave up under a slack.
+
+    Every evaluation ends with a product on the solution it returns:
+    GMRES's true residual, or the residual of the dense solve. So once
+    :meth:`evaluate` returns, the padded vector is that solution, zero off
+    the finite states, and when ``tabled`` is set, its last product went
+    through :meth:`product` and left the pin's contraction of it in the
+    table that the pin shares with the region: the region's contraction of
+    the solution, bit for bit, which a greedy pass reads rather than
+    contracts again (:func:`_finite_region`'s ``read``). A subclass that
+    overrides :meth:`product` never sets it."""
 
     def __init__(self, view, finite: np.ndarray):
         k = finite.size
@@ -467,6 +499,7 @@ class _Evaluator:
         self.need = _dense_bytes(view, finite)
         self.pinned = None
         self.gave_up = None
+        self.tabled = False
         self.padded = np.zeros(view.n)  # admissible choices put no mass outside the finite states
         self.out = np.empty(k)
         self.cols = segment_rows(finite, np.ones(k, dtype=np.int64))  # a slice when consecutive
@@ -481,6 +514,7 @@ class _Evaluator:
         (the padded ``x`` is finite), in a buffer that holds it until the next
         product."""
         self.padded[self.cols] = x
+        self.tabled = True
         return np.subtract(x, self.pinned.finite_values(self.padded, self.out), out=self.out)
 
     def evaluate(self, choice: np.ndarray, slack: float = 0.0) -> _Evaluation:
@@ -501,6 +535,7 @@ class _Evaluator:
         """
         k = self.finite.size
         self.pin(choice)
+        self.tabled = False
         replay = slack == 0.0 and self.gave_up is not None and np.array_equal(choice, self.gave_up)
         self.gave_up = None
         if replay:
@@ -560,7 +595,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     # proper there, since a finite state with mass on the inf states would be
     # unsafe itself; in the lower sense the greedy pass gives the choices
     # with mass on them inf, which never wins.
-    finite, region, bounds, hopeless, evaluate, slots = _finite_region(view, cls)
+    finite, region, bounds, hopeless, evaluate, read, slots = _finite_region(view, cls)
     choice = witness[finite]
     off = np.isin(bounds[:-1] + choice, hopeless)
     if off.any():
@@ -571,6 +606,11 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
 
     f = np.zeros(view.n)  # the values, with the inf states zeroed until the end
     evaluator = _Evaluator(region, finite)  # the finite states are fixed from here on
+
+    def greedy():  # the greedy pass on f, read from the table when f's last product left it there
+        values = read if read is not None and evaluator.tabled else evaluate
+        return _finish(values, bounds, slots, f, finite, sense)
+
     sweeps = 0
     converged = finite.size == 0  # nothing to evaluate
     residual = None  # of f, once a greedy pass has read it
@@ -588,7 +628,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         sweeps += 1
         if converged:
             break
-        new_choice, residual = _finish(evaluate, bounds, slots, f, finite, sense)
+        new_choice, residual = greedy()
         settled = np.array_equal(new_choice, choice)
         if settled and exact:
             converged = True
@@ -599,7 +639,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         previous, choice = choice, new_choice
 
     if residual is None:  # no greedy pass read the last f
-        residual = _finish(evaluate, bounds, slots, f, finite, sense)[1]
+        residual = greedy()[1]
     return _result(cls, finite, f, choice, sweeps, residual, converged, "policy-iteration")
 
 

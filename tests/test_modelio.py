@@ -22,6 +22,7 @@ from credalmeet import (
 )
 from credalmeet import modelio
 from credalmeet.modelio import MAX_INTERVAL_STATES, decode_value, encode_value, write_result
+from credalmeet.modelio import _int_rows
 from credalmeet.selfcheck import bundled_model_path
 
 VERTEX_DOC = """
@@ -382,6 +383,38 @@ def test_a_refused_payload_raises_what_json_dumps_raises(tmp_path, payload):
         write_result(out, payload)
     assert str(got.value) == str(want.value)
     assert not out.exists()
+
+
+class _Int(int):
+    """An int subclass with a repr of its own, which json.dumps ignores."""
+
+    def __repr__(self):
+        return f"_Int({int(self)})"
+
+
+@pytest.mark.parametrize("payload, width", [
+    ({"selections": {"(a,b)": [0, 1], "(a,c)": [1, 0], "(b,c)": [2, 2]}}, 2),
+    ({"rows": [[2**63, -1, 0], [-(2**70), 2**64 + 1, -0]]}, 3),
+    ({"rows": [[True, 1], [0, 1]]}, 0),
+    ({"rows": {"a": [_Int(3), 1], "b": [1, 2]}}, 0),
+    ({"rows": [[1, 2], [3]]}, 0),
+    ({"rows": [[], []]}, 0),
+    ({"rows": [[1], []]}, 0),
+    ({"rows": [(1, 2), (3, 4)]}, 0),
+    ({"rows": [[1, 2], (3, 4)]}, 0),
+    ({"rows": ([1, 2], [3, 4])}, 2),
+    ({"rows": [[1.0, 2], [3, 4]]}, 0),
+    ({"rows": [[1, 2], 3]}, 0),
+])
+def test_lists_of_ints_write_the_bytes_of_json_dumps(tmp_path, payload, width):
+    # a container whose members are non-empty lists of exact ints, all of one
+    # length, is written with one template; bools, int subclasses, tuples,
+    # empty and unequal lists go the general way, to the same bytes
+    out = tmp_path / "r.json"
+    write_result(out, payload)
+    assert out.read_bytes() == _stdlib_text(payload).encode()
+    (container,) = payload.values()
+    assert _int_rows(container.values() if isinstance(container, dict) else container) == width
 
 
 def test_a_nan_is_named_in_the_message(tmp_path):

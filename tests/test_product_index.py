@@ -13,11 +13,18 @@ import yaml
 from credalmeet import CredalMatrix, StateSpace, build_product_space, meet, meeting
 from credalmeet.cli import main
 from credalmeet.meeting import MAX_TABLE_ENTRIES, JointChoices, _expand_selection
-from credalmeet.meeting import _selection_tuples
+from credalmeet.meeting import MeetingResult, _vertex_choices
 
 from generators import random_credal_matrix
 
 CASES = [(2, "full"), (2, "quotient"), (3, "full"), (3, "quotient"), (4, "full"), (4, "quotient"), (5, "quotient")]
+
+
+def _selection_tuples(view, flat):
+    """The selections of a result whose selection is ``flat`` on ``view``."""
+    result = MeetingResult(view.product, "degenerate", None, None, np.zeros(view.n),
+                           _vertex_choices(view, flat), None, 0, 0.0, True)
+    return result.selections
 
 
 def _space(agents):

@@ -17,7 +17,15 @@ Every input is generated here from fixed seeds; nothing is read from the
 test suite or the benchmark. Per case the run records the values as float
 hex, their ``inf`` pattern, the selection, the classification, the
 iterations, the residual as float hex and ``converged``, or the error a
-solve raised::
+solve raised.
+
+The CLI family runs the command line in process on a few seeded models
+written as YAML to a temporary directory: ``hit`` in both senses by both
+methods, ``classify --agents 2`` in both senses and modes, and ``meet`` with
+2 and 3 agents, vacuous and mixture, full and quotient, in both senses.
+Per command it records the exit status, standard output, standard error
+and the ``--json`` file's text, each with the temporary directory's path
+replaced by ``<tmp>``::
 
     python tools/differential.py --src src --out head.json
     python tools/differential.py --src ../parent/src --out parent.json
@@ -26,16 +34,20 @@ solve raised::
 ``--src`` runs the corpus in a fresh Python process that imports the library
 from the given directory. ``--compare`` prints, per family of cases, how many
 are bit-identical, the largest relative move of a finite value and how many
-selections changed; it exits with status 1 when an ``inf`` pattern, a
-classification or an error differs, or the two runs hold different cases.
+selections changed, and per CLI family how many are byte-identical; it exits
+with status 1 when an ``inf`` pattern, a classification, an error or a CLI
+exit status differs, or the two runs hold different cases.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +61,9 @@ TORUS_SEEDS = range(5)
 
 #: Seeds of the random models of the 3- to 5-agent meets.
 DEEP_SEEDS = range(5)
+
+#: Seeds of the random models that the CLI family writes as YAML.
+CLI_SEEDS = range(3)
 
 #: State counts of the models with two vertices at every state.
 UNIFORM_SIZES = (20, 60)
@@ -235,6 +250,56 @@ def _cases():
         yield "slow walk", f"n100-{sense}", lambda s=sense: policy_iteration(model, [99], s)
 
 
+def _cli_cases(tmp: Path):
+    """``(family, name, argv)`` for every command of the CLI family, on models
+    written to ``tmp``, in a fixed order; each writes its ``--json`` there."""
+    from credalmeet import CredalMatrix
+    from credalmeet.modelio import dump_model
+
+    models = []
+    for seed in CLI_SEEDS:
+        rng = np.random.default_rng([seed, 6])
+        n = int(rng.integers(3, 6))
+        models.append((f"seed{seed}-n{n}", CredalMatrix.from_rows(*random_model(rng, n, int(rng.integers(0, 2))))))
+    models.append(("torus", CredalMatrix.from_rows(*two_torus(np.random.default_rng([0, 6]), (1, 2), (2, 2)))))
+    for name, model in models:
+        path = tmp / f"{name}.yaml"
+        path.write_text(dump_model(model))
+        out = ["--json", str(tmp / "out.json")]
+        for sense in ("upper", "lower"):
+            for method in ("policy", "value"):
+                yield ("cli hit", f"{name}-{sense}-{method}",
+                       ["hit", str(path), "--target", model.space.labels[0], "--sense", sense, "--method", method, *out])
+            for mode in ("full", "quotient"):
+                yield ("cli classify", f"{name}-2-{mode}-{sense}",
+                       ["classify", str(path), "--agents", "2", "--mode", mode, "--sense", sense, *out])
+        for agents in ("2", "3"):
+            for belief in ("vacuous", "mixture"):
+                for mode in ("full", "quotient"):
+                    for sense in ("upper", "lower"):
+                        mix = ["--epsilon", "0.3"] if belief == "mixture" else []
+                        yield (f"cli meet {agents}", f"{name}-{belief}-{mode}-{sense}",
+                               ["meet", str(path), "--agents", agents, "--belief", belief, "--mode", mode,
+                                "--sense", sense, *mix, *out])
+
+
+def _run_cli(argv, tmp: Path) -> dict:
+    """The exit status, standard output and error and ``--json`` text of one
+    command, with ``tmp`` as ``<tmp>``; the ``--json`` file is removed."""
+    from credalmeet.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    written = tmp / "out.json"
+    text = written.read_text() if written.exists() else None
+    written.unlink(missing_ok=True)
+    here = str(tmp)
+    return {"exit": code, "stdout": stdout.getvalue().replace(here, "<tmp>"),
+            "stderr": stderr.getvalue().replace(here, "<tmp>"),
+            "json": None if text is None else text.replace(here, "<tmp>")}
+
+
 def _record(result) -> dict:
     """The fields of a hitting or meeting result, floats as hex."""
     values = np.asarray(result.values, dtype=float)
@@ -262,6 +327,9 @@ def run_corpus() -> dict:
         except Exception as err:  # a refusal is an output too
             record = {"error": f"{type(err).__name__}: {err}"}
         out.append({"family": family, "case": name, **record})
+    with tempfile.TemporaryDirectory() as tmp:
+        for family, name, argv in _cli_cases(Path(tmp)):
+            out.append({"family": family, "case": name, **_run_cli(argv, Path(tmp))})
     return {"cases": out}
 
 
@@ -283,6 +351,10 @@ def compare(a: dict, b: dict) -> bool:
         if x == y:
             stats["identical"] += 1
             continue
+        if "exit" in x:  # a CLI case: only its exit status must agree
+            if x["exit"] != y["exit"]:
+                stats["fail"].append(f"{key[1]}: exit status {x['exit']} against {y['exit']}")
+            continue
         if "error" in x or "error" in y:
             stats["fail"].append(f"{key[1]}: error {x.get('error')!r} against {y.get('error')!r}")
             continue
@@ -297,8 +369,11 @@ def compare(a: dict, b: dict) -> bool:
                 if math.isfinite(u) and u != v:
                     stats["move"] = max(stats["move"], abs(u - v) / max(abs(u), abs(v)))
     for family, s in families.items():
-        print(f"{family:<22}{s['identical']:>5} of {s['cases']:>4} bit-identical, largest relative value "
-              f"move {s['move']:.1e}, {s['flips']} selection flips")
+        if family.startswith("cli "):
+            print(f"{family:<22}{s['identical']:>5} of {s['cases']:>4} byte-identical")
+        else:
+            print(f"{family:<22}{s['identical']:>5} of {s['cases']:>4} bit-identical, largest relative value "
+                  f"move {s['move']:.1e}, {s['flips']} selection flips")
         for line in s["fail"]:
             print(f"  FAIL: {line}")
         ok = ok and not s["fail"]
