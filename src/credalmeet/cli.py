@@ -268,9 +268,9 @@ def _cmd_meet(args) -> int:
         },
         "model": _model_info(args.model, model),
         "values": {lab: encode_value(v) for lab, v in zip(joint_labels, result.values.tolist())},
-        "selections": {
-            lab: list(tup) for lab, tup in zip(joint_labels, result.selections) if tup is not None
-        },
+        # each off-diagonal state's row of the choices array, in state order
+        "selections": dict(itertools.compress(zip(joint_labels, result.choices.tolist()),
+                                              (~result.product.target_mask()).tolist())),
         "classification": _classification_labels(joint_labels, result.classification),
         "diagnostics": _diagnostics(result),
     })

@@ -9,13 +9,13 @@ finite maximisation over the stored vertices.
 Value vectors may contain ``numpy.inf`` to mark states with no finite
 expectation. All dot products follow the convention that a zero-probability
 entry contributes nothing even when paired with an infinite value. They all
-go through one finite contraction, :func:`contract`, so identical inputs give
+go through one of two finite contractions, so identical inputs give
 identical bits on one machine; :func:`ext_dot` stays the left-to-right
-reference. A value vector is contracted by ``np.vecdot``, one dot per
-vertex row, which gives a row the same bits in any subset of rows; the joint
-walk's value tensor, always contracted whole, by one BLAS product per agent
-axis with no transposed operand (:func:`contract_chain`), the last one
-straight into a table its caller owns.
+reference. A value vector is contracted by :func:`contract`, ``np.vecdot``,
+one dot per vertex row, which gives a row the same bits in any subset of
+rows; the joint walk's value tensor, always contracted whole, by one BLAS
+product per agent axis with no transposed operand (:func:`contract_chain`),
+the last one straight into a table its caller owns.
 Values with infinite entries go through one rule, in the public operators
 and every choice view's ``values``: a contraction of the values with their
 infs zeroed, and inf on each row that an exact support test finds with mass
@@ -286,44 +286,18 @@ def contract_chain(rows: np.ndarray, rows_t: np.ndarray, values: np.ndarray, buf
 
 
 def contract(vertices: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Expectation of the finite ``values`` under every row of ``vertices``,
-    written into ``out`` when given.
+    """Expectation of the finite value vector ``values`` under every row of
+    ``vertices``, written into ``out`` when given.
 
-    ``values`` may have one axis per agent, each contracted in turn with the
-    rows: entry ``[a, b, ...]`` of the result is the joint choice of row ``a``
-    for the first agent, row ``b`` for the second, and so on.
-
-    A vector is contracted by ``np.vecdot``, one gufunc call that runs
-    numpy's dot loop on each row: unlike a BLAS matrix-vector product, it
-    gives a row the same bits whichever other rows are evaluated with it and
-    wherever the row sits in memory, so any subset of a model's vertex rows
-    reproduces the whole stack's entries; ``out`` takes the same bits. Like
-    any ufunc it warns on a product past the float range. A tensor is
-    contracted by :func:`contract_chain`, one BLAS product per axis with no
-    transposed operand, here into buffers allocated for the one call (a
-    joint view holds its own): its callers always contract the whole tensor
-    with the whole stack and gather entries from that one table, so
-    identical inputs still give identical bits. With ``out``, the table is
-    written in place when ``out`` is C-contiguous and holds every step the
-    chain writes there (always for two axes; for more, when there are at
-    least as many rows as columns), so that no table is allocated; any
-    other ``out`` of the result's shape gets the
-    same bits by a copy, and one of another shape raises ValueError.
+    One ``np.vecdot`` call runs numpy's dot loop on each row: unlike a BLAS
+    matrix-vector product, it gives a row the same bits whichever other rows
+    are evaluated with it and wherever the row sits in memory, so any subset
+    of a model's vertex rows reproduces the whole stack's entries; ``out``
+    takes the same bits. Like any ufunc it warns on a product past the float
+    range. A joint walk's value tensor goes through :func:`contract_chain`
+    instead, into buffers its view holds.
     """
-    if values.ndim == 1:
-        return np.vecdot(vertices, values, out=out)
-    (k, n), m = vertices.shape, values.ndim
-    if out is not None and out.shape != (k,) * m:
-        raise ValueError(f"out has shape {out.shape}, expected {(k,) * m}")
-    table, scratch = chain_sizes(k, n, m)
-    direct = out is not None and out.flags.c_contiguous and out.size == table
-    buffers = (out.reshape(-1) if direct else np.empty(table), np.empty(scratch))
-    got = contract_chain(vertices, np.ascontiguousarray(vertices.T), values, buffers)
-    if out is None:
-        return got
-    if not direct:
-        out[...] = got
-    return out
+    return np.vecdot(vertices, values, out=out)
 
 
 def _touching(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -395,34 +369,44 @@ def _segment_slots(vals: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
     return [vals[bounds[0] + j : bounds[-1] : v] for j in range(v)]
 
 
+def segment_best(vals: np.ndarray, starts: np.ndarray, opt, slots: list[np.ndarray], out=None) -> np.ndarray:
+    """Per segment of ``vals`` that starts at ``starts[s]`` and ends where
+    the next one starts, or at the end, its largest entry when ``opt`` is
+    ``np.maximum`` and its smallest when it is ``np.minimum``, into ``out``
+    when given. With ``slots``, the per-slot views of ``vals``
+    (:func:`_segment_slots`), ``V - 1`` binary ``opt`` calls over them (for
+    ``V = 1`` the slot against itself, which is the slot); without, one
+    ``opt.reduceat``. Max and min are exact, so both give the same bits."""
+    if not slots:
+        return opt.reduceat(vals, starts, out=out)
+    best = opt(slots[0], slots[-1], out=out)
+    for slot in slots[1:-1]:
+        opt(best, slot, out=best)
+    return best
+
+
 def segment_optimum(vals: np.ndarray, bounds: np.ndarray, sense: str, slots: list[np.ndarray] | None = None):
     """Per segment ``bounds[s]:bounds[s + 1]`` of ``vals``, the largest (upper)
-    or smallest (lower) entry and the lowest position attaining it, counted
-    from the segment start. Every segment must be non-empty.
+    or smallest (lower) entry (:func:`segment_best`) and the lowest position
+    attaining it, counted from the segment start. Every segment must be
+    non-empty.
 
-    When every segment has the same length ``V``, the optimum is ``V - 1``
-    binary ``np.maximum`` or ``np.minimum`` calls over the per-slot views
-    (for ``V = 1`` the slot against itself, which is the slot), and the
-    position one equality test and masked write per slot, from the last
-    slot down, so that the lowest slot that attains the optimum writes
-    last. ``slots``, when given, are those views of ``vals``
-    (:func:`_segment_slots`, empty for unequal lengths), made once by a
-    caller that refills ``vals`` in place. Otherwise one ``reduceat`` gives
-    the optimum and a search of its hits the position. Max, min and ``==``
-    are exact, so both ways give the same answer.
+    When every segment has the same length ``V``, the position is one
+    equality test and masked write per slot, from the last slot down, so
+    that the lowest slot that attains the optimum writes last. ``slots``,
+    when given, are the per-slot views of ``vals`` (:func:`_segment_slots`,
+    empty for unequal lengths), made once by a caller that refills ``vals``
+    in place. Otherwise a search of the optimum's hits gives the position.
+    ``==`` is exact, so both ways give the same answer.
     """
-    opt = np.maximum if sense == "upper" else np.minimum
     slots = _segment_slots(vals, bounds) if slots is None else slots
+    starts = bounds[:-1]
+    best = segment_best(vals, starts, np.maximum if sense == "upper" else np.minimum, slots)
     if slots:
-        best = opt(slots[0], slots[-1])
-        for slot in slots[1:-1]:
-            opt(best, slot, out=best)
         pick = np.full(best.size, len(slots) - 1, dtype=np.int64)
         for j in range(len(slots) - 2, -1, -1):
             np.copyto(pick, j, where=slots[j] == best)
         return best, pick
-    starts = bounds[:-1]
-    best = opt.reduceat(vals, starts)
     hits = np.flatnonzero(vals == np.repeat(best, bounds[1:] - starts))
     # every segment attains its optimum, so its first hit is the first at or after its start
     return best, hits[np.searchsorted(hits, starts)] - starts

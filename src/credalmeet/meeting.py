@@ -456,7 +456,7 @@ def joint_transition_weight(
                      for arrangement in arrangements))
 
 
-@dataclass
+@dataclass(eq=False)  # ndarray fields: results compare by identity
 class MeetingResult:
     """Expected meeting times of a joint walk plus the optimizing choices.
 

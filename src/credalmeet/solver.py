@@ -17,44 +17,46 @@ kernel's product at every size, and densely, by LU, only when GMRES gives up
 or misses its bound, a backward-error bound capped at ``sqrt(eps)``; every
 solution must meet the backward-error bound.
 
-Every value iteration sweep, greedy pass of policy iteration and final
-residual reads one evaluation of the finite states' choices, set up once per
-solve (:func:`_finite_region`) on their region
+Both methods iterate one object, the solve's one-step operator
+``F(h) = 1 + opt(T h)`` on the finite states (:class:`_Bellman`), made once
+per solve from the view and its classification. Every value iteration
+sweep, greedy pass of policy iteration and final residual reads one
+evaluation of the finite states' choices on their region
 (:meth:`~credalmeet.reach.ChoiceView.region`), a view of their choices
 alone, which on a joint walk contracts only the vertex rows and base states
 they read: one contraction of the values with their inf entries zeroed
-(:meth:`~credalmeet.reach.ChoiceView.finite_values`) straight into a buffer
-of its own (on a base view whose finite states' rows are not consecutive,
-the whole stack's contraction, gathered into it) and inf at the choices
-with mass on the inf states, which one support test on the region finds in
-the lower sense when some state is infinite (in the upper sense no finite
-state has one). A greedy pass gives the improvement step and the
-final selection. In policy iteration on a joint walk, a greedy pass, and
-the final residual when no greedy pass read the last values, contract
-nothing: the evaluation just before it ended with a product on its
-solution, which left the region's contraction of those values in the
-region's table, so the pass gathers the region's keys from that table
+(:meth:`~credalmeet.reach.ChoiceView.finite_values`) straight into the
+operator's buffer (on a base view whose finite states' rows are not
+consecutive, the whole stack's contraction, gathered into it) and inf at the
+choices with mass on the inf states, which one support test on the region
+finds in the lower sense when some state is infinite (in the upper sense no
+finite state has one). A greedy pass (:meth:`_Bellman.greedy`) gives the
+improvement step and the final selection. In policy iteration on a joint
+walk, a greedy pass, and the final residual when no greedy pass read the
+last values, contract nothing: the evaluation just before it ended with a
+product on its solution, which left the region's contraction of those values
+in the region's table, so the pass gathers the region's keys from that table
 into the buffer and sets inf at the choices with mass on the inf states
-(:class:`_Evaluator`). Base views, which keep no table, value iteration
-and a region that is the whole view contract as above. When every finite
-state has the same number ``V`` of
-choices, as in every dense model, the per-state optimum of a sweep or a
-greedy pass reads per-slot views of that buffer, made once per solve:
-``V - 1`` binary ``np.maximum`` or ``np.minimum`` calls
-(:func:`~credalmeet.core.segment_optimum`), where unequal counts take one
-``reduceat``. Value iteration runs its sweeps in blocks of up to
-``VALUE_BLOCK``, over a history of ``VALUE_BLOCK + 1`` rows of ``n`` floats,
-zero off the finite states: a sweep contracts the row before it in place and
-writes its per-state optimum, plus one, into the finite entries of the next
-row. One stop test per block takes every sweep's sup-norm step at once and
-keeps the first sweep within ``tol``, so at most ``VALUE_BLOCK - 1`` sweeps
-are discarded per solve. Policy iteration starts from the classification's
-witness, a selection proper on the finite region. Its evaluations share one
-:class:`_Evaluator`, made once per solve on the region. A GMRES evaluation
-pins the region to the selected choice of each finite state
-(:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a product on a base
-model contracts only the ``k`` selected rows, and one on a joint walk into
-the region's own table, which the greedy passes read; a product is one
+(:class:`_Evaluator`). Base views, which keep no table, value iteration and a
+region that is the whole view contract as above. The per-state optimum of a
+sweep or a greedy pass is :func:`~credalmeet.core.segment_best`'s: when every
+finite state has the same number ``V`` of choices, as in every dense model,
+``V - 1`` binary ``np.maximum`` or ``np.minimum`` calls over per-slot views
+of the operator's buffer, made once per solve, which a sweep makes inline,
+and one ``reduceat`` for unequal counts. Value iteration runs its sweeps in
+blocks of up to ``VALUE_BLOCK``, over a history of ``VALUE_BLOCK + 1`` rows
+of ``n`` floats, zero off the finite states: a sweep contracts the row
+before it in place and writes its per-state optimum, plus one, into the
+finite entries of the next row. One stop test per block takes every sweep's
+sup-norm step at once and keeps the first sweep within ``tol``, so at most
+``VALUE_BLOCK - 1`` sweeps are discarded per solve. Policy iteration starts
+from the classification's witness, a selection proper on the finite region.
+Its evaluations share one :class:`_Evaluator`, made once per solve on the
+region. A GMRES evaluation pins the region to the selected choice of each
+finite state (:meth:`~credalmeet.reach.ChoiceView.restrict`), so that a
+product on a base model contracts only the ``k`` selected rows, and one on a
+joint walk into the region's own table, which the greedy passes read; a
+product is one
 :meth:`~credalmeet.reach.ChoiceView.finite_values` call into a buffer of the
 evaluator's, and the least-squares coefficients are solved for only when an
 iterate is formed, in GMRES buffers allocated once per solve. A solve pins
@@ -77,7 +79,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import CredalMatrix, _require_sense, _segment_slots, is_integer, is_real
-from .core import segment_optimum, segment_rows, target_mask
+from .core import segment_best, segment_optimum, segment_rows, target_mask
 from .reach import Classification, CredalChoices, classify_view
 
 #: Krylov basis size per GMRES cycle.
@@ -110,7 +112,7 @@ VALUE_BLOCK = 16
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass
+@dataclass(eq=False)  # ndarray fields: results compare by identity
 class HittingResult:
     """Outcome of a hitting-time bound computation.
 
@@ -145,69 +147,75 @@ def _require_budget(tol, max_iter) -> None:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
 
 
-def _finish(evaluate, bounds: np.ndarray, slots: list, f: np.ndarray, finite: np.ndarray, sense: str):
-    """Greedy choice per finite state (lowest index on ties) and the sup-norm
-    defect of ``h = 1 + opt(T h)`` on the finite states, for the values ``h``
-    that are ``f`` off the inf states and inf on them; ``evaluate``,
-    ``bounds`` and ``slots`` are :func:`_finite_region`'s."""
-    best, pick = segment_optimum(evaluate(f), bounds, sense, slots)
-    return pick, float(np.max(np.abs(f[finite] - (1.0 + best)), initial=0.0))
+class _Bellman:
+    """The one-step operator ``F(h) = 1 + opt(T h)`` of one solve on its
+    finite states, set up once per solve from the view and its
+    classification: the finite states, their
+    :meth:`~credalmeet.reach.ChoiceView.region`, the bounds of each state's
+    segment among their choices, the positions there of the choices with
+    mass on the inf states (``hopeless``), one buffer of those choices'
+    values, which every evaluation overwrites, and its per-slot views
+    (:func:`~credalmeet.core._segment_slots`, empty unless every finite
+    state has the same number of choices), and ``opt``, ``np.maximum`` or
+    ``np.minimum`` by the sense.
 
-
-def _finite_region(view, cls: Classification):
-    """The finite states, their :meth:`~credalmeet.reach.ChoiceView.region`,
-    the bounds of each state's segment among their choices, the positions
-    there of the choices with mass on the inf states, ``evaluate(f)``, the
-    values of those choices for ``f`` zero on the inf states, inf at those
-    positions, in one buffer that every call overwrites and returns,
-    ``read(f)``, the same for the ``f`` that the region's table was last
-    contracted with, read from that table, or None, and the per-slot views
-    of that buffer (:func:`~credalmeet.core._segment_slots`, empty unless
-    every finite state has the same number of choices), which give the
-    per-state optimum in binary calls. The buffer is the region's
-    contraction, straight into it unless the region is a base view whose
-    finite states' rows are not consecutive, whose contraction is gathered
-    into it; with no gather and no inf position, ``evaluate`` is the
+    :meth:`evaluate` fills the buffer with the choices' values for ``f``
+    zero on the inf states: the region's contraction, straight into the
+    buffer unless the region is a base view whose finite states' rows are
+    not consecutive, whose contraction is gathered into it, and inf at the
+    hopeless positions. With no gather and no hopeless position it is the
     region's own :meth:`~credalmeet.reach.ChoiceView._kernel`, so that no
-    frame of the solver's sits around the contraction. ``read`` exists when
-    the region is a joint view's region other than the view itself: it
-    gathers the region's keys from its table into the buffer
-    (:meth:`~credalmeet.reach.ChoiceView._table_read`) and sets the inf
-    positions. The support test runs only in the lower sense with some inf
-    state, on the region: with none no choice has mass on one, and in the
-    upper sense no finite state has such a choice, which would make it
+    frame of the solver's sits around the contraction. The support test
+    that finds the hopeless positions runs only in the lower sense with some
+    inf state, on the region: with none no choice has mass on one, and in
+    the upper sense no finite state has such a choice, which would make it
     unsafe."""
-    finite = cls._finite_states
-    region = view.region(finite)
-    bounds = region.choice_offsets(finite)
-    # a region holds the finite states' choices alone unless it is the view
-    rows = view.choice_rows(finite) if region is view else slice(0, bounds[-1])
-    hopeless = np.empty(0, dtype=np.intp)
-    if cls.infinite and cls.sense == "lower":
-        hopeless = np.flatnonzero(region.touches(cls.infinite_mask(view.n))[rows])
-    gather = not isinstance(rows, slice)  # else the finite states' choices are a view
-    contracted = np.empty(view.choice_offsets(np.arange(view.n))[-1] if gather else bounds[-1])
-    vals = np.empty(bounds[-1]) if gather else contracted[rows]
 
-    if gather or hopeless.size:
-        def evaluate(f):
-            region.finite_values(f, contracted)
-            if gather:
-                np.take(contracted, rows, out=vals)
-            if hopeless.size:
-                vals[hopeless] = math.inf
-            return vals
-    else:  # the region's contraction alone, straight into the buffer
-        evaluate = region._kernel(vals)
-    table = None if gather or region is view else region._table_read(vals)
-    read = None
-    if table is not None:
-        def read(f):
+    def __init__(self, view, cls: Classification):
+        self.finite = finite = cls._finite_states
+        self.region = region = view.region(finite)
+        self.bounds = bounds = region.choice_offsets(finite)
+        self.sense, self.opt = cls.sense, np.maximum if cls.sense == "upper" else np.minimum
+        # a region holds the finite states' choices alone unless it is the view
+        self._rows = rows = view.choice_rows(finite) if region is view else slice(0, bounds[-1])
+        touched = region.touches(cls.infinite_mask(view.n))[rows] if cls.infinite and cls.sense == "lower" else ()
+        self.hopeless = np.flatnonzero(touched)
+        self._gather = gather = not isinstance(rows, slice)  # else the finite states' choices are a view
+        self._contracted = np.empty(view.choice_offsets(np.arange(view.n))[-1] if gather else bounds[-1])
+        self.vals = np.empty(bounds[-1]) if gather else self._contracted[rows]
+        self.slots = _segment_slots(self.vals, bounds)
+        # the region's contraction alone, straight into the buffer, when nothing follows it
+        self.evaluate = self._values if gather or self.hopeless.size else region._kernel(self.vals)
+        self._table = None if gather or region is view else region._table_read(self.vals)
+
+    def _values(self, f: np.ndarray, table=None) -> np.ndarray:
+        """:meth:`evaluate` past its fast path, or, with ``table``, the same
+        for the ``f`` that the region's table was last contracted with,
+        read from that table (:meth:`~credalmeet.reach.ChoiceView._table_read`)."""
+        if table is not None:
             table()
-            if hopeless.size:
-                vals[hopeless] = math.inf
-            return vals
-    return finite, region, bounds, hopeless, evaluate, read, _segment_slots(vals, bounds)
+        else:
+            self.region.finite_values(f, self._contracted)
+            if self._gather:
+                np.take(self._contracted, self._rows, out=self.vals)
+        if self.hopeless.size:
+            self.vals[self.hopeless] = math.inf
+        return self.vals
+
+    def greedy(self, f: np.ndarray, tabled: bool = False):
+        """Greedy choice per finite state (lowest index on ties) and the
+        sup-norm defect of ``h = 1 + opt(T h)`` on the finite states, for the
+        values ``h`` that are ``f`` off the inf states and inf on them.
+
+        ``tabled`` says that the region's table holds the region's
+        contraction of ``f``, bit for bit: the last product of an
+        :class:`_Evaluator` on this region went through its pin, which
+        shares the table, on the values ``f`` holds. The pass then reads the
+        table rather than contracting again; a region that keeps no table
+        (a base view, a gathered region or the view itself) contracts."""
+        vals = self._values(f, self._table) if tabled and self._table is not None else self.evaluate(f)
+        best, pick = segment_optimum(vals, self.bounds, self.sense, self.slots)
+        return pick, float(np.max(np.abs(f[self.finite] - (1.0 + best)), initial=0.0))
 
 
 def _result(cls: Classification, finite: np.ndarray, f: np.ndarray, choice: np.ndarray,
@@ -226,19 +234,22 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     """Value iteration on a choice view; see :func:`value_iteration`.
 
     The sweeps run in blocks of 1, 2, 4, ... up to ``VALUE_BLOCK`` sweeps,
-    none past ``max_iter``. Sweep ``j`` of a block applies
-    :func:`_finite_region`'s evaluator to row ``j - 1`` of a history of
-    iterates, in place, and writes its iterate into row ``j``: with ``V``
-    choices at every finite state, ``V - 1`` binary optima of the per-slot
-    views of the evaluator's buffer into row ``j``'s finite entries (or the
-    buffer scattered into them) and an add of one; otherwise one
-    ``reduceat``. Row 0 holds the values the block starts from, and every
-    row is zero off the finite states. After a block one vectorised pass
-    takes every sweep's sup-norm step, and the solve keeps the first sweep
-    whose step is within ``tol`` and discards the rest of the block. With no
-    finite state the solve is converged before any sweep."""
+    none past ``max_iter``. Sweep ``j`` of a block evaluates the choices of
+    the solve's :class:`_Bellman` operator on row ``j - 1`` of a history of
+    iterates and writes its iterate into row ``j``: the per-state optimum
+    into row ``j``'s finite entries (or a buffer scattered into them) and an
+    add of one. With ``V`` choices at every finite state the optimum is the
+    ``V - 1`` binary calls of :func:`~credalmeet.core.segment_best`, made
+    here, with no frame around them, since every frame shows in a sweep of
+    a small model; otherwise that function's ``reduceat``. Row 0 holds the
+    values the block starts from, and every row is zero off the finite
+    states. After a block one vectorised pass takes every sweep's sup-norm
+    step, and the solve keeps the first sweep whose step is within ``tol``
+    and discards the rest of the block. With no finite state the solve is
+    converged before any sweep."""
     cls, _ = classify_view(view, targets, sense)
-    finite, _, bounds, _, evaluate, _, slots = _finite_region(view, cls)
+    op = _Bellman(view, cls)
+    finite, evaluate, slots, opt = op.finite, op.evaluate, op.slots, op.opt
     cols = segment_rows(finite, np.ones(finite.size, dtype=np.int64))  # a slice when consecutive
     history = np.zeros((VALUE_BLOCK + 1, view.n))
     iterates = list(history)  # one view per row, made once
@@ -246,8 +257,7 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
     # where sweep j writes its optimum: the finite columns of row j, or a
     # buffer scattered into them
     outs = [np.empty(finite.size)] * len(iterates) if scatter else [row[cols] for row in iterates]
-    starts, opt = bounds[:-1], np.maximum if sense == "upper" else np.minimum
-    middle = slots[1:-1]
+    starts, middle = op.bounds[:-1], slots[1:-1]
     iterations, size, last = 0, 1, 0  # sweeps kept, block length, row of the current values
     converged = finite.size == 0  # nothing to iterate
     while not converged and iterations < max_iter:
@@ -256,12 +266,12 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
         for j in range(1, size + 1):
             # one synchronous sweep: every update reads the previous iterate
             vals = evaluate(iterates[j - 1])
-            if slots:  # V - 1 binary optima, and for V = 1 the slot against itself
-                new = opt(slots[0], slots[-1], out=outs[j])
-                for slot in middle:
-                    opt(new, slot, out=new)
-            else:
-                new = opt.reduceat(vals, starts, out=outs[j])
+            # V - 1 binary optima (for V = 1 the slot against itself) inline: a call of
+            # segment_best, which takes unequal counts, made base-dense's value
+            # iterations 5% slower (one BLAS thread, a shared 2-core x86-64 machine)
+            new = opt(slots[0], slots[-1], out=outs[j]) if slots else segment_best(vals, starts, opt, slots, outs[j])
+            for slot in middle:
+                opt(new, slot, out=new)
             new += 1.0
             if scatter:
                 history[j, cols] = new
@@ -273,7 +283,7 @@ def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter
         iterations += last
         size = min(2 * size, VALUE_BLOCK)
     f = history[last].copy()
-    choice, residual = _finish(evaluate, bounds, slots, f, finite, sense)
+    choice, residual = op.greedy(f)
     return _result(cls, finite, f, choice, iterations, residual, converged, "value-iteration")
 
 
@@ -475,7 +485,7 @@ class _Evaluation:
 class _Evaluator:
     """Evaluations of one solve's selections on its finite states, with the
     state they share, set up once per solve on the view that holds the
-    finite states' choices (the solve's region, :func:`_finite_region`):
+    finite states' choices (the solve's region, :class:`_Bellman`):
     that view pinned to the current selection, refilled per selection
     (:meth:`~credalmeet.reach.ChoiceView.restrict` with ``into``), so that
     its pins read the region's own table; the padded vector and the output
@@ -490,7 +500,7 @@ class _Evaluator:
     through :meth:`product` and left the pin's contraction of it in the
     table that the pin shares with the region: the region's contraction of
     the solution, bit for bit, which a greedy pass reads rather than
-    contracts again (:func:`_finite_region`'s ``read``). A subclass that
+    contracts again (:meth:`_Bellman.greedy` with ``tabled``). A subclass that
     overrides :meth:`product` never sets it."""
 
     def __init__(self, view, finite: np.ndarray):
@@ -595,9 +605,10 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     # proper there, since a finite state with mass on the inf states would be
     # unsafe itself; in the lower sense the greedy pass gives the choices
     # with mass on them inf, which never wins.
-    finite, region, bounds, hopeless, evaluate, read, slots = _finite_region(view, cls)
+    op = _Bellman(view, cls)
+    finite, bounds = op.finite, op.bounds
     choice = witness[finite]
-    off = np.isin(bounds[:-1] + choice, hopeless)
+    off = np.isin(bounds[:-1] + choice, op.hopeless)
     if off.any():
         raise RuntimeError(
             f"state {finite[np.argmax(off)]} is classified finite but its start "
@@ -605,11 +616,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         )
 
     f = np.zeros(view.n)  # the values, with the inf states zeroed until the end
-    evaluator = _Evaluator(region, finite)  # the finite states are fixed from here on
-
-    def greedy():  # the greedy pass on f, read from the table when f's last product left it there
-        values = read if read is not None and evaluator.tabled else evaluate
-        return _finish(values, bounds, slots, f, finite, sense)
+    evaluator = _Evaluator(op.region, finite)  # the finite states are fixed from here on
 
     sweeps = 0
     converged = finite.size == 0  # nothing to evaluate
@@ -628,7 +635,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         sweeps += 1
         if converged:
             break
-        new_choice, residual = greedy()
+        new_choice, residual = op.greedy(f, evaluator.tabled)
         settled = np.array_equal(new_choice, choice)
         if settled and exact:
             converged = True
@@ -639,7 +646,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         previous, choice = choice, new_choice
 
     if residual is None:  # no greedy pass read the last f
-        residual = greedy()[1]
+        residual = op.greedy(f, evaluator.tabled)[1]
     return _result(cls, finite, f, choice, sweeps, residual, converged, "policy-iteration")
 
 

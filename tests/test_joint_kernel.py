@@ -1,7 +1,7 @@
 """The joint choice values and support tests, read from one contraction table,
 against references built from ``joint_transition_weight`` and ``ext_dot``; the
-vector contraction as one dot per row, and the tensor contraction against the
-two-operand ``einsum`` loop it replaced."""
+vector contraction as one dot per row, and the tensor contraction chain against
+the two-operand ``einsum`` loop it replaced."""
 
 import itertools
 import math
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credalmeet import CredalMatrix, build_product_space, ext_dot, ext_matvec, meet
-from credalmeet.core import contract
+from credalmeet.core import chain_sizes, contract, contract_chain
 from credalmeet.meeting import (
     MAX_TABLE_ENTRIES,
     JointChoices,
@@ -178,16 +178,29 @@ def tensor_contractions(draw, vertex_entry, value_entry):
     return np.reshape(vertices, (k, n)), np.reshape(values, (n,) * agents)
 
 
+def _buffers(vertices, values, fill=np.nan):
+    """Two flat buffers of :func:`chain_sizes` for the contraction, as a
+    joint view allocates them, filled with ``fill``."""
+    return tuple(np.full(size, fill) for size in chain_sizes(*vertices.shape, values.ndim))
+
+
+def _chain(vertices, values, buffers=None):
+    """The tensor contraction as a joint view makes it: :func:`contract_chain`
+    with the rows' C-contiguous transpose, into fresh buffers unless given."""
+    buffers = _buffers(vertices, values) if buffers is None else buffers
+    return contract_chain(vertices, np.ascontiguousarray(vertices.T), values, buffers)
+
+
 @settings(max_examples=200, deadline=None)
 @given(tensor_contractions(REAL, REAL))
 def test_tensor_contract_matches_the_einsum_loop(data):
     vertices, values = data
-    got = contract(vertices, values)
+    got = _chain(vertices, values)
     want = _einsum_contract(vertices, values)
     assert got.shape == want.shape == (vertices.shape[0],) * values.ndim
     assert (np.abs(got - want) <= 1e-13 * want).all()
     # identical inputs, in fresh arrays, give identical bits
-    assert np.array_equal(contract(vertices.copy(), values.copy()), got)
+    assert np.array_equal(_chain(vertices.copy(), values.copy()), got)
 
 
 @settings(max_examples=100, deadline=None)
@@ -195,25 +208,22 @@ def test_tensor_contract_matches_the_einsum_loop(data):
 def test_tensor_contract_counts_zero_one_products_exactly(data):
     """The joint view's support table: 0/1 rows contracted with a 0/1 mask."""
     vertices, values = data
-    assert np.array_equal(contract(vertices, values), _einsum_contract(vertices, values))
+    assert np.array_equal(_chain(vertices, values), _einsum_contract(vertices, values))
 
 
 @settings(max_examples=100, deadline=None)
 @given(tensor_contractions(REAL, REAL))
 def test_tensor_contract_into_out_has_the_bits_of_a_fresh_table(data):
-    """A tensor contracted into ``out`` returns ``out`` with the bits of the
-    fresh table, also when ``out`` is a transposed array that no reshape can
-    view; an ``out`` of another shape is refused."""
+    """A tensor contracted into buffers that a view holds, as the table in
+    the first buffer's head, has the bits of the table in fresh buffers,
+    whatever the buffers held before: NaN, or an earlier contraction."""
     vertices, values = data
-    want = contract(vertices, values)
-    buf = np.full(want.shape, np.nan)
-    assert contract(vertices, values, out=buf) is buf
-    assert np.array_equal(buf, want)
-    transposed = np.full(want.shape[::-1], np.nan).T
-    assert contract(vertices, values, out=transposed) is transposed
-    assert np.array_equal(transposed, want)
-    with pytest.raises(ValueError, match="out has shape"):
-        contract(vertices, values, out=np.empty(want.size + 1))
+    want = _chain(vertices, values).copy()
+    held = _buffers(vertices, values, np.nan)
+    got = _chain(vertices, values, held)
+    assert np.shares_memory(got, held[0]) and np.array_equal(got, want)
+    _chain(vertices, values[::-1].copy(), held)
+    assert np.array_equal(_chain(vertices, values, held), want)
 
 
 @pytest.mark.parametrize("agents", [2, 3])

@@ -130,15 +130,14 @@ def test_an_upper_meet_on_a_two_torus_walk_matches_the_exhaustive_oracle():
     has the exhaustive oracle's inf pattern and values."""
     model = two_torus_walk(np.random.default_rng(0), (1, 2), (1, 2), lazy=False)
     regions = []
-    finite_region = solver._finite_region
+    init = solver._Bellman.__init__
 
-    def recorded(view, cls):
-        out = finite_region(view, cls)
-        regions.append(out[1])
-        return out
+    def recorded(self, view, cls):
+        init(self, view, cls)
+        regions.append(self.region)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_finite_region", recorded)
+        patch.setattr(solver._Bellman, "__init__", recorded)
         got = meet(model, 2, "vacuous", "upper", "full").matrix()
     assert [r._stack.shape for r in regions] == [(2, 2)]
     want = exhaustive_meeting_times(model, "upper")

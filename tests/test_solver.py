@@ -580,17 +580,17 @@ def test_policy_iteration_makes_one_greedy_pass_per_sweep(agents, n, sense, tol,
     # the final residual reuses it unless the values changed after it (a sweep
     # that stops on tol, as every second sweep does at tol 1e3) or no sweep
     # ran; the dense-solve bytes are counted once per solve
-    calls = {"_finish": 0, "_dense_bytes": 0}
-    for name in calls:
-        def counted(*args, fn=getattr(solver, name), name=name):
+    calls = {"greedy": 0, "_dense_bytes": 0}
+    for owner, name in ((solver._Bellman, "greedy"), (solver, "_dense_bytes")):
+        def counted(*args, fn=getattr(owner, name), name=name):
             calls[name] += 1
             return fn(*args)
-        monkeypatch.setattr(solver, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     model = random_credal_matrix(np.random.default_rng(n), n=n, max_vertices=3, dense_prob=0.9)
     view, targets = _view(model, agents, "quotient")
     res = solver.solve_view_policy(view, targets, sense, tol, max_iter)
     assert res.classification.finite
-    assert calls == {"_finish": max(res.iterations, 1), "_dense_bytes": 1}
+    assert calls == {"greedy": max(res.iterations, 1), "_dense_bytes": 1}
 
 
 @pytest.mark.parametrize("solve", [solver.solve_view_value, solver.solve_view_policy])
@@ -735,8 +735,8 @@ def test_library_does_not_import_scipy():
 @pytest.mark.parametrize("sense", ["upper", "lower"])
 def test_no_solve_contracts_into_a_fresh_array(sense, monkeypatch):
     # every choice evaluation of a solve writes into a buffer the solve owns:
-    # the sweeps and greedy passes into _finite_region's, a GMRES product
-    # into its operator's
+    # the sweeps and greedy passes into the solve's Bellman operator's, a GMRES
+    # product into its evaluator's
     passed, paths = [], []
     for view_class in (CredalChoices, JointChoices):
         def recorded(self, f, out=None, fn=view_class.finite_values):
@@ -946,3 +946,18 @@ def test_a_start_with_mass_on_the_inf_states_is_an_inconsistent_classification(m
                         lambda *args: (classify(*args)[0], np.zeros(3, dtype=np.int64)))
     with pytest.raises(RuntimeError, match="state 0 is classified finite.*classification pass is inconsistent"):
         policy_iteration(model, [1], "lower")
+
+
+@pytest.mark.parametrize("solve", [
+    lambda m: policy_iteration(m, [0], "upper"),
+    lambda m: value_iteration(m, [0], "lower"),
+    lambda m: meet(m),
+])
+def test_results_compare_by_identity_without_raising(solve):
+    # the results hold ndarrays, so they compare by identity: two solves of
+    # one model give distinct results that compare unequal, and a result
+    # equals itself
+    model = random_credal_matrix(np.random.default_rng(5), n=5, max_vertices=2, dense_prob=0.9)
+    first, second = solve(model), solve(model)
+    assert first == first and not first != first
+    assert first != second and not first == second

@@ -36,22 +36,22 @@ def _trapped(n=6):
 
 def _count_contractions(monkeypatch):
     """Counters of ``meeting.contract_chain`` calls: in all, and per greedy
-    pass (``solver._finish`` call), the calls it made."""
+    pass (``solver._Bellman.greedy`` call), the calls it made."""
     counts = {"chain": 0, "passes": []}
-    chain, finish = meeting.contract_chain, solver._finish
+    chain, greedy = meeting.contract_chain, solver._Bellman.greedy
 
     def counted_chain(*args):
         counts["chain"] += 1
         return chain(*args)
 
-    def counted_finish(*args):
+    def counted_greedy(*args):
         before = counts["chain"]
-        out = finish(*args)
+        out = greedy(*args)
         counts["passes"].append(counts["chain"] - before)
         return out
 
     monkeypatch.setattr(meeting, "contract_chain", counted_chain)
-    monkeypatch.setattr(solver, "_finish", counted_finish)
+    monkeypatch.setattr(solver._Bellman, "greedy", counted_greedy)
     return counts
 
 
@@ -96,26 +96,41 @@ def test_the_table_read_is_a_fresh_contraction_bit_for_bit(agents, mode, sense, 
                                                                            False))
     view, targets = _view(_trapped(), agents, mode)
     cls, witness = classify_view(view, targets, sense)
-    finite, region, bounds, hopeless, evaluate, read, _ = solver._finite_region(view, cls)
-    assert read is not None and region is not view
-    assert hopeless.size > 0 if sense == "lower" else hopeless.size == 0
+    op = solver._Bellman(view, cls)
+    finite, region = op.finite, op.region
+    assert op._table is not None and region is not view
+    assert op.hopeless.size > 0 if sense == "lower" else op.hopeless.size == 0
     evaluator = solver._Evaluator(region, finite)
     assert not evaluator.tabled
     run = evaluator.evaluate(witness[finite])
     assert run.path == path and not run.loose and evaluator.tabled
     f = np.zeros(view.n)
     f[finite] = run.sol
-    got = read(f).copy()
-    assert np.array_equal(_bits(got), _bits(evaluate(f)))
+    counts = _count_contractions(monkeypatch)
+    read = op.greedy(f, evaluator.tabled)
+    assert counts["passes"] == [0]  # the pass read the table
+    got = op.vals.copy()
+    assert np.array_equal(_bits(got), _bits(op.evaluate(f)))
     assert np.isinf(got).any() == (sense == "lower")
+    fresh = op.greedy(f)
+    assert counts["passes"] == [0, 1]
+    assert np.array_equal(read[0], fresh[0]) and read[1] == fresh[1]
 
 
 def test_a_base_region_has_no_table_to_read():
-    # a base view keeps no table, so its greedy passes contract as before
+    # a base view keeps no table, so its greedy passes contract as before,
+    # whatever the evaluator says of its last product
     model = random_credal_matrix(np.random.default_rng(3), n=8, max_vertices=3, dense_prob=0.9)
     view = CredalChoices(model)
     cls, _ = classify_view(view, target_mask(8, [7]), "upper")
-    assert solver._finite_region(view, cls)[5] is None
+    op = solver._Bellman(view, cls)
+    assert op._table is None
+    f, g = np.zeros(view.n), np.zeros(view.n)
+    f[op.finite], g[op.finite] = 1.0, np.arange(1.0, op.finite.size + 1.0)
+    want = op.greedy(g)
+    op.greedy(f)
+    got = op.greedy(g, tabled=True)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def _reference_tuples(view, flat):

@@ -61,23 +61,22 @@ def recorded_evaluations():
     """Collect ``(slack, evaluation)`` for every evaluation made meanwhile, and
     ``(view, finite states, region)`` for every solve."""
     calls, regions = [], []
-    evaluate, finite_region = solver._Evaluator.evaluate, solver._finite_region
+    evaluate, init = solver._Evaluator.evaluate, solver._Bellman.__init__
 
     def recorded(self, choice, slack=0.0):
         run = evaluate(self, choice, slack)
         calls.append((slack, run))
         return run
 
-    def recorded_region(view, cls):
-        out = finite_region(view, cls)
-        regions.append((view, out[0], out[1]))
-        return out
+    def recorded_init(self, view, cls):
+        init(self, view, cls)
+        regions.append((view, self.finite, self.region))
 
-    solver._Evaluator.evaluate, solver._finite_region = recorded, recorded_region
+    solver._Evaluator.evaluate, solver._Bellman.__init__ = recorded, recorded_init
     try:
         yield calls, regions
     finally:
-        solver._Evaluator.evaluate, solver._finite_region = evaluate, finite_region
+        solver._Evaluator.evaluate, solver._Bellman.__init__ = evaluate, init
 
 
 def report(size: int, agents: int, kind: str, sense: str) -> None:
