@@ -58,8 +58,10 @@ product on a base model contracts only the ``k`` selected rows, and one on a
 joint walk into the region's own table, which the greedy passes read; a
 product is one
 :meth:`~credalmeet.reach.ChoiceView.finite_values` call into a buffer of the
-evaluator's, and the least-squares coefficients are solved for only when an
-iterate is formed, in GMRES buffers allocated once per solve. A solve pins
+evaluator's, and the least-squares coefficients are solved for, by one
+solve of the rotated triangle, only when an iterate is formed: at each
+product once the misfit is within ``sqrt(eps)`` (or the slack) and at a
+cycle's end, in GMRES buffers allocated once per solve. A solve pins
 once: each later sweep refills that pin's row arrays in place for its
 selection, on the same finite states, rather than copying the selected rows
 into fresh arrays. A dense solve reads the selection's ``(k, k)`` block of
@@ -176,8 +178,7 @@ class _Bellman:
         self.region = region = view.region(finite)
         self.bounds = bounds = region.choice_offsets(finite)
         self.sense, self.opt = cls.sense, np.maximum if cls.sense == "upper" else np.minimum
-        # a region holds the finite states' choices alone unless it is the view
-        self._rows = rows = view.choice_rows(finite) if region is view else slice(0, bounds[-1])
+        self._rows = rows = region.choice_rows(finite)
         touched = region.touches(cls.infinite_mask(view.n))[rows] if cls.infinite and cls.sense == "lower" else ()
         self.hopeless = np.flatnonzero(touched)
         self._gather = gather = not isinstance(rows, slice)  # else the finite states' choices are a view
@@ -186,7 +187,7 @@ class _Bellman:
         self.slots = _segment_slots(self.vals, bounds)
         # the region's contraction alone, straight into the buffer, when nothing follows it
         self.evaluate = self._values if gather or self.hopeless.size else region._kernel(self.vals)
-        self._table = None if gather or region is view else region._table_read(self.vals)
+        self._table = None if region is view else region._table_read(self.vals)
 
     def _values(self, f: np.ndarray, table=None) -> np.ndarray:
         """:meth:`evaluate` past its fast path, or, with ``table``, the same
@@ -321,11 +322,10 @@ def _gmres_cycles(k: int) -> int:
 
 def _workspace(k: int):
     """GMRES's buffers for ``k`` unknowns: the basis, the rotated Hessenberg
-    matrix and the inverse of its leading triangle (only their upper
-    triangles are ever written, so they serve every cycle and every call),
-    and the Gram-Schmidt coefficients, their correction and projection."""
-    square = (GMRES_RESTART, GMRES_RESTART)
-    return (np.empty((GMRES_RESTART + 1, k)), np.zeros(square), np.zeros(square),
+    matrix (only its upper triangle is ever written, so it serves every
+    cycle and every call), and the Gram-Schmidt coefficients, their
+    correction and projection."""
+    return (np.empty((GMRES_RESTART + 1, k)), np.zeros((GMRES_RESTART, GMRES_RESTART)),
             np.empty(GMRES_RESTART), np.empty(GMRES_RESTART), np.empty(k))
 
 
@@ -341,25 +341,23 @@ def _gmres(apply, work, give_up: bool = False, slack: float = 0.0):
     side, kept as Python floats, then holds the least-squares misfit, the
     2-norm of the residual, which bounds its sup-norm. A stop test compares
     with the target ``max(bound, slack)``, ``bound`` being
-    :func:`_gmres_bound`. The iterate ``h + y @ basis`` is formed, with ``y``
-    from one triangular solve, only when the misfit could meet the target at
-    its size, and at the end of a cycle: the basis rows are orthonormal, so
-    ``|h|_inf + |y|_2`` bounds its sup-norm, and ``|y|_2`` is read from the
-    inverse of the rotated triangle, which gains one column per product and
-    is applied only once the misfit is within ``max(sqrt(eps), slack)``,
-    above which no iterate can pass. A cycle ends on that test, on a
-    breakdown or after ``GMRES_RESTART`` products. The basis, the triangle
-    and the Gram-Schmidt coefficients live in buffers allocated once per
-    solve (:class:`_Evaluator`).
+    :func:`_gmres_bound` at the iterate's size. Once the misfit is within
+    ``max(sqrt(eps), slack)``, above which no iterate can pass, each product
+    forms the iterate ``h + y @ basis``, with ``y`` from one triangular
+    solve, and tests the misfit against its target; the end of a cycle forms
+    it too, when no test did. A cycle ends on a test met, on a breakdown or
+    after ``GMRES_RESTART`` products. The basis, the triangle and the
+    Gram-Schmidt coefficients live in buffers allocated once per solve
+    (:class:`_Evaluator`).
 
     It stops once the true residual meets the target, after
     :func:`_gmres_cycles` cycles, or, with ``give_up``, as soon as the last
     cycle's reduction of the residual's 2-norm, kept up, would not meet the
     target within that cap.
     """
-    basis, tri, inv, coef, part, proj = work
+    basis, tri, coef, part, proj = work
     k = basis.shape[1]
-    h, hmax = np.zeros(k), 0.0
+    h = np.zeros(k)
     r = np.ones(k)
     norm = math.sqrt(k)
     products, loose = 0, False
@@ -389,31 +387,25 @@ def _gmres(apply, work, give_up: bool = False, slack: float = 0.0):
             turns.append((cs, sn))
             col[j] = rho
             tri[: j + 1, j] = col
-            inv[:j, j] = inv[:j, :j] @ tri[:j, j] / -rho
-            inv[j, j] = 1.0 / rho
             rhs.append(-sn * rhs[j])
             rhs[j] *= cs
             size, new = j + 1, None
             misfit = abs(rhs[size])
-            if beta == 0.0:
-                new = h + np.linalg.solve(tri[:size, :size], rhs[:size]) @ basis[:size]
+            if beta == 0.0:  # a breakdown: the cycle's end forms the exact iterate
                 break
             if misfit <= cap:
-                y = inv[:size, :size] @ rhs[:size]  # the least-squares solution, for its norm
-                if misfit <= max(_gmres_bound(k, hmax + math.sqrt(y @ y)), slack):
-                    new = h + np.linalg.solve(tri[:size, :size], rhs[:size]) @ basis[:size]
-                    bound = _gmres_bound(k, np.max(np.abs(new)))
-                    if misfit <= max(bound, slack):
-                        loose = loose or misfit > bound
-                        break
+                new = h + np.linalg.solve(tri[:size, :size], rhs[:size]) @ basis[:size]
+                bound = _gmres_bound(k, np.max(np.abs(new)))
+                if misfit <= max(bound, slack):
+                    loose = loose or misfit > bound
+                    break
             np.divide(w, beta, out=basis[j + 1])
         if new is None:
             new = h + np.linalg.solve(tri[:size, :size], rhs[:size]) @ basis[:size]
         h = new
-        hmax = float(np.max(np.abs(h)))
         r = 1.0 - apply(h)
         residual = float(np.max(np.abs(r)))
-        bound = _gmres_bound(k, hmax)
+        bound = _gmres_bound(k, np.max(np.abs(h)))
         if residual <= max(bound, slack):
             loose = loose or residual > bound
             break
@@ -435,12 +427,11 @@ def _dense_bytes(view, states: np.ndarray) -> int:
     return max(view.block_bytes(states), 8 * (2 * k * k + 4 * k)) + ITERATOR_BUFFER_BYTES
 
 
-def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "", need: int | None = None) -> np.ndarray:
+def _dense_solve(view, finite: np.ndarray, choice: np.ndarray, why: str = "") -> np.ndarray:
     """LU solve of one selection's system from its dense block; ``why`` says
-    in a refusal why the system is solved densely, and ``need`` is
-    ``_dense_bytes(view, finite)`` when the caller has it."""
+    in a refusal why the system is solved densely."""
     k = finite.size
-    need = _dense_bytes(view, finite) if need is None else need
+    need = _dense_bytes(view, finite)
     if need > MAX_DENSE_BYTES:
         raise ValueError(
             f"{why}a dense policy evaluation of size {k} would allocate about {need} "
@@ -562,7 +553,7 @@ class _Evaluator:
                 f"GMRES missed the backward-error bound within {products} products "
                 f"(last residual {residual:.3e}), and "
             )
-            sol = _dense_solve(self.view, self.finite, choice, why, self.need)
+            sol = _dense_solve(self.view, self.finite, choice, why)
             residual = float(np.max(np.abs(1.0 - self.product(sol))))
         hmax = float(np.max(np.abs(sol)))
         bound = _residual_bound(k, hmax)

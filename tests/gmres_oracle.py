@@ -6,7 +6,11 @@ It is the loop the solver ran before its Givens rotations: one
 are the solver's own (``_gmres_bound``, ``_gmres_cycles``, ``give_up``,
 and a ``slack`` that raises every stop test's target to ``max(bound,
 slack)``), so the two must take the same number of products and agree to
-rounding.
+rounding. Its in-cycle test, the misfit against the target at the sup-norm
+of the iterate it would form, is the solver's own: the solver forms that
+iterate, from one solve of its rotated triangle, at every product once the
+misfit is within ``max(sqrt(eps), slack)``, since no larger misfit can meet
+a target.
 """
 
 import math

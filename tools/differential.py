@@ -17,7 +17,8 @@ Every input is generated here from fixed seeds; nothing is read from the
 test suite or the benchmark. Per case the run records the values as float
 hex, their ``inf`` pattern, the selection, the classification, the
 iterations, the residual as float hex and ``converged``, or the error a
-solve raised.
+solve raised, and every policy evaluation the case made: its path
+(``"gmres"`` or ``"lu"``), its GMRES products and whether it is loose.
 
 The CLI family runs the command line in process on a few seeded models
 written as YAML to a temporary directory: ``hit`` in both senses by both
@@ -25,7 +26,7 @@ methods, ``classify --agents 2`` in both senses and modes, and ``meet`` with
 2 and 3 agents, vacuous and mixture, full and quotient, in both senses.
 Per command it records the exit status, standard output, standard error
 and the ``--json`` file's text, each with the temporary directory's path
-replaced by ``<tmp>``::
+replaced by ``<tmp>``, and its policy evaluations as a solve's::
 
     python tools/differential.py --src src --out head.json
     python tools/differential.py --src ../parent/src --out parent.json
@@ -34,9 +35,12 @@ replaced by ``<tmp>``::
 ``--src`` runs the corpus in a fresh Python process that imports the library
 from the given directory. ``--compare`` prints, per family of cases, how many
 are bit-identical, the largest relative move of a finite value and how many
-selections changed, and per CLI family how many are byte-identical; it exits
-with status 1 when an ``inf`` pattern, a classification, an error or a CLI
-exit status differs, or the two runs hold different cases.
+selections changed, and per CLI family how many are byte-identical; per
+family it names the cases whose evaluations differ in path, GMRES
+products or loose flag (or says that a run holds no evaluations, as a run
+of an older tree may not), which never fails the compare. It exits with
+status 1 when an ``inf`` pattern, a classification, an error or a CLI exit
+status differs, or the two runs hold different cases.
 """
 
 import argparse
@@ -318,18 +322,42 @@ def _record(result) -> dict:
     }
 
 
+@contextlib.contextmanager
+def recorded_evaluations():
+    """``[path, products, loose]`` of every policy evaluation made meanwhile,
+    read from the records that ``solver._Evaluator.evaluate`` returns."""
+    from credalmeet import solver
+
+    runs = []
+    evaluate = solver._Evaluator.evaluate
+
+    def recorded(self, choice, slack=0.0):
+        run = evaluate(self, choice, slack)
+        runs.append([run.path, run.products, run.loose])
+        return run
+
+    solver._Evaluator.evaluate = recorded
+    try:
+        yield runs
+    finally:
+        solver._Evaluator.evaluate = evaluate
+
+
 def run_corpus() -> dict:
     """Every case of the corpus, solved by the library on ``sys.path``."""
     out = []
     for family, name, thunk in _cases():
-        try:
-            record = _record(thunk())
-        except Exception as err:  # a refusal is an output too
-            record = {"error": f"{type(err).__name__}: {err}"}
-        out.append({"family": family, "case": name, **record})
+        with recorded_evaluations() as runs:
+            try:
+                record = _record(thunk())
+            except Exception as err:  # a refusal is an output too
+                record = {"error": f"{type(err).__name__}: {err}"}
+        out.append({"family": family, "case": name, **record, "evaluations": runs})
     with tempfile.TemporaryDirectory() as tmp:
         for family, name, argv in _cli_cases(Path(tmp)):
-            out.append({"family": family, "case": name, **_run_cli(argv, Path(tmp))})
+            with recorded_evaluations() as runs:
+                record = _run_cli(argv, Path(tmp))
+            out.append({"family": family, "case": name, **record, "evaluations": runs})
     return {"cases": out}
 
 
@@ -345,9 +373,16 @@ def compare(a: dict, b: dict) -> bool:
         ok = False
     families = {}
     for key in sorted(left.keys() & right.keys(), key=list(left).index):
-        x, y = left[key], right[key]
-        stats = families.setdefault(key[0], {"cases": 0, "identical": 0, "move": 0.0, "flips": 0, "fail": []})
+        x, y = left[key].copy(), right[key].copy()
+        # compared apart: the outputs alone make a case identical
+        ex, ey = x.pop("evaluations", None), y.pop("evaluations", None)
+        stats = families.setdefault(key[0], {"cases": 0, "identical": 0, "move": 0.0, "flips": 0, "fail": [],
+                                             "unrecorded": 0, "work": []})
         stats["cases"] += 1
+        if ex is None or ey is None:
+            stats["unrecorded"] += 1
+        elif ex != ey:
+            stats["work"].append(key[1])
         if x == y:
             stats["identical"] += 1
             continue
@@ -374,6 +409,12 @@ def compare(a: dict, b: dict) -> bool:
         else:
             print(f"{family:<22}{s['identical']:>5} of {s['cases']:>4} bit-identical, largest relative value "
                   f"move {s['move']:.1e}, {s['flips']} selection flips")
+        recorded = s["cases"] - s["unrecorded"]
+        if not recorded:
+            print("  evaluations: not recorded")
+        else:
+            print(f"  evaluations: {recorded - len(s['work'])} of {recorded} the same in path, "
+                  f"GMRES products and loose flag" + (f"; differ in {', '.join(s['work'])}" if s["work"] else ""))
         for line in s["fail"]:
             print(f"  FAIL: {line}")
         ok = ok and not s["fail"]
