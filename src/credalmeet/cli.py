@@ -32,10 +32,6 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_USAGE = 3
 
 
-class _NotConverged(Exception):
-    """A solve that ran out of its iteration budget."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -113,7 +109,7 @@ def _diagnostics(result, **head) -> dict:
 
 def _check_converged(result, max_iter: int, steps: str) -> int:
     if not result.converged:
-        raise _NotConverged(f"solver did not converge within {max_iter} {steps}")
+        return _fail(f"solver did not converge within {max_iter} {steps}", EXIT_NO_CONVERGENCE)
     return EXIT_OK
 
 
@@ -381,8 +377,6 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ModelFormatError, ModelValidationError) as exc:
         return _fail(str(exc), EXIT_INVALID)
-    except _NotConverged as exc:
-        return _fail(str(exc), EXIT_NO_CONVERGENCE)
     except KeyError as exc:  # str() of a KeyError is the repr of its message
         return _fail(exc.args[0] if exc.args else "", EXIT_USAGE)
     except ValueError as exc:

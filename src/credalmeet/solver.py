@@ -35,10 +35,12 @@ improvement step and the final selection. In policy iteration on a joint
 walk, a greedy pass, and the final residual when no greedy pass read the
 last values, contract nothing: the evaluation just before it ended with a
 product on its solution, which left the region's contraction of those values
-in the region's table, so the pass gathers the region's keys from that table
-into the buffer and sets inf at the choices with mass on the inf states
-(:class:`_Evaluator`). Base views, which keep no table, value iteration and a
-region that is the whole view contract as above. The per-state optimum of a
+in the region's table, so the pass, given the evaluator's padded vector that
+the product contracted and finding it equal to its values, gathers the
+region's keys from that table into the buffer and sets inf at the choices
+with mass on the inf states (:class:`_Evaluator`); a pass on other values
+contracts. Base views, which keep no table, value iteration and a region
+that is the whole view contract as above. The per-state optimum of a
 sweep or a greedy pass is :func:`~credalmeet.core.segment_best`'s: when every
 finite state has the same number ``V`` of choices, as in every dense model,
 ``V - 1`` binary ``np.maximum`` or ``np.minimum`` calls over per-slot views
@@ -203,18 +205,22 @@ class _Bellman:
             self.vals[self.hopeless] = math.inf
         return self.vals
 
-    def greedy(self, f: np.ndarray, tabled: bool = False):
+    def greedy(self, f: np.ndarray, source=None):
         """Greedy choice per finite state (lowest index on ties) and the
         sup-norm defect of ``h = 1 + opt(T h)`` on the finite states, for the
         values ``h`` that are ``f`` off the inf states and inf on them.
 
-        ``tabled`` says that the region's table holds the region's
-        contraction of ``f``, bit for bit: the last product of an
-        :class:`_Evaluator` on this region went through its pin, which
-        shares the table, on the values ``f`` holds. The pass then reads the
-        table rather than contracting again; a region that keeps no table
-        (a base view, a gathered region or the view itself) contracts."""
-        vals = self._values(f, self._table) if tabled and self._table is not None else self.evaluate(f)
+        ``source`` is the vector that the region's table was last contracted
+        from, if any: the padded vector of an :class:`_Evaluator` on this
+        region, which its pin, sharing the table, contracts in every
+        product. The pass reads the table rather than contracting again
+        only when the region keeps one and ``source`` equals ``f``, bit for
+        bit, so that the table holds the region's contraction of ``f``; a
+        region that keeps no table (a base view, a gathered region or the
+        view itself) and a ``source`` that differs from ``f``, or is None,
+        contract."""
+        read = self._table is not None and source is not None and np.array_equal(source, f)
+        vals = self._values(f, self._table) if read else self.evaluate(f)
         best, pick = segment_optimum(vals, self.bounds, self.sense, self.slots)
         return pick, float(np.max(np.abs(f[self.finite] - (1.0 + best)), initial=0.0))
 
@@ -484,15 +490,14 @@ class _Evaluator:
     dense solve (:func:`_dense_bytes`) and the selection, if any, on which
     the last evaluation's GMRES gave up under a slack.
 
-    Every evaluation ends with a product on the solution it returns:
-    GMRES's true residual, or the residual of the dense solve. So once
-    :meth:`evaluate` returns, the padded vector is that solution, zero off
-    the finite states, and when ``tabled`` is set, its last product went
-    through :meth:`product` and left the pin's contraction of it in the
-    table that the pin shares with the region: the region's contraction of
-    the solution, bit for bit, which a greedy pass reads rather than
-    contracts again (:meth:`_Bellman.greedy` with ``tabled``). A subclass that
-    overrides :meth:`product` never sets it."""
+    The padded vector holds the last product's input, zero off the finite
+    states, and the table that the pin shares with the region holds the
+    pin's contraction of it, the region's bit for bit. Every evaluation
+    ends with a product on the solution it returns: GMRES's true residual,
+    or the residual of the dense solve. So once :meth:`evaluate` returns, a
+    greedy pass on that solution given the padded vector reads the table
+    rather than contracts again (:meth:`_Bellman.greedy` with ``source``);
+    after a product on other values it contracts."""
 
     def __init__(self, view, finite: np.ndarray):
         k = finite.size
@@ -500,7 +505,6 @@ class _Evaluator:
         self.need = _dense_bytes(view, finite)
         self.pinned = None
         self.gave_up = None
-        self.tabled = False
         self.padded = np.zeros(view.n)  # admissible choices put no mass outside the finite states
         self.out = np.empty(k)
         self.cols = segment_rows(finite, np.ones(k, dtype=np.int64))  # a slice when consecutive
@@ -515,7 +519,6 @@ class _Evaluator:
         (the padded ``x`` is finite), in a buffer that holds it until the next
         product."""
         self.padded[self.cols] = x
-        self.tabled = True
         return np.subtract(x, self.pinned.finite_values(self.padded, self.out), out=self.out)
 
     def evaluate(self, choice: np.ndarray, slack: float = 0.0) -> _Evaluation:
@@ -536,7 +539,6 @@ class _Evaluator:
         """
         k = self.finite.size
         self.pin(choice)
-        self.tabled = False
         replay = slack == 0.0 and self.gave_up is not None and np.array_equal(choice, self.gave_up)
         self.gave_up = None
         if replay:
@@ -626,7 +628,7 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         sweeps += 1
         if converged:
             break
-        new_choice, residual = op.greedy(f, evaluator.tabled)
+        new_choice, residual = op.greedy(f, evaluator.padded)
         settled = np.array_equal(new_choice, choice)
         if settled and exact:
             converged = True
@@ -637,7 +639,8 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
         previous, choice = choice, new_choice
 
     if residual is None:  # no greedy pass read the last f
-        residual = op.greedy(f, evaluator.tabled)[1]
+        # before the first sweep no product has contracted the padded zeros
+        residual = op.greedy(f, evaluator.padded if sweeps else None)[1]
     return _result(cls, finite, f, choice, sweeps, residual, converged, "policy-iteration")
 
 

@@ -388,6 +388,26 @@ def test_meet_rejects_a_selection_entry_that_is_not_an_integer(model_file, tmp_p
     assert f"selection for 'a,b': entry 0 is not an integer ({shown})" in err
 
 
+@pytest.mark.parametrize("argv, selection, message", [
+    (["hit", "MODEL", "--target", ",", "--sense", "upper"], None, "the target list is empty"),
+    (["classify", "MODEL", "--sense", "upper"], None, "--target is required unless --agents is given"),
+    (["meet", "MODEL", "--belief", "degenerate", "--selection", "SEL"], None,
+     "cannot read selection file SEL: [Errno 2] No such file or directory: 'SEL'"),
+    (["meet", "MODEL", "--belief", "degenerate", "--selection", "SEL"], "- [1, 0]\n",
+     "the selection file must map joint states to vertex indices"),
+    (["meet", "MODEL", "--belief", "degenerate", "--selection", "SEL"], '"a,b": 1\n',
+     "selection for 'a,b' must be a list of vertex indices"),
+], ids=["empty-target-list", "classify-without-target", "missing-selection-file", "selection-not-a-mapping",
+        "selection-entry-not-a-list"])
+def test_a_refused_argument_is_a_usage_error_naming_it(argv, selection, message, model_file, tmp_path, capsys):
+    sel = tmp_path / "sel.yaml"
+    if selection is not None:
+        sel.write_text(selection)
+    spell = lambda text: text.replace("MODEL", model_file).replace("SEL", str(sel))
+    assert main([spell(a) for a in argv]) == 3
+    assert capsys.readouterr().err == f"error: {spell(message)}\n"
+
+
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 GOLDEN_RUNS = {

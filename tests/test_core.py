@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -26,6 +27,8 @@ from credalmeet import (
     validate,
     value_iteration,
 )
+
+from credalmeet.core import target_mask
 
 from generators import random_credal_matrix, random_selection
 
@@ -286,6 +289,16 @@ def test_selection_matrix_accepts_numpy_integers():
     for selection in ([1, 0], [np.int64(1), np.int32(0)], np.array([1, 0], dtype=np.uint16),
                       np.array([1, 0], dtype=object)):
         assert np.array_equal(selection_matrix(m, selection), want)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: target_mask(2, [5]), "target index 5 out of range for 2 states"),
+    (lambda m: selection_matrix(m, [0]), "selection has shape (1,), expected (2,)"),
+    (lambda m: selection_matrix(m, [[0, 0]]), "selection has shape (1, 2), expected (2,)"),
+], ids=["target-out-of-range", "selection-too-short", "selection-of-two-axes"])
+def test_an_index_outside_the_model_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(_two_pickers())
 
 
 @pytest.mark.parametrize("start", [0.0, 0.7, True, "0"])

@@ -97,6 +97,20 @@ def test_joint_weight_refuses_states_and_choices_out_of_range(mode):
     assert joint_transition_weight(m, prod, (0, 1), (0, 0), (0, 1)) > 0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda m, prod: meet(m, 2, "degenerate", selection={(0, 1): (0,)}),
+     "joint state (a,b) takes 2 vertex choices, one per agent, got 1"),
+    (lambda m, prod: joint_transition_weight(m, prod, (0,), (0, 0), (0, 1)),
+     "joint states must list one base state per agent"),
+    (lambda m, prod: joint_transition_weight(m, prod, (0, 1), (0,), (0, 1)),
+     "a joint choice takes one vertex index per agent"),
+], ids=["meet-short-selection", "weight-short-origin", "weight-short-choice"])
+def test_a_joint_argument_of_the_wrong_length_is_refused(call, message):
+    m = hold_or_mix()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(m, build_product_space(m.space, 2, "quotient"))
+
+
 def joint_row(m, prod, view, i, c):
     """Choice ``c`` of joint state ``i`` over every product state, from
     :func:`joint_transition_weight` rather than from the view."""

@@ -163,6 +163,34 @@ def test_an_interval_bound_outside_the_unit_interval_is_named(row, violations):
     assert err.value.violations == violations
 
 
+@pytest.mark.parametrize("doc, message", [
+    ("- a\n- b\n", "the document must be a mapping"),
+    ("states: [a]\nrows: {}\n", "'states' must list at least two labels"),
+    ("states: [a, b, a]\nrows: {}\n", "state labels must be unique"),
+    ("states: [a, b]\nrows: [{vertices: [[1, 0]]}]\n", "'rows' must map state labels to row specs"),
+], ids=["not-a-mapping", "one-label", "repeated-label", "rows-not-a-mapping"])
+def test_a_document_of_the_wrong_shape_is_refused(doc, message):
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(doc)
+    assert err.value.violations == [f"<string>: {message}"]
+
+
+@pytest.mark.parametrize("row, violation", [
+    ("[[1, 0]]", "expected a mapping, found list"),
+    ("{vertices: [[1, 0]], lower: [0, 0], upper: [1, 1]}", "give either vertices or an interval, not both"),
+    ("{vertices: [1, 0]}", "vertices must be a list of lists"),
+    ("{lower: [0, 0]}", "needs vertices, or both lower and upper"),
+    ("{lower: [0, 0, 0], upper: [1, 1, 1]}", "lower and upper must be lists of 2 numbers"),
+    ("{lower: 0, upper: 1}", "lower and upper must be lists of 2 numbers"),
+], ids=["row-not-a-mapping", "vertices-and-interval", "vertices-not-lists", "lower-alone", "bounds-too-long",
+        "bounds-not-lists"])
+def test_a_row_of_the_wrong_shape_is_named(row, violation):
+    doc = f"states: [a, b]\nrows:\n  a: {row}\n  b: {{vertices: [[0, 1]]}}\n"
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(doc)
+    assert err.value.violations == [f"row 'a': {violation}"]
+
+
 def test_integers_too_large_for_a_float_are_format_errors():
     huge = "1" + "0" * 400
     doc = f"""

@@ -101,13 +101,12 @@ def test_the_table_read_is_a_fresh_contraction_bit_for_bit(agents, mode, sense, 
     assert op._table is not None and region is not view
     assert op.hopeless.size > 0 if sense == "lower" else op.hopeless.size == 0
     evaluator = solver._Evaluator(region, finite)
-    assert not evaluator.tabled
     run = evaluator.evaluate(witness[finite])
-    assert run.path == path and not run.loose and evaluator.tabled
+    assert run.path == path and not run.loose
     f = np.zeros(view.n)
     f[finite] = run.sol
     counts = _count_contractions(monkeypatch)
-    read = op.greedy(f, evaluator.tabled)
+    read = op.greedy(f, evaluator.padded)
     assert counts["passes"] == [0]  # the pass read the table
     got = op.vals.copy()
     assert np.array_equal(_bits(got), _bits(op.evaluate(f)))
@@ -119,7 +118,7 @@ def test_the_table_read_is_a_fresh_contraction_bit_for_bit(agents, mode, sense, 
 
 def test_a_base_region_has_no_table_to_read():
     # a base view keeps no table, so its greedy passes contract as before,
-    # whatever the evaluator says of its last product
+    # whatever source of the last contraction they are given
     model = random_credal_matrix(np.random.default_rng(3), n=8, max_vertices=3, dense_prob=0.9)
     view = CredalChoices(model)
     cls, _ = classify_view(view, target_mask(8, [7]), "upper")
@@ -128,9 +127,44 @@ def test_a_base_region_has_no_table_to_read():
     f, g = np.zeros(view.n), np.zeros(view.n)
     f[op.finite], g[op.finite] = 1.0, np.arange(1.0, op.finite.size + 1.0)
     want = op.greedy(g)
-    op.greedy(f)
-    got = op.greedy(g, tabled=True)
-    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    for source in (g, f):
+        op.greedy(f)
+        got = op.greedy(g, source)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+@pytest.mark.parametrize("agents", [2, 3])
+@pytest.mark.parametrize("sense", ["upper", "lower"])
+@pytest.mark.parametrize("trap", [False, True])
+def test_a_product_on_other_values_makes_the_next_pass_contract(agents, sense, trap, monkeypatch):
+    # right after an exact evaluation the table holds the contraction of the
+    # solution, so a pass reads it; one more product on other values
+    # overwrites the table, so a pass on the solution given the evaluator's
+    # padded vector finds it differs from the values and contracts once, with
+    # a fresh pass's bits
+    model = _trapped() if trap else random_credal_matrix(np.random.default_rng(4), n=6 - agents // 3, max_vertices=3,
+                                                         dense_prob=0.9)
+    view, targets = _view(model, agents)
+    cls, witness = classify_view(view, targets, sense)
+    op = solver._Bellman(view, cls)
+    finite = op.finite
+    assert op._table is not None and finite.size
+    evaluator = solver._Evaluator(op.region, finite)
+    run = evaluator.evaluate(witness[finite])
+    assert not run.loose
+    f = np.zeros(view.n)
+    f[finite] = run.sol
+    counts = _count_contractions(monkeypatch)
+    op.greedy(f, evaluator.padded)
+    assert counts["passes"] == [0]
+    other = np.random.default_rng(agents).random(finite.size) * run.sol.max()
+    evaluator.product(other)
+    stale = op.greedy(f, evaluator.padded)
+    assert counts["passes"] == [0, 1]
+    got = op.vals.copy()
+    fresh = op.greedy(f)
+    assert np.array_equal(_bits(got), _bits(op.vals))
+    assert np.array_equal(stale[0], fresh[0]) and stale[1] == fresh[1]
 
 
 def _reference_tuples(view, flat):

@@ -17,8 +17,9 @@ Every input is generated here from fixed seeds; nothing is read from the
 test suite or the benchmark. Per case the run records the values as float
 hex, their ``inf`` pattern, the selection, the classification, the
 iterations, the residual as float hex and ``converged``, or the error a
-solve raised, and every policy evaluation the case made: its path
-(``"gmres"`` or ``"lu"``), its GMRES products and whether it is loose.
+solve raised, every policy evaluation the case made: its path
+(``"gmres"`` or ``"lu"``), its GMRES products and whether it is loose, and
+how many joint contractions (``meeting.contract_chain`` calls) it made.
 
 The CLI family runs the command line in process on a few seeded models
 written as YAML to a temporary directory: ``hit`` in both senses by both
@@ -26,7 +27,8 @@ methods, ``classify --agents 2`` in both senses and modes, and ``meet`` with
 2 and 3 agents, vacuous and mixture, full and quotient, in both senses.
 Per command it records the exit status, standard output, standard error
 and the ``--json`` file's text, each with the temporary directory's path
-replaced by ``<tmp>``, and its policy evaluations as a solve's::
+replaced by ``<tmp>``, and its policy evaluations and joint contractions as
+a solve's::
 
     python tools/differential.py --src src --out head.json
     python tools/differential.py --src ../parent/src --out parent.json
@@ -37,8 +39,9 @@ from the given directory. ``--compare`` prints, per family of cases, how many
 are bit-identical, the largest relative move of a finite value and how many
 selections changed, and per CLI family how many are byte-identical; per
 family it names the cases whose evaluations differ in path, GMRES
-products or loose flag (or says that a run holds no evaluations, as a run
-of an older tree may not), which never fails the compare. It exits with
+products or loose flag, and those whose joint contraction counts differ
+(or says that a run holds no evaluations or no counts, as a run of an
+older tree may not), which never fails the compare. It exits with
 status 1 when an ``inf`` pattern, a classification, an error or a CLI exit
 status differs, or the two runs hold different cases.
 """
@@ -343,25 +346,52 @@ def recorded_evaluations():
         solver._Evaluator.evaluate = evaluate
 
 
+@contextlib.contextmanager
+def counted_contractions():
+    """A one-entry list that counts the joint contractions made meanwhile:
+    the calls of ``meeting.contract_chain``, through which every
+    contraction of a joint view's table goes."""
+    from credalmeet import meeting
+
+    made = [0]
+    chain = meeting.contract_chain
+
+    def counted(*args):
+        made[0] += 1
+        return chain(*args)
+
+    meeting.contract_chain = counted
+    try:
+        yield made
+    finally:
+        meeting.contract_chain = chain
+
+
 def run_corpus() -> dict:
     """Every case of the corpus, solved by the library on ``sys.path``."""
     out = []
     for family, name, thunk in _cases():
-        with recorded_evaluations() as runs:
+        with recorded_evaluations() as runs, counted_contractions() as made:
             try:
                 record = _record(thunk())
             except Exception as err:  # a refusal is an output too
                 record = {"error": f"{type(err).__name__}: {err}"}
-        out.append({"family": family, "case": name, **record, "evaluations": runs})
+        out.append({"family": family, "case": name, **record, "evaluations": runs, "contractions": made[0]})
     with tempfile.TemporaryDirectory() as tmp:
         for family, name, argv in _cli_cases(Path(tmp)):
-            with recorded_evaluations() as runs:
+            with recorded_evaluations() as runs, counted_contractions() as made:
                 record = _run_cli(argv, Path(tmp))
-            out.append({"family": family, "case": name, **record, "evaluations": runs})
+            out.append({"family": family, "case": name, **record, "evaluations": runs, "contractions": made[0]})
     return {"cases": out}
 
 
 # ---------------------------------------------------------------- compare
+
+#: The work records of a case, compared apart from its outputs, and what
+#: the compare says of the cases whose records agree.
+WORK = {"evaluations": "the same in path, GMRES products and loose flag",
+        "contractions": "the same in joint contractions"}
+
 
 def compare(a: dict, b: dict) -> bool:
     """Print the comparison of two runs per family; True when nothing fails."""
@@ -374,15 +404,15 @@ def compare(a: dict, b: dict) -> bool:
     families = {}
     for key in sorted(left.keys() & right.keys(), key=list(left).index):
         x, y = left[key].copy(), right[key].copy()
-        # compared apart: the outputs alone make a case identical
-        ex, ey = x.pop("evaluations", None), y.pop("evaluations", None)
         stats = families.setdefault(key[0], {"cases": 0, "identical": 0, "move": 0.0, "flips": 0, "fail": [],
-                                             "unrecorded": 0, "work": []})
+                                             **{field: {"unrecorded": 0, "differ": []} for field in WORK}})
         stats["cases"] += 1
-        if ex is None or ey is None:
-            stats["unrecorded"] += 1
-        elif ex != ey:
-            stats["work"].append(key[1])
+        for field in WORK:  # compared apart: the outputs alone make a case identical
+            u, v, tally = x.pop(field, None), y.pop(field, None), stats[field]
+            if u is None or v is None:
+                tally["unrecorded"] += 1
+            elif u != v:
+                tally["differ"].append(key[1])
         if x == y:
             stats["identical"] += 1
             continue
@@ -409,12 +439,13 @@ def compare(a: dict, b: dict) -> bool:
         else:
             print(f"{family:<22}{s['identical']:>5} of {s['cases']:>4} bit-identical, largest relative value "
                   f"move {s['move']:.1e}, {s['flips']} selection flips")
-        recorded = s["cases"] - s["unrecorded"]
-        if not recorded:
-            print("  evaluations: not recorded")
-        else:
-            print(f"  evaluations: {recorded - len(s['work'])} of {recorded} the same in path, "
-                  f"GMRES products and loose flag" + (f"; differ in {', '.join(s['work'])}" if s["work"] else ""))
+        for field, same in WORK.items():
+            recorded, differ = s["cases"] - s[field]["unrecorded"], s[field]["differ"]
+            if not recorded:
+                print(f"  {field}: not recorded")
+            else:
+                print(f"  {field}: {recorded - len(differ)} of {recorded} {same}"
+                      + (f"; differ in {', '.join(differ)}" if differ else ""))
         for line in s["fail"]:
             print(f"  FAIL: {line}")
         ok = ok and not s["fail"]
