@@ -190,7 +190,8 @@ def _cmd_hit(args) -> int:
         "values": {lab: encode_value(v) for lab, v in zip(labels, result.values.tolist())},
         "selection": {lab: int(result.selection[i]) for i, lab in enumerate(labels)},
         "classification": _classification_labels(labels, result.classification),
-        "diagnostics": _diagnostics(result, method=result.method),
+        "diagnostics": {**_diagnostics(result, method=result.method),
+                        "error_bound": encode_value(result.error_bound)},
     })
     return _check_converged(result, args.max_iter, "iterations")
 
@@ -340,9 +341,15 @@ def _build_parser() -> _Parser:
     p = add("hit", "bound the expected hitting time of a target set", _cmd_hit)
     p.add_argument("--target", required=True, help="comma-separated target labels")
     p.add_argument("--sense", choices=("upper", "lower"), required=True)
-    p.add_argument("--method", choices=("policy", "value"), default="policy")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--method", choices=("policy", "value"), default="policy",
+                   help="policy iteration, or value iteration by safeguarded Anderson mixing, "
+                        "whose values come from below")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="policy: the largest change of consecutive exact evaluations; value: the "
+                        "absolute error of every value that a certified bracket must bound")
+    p.add_argument("--max-iter", type=int, default=None,
+                   help="policy: the most sweeps (default 1000); value: the most applications of "
+                        "the one-step operator (default 10000)")
 
     p = add("meet", "bound the expected meeting time of several agents", _cmd_meet)
     p.add_argument("--agents", type=int, default=2)

@@ -1,8 +1,10 @@
 """Best- and worst-case expected hitting times for credal transition models.
 
-Two methods are provided. Monotone value iteration from zero climbs to the
-minimal non-negative fixed point of the one-step operator on the
-finitely-valued states. Policy iteration alternates evaluation of one
+Two methods are provided. Value iteration mixes applications of the
+one-step operator on the finitely-valued states by safeguarded Anderson
+acceleration and stops once one application certifies a bracket around its
+fixed point within ``tol``, absolutely; it returns the bracket's lower end
+(:func:`solve_view_value`). Policy iteration alternates evaluation of one
 selection with a greedy switch to better vertices, and terminates after
 finitely many sweeps because there are finitely many selections and no
 strict improvement can repeat once the evaluations are exact; the
@@ -19,8 +21,8 @@ solution must meet the backward-error bound.
 
 Both methods iterate one object, the solve's one-step operator
 ``F(h) = 1 + opt(T h)`` on the finite states (:class:`_Bellman`), made once
-per solve from the view and its classification. Every value iteration
-sweep, greedy pass of policy iteration and final residual reads one
+per solve from the view and its classification. Every application of it in
+value iteration, greedy pass of policy iteration and final residual reads one
 evaluation of the finite states' choices on their region
 (:meth:`~credalmeet.reach.ChoiceView.region`), a view of their choices
 alone, which on a joint walk contracts only the vertex rows and base states
@@ -40,18 +42,14 @@ the product contracted and finding it equal to its values, gathers the
 region's keys from that table into the buffer and sets inf at the choices
 with mass on the inf states (:class:`_Evaluator`); a pass on other values
 contracts. Base views, which keep no table, value iteration and a region
-that is the whole view contract as above. The per-state optimum of a
-sweep or a greedy pass is :func:`~credalmeet.core.segment_best`'s: when every
-finite state has the same number ``V`` of choices, as in every dense model,
-``V - 1`` binary ``np.maximum`` or ``np.minimum`` calls over per-slot views
-of the operator's buffer, made once per solve, which a sweep makes inline,
-and one ``reduceat`` for unequal counts. Value iteration runs its sweeps in
-blocks of up to ``VALUE_BLOCK``, over a history of ``VALUE_BLOCK + 1`` rows
-of ``n`` floats, zero off the finite states: a sweep contracts the row
-before it in place and writes its per-state optimum, plus one, into the
-finite entries of the next row. One stop test per block takes every sweep's
-sup-norm step at once and keeps the first sweep within ``tol``, so at most
-``VALUE_BLOCK - 1`` sweeps are discarded per solve. Policy iteration starts
+that is the whole view contract as above. The per-state optimum of an
+application or a greedy pass is :func:`~credalmeet.core.segment_best`'s:
+when every finite state has the same number ``V`` of choices, as in every
+dense model, ``V - 1`` binary ``np.maximum`` or ``np.minimum`` calls over
+per-slot views of the operator's buffer, made once per solve, and one
+``reduceat`` for unequal counts. Value iteration keeps its mixing history,
+the last ``MIX_DEPTH`` differences of the defects and of the applications
+on the finite states, in a ring made once per solve. Policy iteration starts
 from the classification's witness, a selection proper on the finite region.
 Its evaluations share one :class:`_Evaluator`, made once per solve on the
 region. A GMRES evaluation pins the region to the selected choice of each
@@ -108,12 +106,16 @@ FORCING = 0.1
 #: selection that loose values pick again costs one exact evaluation more.
 SLACK_FLOOR = 1e-3
 
-#: Most sweeps in one block of value iteration, whose stop test reads all of
-#: a block's steps at once: up to ``VALUE_BLOCK - 1`` sweeps past the one a
-#: solve keeps are discarded.
-VALUE_BLOCK = 16
+#: Depth of value iteration's Anderson mixing: the most past steps whose
+#: differences a mixed candidate combines.
+MIX_DEPTH = 5
+
+#: Tikhonov weight of the mixing's least-squares system, relative to the
+#: trace of its normal equations.
+MIX_RIDGE = 1e-12
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # keeps the normal equations of an all-zero ring regular
 
 
 @dataclass(eq=False)  # ndarray fields: results compare by identity
@@ -125,7 +127,12 @@ class HittingResult:
     the optimizing vertex index per state (zero on states where no choice
     matters). ``residual`` is the final sup-norm defect of the one-step
     fixed-point equation on finite states; ``converged`` is False when the
-    iteration budget ran out first.
+    iteration budget ran out first. ``error_bound`` bounds the distance of
+    every finite value from the true one, inf when nothing bounds it: value
+    iteration's certified bracket width, and for policy iteration
+    ``|h|_inf d / (1 - d)`` with ``d`` the residual plus the rounding
+    margin of :func:`_margin`. It is reported only; ``converged`` does not
+    read it in policy iteration.
     """
 
     values: np.ndarray
@@ -135,6 +142,7 @@ class HittingResult:
     residual: float
     converged: bool
     method: str
+    error_bound: float
 
 
 def _require_budget(tol, max_iter) -> None:
@@ -226,7 +234,7 @@ class _Bellman:
 
 
 def _result(cls: Classification, finite: np.ndarray, f: np.ndarray, choice: np.ndarray,
-            iterations: int, residual: float, converged: bool, method: str) -> HittingResult:
+            iterations: int, residual: float, converged: bool, method: str, error_bound: float) -> HittingResult:
     """The result of a solve that ends with the values ``f`` (zero on the inf
     states) and ``choice`` per finite state: the selection is ``choice`` on
     the finite states and zero elsewhere, and ``f`` gets inf at the inf
@@ -234,64 +242,90 @@ def _result(cls: Classification, finite: np.ndarray, f: np.ndarray, choice: np.n
     selection = np.zeros(f.size, dtype=np.int64)
     selection[finite] = choice
     f[list(cls.infinite)] = math.inf
-    return HittingResult(f, selection, cls, iterations, residual, converged, method)
+    return HittingResult(f, selection, cls, iterations, residual, converged, method, error_bound)
+
+
+def _margin(n: int, a: float, b: float) -> float:
+    """Bound on the rounding of one application's defect ``F(x) - x`` on a
+    view of ``n`` states, for ``a = |F(x)|_inf`` and ``b = |x|_inf``: a row
+    of a base view's contraction, non-negative weights summing to one, is a
+    dot product of ``n`` terms, off by at most ``(n/2) eps b``, and the add
+    of one and the subtraction of ``x`` round once each. On a joint view
+    ``n`` is its number of joint states."""
+    return (n / 2.0 + 2.0) * _EPS * (1.0 + a + b)
 
 
 def solve_view_value(view, targets: np.ndarray, sense: str, tol: float, max_iter: int) -> HittingResult:
     """Value iteration on a choice view; see :func:`value_iteration`.
 
-    The sweeps run in blocks of 1, 2, 4, ... up to ``VALUE_BLOCK`` sweeps,
-    none past ``max_iter``. Sweep ``j`` of a block evaluates the choices of
-    the solve's :class:`_Bellman` operator on row ``j - 1`` of a history of
-    iterates and writes its iterate into row ``j``: the per-state optimum
-    into row ``j``'s finite entries (or a buffer scattered into them) and an
-    add of one. With ``V`` choices at every finite state the optimum is the
-    ``V - 1`` binary calls of :func:`~credalmeet.core.segment_best`, made
-    here, with no frame around them, since every frame shows in a sweep of
-    a small model; otherwise that function's ``reduceat``. Row 0 holds the
-    values the block starts from, and every row is zero off the finite
-    states. After a block one vectorised pass takes every sweep's sup-norm
-    step, and the solve keeps the first sweep whose step is within ``tol``
-    and discards the rest of the block. With no finite state the solve is
-    converged before any sweep."""
+    Safeguarded Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49(4),
+    2011; Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30(4), 2020) of the
+    solve's :class:`_Bellman` operator ``F`` on the finite states. An
+    application of ``F`` to ``x`` evaluates the operator's choices on ``x``,
+    zero off the finite states, and adds one to their per-state optimum
+    (:func:`~credalmeet.core.segment_best`). The iterate ``x`` starts at
+    zero, and its first two steps are plain, ``x <- F(x)``. Later ones mix
+    the last up to ``MIX_DEPTH`` differences ``dR`` of the defects ``r = F(x)
+    - x`` and ``dG`` of the applications, rows of a ring made once per solve:
+    the candidate is ``F(x) - gamma dG``, clipped at one, below which no
+    finite value lies, with ``gamma`` from the small least-squares system
+    ``min |r - gamma dR|_2``, solved by its normal equations with a Tikhonov
+    term of ``MIX_RIDGE`` times their trace. A candidate whose defect
+    ``|F(c) - c|_inf`` exceeds ``x``'s is rejected: the ring is cleared and
+    the next step is plain. ``iterations`` counts applications of ``F``, a
+    rejected candidate's included.
+
+    Each kept iterate is certified. With ``d+ = max(F(x) - x)+ + mu`` and
+    ``d- = max(x - F(x))+ + mu``, ``mu`` the margin of :func:`_margin`,
+    ``F`` is monotone and ``F(h) - 1`` positively homogeneous, so
+    ``x / (1 + d-) <= h* <= x / (1 - d+)`` when ``d+ < 1``: ``F`` maps the
+    lower end up and the upper end down, and its fixed point on the finite
+    states is unique. The solve is converged once the bracket's width,
+    ``|x|_inf (1 / (1 - d+) - 1 / (1 + d-))``, the ``error_bound``, is
+    within ``tol``, and it returns the lower end. With no finite state it is
+    converged before any application."""
     cls, _ = classify_view(view, targets, sense)
     op = _Bellman(view, cls)
     finite, evaluate, slots, opt = op.finite, op.evaluate, op.slots, op.opt
-    cols = segment_rows(finite, np.ones(finite.size, dtype=np.int64))  # a slice when consecutive
-    history = np.zeros((VALUE_BLOCK + 1, view.n))
-    iterates = list(history)  # one view per row, made once
-    scatter = not isinstance(cols, slice)
-    # where sweep j writes its optimum: the finite columns of row j, or a
-    # buffer scattered into them
-    outs = [np.empty(finite.size)] * len(iterates) if scatter else [row[cols] for row in iterates]
-    starts, middle = op.bounds[:-1], slots[1:-1]
-    iterations, size, last = 0, 1, 0  # sweeps kept, block length, row of the current values
-    converged = finite.size == 0  # nothing to iterate
+    k, starts = finite.size, op.bounds[:-1]
+    cols = segment_rows(finite, np.ones(k, dtype=np.int64))  # a slice when consecutive
+    padded = np.zeros(view.n)  # F's input: zero off the finite states
+    ring_r, ring_g = np.empty((MIX_DEPTH, k)), np.empty((MIX_DEPTH, k))
+    x, g, r = np.zeros(k), np.zeros(k), None  # the first step is the plain one from zero
+    defect, down, head, filled, iterations = math.inf, 0.0, 0, 0, 0
+    converged = k == 0  # nothing to iterate
+    bound = 0.0 if converged else math.inf
     while not converged and iterations < max_iter:
-        history[0] = history[last]
-        size = min(size, max_iter - iterations)
-        for j in range(1, size + 1):
-            # one synchronous sweep: every update reads the previous iterate
-            vals = evaluate(iterates[j - 1])
-            # V - 1 binary optima (for V = 1 the slot against itself) inline: a call of
-            # segment_best, which takes unequal counts, made base-dense's value
-            # iterations 5% slower (one BLAS thread, a shared 2-core x86-64 machine)
-            new = opt(slots[0], slots[-1], out=outs[j]) if slots else segment_best(vals, starts, opt, slots, outs[j])
-            for slot in middle:
-                opt(new, slot, out=new)
-            new += 1.0
-            if scatter:
-                history[j, cols] = new
-        block = history[: size + 1, cols]
-        steps = np.subtract(block[1:], block[:-1])  # np.diff's subtraction, row by row
-        within = (np.maximum.reduce(np.abs(steps, out=steps), axis=1) <= tol).nonzero()[0]
-        converged = within.size > 0
-        last = int(within[0]) + 1 if converged else size
-        iterations += last
-        size = min(2 * size, VALUE_BLOCK)
-    f = history[last].copy()
+        if filled:  # a mixed candidate
+            dr, dg = ring_r[:filled], ring_g[:filled]
+            gram = dr @ dr.T
+            gram.flat[:: filled + 1] += MIX_RIDGE * gram.trace() + _TINY
+            c = g - np.linalg.solve(gram, dr @ r) @ dg
+            np.maximum(c, 1.0, out=c)
+        else:
+            c = g
+        padded[cols] = c
+        new = segment_best(evaluate(padded), starts, opt, slots)
+        new += 1.0
+        iterations += 1
+        step = new - c
+        high, low = float(step.max()), float(step.min())
+        if filled and not max(high, -low) <= defect:
+            head = filled = 0  # rejected: the next step is plain
+            continue
+        if r is not None:
+            ring_r[head], ring_g[head] = step - r, new - g
+            head, filled = (head + 1) % MIX_DEPTH, min(filled + 1, MIX_DEPTH)
+        x, g, r, defect = c, new, step, max(high, -low)
+        top = float(x.max())
+        mu = _margin(view.n, float(g.max()), top)
+        up, down = max(high, 0.0) + mu, max(-low, 0.0) + mu
+        bound = top * (1.0 / (1.0 - up) - 1.0 / (1.0 + down)) if up < 1.0 else math.inf
+        converged = up < 1.0 and bound <= tol
+    f = np.zeros(view.n)
+    f[finite] = x / (1.0 + down)
     choice, residual = op.greedy(f)
-    return _result(cls, finite, f, choice, iterations, residual, converged, "value-iteration")
+    return _result(cls, finite, f, choice, iterations, residual, converged, "value-iteration", bound)
 
 
 def _residual_bound(k: int, hmax: float) -> float:
@@ -641,7 +675,10 @@ def solve_view_policy(view, targets: np.ndarray, sense: str, tol: float, max_ite
     if residual is None:  # no greedy pass read the last f
         # before the first sweep no product has contracted the padded zeros
         residual = op.greedy(f, evaluator.padded if sweeps else None)[1]
-    return _result(cls, finite, f, choice, sweeps, residual, converged, "policy-iteration")
+    top = float(np.max(np.abs(f), initial=0.0))
+    delta = residual + _margin(view.n, top + residual, top)
+    bound = top * delta / (1.0 - delta) if delta < 1.0 else math.inf
+    return _result(cls, finite, f, choice, sweeps, residual, converged, "policy-iteration", bound)
 
 
 def value_iteration(
@@ -651,14 +688,22 @@ def value_iteration(
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> HittingResult:
-    """Hitting-time bound by monotone value iteration.
+    """Hitting-time bound by value iteration with safeguarded Anderson mixing.
 
-    Starting from zero, repeatedly applies ``h <- 1 + opt(T h)`` on the
-    finitely-valued non-target states, where ``opt`` scans the row vertices
-    for the largest (upper) or smallest (lower) expectation. The sequence is
-    componentwise non-decreasing and converges to the minimal non-negative
-    fixed point. Stops when the sup-norm step drops to ``tol``; when
-    ``max_iter`` runs out first the result is flagged as not converged.
+    Iterates ``F(h) = 1 + opt(T h)`` on the finitely-valued non-target
+    states, where ``opt`` scans the row vertices for the largest (upper) or
+    smallest (lower) expectation: two plain steps from zero, then candidates
+    that mix the last ``MIX_DEPTH`` steps, kept only when they do not raise
+    the sup-norm defect ``|F(h) - h|``. One application of ``F`` certifies
+    ``h / (1 + d-) <= h* <= h / (1 - d+)``, ``d+`` and ``d-`` the largest
+    rise and fall of ``F(h)`` over ``h`` plus a rounding margin. ``tol`` is
+    absolute: the solve converges once that bracket is at most ``tol`` wide,
+    and its values are the lower end, within ``tol`` of the bound and not
+    above it. The defect cannot fall below the rounding of ``F``, so the
+    width cannot fall below about ``2 (n + 4) eps |h*|^2``: a smaller
+    ``tol`` is never met. ``max_iter`` counts applications of ``F``;
+    when it runs out first the result is flagged as not converged, with the
+    lower end of the last bracket and its width as ``error_bound``.
     """
     _require_sense(sense)
     _require_budget(tol, max_iter)

@@ -126,3 +126,28 @@ def two_torus_walk(rng, rough=(2, 3), smooth=(3, 3), lazy=True):
             if lazy:
                 vertices[-1].append(row([(own, stay)] + [(i, (1.0 - stay) / 4) for i in hood[1:]]))
     return CredalMatrix.from_rows(labels, vertices)
+
+
+def trapped_credal_matrix(rng, n, trap, leak):
+    """A random model on ``n + trap`` states in shuffled order: ``n`` states
+    with up to 3 vertices, some sparse, and ``trap`` states that never leave
+    the trap and so have infinite values. With ``leak`` a fifth of the ``n``
+    states get one more vertex into the trap: in lower sense it has an inf
+    value and is never selected (in upper sense it would make every state
+    that reaches it infinite). Returns the model and the shuffled index of
+    the first of the ``n`` states."""
+    core = random_credal_matrix(rng, n=n, max_vertices=3, dense_prob=0.8)
+    total = n + trap
+    rows = []
+    for i in range(n):
+        verts = [np.concatenate([v, np.zeros(trap)]) for v in core.vertices(i)]
+        if leak and rng.random() < 0.2:
+            into = np.concatenate([random_distribution(rng, n), random_distribution(rng, trap)])
+            verts.append(0.5 * into)
+        rows.append(verts)
+    for _ in range(trap):
+        rows.append([np.concatenate([np.zeros(n), random_distribution(rng, trap)])])
+    order = rng.permutation(total)
+    shuffled = [[v[order] for v in rows[j]] for j in order]
+    model = CredalMatrix.from_rows([f"s{i}" for i in range(total)], shuffled)
+    return model, int(np.argsort(order)[0])

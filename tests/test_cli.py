@@ -182,6 +182,17 @@ def test_hit_non_convergence_exit_code(model_file):
     assert code == 2
 
 
+def test_hit_json_reports_the_error_bound(model_file, tmp_path):
+    out = tmp_path / "r.json"
+    hit = ["hit", model_file, "--target", "b", "--sense", "upper", "--json", str(out)]
+    for method in ("value", "policy"):
+        assert main([*hit, "--method", method]) == 0
+        assert 0.0 < json.loads(out.read_text())["diagnostics"]["error_bound"] <= 1e-10
+    # one application of F, from zero, bounds the values from below only
+    assert main([*hit, "--method", "value", "--max-iter", "1"]) == 2
+    assert json.loads(out.read_text())["diagnostics"]["error_bound"] == "inf"
+
+
 @pytest.mark.parametrize("method", ["value", "policy"])
 def test_hit_with_nothing_to_solve_converges_at_any_budget(tmp_path, method):
     # a never leaves itself, so it is infinite and no state is left to solve

@@ -19,7 +19,7 @@ from credalmeet.meeting import JointChoices
 from credalmeet.reach import CredalChoices, classify_view
 from credalmeet.solver import HittingResult
 
-from generators import random_credal_matrix, random_distribution
+from generators import random_credal_matrix, random_distribution, trapped_credal_matrix
 
 
 # ------------------------------------------------------ restrict vs full view
@@ -223,28 +223,54 @@ def _reference_finish(view, h, finite, sense):
 
 
 def _reference_value(view, targets, sense, tol, max_iter):
-    """Value iteration that evaluates every choice of the finite states through
-    the full view in each sweep and scans for the best position; with no
-    finite state it starts converged and sweeps no more."""
+    """Value iteration by the solver's safeguarded Anderson mixing, with each
+    application of ``F`` through the full view: every choice evaluated on the
+    values with inf at the inf states, the best scanned per state. The mixing
+    repeats the solver's arithmetic on a ring of the same layout, so that the
+    two agree bit for bit; with no finite state the solve starts converged
+    and applies ``F`` no more."""
     cls, _ = classify_view(view, targets, sense)
     n = view.n
     h = np.zeros(n)
     h[list(cls.infinite)] = math.inf
     finite = np.array(sorted(cls.finite), dtype=int)
     bounds = view.choice_offsets(finite)
-    iterations = 0
-    converged = finite.size == 0
+    k, depth = finite.size, solver.MIX_DEPTH
+
+    def apply(x):
+        h[finite] = x
+        return 1.0 + segment_optimum(view.values(h)[view.choice_rows(finite)], bounds, sense)[0]
+
+    ring_r, ring_g = np.empty((depth, k)), np.empty((depth, k))
+    x, g, r = np.zeros(k), np.zeros(k), None
+    defect, down, filled, head, iterations = math.inf, 0.0, 0, 0, 0
+    converged = k == 0
+    bound = 0.0 if converged else math.inf
     while not converged and iterations < max_iter:
-        best, _ = segment_optimum(view.values(h)[view.choice_rows(finite)], bounds, sense)
-        new_vals = 1.0 + best
-        delta = float(np.max(np.abs(new_vals - h[finite]), initial=0.0))
-        h[finite] = new_vals
+        if filled:
+            dr, dg = ring_r[:filled], ring_g[:filled]
+            gram = dr @ dr.T
+            gram += (solver.MIX_RIDGE * np.trace(gram) + np.finfo(float).tiny) * np.eye(filled)
+            c = np.maximum(g - np.linalg.solve(gram, dr @ r) @ dg, 1.0)
+        else:
+            c = g
+        new = apply(c)
         iterations += 1
-        if delta <= tol:
-            converged = True
-            break
+        step = new - c
+        if filled and np.max(np.abs(step)) > defect:
+            filled = head = 0
+            continue
+        if r is not None:
+            ring_r[head], ring_g[head] = step - r, new - g
+            head, filled = (head + 1) % depth, min(filled + 1, depth)
+        x, g, r, defect = c, new, step, float(np.max(np.abs(step)))
+        mu = (n / 2 + 2) * np.finfo(float).eps * (1.0 + g.max() + x.max())
+        up, down = max(step.max(), 0.0) + mu, max(-step.min(), 0.0) + mu
+        bound = x.max() * (1 / (1 - up) - 1 / (1 + down)) if up < 1 else math.inf
+        converged = up < 1 and bound <= tol
+    h[finite] = x / (1 + down)
     selection, residual = _reference_finish(view, h, finite, sense)
-    return HittingResult(h, selection, cls, iterations, residual, converged, "value-iteration")
+    return HittingResult(h, selection, cls, iterations, residual, converged, "value-iteration", bound)
 
 
 class _ReferenceEvaluator(solver._Evaluator):
@@ -266,37 +292,14 @@ def _same(a, b):
     assert np.array_equal(a.selection, b.selection)
     assert a.classification == b.classification
     assert (a.iterations, a.residual, a.converged) == (b.iterations, b.residual, b.converged)
-
-
-def _trapped_model(rng, n, trap, leak):
-    """A random model on ``n + trap`` states in shuffled order: ``n`` states
-    with up to 3 vertices, some sparse, and ``trap`` states that never leave
-    the trap and so have infinite values. With ``leak`` a fifth of the ``n``
-    states get one more vertex into the trap: in lower sense it has an inf
-    value and is never selected (in upper sense it would make every state
-    that reaches it infinite)."""
-    core = random_credal_matrix(rng, n=n, max_vertices=3, dense_prob=0.8)
-    total = n + trap
-    rows = []
-    for i in range(n):
-        verts = [np.concatenate([v, np.zeros(trap)]) for v in core.vertices(i)]
-        if leak and rng.random() < 0.2:
-            into = np.concatenate([random_distribution(rng, n), random_distribution(rng, trap)])
-            verts.append(0.5 * into)
-        rows.append(verts)
-    for _ in range(trap):
-        rows.append([np.concatenate([np.zeros(n), random_distribution(rng, trap)])])
-    order = rng.permutation(total)
-    shuffled = [[v[order] for v in rows[j]] for j in order]
-    model = CredalMatrix.from_rows([f"s{i}" for i in range(total)], shuffled)
-    return model, int(np.argsort(order)[0])
+    assert a.error_bound == b.error_bound
 
 
 @pytest.mark.parametrize("n", [40, 300])
 @pytest.mark.parametrize("sense", ["upper", "lower"])
 def test_solvers_match_the_reference_bit_for_bit(n, sense, monkeypatch):
     rng = np.random.default_rng([n, len(sense)])
-    model, target = _trapped_model(rng, n, 6, leak=sense == "lower")
+    model, target = trapped_credal_matrix(rng, n, 6, leak=sense == "lower")
     view = CredalChoices(model)
     targets = target_mask(model.size, [target])
 
@@ -322,9 +325,10 @@ def value_problems(draw):
     avoid them are infinite and fall between finite ones, so the finite
     states' choices are often not a slice, and in lower sense finite states
     have choices into them; a target set of every state, or of states nothing
-    reaches, leaves no finite state. The budgets cut the sweeps at the first
-    and the last sweep of value iteration's blocks of up to ``VALUE_BLOCK``
-    sweeps."""
+    reaches, leaves no finite state. The budgets of applications of ``F``
+    cut value iteration before any, in its two plain first steps, at its
+    first mixed candidate and before and after its ring of ``MIX_DEPTH``
+    rows wraps, once and more."""
     sense = draw(st.sampled_from(["upper", "lower"]))
     n = draw(st.integers(2, 8))
     traps = np.flatnonzero([draw(st.booleans()) and draw(st.booleans()) for _ in range(n)])
@@ -341,8 +345,8 @@ def value_problems(draw):
     model = CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows)
     targets = target_mask(n, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     tol = draw(st.sampled_from([0.0, 1e-12, 1e-3, math.inf]))
-    cap = solver.VALUE_BLOCK
-    max_iter = draw(st.sampled_from(sorted({0, 1, 2, 3, 7, 15, cap - 1, cap, cap + 1, 2 * cap - 1, 2 * cap + 1, 500})))
+    depth = solver.MIX_DEPTH
+    max_iter = draw(st.sampled_from(sorted({0, 1, 2, 3, 7, 15, depth + 1, depth + 2, depth + 3, 3 * depth + 2, 500})))
     return model, targets, sense, tol, max_iter
 
 
@@ -355,13 +359,14 @@ def test_value_iteration_matches_the_reference_on_random_models(problem):
 
 
 def test_a_value_iteration_sweep_makes_one_finite_contraction(monkeypatch):
-    """Each sweep contracts the values, with their inf entries zeroed, once,
-    and no part of a solve calls the inf-aware kernel ``values``: the
-    choices with mass on the inf states are found once, by a support test.
-    In lower sense the third vertex of ``a`` leads to the trap ``c`` and is
-    never chosen; the bound at ``a`` is 100, approached by a factor 0.99 per
-    sweep, so neither budget converges at ``tol = 0``. A solve that converges
-    discards fewer than ``VALUE_BLOCK`` sweeps of its last block."""
+    """Each application of ``F`` contracts the values, with their inf entries
+    zeroed, once, and no part of a solve calls the inf-aware kernel
+    ``values``: the choices with mass on the inf states are found once, by a
+    support test. In lower sense the third vertex of ``a`` leads to the trap
+    ``c`` and is never chosen; the bound at ``a`` is 100, and no certified
+    bracket has width zero, so neither budget converges at ``tol = 0``. A
+    solve that converges makes one contraction per application and one for
+    its residual too."""
     model = CredalMatrix.from_rows(
         ["a", "b", "c"],
         [[[0.99, 0.01, 0.0], [0.995, 0.005, 0.0], [0.5, 0.0, 0.5]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]],
@@ -381,12 +386,12 @@ def test_a_value_iteration_sweep_makes_one_finite_contraction(monkeypatch):
         calls.update(kernel=0, contract=0)
         res = value_iteration(model, [1], "lower", 0.0, max_iter)
         assert res.iterations == max_iter and not res.converged and np.isinf(res.values[2])
-        assert calls["contract"] == max_iter + 1  # one per sweep, one for the residual
+        assert calls["contract"] == max_iter + 1  # one per application, one for the residual
         kernel.append(calls["kernel"])
     assert kernel == [0, 0]
     calls.update(contract=0)
     res = value_iteration(model, [1], "lower", 1e-6, 10_000)
-    assert res.converged and calls["contract"] <= res.iterations + solver.VALUE_BLOCK + 1
+    assert res.converged and calls["contract"] == res.iterations + 1
 
 
 @pytest.mark.parametrize("agents", [2, 3])

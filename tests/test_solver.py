@@ -26,7 +26,7 @@ from credalmeet.core import target_mask
 from credalmeet.meeting import JointChoices
 from credalmeet.reach import CredalChoices, classify_view
 
-from generators import random_credal_matrix, random_selection, random_targets
+from generators import random_credal_matrix, random_selection, random_targets, trapped_credal_matrix
 from gmres_oracle import lstsq_gmres
 
 
@@ -89,9 +89,96 @@ def test_hand_derived_two_vertex_bounds():
 
 
 def test_value_iteration_reports_non_convergence():
+    # mixing solves the one-state system exactly with its third application
+    # of F, so two cannot certify the answer
     m = two_vertex_model()
-    r = value_iteration(m, [1], "upper", max_iter=3)
-    assert not r.converged and r.iterations == 3
+    r = value_iteration(m, [1], "upper", max_iter=2)
+    assert not r.converged and r.iterations == 2
+
+
+def _slow_chain():
+    """Plain sweeps approach the upper bound 200 at ``a`` by a factor 0.995 each."""
+    return CredalMatrix.from_rows(["a", "b"], [[[0.99, 0.01], [0.995, 0.005]], [[0, 1]]])
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-8])
+def test_value_iteration_certifies_the_slow_chain_from_below(tol):
+    r = value_iteration(_slow_chain(), [1], "upper", tol=tol)
+    assert r.converged and r.error_bound <= tol
+    assert 200.0 - tol <= r.values[0] <= 200.0
+
+
+def test_value_iteration_without_a_tolerance_spends_its_budget():
+    # the certified bracket always has a rounding margin, so tol=0 is never met
+    r = value_iteration(_slow_chain(), [1], "upper", tol=0.0, max_iter=40)
+    assert not r.converged and r.iterations == 40
+    assert 0.0 < r.error_bound < 1e-9 and r.values[0] <= 200.0
+
+
+def test_value_iteration_clips_its_candidates_at_one(monkeypatch):
+    """On this lazy lower chain the mixed candidates, unclipped, go as low as
+    -400: every application of ``F`` after the first two, plain ones (from
+    zero and from one) reads values of at least one, and some reads exactly
+    one, the clip, where the bound is above 100. The answer is certified
+    within ``tol`` of policy iteration's, from below."""
+    n = 6
+    rows = []
+    for i in range(n - 1):
+        lazy, back = np.zeros(n), np.zeros(n)
+        lazy[[i, i + 1]] = 0.99, 0.01
+        back[[max(i - 1, 0), i + 1]] += (0.9, 0.1)
+        rows.append([lazy, back])
+    rows.append([np.eye(n)[n - 1]])
+    model = CredalMatrix.from_rows([f"s{i}" for i in range(n)], rows)
+    p = policy_iteration(model, [n - 1], "lower")
+    inputs = []
+    init = solver._Bellman.__init__
+
+    def recording(self, view, cls):
+        init(self, view, cls)
+        evaluate = self.evaluate
+        self.evaluate = lambda f: inputs.append(f[self.finite].copy()) or evaluate(f)
+
+    monkeypatch.setattr(solver._Bellman, "__init__", recording)
+    r = value_iteration(model, [n - 1], "lower", tol=1e-8)
+    assert r.converged and len(inputs) == r.iterations + 1  # the last input is the greedy pass's
+    applied = np.array(inputs[2:-1])
+    assert (applied >= 1.0).all() and (applied == 1.0).any()
+    assert (p.values[:-1][np.nonzero(applied == 1.0)[1]] > 100.0).all()
+    assert (np.abs(r.values - p.values) <= 1e-8).all() and (r.values <= p.values + p.error_bound).all()
+
+
+@st.composite
+def trapped_problems(draw):
+    """A base model on 2 to 12 states and 1 to 3 traps, with vertices into
+    the traps in lower sense (:func:`generators.trapped_credal_matrix`), a
+    target, a sense and a tolerance."""
+    sense = draw(st.sampled_from(["upper", "lower"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model, target = trapped_credal_matrix(rng, draw(st.integers(2, 12)), draw(st.integers(1, 3)),
+                                          leak=sense == "lower")
+    return model, target, sense, draw(st.sampled_from([1e-4, 1e-8]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(trapped_problems())
+def test_value_iteration_is_certified_against_policy_iteration(problem):
+    """Value iteration converges exactly when its certified bracket is within
+    ``tol``, and then lies within ``tol`` of the bound; converged or not, its
+    values lie below the bound. Policy iteration's values, within their
+    ``error_bound`` of the bound, stand for it, up to the rounding of value
+    iteration's last division. Both solves classify alike."""
+    model, target, sense, tol = problem
+    p = policy_iteration(model, [target], sense)
+    v = value_iteration(model, [target], sense, tol=tol, max_iter=300)
+    assert v.classification == p.classification
+    assert np.array_equal(np.isinf(v.values), np.isinf(p.values))
+    finite = np.isfinite(p.values)
+    gap, rounding = v.values[finite] - p.values[finite], 2 * np.finfo(float).eps * p.values[finite]
+    assert (gap <= p.error_bound + rounding).all()
+    assert v.converged == (v.error_bound <= tol)
+    if v.converged:
+        assert (np.abs(gap) <= tol + p.error_bound + rounding).all()
 
 
 def test_policy_iteration_reports_non_convergence():

@@ -41,7 +41,9 @@ selections changed, and per CLI family how many are byte-identical; per
 family it names the cases whose evaluations differ in path, GMRES
 products or loose flag, and those whose joint contraction counts differ
 (or says that a run holds no evaluations or no counts, as a run of an
-older tree may not), which never fails the compare. It exits with
+older tree may not), and the cases whose ``converged`` flag or iteration
+count changed, each with its two values, which never fails the compare
+either. It exits with
 status 1 when an ``inf`` pattern, a classification, an error or a CLI exit
 status differs, or the two runs hold different cases.
 """
@@ -392,6 +394,9 @@ def run_corpus() -> dict:
 WORK = {"evaluations": "the same in path, GMRES products and loose flag",
         "contractions": "the same in joint contractions"}
 
+#: The fields of a solve whose changes the compare names per family.
+MOVES = ("converged", "iterations")
+
 
 def compare(a: dict, b: dict) -> bool:
     """Print the comparison of two runs per family; True when nothing fails."""
@@ -405,7 +410,8 @@ def compare(a: dict, b: dict) -> bool:
     for key in sorted(left.keys() & right.keys(), key=list(left).index):
         x, y = left[key].copy(), right[key].copy()
         stats = families.setdefault(key[0], {"cases": 0, "identical": 0, "move": 0.0, "flips": 0, "fail": [],
-                                             **{field: {"unrecorded": 0, "differ": []} for field in WORK}})
+                                             **{field: {"unrecorded": 0, "differ": []} for field in WORK},
+                                             **{field: [] for field in MOVES}})
         stats["cases"] += 1
         for field in WORK:  # compared apart: the outputs alone make a case identical
             u, v, tally = x.pop(field, None), y.pop(field, None), stats[field]
@@ -413,6 +419,9 @@ def compare(a: dict, b: dict) -> bool:
                 tally["unrecorded"] += 1
             elif u != v:
                 tally["differ"].append(key[1])
+        for field in MOVES:
+            if field in x and field in y and x[field] != y[field]:
+                stats[field].append(f"{key[1]} ({x[field]} -> {y[field]})")
         if x == y:
             stats["identical"] += 1
             continue
@@ -446,6 +455,9 @@ def compare(a: dict, b: dict) -> bool:
             else:
                 print(f"  {field}: {recorded - len(differ)} of {recorded} {same}"
                       + (f"; differ in {', '.join(differ)}" if differ else ""))
+        for field in MOVES:
+            if s[field]:
+                print(f"  {field} changed in {len(s[field])}: {', '.join(s[field])}")
         for line in s["fail"]:
             print(f"  FAIL: {line}")
         ok = ok and not s["fail"]
