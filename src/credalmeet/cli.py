@@ -346,7 +346,8 @@ def _build_parser() -> _Parser:
                         "whose values come from below")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="policy: the largest change of consecutive exact evaluations; value: the "
-                        "absolute error of every value that a certified bracket must bound")
+                        "absolute error of every value that a certified bracket must bound, or "
+                        "its rounding floor when that is wider (0: never met)")
     p.add_argument("--max-iter", type=int, default=None,
                    help="policy: the most sweeps (default 1000); value: the most applications of "
                         "the one-step operator (default 10000)")

@@ -243,7 +243,8 @@ def _reference_value(view, targets, sense, tol, max_iter):
 
     ring_r, ring_g = np.empty((depth, k)), np.empty((depth, k))
     x, g, r = np.zeros(k), np.zeros(k), None
-    defect, down, filled, head, iterations = math.inf, 0.0, 0, 0, 0
+    terms = int(np.count_nonzero(view._rows[view.choice_rows(finite)], axis=1).max(initial=0))
+    defect, fall, down, filled, head, iterations = math.inf, 0.0, 0.0, 0, 0, 0
     converged = k == 0
     bound = 0.0 if converged else math.inf
     while not converged and iterations < max_iter:
@@ -264,11 +265,12 @@ def _reference_value(view, targets, sense, tol, max_iter):
             ring_r[head], ring_g[head] = step - r, new - g
             head, filled = (head + 1) % depth, min(filled + 1, depth)
         x, g, r, defect = c, new, step, float(np.max(np.abs(step)))
-        mu = (n / 2 + 2) * np.finfo(float).eps * (1.0 + g.max() + x.max())
-        up, down = max(step.max(), 0.0) + mu, max(-step.min(), 0.0) + mu
+        mu = (terms / 2 + 2) * np.finfo(float).eps * (1.0 + g.max() + x.max())
+        fall = max(-step.min(), 0.0)
+        up, down = max(step.max(), 0.0) + mu, fall + mu
         bound = x.max() * (1 / (1 - up) - 1 / (1 + down)) if up < 1 else math.inf
-        converged = up < 1 and bound <= tol
-    h[finite] = x / (1 + down)
+        converged = up < 1 and (bound <= tol or tol > 0 and defect <= mu)
+    h[finite] = np.maximum((g + fall) / (1 + down), 1.0)
     selection, residual = _reference_finish(view, h, finite, sense)
     return HittingResult(h, selection, cls, iterations, residual, converged, "value-iteration", bound)
 
